@@ -19,8 +19,8 @@ from __future__ import annotations
 from .exact import ExactError, QSeries
 from .macdonald import generic_engine
 from .affine import beta_sequence, hw_algebra_char, hw_algebra_char_gl
-from .series import (TruncatedSeries, VariableSet, inverse_truncated,
-                     mul_truncated, pochhammer_series)
+from .identities import VerificationReport, lhs_series
+from .series import TruncatedSeries, VariableSet, mul_truncated
 from .weights import antidominant_data, restrict_weight
 
 
@@ -30,7 +30,7 @@ def _require_cap(policy):
     return policy.max_q_degree
 
 
-def _embed_terms(terms, cap, nvars, block, offset, restrict):
+def _embed_terms(terms, cap, nvars, offset, restrict):
     """Exponent-keyed QPoly/QSeries terms -> series terms over the chosen
     variable block, optionally pushed through the gl -> sl restriction."""
     out = {}
@@ -79,11 +79,11 @@ def char_module(kind, lam, policy, lattice="sl"):
                                         algebra_series(kind[-1]))
     eng = generic_engine(n)
     if kind == "D":
-        terms = _embed_terms(eng.terms_t0(lam), cap, nv, "x", 0, restrict)
+        terms = _embed_terms(eng.terms_t0(lam), cap, nv, 0, restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "Uo":
         offset = varset.nx
-        terms = _embed_terms(eng.terms_atom(lam), cap, nv, "y", offset, restrict)
+        terms = _embed_terms(eng.terms_atom(lam), cap, nv, offset, restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "T":
         d = char_module("D", lam, policy, lattice)
@@ -94,28 +94,10 @@ def char_module(kind, lam, policy, lattice="sl"):
 
 def ch_iwahori_functions(n, policy):
     """Character of the polynomial functions on the Iwahori-type matrix
-    space, with the determinant-relation Koszul factor."""
-    cap = _require_cap(policy)
-    varset = VariableSet.gl(n)
-    one = QSeries.one(cap)
-    q1 = QSeries(cap, (0, 1))
-    result = TruncatedSeries.constant(varset, policy, one)
-    for i in range(n):
-        for j in range(n):
-            mono = [0] * (2 * n)
-            mono[i] = 1
-            mono[n + j] = 1
-            mono = tuple(mono)
-            if i <= j:
-                lin = TruncatedSeries(varset, policy,
-                                      {(0,) * (2 * n): one, mono: -one})
-                result = mul_truncated(result, inverse_truncated(lin))
-            factor = inverse_truncated(
-                pochhammer_series(q1, mono, None, varset, policy))
-            result = mul_truncated(result, factor)
-    det = tuple([1] * (2 * n))
-    koszul = pochhammer_series(one, det, None, varset, policy)
-    return mul_truncated(result, koszul)
+    space, with the determinant-relation Koszul factor: the product side
+    of the gl_slform identity."""
+    _require_cap(policy)
+    return lhs_series("gl_slform", n, policy)
 
 
 def ch_weyl_ratio_check(lam, m, word):
@@ -124,7 +106,6 @@ def ch_weyl_ratio_check(lam, m, word):
     degrees against the beta-count degrees for the supplied word.
 
     Returns a VerificationReport (variant 'weyl_ratio')."""
-    from .identities import VerificationReport  # local import; no cycle
     import time
     t0 = time.monotonic()
     lam = tuple(int(e) for e in lam)

@@ -9,10 +9,12 @@ Subcommands:
               sl2-appendix --n N --max-deg D --max-q K [--jobs J]
     appendix  --range L --max-q K
 
-Exit status 0 on pass/success, 1 on verification failure, 2 on usage error.
-Output is deterministic; timing goes to stderr.  The environment variable
-MACDONALD_CACHE_DIR, when set, persists the polynomial memo table between
-runs (a corrupt cache is detected by re-verifying one entry at load time).
+Exit status 0 on pass/success, 1 on verification failure, 2 on usage error
+(including a negative --max-deg, --max-q or --range, and --n or --jobs
+below 1).  Output is deterministic; timing goes to stderr.  The
+classical-q0 identity reads the key polynomials and Demazure atoms off the
+q^0 coefficients of the t = 0 and (q^{-1}, oo) tables that the other
+identities use.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from .exact import ExactError, QSeries
 from .identities import verify_identity, verify_sl2_appendix
@@ -56,6 +57,18 @@ def _parse_lambda(text, n):
     if any(e < 0 for e in lam):
         raise UsageError("lambda entries must be nonnegative")
     return lam
+
+
+# least admissible value of each numeric option
+_LEAST = {"n": 1, "max_deg": 0, "max_q": 0, "range": 0, "jobs": 1}
+
+
+def _check_ranges(args):
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 def _scalar_text(c):
@@ -238,22 +251,11 @@ def run(argv):
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     try:
-        status = args.func(args)
-    except UsageError as ex:
+        _check_ranges(args)
+        return args.func(args)
+    except (UsageError, ExactError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
-    except ExactError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    finally:
-        # persist the memo table when a cache directory is configured
-        from .macdonald import _GENERIC
-        for eng in _GENERIC.values():
-            try:
-                eng.save_cache()
-            except OSError:
-                pass
-    return status
 
 
 def main():

@@ -918,7 +918,9 @@ class QSeries:
     __rmul__ = __mul__
 
     def shift(self, k):
-        """Multiply by q^k."""
+        """Multiply by q^k (k >= 0)."""
+        if k < 0:
+            raise ValueError(f"negative q-shift {k}")
         return QSeries(self.cap, (0,) * k + self.coeffs)
 
     def inverse(self):

@@ -29,9 +29,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
-from .macdonald import (e_atom_table, e_corner_tables, e_t0_table,
-                        generic_engine, norm_a_q, norm_a_qt,
-                        sl2_closed_forms, restrict_poly_terms)
+from .macdonald import (e_atom_table, e_t0_table, generic_engine, norm_a_q,
+                        norm_a_qt, sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, inverse_truncated, mul_truncated,
@@ -99,7 +98,10 @@ def _xy_monomial(n, i, j):
 
 
 def lhs_series(variant, n, policy):
-    """The product side of the named identity, as a truncated series."""
+    """The product side of the named identity, as a truncated series.
+
+    ``iwahori_char`` names the gl_slform product: the character of the
+    functions on the Iwahori matrix space."""
     varset = VariableSet.gl(n)
     if variant == "gl_qt":
         if policy.max_q_degree is not None:
@@ -129,6 +131,8 @@ def lhs_series(variant, n, policy):
     cap = policy.max_q_degree
     if cap is None:
         raise ExactError(f"variant {variant} needs a finite q-cap")
+    if variant == "iwahori_char":
+        variant = "gl_slform"
     one = QSeries.one(cap)
     q1 = QSeries(cap, (0, 1))
     result = TruncatedSeries.constant(varset, policy, one)
@@ -140,10 +144,7 @@ def lhs_series(variant, n, policy):
                                        _xy_monomial(n, i, j): -one})
                 result = mul_truncated(result, inverse_truncated(lin))
         return result
-    if variant in ("gl_t0", "gl_slform", "iwahori_char"):
-        if variant == "iwahori_char":
-            from .characters import ch_iwahori_functions
-            return ch_iwahori_functions(n, policy)
+    if variant in ("gl_t0", "gl_slform"):
         for i in range(n):
             for j in range(n):
                 mono = _xy_monomial(n, i, j)
@@ -223,13 +224,16 @@ def rhs_series(variant, n, policy, jobs=1):
             return _pair_product_series(varset, policy, xt, yt,
                                         norm_a_q(lam, cap))
     elif variant == "classical_q0":
-        keys, atoms = e_corner_tables(n, lambdas)
+        # the key polynomials E(x; 0, 0) and the Demazure atoms E(x; oo, oo)
+        # are the q^0 coefficients of the t = 0 and (q^{-1}, oo) tables
+        keys = e_t0_table(n, lambdas, 0)
+        atoms = e_atom_table(n, lambdas, 0)
 
         def summand(lam):
             one = QSeries.one(cap)
-            xt = {e + (0,) * n: QSeries.from_int(c, cap)
+            xt = {e + (0,) * n: QSeries.from_int(c[0], cap)
                   for e, c in keys[lam].items()}
-            yt = {(0,) * n + e: QSeries.from_int(c, cap)
+            yt = {(0,) * n + e: QSeries.from_int(c[0], cap)
                   for e, c in atoms[lam].items()}
             return _pair_product_series(varset, policy, xt, yt, one)
     else:
@@ -292,6 +296,59 @@ def _kostant_solutions(c, n):
     return sols
 
 
+def _beta_matrices(n, budget):
+    """Nonnegative n x n matrices with entry sum <= budget, as
+    (row sums, column sums, entries in row-major order)."""
+    cells = [(r, s) for r in range(n) for s in range(n)]
+    out = []
+
+    def rec(idx, left, rows, cols, entries):
+        if idx == len(cells):
+            out.append((tuple(rows), tuple(cols), tuple(entries)))
+            return
+        r, s = cells[idx]
+        for v in range(left + 1):
+            rows[r] += v
+            cols[s] += v
+            entries.append(v)
+            rec(idx + 1, left - v, rows, cols, entries)
+            entries.pop()
+            rows[r] -= v
+            cols[s] -= v
+    rec(0, budget, [0] * n, [0] * n, [])
+    return out
+
+
+def _sl_supports(n, pairs, K):
+    """The solutions of the support system of sl_certificate on the given
+    class pairs: yields (pair, S, beta entries, k) for every S and beta
+    matrix within the q-budget sum(beta) + S(S+1)/2 <= K and every Kostant
+    solution m, with the fiber index k it lands on, when both k and the
+    y-side index k - (|b| - |a|) / n are nonnegative."""
+    betas_by_budget = {}
+    for a, b in pairs:
+        off, rem = divmod(sum(b) - sum(a), n)
+        if rem:
+            continue
+        S = 0
+        while S * (S + 1) // 2 <= K:
+            budget = K - S * (S + 1) // 2
+            if budget not in betas_by_budget:
+                betas_by_budget[budget] = _beta_matrices(n, budget)
+            for rows, cols, entries in betas_by_budget[budget]:
+                c = [a[i] + off - b[i] - rows[i] + cols[i] for i in range(n)]
+                if sum(c) != 0:
+                    continue
+                for m in _kostant_solutions(c, n):
+                    mx = [0] * n
+                    for (i, _), v in m.items():
+                        mx[i] += v
+                    k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
+                    if k >= 0 and k >= off:
+                        yield (a, b), S, entries, k
+            S += 1
+
+
 def sl_certificate(n, pairs, K):
     """Per class pair, the largest fiber index k of any potential kernel
     contributor x^{a + k 1} y^{b + k 1} q^{<= K}, from the support system
@@ -303,57 +360,10 @@ def sl_certificate(n, pairs, K):
     sum(beta) + S(S+1)/2 <= K.  The y-side shift l is tied to the x-side
     shift k by n(k - l) = |b| - |a| (the kernel is balanced), so one index
     suffices.  Returns (kmax, Dx, Dy) with kmax keyed on the x-side."""
-    def beta_vectors(budget):
-        # nonnegative n x n matrices with entry sum <= budget
-        cells = [(r, s) for r in range(n) for s in range(n)]
-        out = []
-
-        def rec(idx, left, rows, cols, total):
-            if idx == len(cells):
-                out.append((tuple(rows), tuple(cols), total))
-                return
-            r, s = cells[idx]
-            for v in range(left + 1):
-                rows[r] += v
-                cols[s] += v
-                rec(idx + 1, left - v, rows, cols, total + v)
-                rows[r] -= v
-                cols[s] -= v
-        rec(0, budget, [0] * n, [0] * n, 0)
-        return out
-
-    smax = 0
-    while (smax + 1) * (smax + 2) // 2 <= K:
-        smax += 1
-    betas_by_budget = {}
-    kmax = {}
-    for a, b in pairs:
-        off, rem = divmod(sum(b) - sum(a), n)
-        if rem:
-            kmax[(a, b)] = -1
-            continue
-        best = -1
-        for S in range(smax + 1):
-            budget = K - S * (S + 1) // 2
-            if budget < 0:
-                continue
-            if budget not in betas_by_budget:
-                betas_by_budget[budget] = beta_vectors(budget)
-            for rows, cols, tot in betas_by_budget[budget]:
-                c = [a[i] + off - b[i] - rows[i] + cols[i] for i in range(n)]
-                if sum(c) != 0:
-                    continue
-                for m in _kostant_solutions(c, n):
-                    mx = [0] * n
-                    for (i, j), v in m.items():
-                        mx[i] += v
-                    p = [mx[i] + rows[i] + S for i in range(n)]
-                    k = max(p[i] - a[i] for i in range(n))
-                    if k < 0 or k - off < 0:
-                        continue
-                    if k > best:
-                        best = k
-        kmax[(a, b)] = best
+    kmax = {pair: -1 for pair in pairs}
+    for pair, _, _, k in _sl_supports(n, pairs, K):
+        if k > kmax[pair]:
+            kmax[pair] = k
     Dx = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
              default=0)
     Dy = Dx    # the balance relation makes the two box needs coincide
@@ -396,71 +406,35 @@ def project_to_sl(f, pairs, kmax, K):
 
 def _sl_lhs_window(n, pairs, kmax, K):
     """Projected gl_slform product side, computed per window entry by
-    enumerating the support system with its coefficients (exactly the fiber
-    sums project_to_sl would take over the full box)."""
+    summing the support-system solutions with their coefficients (exactly
+    the fiber sums project_to_sl would take over the full box): a beta
+    entry v weighs q^v / (q; q)_v, and S weighs
+    (-1)^S q^{S(S+1)/2} / (q; q)_S."""
     svars = VariableSet.sl(n)
     wdeg = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
     spolicy = TruncationPolicy(2 * wdeg, 2 * wdeg, K)
     inv_poch = [inv_pochhammer_qq(m, K) for m in range(K + 1)]
-    poch_w = {}
-    smax = 0
-    while (smax + 1) * (smax + 2) // 2 <= K:
-        smax += 1
-    for S in range(smax + 1):
-        v = S * (S + 1) // 2
-        sgn = -1 if S % 2 else 1
-        poch_w[S] = (inv_poch[S].shift(v)) * sgn
-
-    cells = [(r, s) for r in range(n) for s in range(n)]
-
-    def beta_enum(budget):
-        out = []
-
-        def rec(idx, left, rows, cols, coeff):
-            if idx == len(cells):
-                out.append((tuple(rows), tuple(cols), coeff))
-                return
-            r, s = cells[idx]
-            for v in range(left + 1):
-                c2 = coeff if v == 0 else coeff * inv_poch[v].shift(v)
-                rows[r] += v
-                cols[s] += v
-                rec(idx + 1, left - v, rows, cols, c2)
-                rows[r] -= v
-                cols[s] -= v
-        rec(0, budget, [0] * n, [0] * n, QSeries.one(K))
-        return out
-
-    betas_cache = {}
+    beta_w = [p.shift(v) for v, p in enumerate(inv_poch)]
+    poch_w = [p.shift(S * (S + 1) // 2) * (-1 if S % 2 else 1)
+              for S, p in enumerate(inv_poch)]
+    zero = QSeries.zero(K)
+    live = [pair for pair in pairs if kmax.get(pair, -1) >= 0]
+    weights = {}    # (S, beta entries) -> weight; each is formed once per call
+    by_pair = {}
+    for pair, S, entries, _ in _sl_supports(n, live, K):
+        w = weights.get((S, entries))
+        if w is None:
+            w = poch_w[S]
+            for v in entries:
+                if v:
+                    w = w * beta_w[v]
+            weights[(S, entries)] = w
+        by_pair[pair] = by_pair.get(pair, zero) + w
     out = {}
-    for (a, b) in pairs:
-        k_top = kmax.get((a, b), -1)
-        if k_top < 0:
-            continue
-        off = (sum(b) - sum(a)) // n
-        acc = QSeries.zero(K)
-        for S in range(smax + 1):
-            budget = K - S * (S + 1) // 2
-            if budget < 0:
-                continue
-            if budget not in betas_cache:
-                betas_cache[budget] = beta_enum(budget)
-            for rows, cols, coeff in betas_cache[budget]:
-                c = [a[i] + off - b[i] - rows[i] + cols[i] for i in range(n)]
-                if sum(c) != 0:
-                    continue
-                for m in _kostant_solutions(c, n):
-                    mx = [0] * n
-                    for (i, j), v in m.items():
-                        mx[i] += v
-                    p = [mx[i] + rows[i] + S for i in range(n)]
-                    k = max(p[i] - a[i] for i in range(n))
-                    if k < 0 or k - off < 0:
-                        continue
-                    acc = acc + coeff * poch_w[S]
-        if not acc.is_zero:
+    for (a, b), c in by_pair.items():
+        if not c.is_zero:
             key = restrict_weight(a) + restrict_weight(b)
-            out[key] = out.get(key, QSeries.zero(K)) + acc
+            out[key] = out.get(key, zero) + c
     out = {k: v for k, v in out.items() if not v.is_zero}
     return TruncatedSeries(svars, spolicy, out, _checked=True)
 
@@ -594,12 +568,7 @@ def verify_identity(variant, n, policy, jobs=1):
         kmax, Dx, Dy = sl_certificate(n, pairs, K)
         policy_dict["window_degree"] = w
         policy_dict["certified_box"] = [Dx, Dy]
-        box = TruncationPolicy(Dx, Dy, K)
-        if n <= 2:
-            lhs = lhs_series("gl_slform", n, box)
-            p_lhs = project_to_sl(lhs, pairs, kmax, K)
-        else:
-            p_lhs = _sl_lhs_window(n, pairs, kmax, K)
+        p_lhs = _sl_lhs_window(n, pairs, kmax, K)
         bound = min(Dx, Dy)
         p_gl, p_sl, count = _sl_rhs_adaptive(n, pairs, K, bound, p_lhs)
         diff = first_difference(p_lhs, p_gl)
@@ -613,9 +582,7 @@ def verify_identity(variant, n, policy, jobs=1):
             (-policy.max_x_degree, policy.max_x_degree),
             policy.max_q_degree)
 
-    lhs = lhs_series("gl_slform" if variant == "iwahori_char" else variant,
-                     n, policy) if variant != "iwahori_char" else \
-        lhs_series("iwahori_char", n, policy)
+    lhs = lhs_series(variant, n, policy)
     rhs = rhs_series(variant, n, policy, jobs=jobs)
     diff = first_difference(lhs, rhs)
     return _mk_report(variant, n, policy_dict, diff, lhs.varset,

@@ -33,9 +33,6 @@ large-scale identity work two specialized engines recompute the t = 0 and
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from fractions import Fraction
 
 from .exact import (DivergentLimitError, ExactError, QPoly, QSeries, QTPoly,
@@ -236,15 +233,11 @@ class FactoredE:
 
 
 class GenericMacdonaldEngine:
-    """Exact recursion engine, memoized per composition; optionally backed by
-    an on-disk cache (MACDONALD_CACHE_DIR)."""
+    """Exact recursion engine, memoized per composition."""
 
-    def __init__(self, n, cache_dir=None):
+    def __init__(self, n):
         self.n = n
         self.memo = {}
-        self.cache_dir = cache_dir
-        self._cache_loaded = False
-        self._cache_dirty = False
 
     # -- recursion ---------------------------------------------------------
 
@@ -252,9 +245,6 @@ class GenericMacdonaldEngine:
         lam = _as_tuple(lam)
         if len(lam) != self.n:
             raise ExactError("composition rank mismatch")
-        if lam in self.memo:
-            return self.memo[lam]
-        self._ensure_cache()
         if lam in self.memo:
             return self.memo[lam]
         parent, step = recursion_parent(lam)
@@ -266,7 +256,6 @@ class GenericMacdonaldEngine:
             fe = self._t_step(self.get(parent), lam, step)
         fe.monic_check()
         self.memo[lam] = fe
-        self._cache_dirty = True
         return fe
 
     def _phi_step(self, fe, lam):
@@ -368,106 +357,13 @@ class GenericMacdonaldEngine:
                 out[exps] = p
         return out
 
-    def _eval_corner(self, fe, invert):
-        """Coefficients at (q,t) -> (0,0) (invert=False) or (oo,oo) (True)."""
-        out = {}
-        for exps in fe.terms:
-            f = self.coeff_qtrational(fe, exps)
-            if invert:
-                f = invert_q(f, invert_t=True)
-            d0 = f.den.eval_qt(0, 0)
-            if d0 == 0:
-                raise DivergentLimitError(
-                    f"coefficient of {exps} in E_{fe.lam} singular at the corner")
-            v = f.num.eval_qt(0, 0) / d0
-            if v != 0:
-                out[exps] = int(v) if Fraction(v).denominator == 1 else v
-        return out
-
-    def terms_q0_t0(self, lam):
-        return self._eval_corner(self.get(_as_tuple(lam)), invert=False)
-
-    def terms_qinf_tinf(self, lam):
-        return self._eval_corner(self.get(_as_tuple(lam)), invert=True)
-
-    # -- disk cache ---------------------------------------------------------
-
-    def _cache_path(self):
-        return os.path.join(self.cache_dir, f"macdonald_n{self.n}.json")
-
-    def anchor_hash(self):
-        """Fingerprint of the pinned convention, used to key the cache."""
-        probe = (0,) * (self.n - 1) + (1,) if self.n > 1 else (1,)
-        parent, step = recursion_parent(probe)
-        blob = json.dumps(["qcauchy-convention-1", self.n, probe, step],
-                          sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def _ensure_cache(self):
-        if self.cache_dir is None or self._cache_loaded:
-            return
-        self._cache_loaded = True
-        path = self._cache_path()
-        if not os.path.exists(path):
-            return
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            if data.get("anchor") != self.anchor_hash():
-                return
-            loaded = {}
-            for key, rec in data.get("entries", {}).items():
-                lam = tuple(int(x) for x in key.split(",")) if key else ()
-                terms = {}
-                for ek, triples in rec["terms"].items():
-                    exps = tuple(int(x) for x in ek.split(","))
-                    terms[exps] = IntQT({(int(i), int(j)): int(v)
-                                         for i, j, v in triples})
-                den = tuple((int(a), int(d)) for a, d in rec["den"])
-                loaded[lam] = FactoredE(self.n, lam, terms, den)
-            if loaded:
-                # corruption check: re-verify one stored entry
-                probe = sorted(loaded)[0]
-                fresh_memo = self.memo
-                self.memo = {}
-                fresh = self.get(probe)
-                recomputed = self.memo
-                self.memo = fresh_memo
-                stored = loaded[probe]
-                if fresh.terms != stored.terms or fresh.den != stored.den:
-                    return  # cache corrupt; ignore it
-                self.memo.update(recomputed)
-            self.memo.update(loaded)
-            self._cache_dirty = False
-        except (OSError, ValueError, KeyError):
-            return
-
-    def save_cache(self):
-        if self.cache_dir is None or not self._cache_dirty:
-            return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        entries = {}
-        for lam, fe in self.memo.items():
-            rec_terms = {}
-            for exps, c in fe.terms.items():
-                rec_terms[",".join(map(str, exps))] = [
-                    [i, j, v] for (i, j), v in sorted(c.m.items())]
-            entries[",".join(map(str, lam))] = {
-                "den": [list(x) for x in fe.den], "terms": rec_terms}
-        tmp = self._cache_path() + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"anchor": self.anchor_hash(), "entries": entries}, fh)
-        os.replace(tmp, self._cache_path())
-        self._cache_dirty = False
-
 
 _GENERIC = {}
 
 
 def generic_engine(n):
     if n not in _GENERIC:
-        _GENERIC[n] = GenericMacdonaldEngine(
-            n, cache_dir=os.environ.get("MACDONALD_CACHE_DIR"))
+        _GENERIC[n] = GenericMacdonaldEngine(n)
     return _GENERIC[n]
 
 
@@ -612,25 +508,22 @@ class _PlannedEngine:
         self.work_bound = work_bound
 
     def plan(self, targets):
-        """Recursion closure with, per composition, the number of direct
-        children and the extra jet depth required (T-edges cost one level)."""
-        depth = {}
-        pending = [(t, 0) for t in targets]
+        """(closure, children): the set of compositions the recursion visits
+        from the targets, and the number of direct children of each."""
+        closure = set()
+        children = {}
+        pending = list(targets)
         while pending:
-            lam, j = pending.pop()
-            if depth.get(lam, -1) >= j:
+            lam = pending.pop()
+            if lam in closure:
                 continue
-            depth[lam] = j
-            parent, step = recursion_parent(lam)
-            if parent is not None:
-                extra = 1 if step[0] == "T" else 0
-                pending.append((parent, j + extra))
-        children = {lam: 0 for lam in depth}
-        for lam in depth:
+            closure.add(lam)
+            children.setdefault(lam, 0)
             parent, _ = recursion_parent(lam)
             if parent is not None:
-                children[parent] += 1
-        return depth, children
+                children[parent] = children.get(parent, 0) + 1
+                pending.append(parent)
+        return closure, children
 
 
 class T0Engine(_PlannedEngine):
@@ -638,7 +531,7 @@ class T0Engine(_PlannedEngine):
 
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
-        depth, children = self.plan(targets)
+        _, children = self.plan(targets)
         target_set = set(targets)
         memo = {}
         results = {}
@@ -1082,23 +975,10 @@ def e_t0_table(n, lams, cap, slack=16):
     return _batch_with_retry(T0Engine, n, lams, cap, slack)
 
 
-def e_atom_table(n, lams, cap, slack=16):
+def e_atom_table(n, lams, cap):
     """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, by the pruned
     filling enumeration."""
     return {_as_tuple(lam): atom_terms(lam, n, cap) for lam in lams}
-
-
-def e_corner_tables(n, lams):
-    """({lam: {exps: int}}, {lam: {exps: int}}) of the key polynomials
-    E(x; 0, 0) and the Demazure atoms E(x; oo, oo)."""
-    eng = generic_engine(n)
-    keys = {}
-    atoms = {}
-    for lam in lams:
-        lam = _as_tuple(lam)
-        keys[lam] = eng.terms_q0_t0(lam)
-        atoms[lam] = eng.terms_qinf_tinf(lam)
-    return keys, atoms
 
 
 def restrict_poly_terms(terms, n):

@@ -396,34 +396,22 @@ def pochhammer_series(coeff, monomial, count, varset, policy):
 
     result = TruncatedSeries.constant(varset, policy, one_scalar())
 
-    if count is not None:
-        for i in range(count):
-            result = mul_truncated(result, linear_factor(q_shift(coeff, i)))
-        return result
-
-    # infinite product
-    if letter_degree == 0:
+    if count is None and letter_degree == 0:
         if qt_scalars:
             raise DivergentPochhammerError(
                 "divergent Pochhammer: constant argument with unbounded q-cap")
         if coeff[0] != 0:
             raise DivergentPochhammerError(
                 "divergent Pochhammer: argument has q-valuation 0")
-        i = 0
-        while True:
-            ci = q_shift(coeff, i)
-            if ci.is_zero:
-                break
-            result = mul_truncated(result, linear_factor(ci))
-            i += 1
-        return result
 
-    if not qt_scalars:
-        # finite q-cap: only factors with q^i * a alive under the cap matter
-        if not _monomial_power_admits(varset, policy, monomial, 1):
+    if count is not None or not qt_scalars:
+        # the factors 1 - q^i a for i < count; for the infinite product, as
+        # long as q^i a survives the q-cap and its monomial the policy
+        if count is None and \
+                not _monomial_power_admits(varset, policy, monomial, 1):
             return result
         i = 0
-        while True:
+        while i != count:
             ci = q_shift(coeff, i)
             if ci.is_zero:
                 break

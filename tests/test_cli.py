@@ -127,28 +127,21 @@ class TestAppendixVerb:
         assert code == 2
 
 
-class TestCacheDir:
-    def test_cache_persists_and_detects_corruption(self, tmp_path,
-                                                   monkeypatch):
-        monkeypatch.setenv("MACDONALD_CACHE_DIR", str(tmp_path))
-        import qcauchy.macdonald as md
-        monkeypatch.setattr(md, "_GENERIC", {})
-        args = ["macdonald", "--n", "2", "--lambda", "0,2", "--spec", "t0"]
-        code, out1, _ = invoke(args)
-        assert code == 0
-        files = list(tmp_path.iterdir())
-        assert files, "cache file written"
-        # reload from cache
-        monkeypatch.setattr(md, "_GENERIC", {})
-        code, out2, _ = invoke(args)
-        assert out2 == out1
-        # corrupt the payload; the cache must be ignored, not trusted
-        path = files[0]
-        data = json.loads(path.read_text())
-        key = next(iter(data["entries"]))
-        tkey = next(iter(data["entries"][key]["terms"]))
-        data["entries"][key]["terms"][tkey][0][2] += 7
-        path.write_text(json.dumps(data))
-        monkeypatch.setattr(md, "_GENERIC", {})
-        code, out3, _ = invoke(args)
-        assert code == 0 and out3 == out1
+VERIFY = ["verify", "--identity", "gl-t0"]
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY + ["--n", "2", "--max-deg", "-1", "--max-q", "2"],
+    VERIFY + ["--n", "2", "--max-deg", "2", "--max-q", "-1"],
+    ["appendix", "--range", "-1"],
+    VERIFY + ["--n", "0", "--max-deg", "2", "--max-q", "2"],
+    VERIFY + ["--n", "2", "--max-deg", "2", "--max-q", "2", "--jobs", "0"],
+    VERIFY + ["--n", "2", "--max-deg", "2", "--max-q", "2", "--jobs", "-2"],
+], ids=["negative-max-deg", "negative-max-q", "negative-range", "n-zero",
+        "jobs-zero", "jobs-negative"])
+def test_out_of_range_option(argv):
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -165,6 +165,12 @@ class TestQSeries:
         assert g == geometric_series(1, 6)
         assert f * g == QSeries.one(6)
 
+    def test_negative_shift_rejected(self):
+        f = QSeries(5, (1, 2, 3))
+        assert f.shift(2) == QSeries(5, (0, 0, 1, 2, 3))
+        with pytest.raises(ValueError):
+            f.shift(-1)
+
     def test_partition_counts(self):
         assert inv_pochhammer_qq(2, 6).coeffs == (1, 1, 2, 2, 3, 3, 4)
 

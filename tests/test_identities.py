@@ -1,8 +1,8 @@
 import pytest
 
 from qcauchy.exact import QSeries, QTRational, inv_pochhammer_qq
-from qcauchy.identities import (lhs_series, project_to_sl, rhs_series,
-                                sl_certificate, sl_window_pairs,
+from qcauchy.identities import (_sl_lhs_window, lhs_series, project_to_sl,
+                                rhs_series, sl_certificate, sl_window_pairs,
                                 verify_identity, verify_sl2_appendix)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference)
@@ -191,6 +191,20 @@ class TestProjection:
         assert dx == dy
         # the diagonal fiber at the trivial class reaches at least k = 1
         assert kmax[((0, 0), (0, 0))] >= 1
+
+
+@pytest.mark.parametrize("n, w, K", [(1, 3, 3), (2, 2, 3), (2, 3, 2),
+                                     (3, 1, 3), (3, 2, 1)])
+def test_sl_window_matches_full_box_projection(n, w, K):
+    # the per-entry support enumeration against the fiber sums of the
+    # gl_slform product over the whole certified box
+    pairs = sl_window_pairs(n, w)
+    kmax, Dx, Dy = sl_certificate(n, pairs, K)
+    box = lhs_series("gl_slform", n, TruncationPolicy(Dx, Dy, K))
+    want = project_to_sl(box, pairs, kmax, K)
+    got = _sl_lhs_window(n, pairs, kmax, K)
+    assert got.terms == want.terms
+    assert got.policy == want.policy
 
 
 class TestAppendix:
