@@ -3,8 +3,8 @@ GL_n, the affine Weyl combinatorics of generalized Weyl modules, and exact
 verification of the associated q-Cauchy identities."""
 
 from .exact import (DivergentLimitError, DivergentPochhammerError, ExactError,
-                    QPoly, QSeries, QTPoly, QTRational, Rational,
-                    ZeroDenominatorError, geometric_series,
+                    InvariantError, QPoly, QSeries, QTPoly, QTRational,
+                    Rational, ZeroDenominatorError, geometric_series,
                     gaussian_binomial, invert_q, inv_pochhammer_qq, limit_t,
                     normalize_qt, qq_pochhammer_poly, qseries_from_qtrational)
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,

@@ -16,8 +16,8 @@ The function-space character of the Iwahori subgroup is the product
 
 from __future__ import annotations
 
-from .exact import ExactError, QSeries
-from .macdonald import generic_engine
+from .exact import ExactError
+from .macdonald import e_atom_table, e_t0_table
 from .affine import beta_sequence, hw_algebra_char, hw_algebra_char_gl
 from .identities import VerificationReport, lhs_series
 from .series import TruncatedSeries, VariableSet, mul_truncated
@@ -30,29 +30,29 @@ def _require_cap(policy):
     return policy.max_q_degree
 
 
-def _embed_terms(terms, cap, nvars, offset, restrict):
-    """Exponent-keyed QPoly/QSeries terms -> series terms over the chosen
+def _embed_terms(terms, nvars, offset, restrict):
+    """Exponent-keyed QSeries terms -> series terms over the chosen
     variable block, optionally pushed through the gl -> sl restriction."""
     out = {}
     for exps, c in terms.items():
         if restrict:
             exps = restrict_weight(exps)
         key = (0,) * offset + tuple(exps) + (0,) * (nvars - offset - len(exps))
-        cs = c if isinstance(c, QSeries) else QSeries.from_qpoly(c, cap)
         if key in out:
-            out[key] = out[key] + cs
+            out[key] = out[key] + c
         else:
-            out[key] = cs
+            out[key] = c
     return out
 
 
 def char_module(kind, lam, policy, lattice="sl"):
     """Graded character of the module of the given kind at weight lam.
 
-    ``lam`` is a gl integer vector; for ``lattice='sl'`` only its class
-    matters and the series lives in the X/Y Laurent variables, while
-    ``lattice='gl'`` keeps the composition and multiplies the algebra
-    characters by the extra factor 1/(q; q)_{min entry}.
+    ``lam`` is a gl integer vector (a composition for the kinds D, Uo and
+    T); for ``lattice='sl'`` only its class matters and the series lives
+    in the X/Y Laurent variables, while ``lattice='gl'`` keeps the
+    composition and multiplies the algebra characters by the extra factor
+    1/(q; q)_{min entry}.
     """
     lam = tuple(int(e) for e in lam)
     n = len(lam)
@@ -77,13 +77,12 @@ def char_module(kind, lam, policy, lattice="sl"):
     if kind in ("A_D", "A_U"):
         return TruncatedSeries.constant(varset, policy,
                                         algebra_series(kind[-1]))
-    eng = generic_engine(n)
     if kind == "D":
-        terms = _embed_terms(eng.terms_t0(lam), cap, nv, 0, restrict)
+        terms = _embed_terms(e_t0_table(n, [lam], cap)[lam], nv, 0, restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "Uo":
-        offset = varset.nx
-        terms = _embed_terms(eng.terms_atom(lam), cap, nv, offset, restrict)
+        terms = _embed_terms(e_atom_table(n, [lam], cap)[lam], nv, varset.nx,
+                             restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "T":
         d = char_module("D", lam, policy, lattice)

@@ -2,19 +2,23 @@ r"""Command-line front end.
 
 Subcommands:
 
-    macdonald --n N --lambda a,b,...  [--spec qt|t0|qinv-tinf|q0] [--max-q K]
-    norm      --n N --lambda a,b,...  [--qt] [--alt] [--max-q K]
+    macdonald --n N --lambda a,b,...
+              [--spec qt|t0|qinv-tinf|q0|qinf-tinf|qt-inv] [--max-q K]
+    norm      --n N --lambda a,b,...  [--qt | --alt] [--max-q K]
     char      --kind D|Uo|T|A-D|A-U --n N --lambda ... --max-deg D --max-q K
     verify    --identity gl-qt|gl-t0|gl-slform|sl|classical-q0|iwahori-char|
               sl2-appendix --n N --max-deg D --max-q K [--jobs J]
     appendix  --range L --max-q K
 
 Exit status 0 on pass/success, 1 on verification failure, 2 on usage error
-(including a negative --max-deg, --max-q or --range, and --n or --jobs
-below 1).  Output is deterministic; timing goes to stderr.  The
-classical-q0 identity reads the key polynomials and Demazure atoms off the
-q^0 coefficients of the t = 0 and (q^{-1}, oo) tables that the other
-identities use.
+(a malformed or out-of-range option, or flags that do not go together:
+--max-q with a macdonald spec other than t0 or qinv-tinf, norm --qt with
+--max-q or --alt), 3 on a broken internal invariant (failed positivity, a
+window beyond its certified bound, a non-monic E).  Errors print one
+``error:`` or ``internal error:`` line to stderr.  Output is deterministic;
+timing goes to stderr.  ``macdonald --spec t0`` and ``qinv-tinf`` read the
+t = 0 and (q^{-1}, oo) tables at a cap where they are exact polynomials,
+``q0`` and ``qinf-tinf`` their q^0 coefficients.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
-from .exact import ExactError, QSeries
+from .exact import ExactError, InvariantError, QPoly, QSeries, QTRational
 from .identities import verify_identity, verify_sl2_appendix
-from .macdonald import (macdonald_E, norm_a_q, norm_a_q_alt, norm_a_qt,
-                        specialize_E)
+from .macdonald import (e_atom_table, e_t0_table, exact_cap, macdonald_E,
+                        norm_a_q, norm_a_q_alt, norm_a_qt, specialize_E)
 from .series import TruncationPolicy, render_scalar
 
 IDENTITY_NAMES = {
@@ -72,8 +77,6 @@ def _check_ranges(args):
 
 
 def _scalar_text(c):
-    from fractions import Fraction
-    from .exact import QPoly, QTRational
     if isinstance(c, (int, Fraction)):
         return str(c)
     if isinstance(c, QPoly):
@@ -109,13 +112,23 @@ def _emit_terms(terms, names, fmt, meta):
 
 def cmd_macdonald(args):
     lam = _parse_lambda(args.lam, args.n)
-    E = macdonald_E(lam, args.n)
     mode = SPEC_NAMES[args.spec]
-    if mode != "generic":
-        E = specialize_E(E, mode)
-    terms = E.terms
-    if args.max_q is not None and mode in ("t0", "qinv_tinf"):
-        terms = {e: QSeries.from_qpoly(c, args.max_q) for e, c in terms.items()}
+    if args.max_q is not None and mode not in ("t0", "qinv_tinf"):
+        raise UsageError(f"--spec {args.spec} is exact; drop --max-q")
+    if mode == "generic":
+        terms = macdonald_E(lam, args.n).terms
+    elif mode == "qt_inv":
+        terms = specialize_E(macdonald_E(lam, args.n), mode).terms
+    else:
+        table = e_t0_table if mode in ("t0", "q0_t0") else e_atom_table
+        if mode in ("q0_t0", "qinf_tinf"):
+            terms = {e: c[0] for e, c in table(args.n, [lam], 0)[lam].items()}
+        else:
+            series = table(args.n, [lam], exact_cap(lam))[lam]
+            terms = {e: QPoly(c.coeffs) for e, c in series.items()}
+            if args.max_q is not None:
+                terms = {e: QSeries.from_qpoly(c, args.max_q)
+                         for e, c in terms.items()}
     names = [f"x{i}" for i in range(1, args.n + 1)]
     _emit_terms(terms, names, args.format,
                 {"lambda": list(lam), "n": args.n, "spec": args.spec})
@@ -127,6 +140,8 @@ def cmd_norm(args):
     if args.qt:
         if args.max_q is not None:
             raise UsageError("--qt is exact in (q, t); drop --max-q")
+        if args.alt:
+            raise UsageError("--alt is a q-series formula; drop --qt")
         value = norm_a_qt(lam)
     else:
         cap = args.max_q if args.max_q is not None else 10
@@ -244,7 +259,8 @@ def build_parser():
 
 
 def run(argv):
-    """Entry point returning the exit status (0 pass, 1 fail, 2 usage)."""
+    """Entry point returning the exit status (0 pass, 1 fail, 2 usage,
+    3 broken invariant)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -253,6 +269,9 @@ def run(argv):
     try:
         _check_ranges(args)
         return args.func(args)
+    except InvariantError as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return 3
     except (UsageError, ExactError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2

@@ -27,6 +27,11 @@ class ExactError(ArithmeticError):
     pass
 
 
+class InvariantError(ExactError):
+    """Raised when an internal invariant breaks (failed positivity, an
+    uncertified window, a non-monic E): a bug, not a failed identity."""
+
+
 class ZeroDenominatorError(ExactError):
     """Raised on division by the zero rational function."""
 
@@ -248,10 +253,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def reversed_q(self):
-        """q^deg * p(1/q); the zero polynomial maps to itself."""
-        return QPoly(tuple(reversed(self.coeffs)))
-
     def __eq__(self, other):
         if isinstance(other, QPoly):
             return self.coeffs == other.coeffs
@@ -460,9 +461,6 @@ class QTPoly:
             return self
         return QTPoly(tuple(c.exact_div(g) for c in self.tcoeffs))
 
-    def exact_div_qpoly(self, p):
-        return QTPoly(tuple(c.exact_div(p) for c in self.tcoeffs))
-
     def exact_div(self, other):
         """Exact division in (Q[q])[t]; raises if not divisible."""
         if other.is_zero:
@@ -484,9 +482,6 @@ class QTPoly:
         if any(not c.is_zero for c in rem):
             raise ExactError("inexact (q,t)-polynomial division")
         return QTPoly(quo)
-
-    def eval_t0(self):
-        return self.tcoeff(0)
 
     def eval_qt(self, qv, tv):
         qv, tv = _frac(qv), _frac(tv)

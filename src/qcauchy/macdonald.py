@@ -26,18 +26,23 @@ and, for mu_i > mu_{i+1},
 
 Coefficients are carried with a factored common denominator (a product of
 binomials 1 - q^a t^d), which keeps the recursion entirely in integer
-arithmetic; reduced QTRational coefficients are produced on demand.  For
-large-scale identity work two specialized engines recompute the t = 0 and
-(q^{-1}, infinity) specializations directly with q-truncated integer windows.
+arithmetic; reduced QTRational coefficients are produced on demand.
+
+The t = 0 and (q^{-1}, infinity) specializations, and their q^0 corners,
+have one production path each: ``e_t0_table`` (the integer q-window
+recursion ``T0Engine``) and ``e_atom_table`` (the filling enumeration
+``atom_terms``).  They serve the identities, the characters, the rank-one
+suite and the command line; ``specialize_E`` of the exact ``macdonald_E``
+is kept as their test oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (DivergentLimitError, ExactError, QPoly, QSeries, QTPoly,
-                    QTRational, gaussian_binomial, geometric_series, invert_q,
-                    inv_pochhammer_qq, limit_t)
+from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
+                    QSeries, QTPoly, QTRational, gaussian_binomial,
+                    geometric_series, invert_q, inv_pochhammer_qq, limit_t)
 from .weights import (Composition, antidominant_data, arm_leg, diagram,
                       restrict_weight)
 
@@ -126,12 +131,6 @@ class IntQT:
                 m.pop(k, None)
         return self
 
-    def __add__(self, other):
-        return self.copy().add_inplace(other)
-
-    def __sub__(self, other):
-        return self.copy().add_inplace(other, -1)
-
     def mul_qpow(self, k):
         if k == 0:
             return self
@@ -139,17 +138,6 @@ class IntQT:
 
     def mul_t(self):
         return IntQT({(i, j + 1): v for (i, j), v in self.m.items()})
-
-    def mul_one_minus_t(self):
-        out = dict(self.m)
-        for (i, j), v in self.m.items():
-            k = (i, j + 1)
-            nv = out.get(k, 0) - v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return IntQT(out)
 
     def mul_one_minus_qt(self, a, d):
         """Multiply by 1 - q^a t^d."""
@@ -169,25 +157,15 @@ class IntQT:
     def qval(self):
         return min((i for i, _ in self.m), default=0)
 
-    def t_slice(self, j):
-        """Dict q_exp -> int of the coefficient of t^j."""
-        return {i: v for (i, jj), v in self.m.items() if jj == j}
-
     def to_qtpoly(self):
         """As a QTPoly; requires nonnegative q-exponents."""
-        if self.is_zero:
-            return QTPoly.zero()
         if self.qval() < 0:
             raise ExactError("negative q-exponent; clear before converting")
-        td = self.tdegree()
         rows = []
-        for j in range(td + 1):
-            sl = self.t_slice(j)
-            if sl:
-                deg = max(sl)
-                rows.append(QPoly([sl.get(i, 0) for i in range(deg + 1)]))
-            else:
-                rows.append(QPoly.zero())
+        for j in range(self.tdegree() + 1):
+            sl = {i: v for (i, jj), v in self.m.items() if jj == j}
+            rows.append(QPoly([sl.get(i, 0)
+                               for i in range(max(sl, default=-1) + 1)]))
         return QTPoly(rows)
 
     def __eq__(self, other):
@@ -195,16 +173,6 @@ class IntQT:
 
     def __repr__(self):
         return f"IntQT({self.m!r})"
-
-
-def _slice_to_qpoly(sl):
-    """q-exponent dict -> QPoly; requires nonnegative exponents."""
-    if not sl:
-        return QPoly.zero()
-    if min(sl) < 0:
-        raise ExactError("negative q-exponent in polynomial slice")
-    deg = max(sl)
-    return QPoly([sl.get(i, 0) for i in range(deg + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +191,15 @@ class FactoredE:
         self.terms = terms      # {exps: IntQT}
         self.den = den          # tuple of (a, d)
 
-    def monic_check(self):
+    def den_poly(self):
         dp = IntQT.one()
         for a, d in self.den:
             dp = dp.mul_one_minus_qt(a, d)
-        lead = self.terms.get(self.lam)
-        if lead != dp:
-            raise ExactError(f"E_{self.lam} not monic; convention broken")
+        return dp
+
+    def monic_check(self):
+        if self.terms.get(self.lam) != self.den_poly():
+            raise InvariantError(f"E_{self.lam} not monic; convention broken")
 
 
 class GenericMacdonaldEngine:
@@ -297,23 +267,17 @@ class GenericMacdonaldEngine:
         for exps, c in tn.items():
             add(out, exps, c.mul_one_minus_qt(delta, d), 1)
         for exps, c in fe.terms.items():
-            add(out, exps, c.mul_one_minus_t(), 1)
+            add(out, exps, c.mul_one_minus_qt(0, 1), 1)
         return FactoredE(self.n, lam, out, fe.den + ((delta, d),))
 
-    # -- specializations ----------------------------------------------------
-
-    def den_intqt(self, fe):
-        dp = IntQT.one()
-        for a, d in fe.den:
-            dp = dp.mul_one_minus_qt(a, d)
-        return dp
+    # -- reduced coefficients ----------------------------------------------
 
     def coeff_qtrational(self, fe, exps):
         c = fe.terms.get(exps)
         if c is None:
             return QTRational.zero()
         v = c.qval()
-        den = self.den_intqt(fe)
+        den = fe.den_poly()
         if v < 0:
             c = c.mul_qpow(-v)
             den = den.mul_qpow(-v)
@@ -322,40 +286,6 @@ class GenericMacdonaldEngine:
     def terms_qtrational(self, lam):
         fe = self.get(_as_tuple(lam))
         return {exps: self.coeff_qtrational(fe, exps) for exps in fe.terms}
-
-    def terms_t0(self, lam):
-        """{exps: QPoly} of E_lam(x; q, 0)."""
-        fe = self.get(_as_tuple(lam))
-        # every denominator factor has d >= 1, so den(t=0) = 1
-        if any(d < 1 for _, d in fe.den):
-            raise ExactError("denominator factor with d = 0; convention broken")
-        out = {}
-        for exps, c in fe.terms.items():
-            p = _slice_to_qpoly(c.t_slice(0))
-            if not p.is_zero:
-                out[exps] = p
-        return out
-
-    def terms_atom(self, lam):
-        """{exps: QPoly} of E_lam(x; q^{-1}, infinity)."""
-        fe = self.get(_as_tuple(lam))
-        dt = sum(d for _, d in fe.den)
-        qa = sum(a for a, _ in fe.den)
-        sign = -1 if len(fe.den) % 2 else 1
-        out = {}
-        for exps, c in fe.terms.items():
-            ct = c.tdegree()
-            if ct > dt:
-                raise DivergentLimitError(
-                    f"divergent t->oo limit in E_{lam}", num_val=ct, den_val=dt)
-            if ct < dt:
-                continue
-            top = c.t_slice(dt)
-            inverted = {qa - i: sign * v for i, v in top.items()}
-            p = _slice_to_qpoly(inverted)
-            if not p.is_zero:
-                out[exps] = p
-        return out
 
 
 _GENERIC = {}
@@ -500,8 +430,8 @@ def _psi_dict(terms, i):
     return out
 
 
-class _PlannedEngine:
-    """Shared planning/eviction driver for the specialized engines."""
+class T0Engine:
+    """E_lam(x; q, 0) for batches of compositions; integer q-windows."""
 
     def __init__(self, n, work_bound):
         self.n = n
@@ -524,10 +454,6 @@ class _PlannedEngine:
                 children[parent] = children.get(parent, 0) + 1
                 pending.append(parent)
         return closure, children
-
-
-class T0Engine(_PlannedEngine):
-    """E_lam(x; q, 0) for batches of compositions; integer q-windows."""
 
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
@@ -954,12 +880,36 @@ def sl2_closed_forms(lam, cap):
     return e_t0, e_atom, norm
 
 
-# -- batch tables for the identity engines -----------------------------------
+# -- batch tables: the production t = 0 and (q^{-1}, oo) paths --------------
+
+def exact_cap(lam):
+    """A q-cap at which both tables hold E_lam(x; q, 0) and
+    E_lam(x; q^{-1}, oo) exactly: the sum of lam_i (lam_i + 1) / 2.
+
+    At t = 0 every factor (1 - t) / (1 - q^{leg+1} t^{arm+1}) of the filling
+    expansion is 1 and only fillings with coinv = 0 survive, each giving
+    q^maj; maj adds leg + 1 over the descents, so it is at most the sum of
+    leg + 1 over all cells.  On the (q^{-1}, oo) side a surviving filling
+    gives q to the sum of leg + 1 over its non-descent factor cells (see
+    ``atom_terms``), at most the same sum.  Row i has the legs
+    lam_i - 1, ..., 0, which add up (with the +1s) to lam_i (lam_i + 1) / 2.
+    """
+    return sum(e * (e + 1) // 2 for e in _as_tuple(lam))
+
+
+def _compositions(lams):
+    """The table's targets as tuples.  A negative entry is rejected: the
+    recursion from it never reaches the zero composition."""
+    lams = [_as_tuple(lam) for lam in lams]
+    if any(e < 0 for lam in lams for e in lam):
+        raise ExactError("E_lam needs a composition (nonnegative entries)")
+    return lams
+
 
 def _batch_with_retry(engine_cls, n, lams, cap, slack):
     """Run a windowed engine, doubling the precision slack until the final
     extraction passes its precision assertions."""
-    lams = list(lams)
+    lams = _compositions(lams)
     while True:
         try:
             return engine_cls(n, cap + 1 + slack).batch(lams, cap)
@@ -978,7 +928,7 @@ def e_t0_table(n, lams, cap, slack=16):
 def e_atom_table(n, lams, cap):
     """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, by the pruned
     filling enumeration."""
-    return {_as_tuple(lam): atom_terms(lam, n, cap) for lam in lams}
+    return {lam: atom_terms(lam, n, cap) for lam in _compositions(lams)}
 
 
 def restrict_poly_terms(terms, n):

@@ -10,11 +10,11 @@ import pytest
 from qcauchy.affine import factorized_words, hw_algebra_char
 from qcauchy.cli import run as cli_run
 from qcauchy.characters import ch_weyl_ratio_check
-from qcauchy.exact import (QSeries, limit_t, qseries_from_qtrational)
+from qcauchy.exact import (QPoly, QSeries, limit_t, qseries_from_qtrational)
 from qcauchy.identities import verify_identity, verify_sl2_appendix
-from qcauchy.macdonald import (generic_engine, macdonald_E,
-                               macdonald_E_fillings, norm_a_q, norm_a_q_alt,
-                               norm_a_qt, restrict_poly_terms,
+from qcauchy.macdonald import (e_atom_table, e_t0_table, exact_cap,
+                               macdonald_E, macdonald_E_fillings, norm_a_q,
+                               norm_a_q_alt, norm_a_qt, restrict_poly_terms,
                                sl2_closed_forms, specialize_E)
 from qcauchy.series import TruncationPolicy
 from qcauchy.weights import (compositions_up_to, min_zero_compositions_up_to,
@@ -158,15 +158,15 @@ def test_ac11_property_suites():
                 ok = ok and shifted.terms == {
                     tuple(e + m for e in exps): c
                     for exps, c in E.terms.items()}
-    # restriction compatibility with the rank-one closed forms
-    eng = generic_engine(2)
+    # restriction compatibility of the production tables with the rank-one
+    # closed forms
     for lam in compositions_up_to(2, 5):
         w = lam[0] - lam[1]
         cf_t0, cf_atom, _ = sl2_closed_forms(w, 12)
-        got_t0 = {e[0]: c for e, c in
-                  restrict_poly_terms(eng.terms_t0(lam), 2).items()}
-        got_atom = {e[0]: c for e, c in
-                    restrict_poly_terms(eng.terms_atom(lam), 2).items()}
+        got_t0, got_atom = (
+            {e[0]: QPoly(c.coeffs) for e, c in restrict_poly_terms(
+                table(2, [lam], exact_cap(lam))[lam], 2).items()}
+            for table in (e_t0_table, e_atom_table))
         ok = ok and got_t0 == cf_t0 and got_atom == cf_atom
     report_line("AC11 positivity/homogeneity/stability/restriction suites",
                 ok, time.monotonic() - t0)

@@ -3,7 +3,7 @@ import pytest
 from qcauchy.characters import (char_module, ch_iwahori_functions,
                                 ch_weyl_ratio_check)
 from qcauchy.affine import factorized_words
-from qcauchy.exact import QSeries, inv_pochhammer_qq
+from qcauchy.exact import ExactError, QSeries, inv_pochhammer_qq
 from qcauchy.series import TruncationPolicy, first_difference, mul_truncated
 from qcauchy.weights import compositions_up_to
 
@@ -48,6 +48,12 @@ class TestCharModule:
                 s = char_module(kind, lam, POL)
                 for c in s.terms.values():
                     assert c.is_nonnegative(), (lam, kind)
+
+    def test_negative_entry_rejected(self):
+        # E_lam needs a composition: the recursion from (-1, 0) never ends
+        for kind in ("D", "Uo", "T"):
+            with pytest.raises(ExactError):
+                char_module(kind, (-1, 0), POL)
 
     def test_gl_lift_factor(self):
         # the gl algebra character carries the extra 1/(q;q)_{min entry}

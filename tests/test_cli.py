@@ -46,6 +46,37 @@ class TestVerify:
         assert code == 1
 
 
+class TestSpecializations:
+    def test_max_q_keeps_vanishing_coefficients(self):
+        # E_(0,4)(x; q^{-1}, oo) has the x1^4 coefficient q^4: modulo q^4
+        # it is a zero series, and it is still printed
+        code, out, _ = invoke(["macdonald", "--n", "2", "--lambda", "0,4",
+                               "--spec", "qinv-tinf", "--max-q", "3"])
+        assert code == 0
+        assert "(0 + O(q^4)) x1^4" in out.splitlines()
+
+    def test_corner_specs_are_integer_tables(self):
+        code, out, _ = invoke(["macdonald", "--n", "2", "--lambda", "0,2",
+                               "--spec", "q0"])
+        assert code == 0 and out.splitlines() == ["1 x2^2", "1 x1*x2",
+                                                  "1 x1^2"]
+
+
+class TestInvariantErrors:
+    def test_broken_positivity_exits_three(self, monkeypatch):
+        import qcauchy.identities as identities
+        from qcauchy.exact import QSeries
+
+        def negative_norm(lam, cap):
+            return QSeries(cap, (1, -1))
+        monkeypatch.setattr(identities, "norm_a_q", negative_norm)
+        code, out, err = invoke(["verify", "--identity", "sl", "--n", "2",
+                                 "--max-deg", "1", "--max-q", "2"])
+        assert code == 3 and out == ""
+        assert err == ("internal error: negative norm coefficient; "
+                       "positivity broken\n")
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         code, _, _ = invoke(["verify", "--identity", "gl-t0", "--n", "2",
@@ -64,12 +95,23 @@ class TestUsageErrors:
         code, _, err = invoke(["norm", "--n", "2", "--lambda", "0,1",
                                "--qt", "--max-q", "3"])
         assert code == 2
+        code, out, err = invoke(["norm", "--n", "2", "--lambda", "0,2",
+                                 "--qt", "--alt"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         code, _, err = invoke(["verify", "--identity", "gl-qt", "--n", "2",
                                "--max-deg", "2", "--max-q", "3"])
         assert code == 2
         code, _, err = invoke(["verify", "--identity", "gl-t0", "--n", "2",
                                "--max-deg", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize("spec", ["qt", "q0", "qinf-tinf", "qt-inv"])
+    def test_max_q_needs_series_spec(self, spec):
+        code, out, err = invoke(["macdonald", "--n", "2", "--lambda", "0,2",
+                                 "--spec", spec, "--max-q", "3"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_identity(self):
         code, _, _ = invoke(["verify", "--identity", "nope", "--n", "2",

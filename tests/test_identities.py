@@ -174,8 +174,8 @@ class TestProjection:
         f = TruncatedSeries(varset, pol, {(0, 0, 0, 0): QSeries.one(2)})
         pairs = [((0, 0), (0, 0))]
         kmax = {((0, 0), (0, 0)): 3}      # needs degree 6, box is 1
-        from qcauchy.exact import ExactError
-        with pytest.raises(ExactError):
+        from qcauchy.exact import InvariantError
+        with pytest.raises(InvariantError):
             project_to_sl(f, pairs, kmax, 2)
 
     def test_sl_identity_small(self):

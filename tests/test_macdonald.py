@@ -3,7 +3,7 @@ import pytest
 from qcauchy.exact import (QPoly, QSeries, QTPoly, QTRational, invert_q,
                            limit_t, qseries_from_qtrational)
 from qcauchy.macdonald import (MacdonaldPolynomial, atom_terms, e_atom_table,
-                               e_t0_table, generic_engine, macdonald_E,
+                               e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_q_alt,
                                norm_a_qt, restrict_poly_terms, rs_polynomial,
                                sl2_closed_forms, specialize_E)
@@ -102,20 +102,17 @@ class TestSpecializations:
                 assert via_limit == via_inverted
 
     def test_engine_tables_match_specialize(self):
-        for n in (2, 3):
-            lams = list(compositions_up_to(n, 4))
-            t0 = e_t0_table(n, lams, 8)
-            atom = e_atom_table(n, lams, 8)
-            for lam in lams:
+        # at exact_cap(lam) the production tables are the exact polynomials
+        # specialize_E reads off the generic E
+        for n in (1, 2, 3):
+            for lam in compositions_up_to(n, 5):
                 E = macdonald_E(lam, n)
-                want0 = {e: QSeries.from_qpoly(c, 8) for e, c in
-                         specialize_E(E, "t0").terms.items()}
-                wanta = {e: QSeries.from_qpoly(c, 8) for e, c in
-                         specialize_E(E, "qinv_tinf").terms.items()}
-                assert t0[lam] == {k: v for k, v in want0.items()
-                                   if not v.is_zero}
-                assert atom[lam] == {k: v for k, v in wanta.items()
-                                     if not v.is_zero}
+                cap = exact_cap(lam)
+                for table, mode in ((e_t0_table, "t0"),
+                                    (e_atom_table, "qinv_tinf")):
+                    got = table(n, [lam], cap)[lam]
+                    assert {e: QPoly(c.coeffs) for e, c in got.items()} == \
+                        specialize_E(E, mode).terms, (lam, mode)
 
 
 class TestNorms:
@@ -151,6 +148,15 @@ class TestNorms:
                 assert x == y == z, lam
 
 
+def rank_one_tables(lam):
+    """The t = 0 and (q^{-1}, oo) tables of a rank-two lam at its exact cap,
+    restricted to sl_2: two {X-exponent: QPoly} maps."""
+    cap = exact_cap(lam)
+    return tuple({e[0]: QPoly(c.coeffs) for e, c in
+                  restrict_poly_terms(table(2, [lam], cap)[lam], 2).items()}
+                 for table in (e_t0_table, e_atom_table))
+
+
 class TestRankOne:
     def test_rs_small(self):
         assert rs_polynomial(0) == {0: QPoly.one()}
@@ -160,14 +166,10 @@ class TestRankOne:
 
     def test_closed_forms_match_computed(self):
         cap = 12
-        eng = generic_engine(2)
         for w in range(-6, 7):
             lam = (w, 0) if w > 0 else (0, -w)
             cf_t0, cf_atom, cf_norm = sl2_closed_forms(w, cap)
-            got_t0 = {e[0]: c for e, c in restrict_poly_terms(
-                eng.terms_t0(lam), 2).items()}
-            got_atom = {e[0]: c for e, c in restrict_poly_terms(
-                eng.terms_atom(lam), 2).items()}
+            got_t0, got_atom = rank_one_tables(lam)
             assert got_t0 == cf_t0, w
             assert got_atom == cf_atom, w
             assert norm_a_q(lam, cap) == cf_norm, w
@@ -187,14 +189,10 @@ class TestRankOne:
 def test_restriction_compatibility():
     # res E_lam(x; q, t) at n = 2 matches the closed forms under each
     # specialization for mixed-sign weights
-    eng = generic_engine(2)
     for lam in ((3, 1), (1, 4)):
         w = lam[0] - lam[1]
         cf_t0, cf_atom, _ = sl2_closed_forms(w, 10)
-        t0 = {e[0]: c for e, c in
-              restrict_poly_terms(eng.terms_t0(lam), 2).items()}
-        atom = {e[0]: c for e, c in
-                restrict_poly_terms(eng.terms_atom(lam), 2).items()}
+        t0, atom = rank_one_tables(lam)
         assert t0 == cf_t0
         assert atom == cf_atom
 
