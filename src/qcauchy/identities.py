@@ -324,6 +324,7 @@ def _sl_supports(n, pairs, K):
     solution m, with the fiber index k it lands on, when both k and the
     y-side index k - (|b| - |a|) / n are nonnegative."""
     betas_by_budget = {}
+    kostant = {}    # tuple(c) -> the x-side sums of its Kostant solutions
     for a, b in pairs:
         off, rem = divmod(sum(b) - sum(a), n)
         if rem:
@@ -337,10 +338,15 @@ def _sl_supports(n, pairs, K):
                 c = [a[i] + off - b[i] - rows[i] + cols[i] for i in range(n)]
                 if sum(c) != 0:
                     continue
-                for m in _kostant_solutions(c, n):
-                    mx = [0] * n
-                    for (i, _), v in m.items():
-                        mx[i] += v
+                sums = kostant.get(tuple(c))
+                if sums is None:
+                    sums = kostant[tuple(c)] = []
+                    for m in _kostant_solutions(c, n):
+                        mx = [0] * n
+                        for (i, _), v in m.items():
+                            mx[i] += v
+                        sums.append(mx)
+                for mx in sums:
                     k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
                     if k >= 0 and k >= off:
                         yield (a, b), S, entries, k
@@ -605,10 +611,8 @@ def verify_sl2_appendix(lam_range, K):
     witness = None
     for w, lam in zip(range(lo, hi + 1), lams):
         cf_t0, cf_atom, cf_norm = sl2_closed_forms(w, K)
-        got_t0 = {e[0]: c for e, c in
-                  restrict_poly_terms(t0[lam], 2).items()}
-        got_atom = {e[0]: c for e, c in
-                    restrict_poly_terms(atom[lam], 2).items()}
+        got_t0 = {e[0]: c for e, c in restrict_poly_terms(t0[lam]).items()}
+        got_atom = {e[0]: c for e, c in restrict_poly_terms(atom[lam]).items()}
         got_norm = norm_a_q(lam, K)
         # the tables drop coefficients that vanish modulo q^(K+1)
         cf_t0 = _nonzero_series(cf_t0, K)

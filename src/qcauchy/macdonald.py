@@ -29,15 +29,17 @@ binomials 1 - q^a t^d), which keeps the recursion entirely in integer
 arithmetic; reduced QTRational coefficients are produced on demand.
 
 The t = 0 and (q^{-1}, infinity) specializations, and their q^0 corners,
-have one production path each: ``e_t0_table`` (the integer q-window
-recursion ``T0Engine``) and ``e_atom_table`` (the filling enumeration
-``atom_terms``).  They serve the identities, the characters, the rank-one
-suite and the command line; ``specialize_E`` of the exact ``macdonald_E``
-is kept as their test oracle.
+have one production path each: ``e_t0_table`` (``T0Engine``) and
+``e_atom_table`` (``atom_terms``), two rules of one dynamic program over
+the columns of the fillings formula, ``_column_terms``.  They serve the
+identities, the characters, the rank-one suite and the command line;
+``specialize_E`` of the exact ``macdonald_E``, which comes from the
+intertwiner recursion and not from fillings, is kept as their test oracle.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
@@ -217,6 +219,7 @@ class GenericMacdonaldEngine:
             raise ExactError("composition rank mismatch")
         if lam in self.memo:
             return self.memo[lam]
+        _compositions([lam])
         parent, step = recursion_parent(lam)
         if parent is None:
             fe = FactoredE(self.n, lam, {(0,) * self.n: IntQT.one()}, ())
@@ -298,283 +301,166 @@ def generic_engine(n):
 
 
 # ---------------------------------------------------------------------------
-# q-window scalars: integer q-series with tracked valuation and precision
+# the t = 0 and (q^{-1}, oo) tables: a dynamic program over columns
 # ---------------------------------------------------------------------------
 
-class QWin:
-    """Integer q-expansion window: value = sum coeffs[i] q^(val+i) modulo
-    q^bound.  Exact on division by q-powers (the window floats); precision
-    is only lost through the explicit bound."""
+def _columns(lam):
+    """Columns j = 1, ..., max(lam) of dg(lam) as (pattern, d).
 
-    __slots__ = ("val", "coeffs", "bound")
+    d_i = lam_i - j + 1, clipped at -1: row i has a cell in column j when
+    d_i >= 1 (and d_i is then that cell's leg + 1), and a cell or basement
+    entry in column j - 1 when d_i >= 0.  The pattern is the order type of
+    d, densely ranked with -1 and 0 kept as they are; the filling rules
+    only compare these values."""
+    out = []
+    for j in range(1, max(lam, default=0) + 1):
+        d = tuple(max(e - j + 1, -1) for e in lam)
+        rank = {v: r for r, v in enumerate(sorted(set(d) | {-1, 0}), -1)}
+        out.append((tuple(rank[v] for v in d), d))
+    return out
 
-    def __init__(self, val, coeffs, bound):
-        coeffs = list(coeffs)
-        # strip leading zeros, truncate at bound
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            val += 1
-        if val + len(coeffs) > bound:
-            coeffs = coeffs[: max(0, bound - val)]
-            while coeffs and coeffs[-1] == 0:
-                coeffs.pop()
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            self.val = bound
-            self.coeffs = ()
-            self.bound = bound
-        else:
-            self.val = val
-            self.coeffs = tuple(coeffs)
-            self.bound = bound
 
-    @classmethod
-    def zero(cls, bound):
-        return cls(bound, (), bound)
+@functools.lru_cache(maxsize=None)
+def _transitions(pattern, prev, rule):
+    """The ways to fill one column of the given pattern after the column
+    ``prev`` (entries by row, 0 where the row has no cell), under ``rule``:
+    a tuple of (column, rows that gain leg + 1).
 
-    @classmethod
-    def monomial(cls, k, bound, c=1):
-        return cls(k, (c,), k + bound)
+    A cell (i, j) may not repeat an entry of its own column, nor the entry
+    (k, j - 1) of a lower row k > i.  Its partners are the cells (k, j),
+    k < i, with d_k <= d_i and the cells (k, j - 1), k > i, with
+    0 <= d_k < d_i.  When its entry v differs from its left neighbour,
+    rule ``"t0"`` allows no cyclically increasing triple (v, partner, left)
+    and gains when v > left; rule ``"atom"`` needs every such triple
+    cyclically increasing and gains when v < left."""
+    n = len(pattern)
+    rows = [i for i in range(n) if pattern[i] >= 1]
+    col = [0] * n
+    gains = []
+    out = []
 
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def qshift(self, k):
-        return QWin(self.val + k, self.coeffs, self.bound + k)
-
-    def __add__(self, other):
-        bound = min(self.bound, other.bound)
-        if self.is_zero:
-            return QWin(other.val, other.coeffs, bound)
-        if other.is_zero:
-            return QWin(self.val, self.coeffs, bound)
-        val = min(self.val, other.val)
-        top = min(bound, max(self.val + len(self.coeffs),
-                             other.val + len(other.coeffs)))
-        out = [0] * max(0, top - val)
-        for i, c in enumerate(self.coeffs):
-            k = self.val + i - val
-            if k < len(out):
-                out[k] += c
-        for i, c in enumerate(other.coeffs):
-            k = other.val + i - val
-            if k < len(out):
-                out[k] += c
-        return QWin(val, out, bound)
-
-    def __neg__(self):
-        return QWin(self.val, tuple(-c for c in self.coeffs), self.bound)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        bound = min(self.val + other.bound, other.val + self.bound)
-        if self.is_zero or other.is_zero:
-            return QWin.zero(bound)
-        val = self.val + other.val
-        width = min(len(self.coeffs) + len(other.coeffs) - 1,
-                    max(0, bound - val))
-        out = [0] * width
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= width:
+    def rec(idx):
+        if idx == len(rows):
+            out.append((tuple(col), tuple(gains)))
+            return
+        i = rows[idx]
+        left = prev[i]
+        banned = {col[k] for k in rows[:idx]}
+        banned.update(prev[k] for k in range(i + 1, n) if pattern[k] >= 0)
+        partners = ([col[k] for k in rows[:idx] if pattern[k] <= pattern[i]]
+                    + [prev[k] for k in range(i + 1, n)
+                       if 0 <= pattern[k] < pattern[i]])
+        for v in range(1, n + 1):
+            if v in banned:
                 continue
-            top = min(len(other.coeffs), width - i)
-            for j in range(top):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QWin(val, out, bound)
+            gain = False
+            if v != left:
+                cyclic = [_cyclically_increasing((v, 1), (p, 2), (left, 3))
+                          for p in partners]
+                if rule == "t0":
+                    if any(cyclic):
+                        continue
+                    gain = v > left
+                else:
+                    if not all(cyclic):
+                        continue
+                    gain = v < left
+            col[i] = v
+            if gain:
+                gains.append(i)
+            rec(idx + 1)
+            if gain:
+                gains.pop()
+        col[i] = 0
 
-    def to_qseries(self, cap):
-        if self.bound < cap + 1:
-            raise ExactError(
-                f"insufficient q-precision: bound {self.bound} < cap+1 {cap + 1}")
-        if self.is_zero:
-            return QSeries.zero(cap)
-        if self.val < 0:
-            raise ExactError(f"negative q-valuation {self.val} in final value")
-        return QSeries(cap, (0,) * self.val + self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, QWin) and self.is_zero == other.is_zero
-                and (self.is_zero or (self.val == other.val
-                                      and self.coeffs == other.coeffs)))
-
-    def __repr__(self):
-        return f"QWin(q^{self.val}*{list(self.coeffs)}, mod q^{self.bound})"
+    rec(0)
+    return tuple(out)
 
 
-def _qwin_dict_add(out, key, c, sign):
-    # window-zero results are kept: their finite precision bound must keep
-    # propagating (an absent key is an exact zero, a present zero is only
-    # zero modulo its bound)
-    cur = out.get(key)
-    v = c if sign == 1 else -c
-    if cur is None:
-        out[key] = v
-    else:
-        out[key] = cur + v
+def _column_terms(columns, n, cap, rule):
+    """E_lam(x; q, 0) (rule ``"t0"``) or E_lam(x; q^{-1}, oo) (rule
+    ``"atom"``) modulo q^{cap+1}, as {weight: QSeries}, from the columns
+    ``_columns(lam)`` of dg(lam).
 
+    Both are sums over the non-attacking fillings of the fillings formula.
+    At t = 0 a filling survives when it has coinv = 0 and gives q^maj, maj
+    adding leg + 1 over the cells whose entry exceeds the left neighbour.
+    After q -> 1/q and t -> oo it survives when every arm triple of every
+    cell that differs from its left neighbour is cyclically increasing, and
+    gives q to the sum of leg + 1 over the cells below their left
+    neighbour.  The attack rules, the triples and the descents of column j
+    only involve columns j and j - 1, so the fillings are counted column by
+    column: the state is the last column filled (column 0 is the basement
+    1, ..., n), its value the number of partial fillings by q-exponent and
+    weight, {e: {weight: count}}, a weight packed as the digits of one
+    integer in base (cells + 1).
 
-def _psi_dict(terms, i):
-    """x_{i+1} (f - s_i f)/(x_i - x_{i+1}) on a QWin-coefficient dict."""
-    dd = divided_difference(terms, i, _qwin_dict_add)
+    A column only adds to the q-exponent (its gain is a sum of legs + 1),
+    so a partial filling above ``cap`` has no completion below it:
+    dropping it leaves the result exact modulo q^{cap+1}."""
+    base = sum(1 for _, d in columns for x in d if x >= 1) + 1
+    packed = {}
+    states = {tuple(range(1, n + 1)): {0: {0: 1}}}
+    for pattern, d in columns:
+        nxt = {}
+        gains = {}
+        for prev, counts in states.items():
+            room = cap - min(counts)
+            for col, rows in _transitions(pattern, prev, rule):
+                gain = gains.get(rows)
+                if gain is None:
+                    gain = gains[rows] = sum(d[i] for i in rows)
+                if gain > room:
+                    continue
+                inc = packed.get(col)
+                if inc is None:
+                    inc = packed[col] = sum(base ** (v - 1) for v in col if v)
+                acc = nxt.setdefault(col, {})
+                for e, ws in counts.items():
+                    if e + gain <= cap:
+                        tgt = acc.setdefault(e + gain, {})
+                        for w, c in ws.items():
+                            w += inc
+                            tgt[w] = tgt.get(w, 0) + c
+        states = nxt
+    by_weight = {}
+    for counts in states.values():
+        for e, ws in counts.items():
+            for w, c in ws.items():
+                by_weight.setdefault(w, [0] * (cap + 1))[e] += c
     out = {}
-    for exps, c in dd.items():
-        e = list(exps)
-        e[i + 1] += 1
-        _qwin_dict_add(out, tuple(e), c, 1)
+    for w, cs in by_weight.items():
+        digits = []
+        for _ in range(n):
+            w, r = divmod(w, base)
+            digits.append(r)
+        out[tuple(digits)] = QSeries(cap, cs)
     return out
 
 
 class T0Engine:
-    """E_lam(x; q, 0) for batches of compositions; integer q-windows."""
+    """E_lam(x; q, 0) for batches of compositions, by the column program."""
 
-    def __init__(self, n, work_bound):
+    def __init__(self, n):
         self.n = n
-        self.work_bound = work_bound
 
     def plan(self, targets):
-        """(closure, children): the set of compositions the recursion visits
-        from the targets, and the number of direct children of each."""
-        closure = set()
-        children = {}
-        pending = list(targets)
-        while pending:
-            lam = pending.pop()
-            if lam in closure:
-                continue
-            closure.add(lam)
-            children.setdefault(lam, 0)
-            parent, _ = recursion_parent(lam)
-            if parent is not None:
-                children[parent] = children.get(parent, 0) + 1
-                pending.append(parent)
-        return closure, children
+        """(patterns, columns): the distinct column patterns of the batch,
+        and the columns of each target."""
+        columns = {lam: _columns(lam) for lam in targets}
+        patterns = {p for cols in columns.values() for p, _ in cols}
+        return patterns, columns
 
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
-        _, children = self.plan(targets)
-        target_set = set(targets)
-        memo = {}
-        results = {}
-
-        def compute(lam):
-            if lam in memo:
-                return memo[lam]
-            parent, step = recursion_parent(lam)
-            if parent is None:
-                terms = {(0,) * self.n: QWin(0, (1,), self.work_bound)}
-            elif step[0] == "PHI":
-                pterms = compute(parent)
-                mu_last = parent[self.n - 1]
-                terms = {}
-                for exps, c in pterms.items():
-                    alast = exps[self.n - 1]
-                    terms[(alast + 1,) + exps[: self.n - 1]] = \
-                        c.qshift(mu_last - alast)
-            else:
-                _, i, delta, d = step
-                pterms = compute(parent)
-                # at t=0 the step is f + psi_i f  (the spectral scalar is 1)
-                terms = dict(pterms)
-                for exps, c in _psi_dict(pterms, i).items():
-                    _qwin_dict_add(terms, exps, c, 1)
-            self._consume(parent, memo, children, target_set)
-            memo[lam] = terms
-            return terms
-
-        for lam in targets:
-            terms = compute(lam)
-            out = {}
-            for e, c in terms.items():
-                s = c.to_qseries(cap)   # asserts sufficient precision
-                if not s.is_zero:
-                    out[e] = s
-            results[lam] = out
-        return results
-
-    def _consume(self, parent, memo, children, target_set):
-        if parent is None:
-            return
-        children[parent] -= 1
-        if children[parent] == 0 and parent not in target_set and parent in memo:
-            del memo[parent]
+        _, columns = self.plan(targets)
+        return {lam: _column_terms(columns[lam], self.n, cap, "t0")
+                for lam in targets}
 
 
 def atom_terms(lam, n, cap):
-    """E_lam(x; q^{-1}, oo) modulo q^{cap+1} by direct enumeration.
-
-    In the t -> oo limit of the filling expansion (after q -> 1/q) a filling
-    survives exactly when every arm triple at every factor cell is
-    cyclically increasing, and it then contributes q to the power
-    sum of leg+1 over the factor cells that are not descents.  Both
-    conditions prune locally: cells are filled column by column, so a
-    cell's partners and left neighbour are already assigned when it is
-    placed, and the q-exponent only grows.
-    """
-    entries = _as_tuple(lam)
-    cells = sorted(diagram(entries), key=lambda c: (c[1], c[0]))
-    info = []
-    for (i, j) in cells:
-        arm, leg = arm_leg(entries, (i, j))
-        partners = []
-        for k in range(1, i):
-            if j <= entries[k - 1] <= entries[i - 1]:
-                partners.append((k, j))
-        for k in range(i + 1, n + 1):
-            if j <= entries[k - 1] + 1 <= entries[i - 1]:
-                partners.append((k, j - 1))
-        attackers = []
-        for k in range(1, n + 1):
-            if k != i and entries[k - 1] >= j and (j, k) < (j, i):
-                attackers.append((k, j))
-        for k in range(i + 1, n + 1):
-            if j - 1 == 0 or entries[k - 1] >= j - 1:
-                attackers.append((k, j - 1))
-        info.append(((i, j), (i, j - 1), leg, tuple(partners),
-                     tuple(attackers)))
-    out = {}
-    sigma = {}
-    base = {(i, 0): i for i in range(1, n + 1)}
-    weight = [0] * n
-
-    def value(cell):
-        v = sigma.get(cell)
-        return v if v is not None else base.get(cell)
-
-    def rec(idx, exp):
-        if idx == len(cells):
-            counts = out.setdefault(tuple(weight), [0] * (cap + 1))
-            counts[exp] += 1
-            return
-        cell, leftcell, leg, partners, attackers = info[idx]
-        banned = {value(a) for a in attackers}
-        left = value(leftcell)
-        for v in range(1, n + 1):
-            if v in banned:
-                continue
-            e2 = exp
-            if v != left:
-                if any(not _cyclically_increasing((v, 1), (value(p), 2),
-                                                  (left, 3))
-                       for p in partners):
-                    continue
-                if v < left:
-                    e2 += leg + 1
-                    if e2 > cap:
-                        continue
-            sigma[cell] = v
-            weight[v - 1] += 1
-            rec(idx + 1, e2)
-            weight[v - 1] -= 1
-            del sigma[cell]
-
-    rec(0, 0)
-    return {w: QSeries(cap, cs) for w, cs in out.items() if any(cs)}
+    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program."""
+    return _column_terms(_columns(_as_tuple(lam)), n, cap, "atom")
 
 
 # ---------------------------------------------------------------------------
@@ -890,48 +776,34 @@ def exact_cap(lam):
     expansion is 1 and only fillings with coinv = 0 survive, each giving
     q^maj; maj adds leg + 1 over the descents, so it is at most the sum of
     leg + 1 over all cells.  On the (q^{-1}, oo) side a surviving filling
-    gives q to the sum of leg + 1 over its non-descent factor cells (see
-    ``atom_terms``), at most the same sum.  Row i has the legs
+    gives q to the sum of leg + 1 over the cells below their left
+    neighbour (see ``_column_terms``), at most the same sum.  Row i has the
+    legs
     lam_i - 1, ..., 0, which add up (with the +1s) to lam_i (lam_i + 1) / 2.
     """
     return sum(e * (e + 1) // 2 for e in _as_tuple(lam))
 
 
 def _compositions(lams):
-    """The table's targets as tuples.  A negative entry is rejected: the
-    recursion from it never reaches the zero composition."""
+    """The compositions as tuples.  A negative entry is rejected: the
+    intertwiner recursion from it never reaches the zero composition."""
     lams = [_as_tuple(lam) for lam in lams]
     if any(e < 0 for lam in lams for e in lam):
         raise ExactError("E_lam needs a composition (nonnegative entries)")
     return lams
 
 
-def _batch_with_retry(engine_cls, n, lams, cap, slack):
-    """Run a windowed engine, doubling the precision slack until the final
-    extraction passes its precision assertions."""
-    lams = _compositions(lams)
-    while True:
-        try:
-            return engine_cls(n, cap + 1 + slack).batch(lams, cap)
-        except ExactError as ex:
-            if "insufficient q-precision" not in str(ex) or slack > 4096:
-                raise
-            slack *= 2
-
-
-def e_t0_table(n, lams, cap, slack=16):
-    """{lam: {exps: QSeries}} of t = 0 specializations, computed by the
-    dedicated integer-window recursion."""
-    return _batch_with_retry(T0Engine, n, lams, cap, slack)
+def e_t0_table(n, lams, cap):
+    """{lam: {exps: QSeries}} of t = 0 specializations."""
+    return T0Engine(n).batch(_compositions(lams), cap)
 
 
 def e_atom_table(n, lams, cap):
-    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, by the pruned
-    filling enumeration."""
+    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations."""
     return {lam: atom_terms(lam, n, cap) for lam in _compositions(lams)}
 
 
-def restrict_poly_terms(terms, n):
+def restrict_poly_terms(terms):
     """Push x-exponent keyed terms through the gl -> sl restriction: the
     exponent tuple becomes its image in fundamental-weight coordinates."""
     out = {}

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcauchy.exact import (QPoly, QSeries, QTPoly, QTRational, invert_q,
-                           limit_t, qseries_from_qtrational)
+from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
+                           invert_q, limit_t, qseries_from_qtrational)
 from qcauchy.macdonald import (MacdonaldPolynomial, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_q_alt,
@@ -12,6 +13,7 @@ from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
 ONE = QTPoly.one()
 Q = QTPoly.q()
 T = QTPoly.t()
+TABLES = ((e_t0_table, "t0"), (e_atom_table, "qinv_tinf"))
 
 
 class TestConstruction:
@@ -39,6 +41,11 @@ class TestConstruction:
         for n in (2, 3):
             for lam in compositions_up_to(n, 4):
                 assert macdonald_E(lam, n).total_degree_check()
+
+    def test_negative_entry_rejected(self):
+        # the recursion from (-1, 0) never reaches the zero composition
+        with pytest.raises(ExactError):
+            macdonald_E((-1, 0))
 
     def test_stability(self):
         for n in (2, 3):
@@ -104,15 +111,43 @@ class TestSpecializations:
     def test_engine_tables_match_specialize(self):
         # at exact_cap(lam) the production tables are the exact polynomials
         # specialize_E reads off the generic E
-        for n in (1, 2, 3):
-            for lam in compositions_up_to(n, 5):
+        for n, size in ((1, 5), (2, 5), (3, 5), (4, 4)):
+            for lam in compositions_up_to(n, size):
                 E = macdonald_E(lam, n)
                 cap = exact_cap(lam)
-                for table, mode in ((e_t0_table, "t0"),
-                                    (e_atom_table, "qinv_tinf")):
+                for table, mode in TABLES:
                     got = table(n, [lam], cap)[lam]
                     assert {e: QPoly(c.coeffs) for e, c in got.items()} == \
                         specialize_E(E, mode).terms, (lam, mode)
+
+    def test_tables_truncate_exactly(self):
+        # dropping the partial fillings above the cap is exact: the table
+        # at every cap is the exact table truncated to it
+        for n in (1, 2, 3):
+            for lam in compositions_up_to(n, 5):
+                top = exact_cap(lam)
+                for table, _ in TABLES:
+                    exact = table(n, [lam], top)[lam]
+                    for cap in range(top + 1):
+                        want = {e: c.truncate(cap) for e, c in exact.items()}
+                        want = {e: c for e, c in want.items() if not c.is_zero}
+                        assert table(n, [lam], cap)[lam] == want, (lam, cap)
+
+
+SMALL_COMPOSITIONS = [(n, lam) for n in (1, 2, 3)
+                      for lam in sorted(compositions_up_to(n, 6))]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(SMALL_COMPOSITIONS), st.integers(0, 21))
+def test_tables_match_specialize_property(case, cap):
+    n, lam = case
+    E = macdonald_E(lam, n)
+    for table, mode in TABLES:
+        want = {e: QSeries.from_qpoly(c, cap)
+                for e, c in specialize_E(E, mode).terms.items()}
+        want = {e: c for e, c in want.items() if not c.is_zero}
+        assert table(n, [lam], cap)[lam] == want, (lam, cap, mode)
 
 
 class TestNorms:
@@ -153,7 +188,7 @@ def rank_one_tables(lam):
     restricted to sl_2: two {X-exponent: QPoly} maps."""
     cap = exact_cap(lam)
     return tuple({e[0]: QPoly(c.coeffs) for e, c in
-                  restrict_poly_terms(table(2, [lam], cap)[lam], 2).items()}
+                  restrict_poly_terms(table(2, [lam], cap)[lam]).items()}
                  for table in (e_t0_table, e_atom_table))
 
 
