@@ -5,7 +5,7 @@ function-space character, and a hand-run of the fiber projection with its
 certificate.
 """
 
-from qcauchy import TruncationPolicy, char_module, ch_iwahori_functions
+from qcauchy import TruncationPolicy, char_module
 from qcauchy.identities import (lhs_series, project_to_sl, sl_certificate,
                                 sl_window_pairs)
 from qcauchy.series import first_difference, mul_truncated
@@ -27,7 +27,7 @@ def main():
           first_difference(t, prod) is None, "\n")
 
     print("=== the Iwahori function-space character (n = 2) ===")
-    iw = ch_iwahori_functions(2, pol)
+    iw = lhs_series("iwahori_char", 2, pol)
     print(f"{len(iw.terms)} monomials at D = 3, K = 5")
     diag = sorted(e for e in iw.terms if e[0] == e[2] and e[1] == e[3])
     for e in diag[:4]:
@@ -37,7 +37,7 @@ def main():
     print("=== projecting to the sl weight lattice ===")
     n, wdeg, K = 2, 2, 3
     pairs = sl_window_pairs(n, wdeg)
-    kmax, dx, dy = sl_certificate(n, pairs, K)
+    kmax, dx, dy, _ = sl_certificate(n, pairs, K)
     print(f"window: class pairs reachable at gl-degree <= {wdeg} "
           f"({len(pairs)} pairs)")
     print(f"certificate: fibers close inside the box Dx = {dx}, Dy = {dy}")

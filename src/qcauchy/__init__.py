@@ -20,7 +20,7 @@ from .macdonald import (MacdonaldPolynomial, fillings, macdonald_E,
 from .affine import (AffineCoroot, AffinePerm, HwAlgebraChar, ReducedWord,
                      beta_sequence, char_l, factorized_words,
                      hw_algebra_char, translation_reduced_word)
-from .characters import char_module, ch_iwahori_functions, ch_weyl_ratio_check
+from .characters import char_module, ch_weyl_ratio_check
 from .identities import (VerificationReport, lhs_series, project_to_sl,
                          rhs_series, verify_identity, verify_sl2_appendix)
 

@@ -11,7 +11,10 @@ Characters are carried as truncated series in the sl Laurent variables
 The function-space character of the Iwahori subgroup is the product
 
     (x_1..x_n y_1..y_n; q)_oo  *  prod_{i<=j} 1/(1 - x_i y_j)
-                               *  prod_{i,j}  1/(q x_i y_j; q)_oo.
+                               *  prod_{i,j}  1/(q x_i y_j; q)_oo,
+
+the product side of the gl_slform identity: ``lhs_series("iwahori_char",
+n, policy)`` in ``identities``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from .exact import ExactError
 from .macdonald import e_atom_table, e_t0_table
 from .affine import beta_sequence, hw_algebra_char, hw_algebra_char_gl
-from .identities import VerificationReport, lhs_series
+from .identities import VerificationReport
 from .series import TruncatedSeries, VariableSet, mul_truncated
 from .weights import antidominant_data, restrict_weight
 
@@ -89,14 +92,6 @@ def char_module(kind, lam, policy, lattice="sl"):
         u = char_module("Uo", lam, policy, lattice)
         return mul_truncated(d, u).scale(algebra_series("D"))
     raise ExactError(f"unknown module kind {kind!r}")
-
-
-def ch_iwahori_functions(n, policy):
-    """Character of the polynomial functions on the Iwahori-type matrix
-    space, with the determinant-relation Koszul factor: the product side
-    of the gl_slform identity."""
-    _require_cap(policy)
-    return lhs_series("gl_slform", n, policy)
 
 
 def ch_weyl_ratio_check(lam, m, word):

@@ -18,7 +18,9 @@ window beyond its certified bound, a non-monic E).  Errors print one
 ``error:`` or ``internal error:`` line to stderr.  Output is deterministic;
 timing goes to stderr.  ``macdonald --spec t0`` and ``qinv-tinf`` read the
 t = 0 and (q^{-1}, oo) tables at a cap where they are exact polynomials,
-``q0`` and ``qinf-tinf`` their q^0 coefficients.
+``q0`` and ``qinf-tinf`` their q^0 coefficients.  ``verify --jobs`` is
+accepted for compatibility (it must be at least 1) and has no effect:
+every identity runs in one thread.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def cmd_verify(args):
             raise UsageError("sl2-appendix is a rank-2 suite; use --n 2")
         report = verify_sl2_appendix((-args.max_deg, args.max_deg), args.max_q)
     else:
-        report = verify_identity(variant, args.n, policy, jobs=args.jobs)
+        report = verify_identity(variant, args.n, policy)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -246,7 +248,8 @@ def build_parser():
                     required=True)
     sp.add_argument("--max-deg", type=int, required=True)
     sp.add_argument("--max-q", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("appendix", help="run the rank-one closed-form suite")

@@ -1,9 +1,9 @@
 import pytest
 
-from qcauchy.characters import (char_module, ch_iwahori_functions,
-                                ch_weyl_ratio_check)
+from qcauchy.characters import char_module, ch_weyl_ratio_check
 from qcauchy.affine import factorized_words
 from qcauchy.exact import ExactError, QSeries, inv_pochhammer_qq
+from qcauchy.identities import lhs_series
 from qcauchy.series import TruncationPolicy, first_difference, mul_truncated
 from qcauchy.weights import compositions_up_to
 
@@ -65,12 +65,12 @@ class TestCharModule:
 class TestIwahori:
     def test_rank_one_trivial(self):
         pol = TruncationPolicy(3, 3, 4)
-        s = ch_iwahori_functions(1, pol)
+        s = lhs_series("iwahori_char", 1, pol)
         assert s.terms == {(0, 0): QSeries.one(4)}
 
     def test_rank_two_low_degree(self):
         pol = TruncationPolicy(1, 1, 1)
-        s = ch_iwahori_functions(2, pol)
+        s = lhs_series("iwahori_char", 2, pol)
         one = QSeries.one(1)
         q = QSeries(1, (0, 1))
         expected = {
@@ -85,7 +85,7 @@ class TestIwahori:
     def test_q0_layer_counts_borel_functions(self):
         # the coefficient of x^lam y^lam q^0 is 1 for min-zero lam
         pol = TruncationPolicy(4, 4, 2)
-        s = ch_iwahori_functions(2, pol)
+        s = lhs_series("iwahori_char", 2, pol)
         for lam in compositions_up_to(2, 4):
             if min(lam) == 0:
                 c = s.terms.get(tuple(lam) + tuple(lam))

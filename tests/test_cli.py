@@ -37,7 +37,7 @@ class TestVerify:
         import qcauchy.cli as cli
         from qcauchy.identities import VerificationReport
 
-        def fake(variant, n, policy, jobs=1):
+        def fake(variant, n, policy):
             return VerificationReport(variant, n, {}, "fail",
                                       {"monomial": [0]}, 0, 0.0)
         monkeypatch.setattr(cli, "verify_identity", fake)
@@ -75,6 +75,27 @@ class TestInvariantErrors:
         assert code == 3 and out == ""
         assert err == ("internal error: negative norm coefficient; "
                        "positivity broken\n")
+
+
+class TestSlMismatch:
+    def test_injected_mismatch_names_witness(self, monkeypatch):
+        # a norm one too large breaks the identity at the trivial class;
+        # the failing run still sums every lambda up to the certified box
+        import qcauchy.identities as identities
+        from qcauchy.exact import QSeries
+        norm_a_q = identities.norm_a_q
+
+        def shifted_norm(lam, cap):
+            return norm_a_q(lam, cap) + QSeries.one(cap)
+        monkeypatch.setattr(identities, "norm_a_q", shifted_norm)
+        code, out, _ = invoke(["verify", "--identity", "sl", "--n", "3",
+                               "--max-deg", "2", "--max-q", "2"])
+        assert code == 1
+        lines = out.splitlines()
+        assert "summands : 316" in lines
+        assert "outcome  : fail" in lines
+        witness = json.loads(lines[-1].split(":", 1)[1])
+        assert witness["monomial"] == [0, 0, 0, 0]
 
 
 class TestUsageErrors:

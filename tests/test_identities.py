@@ -6,6 +6,7 @@ from qcauchy.identities import (_sl_lhs_window, lhs_series, project_to_sl,
                                 verify_identity, verify_sl2_appendix)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference)
+from qcauchy.weights import compositions_up_to
 
 
 class TestLhs:
@@ -63,12 +64,6 @@ class TestRhs:
         # E(x) = x1 + x2, E(y) = q y1 + y2
         expected[(1, 0, 1, 0)] = QSeries.one(4) + q * g1
         assert s.terms == expected
-
-    def test_jobs_deterministic(self):
-        pol = TruncationPolicy(3, 3, 5)
-        a = rhs_series("gl_t0", 2, pol, jobs=1)
-        b = rhs_series("gl_t0", 2, pol, jobs=8)
-        assert a == b
 
 
 class TestVerify:
@@ -187,7 +182,7 @@ class TestProjection:
 
     def test_certificate_balance(self):
         pairs = sl_window_pairs(2, 2)
-        kmax, dx, dy = sl_certificate(2, pairs, 3)
+        kmax, dx, dy, _ = sl_certificate(2, pairs, 3)
         assert dx == dy
         # the diagonal fiber at the trivial class reaches at least k = 1
         assert kmax[((0, 0), (0, 0))] >= 1
@@ -196,15 +191,28 @@ class TestProjection:
 @pytest.mark.parametrize("n, w, K", [(1, 3, 3), (2, 2, 3), (2, 3, 2),
                                      (3, 1, 3), (3, 2, 1)])
 def test_sl_window_matches_full_box_projection(n, w, K):
-    # the per-entry support enumeration against the fiber sums of the
-    # gl_slform product over the whole certified box
+    # the certificate's fiber sums against those of the gl_slform product
+    # over the whole certified box
     pairs = sl_window_pairs(n, w)
-    kmax, Dx, Dy = sl_certificate(n, pairs, K)
+    kmax, Dx, Dy, fibers = sl_certificate(n, pairs, K)
     box = lhs_series("gl_slform", n, TruncationPolicy(Dx, Dy, K))
     want = project_to_sl(box, pairs, kmax, K)
-    got = _sl_lhs_window(n, pairs, kmax, K)
+    got = _sl_lhs_window(n, pairs, fibers, K)
     assert got.terms == want.terms
     assert got.policy == want.policy
+
+
+@pytest.mark.parametrize("n, w, K, summands, box", [
+    (2, 2, 3, 17, 8), (3, 2, 1, 199, 11), (3, 2, 2, 316, 14)])
+def test_sl_sums_every_lambda_up_to_the_box(n, w, K, summands, box):
+    # the Macdonald side sums each min-zero lambda up to the certified box
+    # once: the summand count is the number of such lambdas
+    r = verify_identity("sl_projected", n, TruncationPolicy(w, w, K))
+    assert r.passed
+    assert r.policy["certified_box"] == [box, box]
+    assert r.lambda_count == summands
+    assert summands == sum(1 for lam in compositions_up_to(n, box)
+                           if min(lam) == 0)
 
 
 class TestAppendix:
