@@ -26,6 +26,7 @@ every identity runs in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -204,7 +205,9 @@ def cmd_appendix(args):
     return 0 if report.passed else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first use and kept for the process."""
     p = argparse.ArgumentParser(
         prog="qcauchy",
         description="Exact computations with nonsymmetric Macdonald "

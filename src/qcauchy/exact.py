@@ -831,7 +831,7 @@ class QSeries:
         if cap < 0:
             raise ValueError("cap must be >= 0")
         self.cap = cap
-        cs = [int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
+        cs = [int(c) if type(c) is Fraction and c.denominator == 1 else c
               for c in list(coeffs)[: cap + 1]]
         while cs and cs[-1] == 0:
             cs.pop()

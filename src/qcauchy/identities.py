@@ -30,14 +30,13 @@ import json
 import time
 from dataclasses import dataclass
 
-from .exact import (ExactError, InvariantError, QSeries, QTRational,
-                    inv_pochhammer_qq, invert_q)
+from .exact import (ExactError, InvariantError, QSeries, QTPoly, QTRational,
+                    inv_pochhammer_qq, invert_q, qq_pochhammer_poly)
 from .macdonald import (e_atom_table, e_t0_table, generic_engine, norm_a_q,
                         norm_a_qt, sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
-                     first_difference, inverse_truncated, mul_truncated,
-                     pochhammer_series, render_scalar)
+                     first_difference, mul_truncated, render_scalar)
 from .weights import (compositions_up_to, min_zero_compositions_up_to,
                       restrict_weight)
 
@@ -93,102 +92,89 @@ def _mk_report(variant, n, policy_dict, diff, varset, lam_count, t_start):
 # left-hand sides
 # ---------------------------------------------------------------------------
 
-def _xy_monomial(n, i, j):
-    mono = [0] * (2 * n)
-    mono[i] = 1
-    mono[n + j] = 1
-    return tuple(mono)
+def _factor_series(varset, policy, mono, coeffs):
+    """sum_k coeffs[k] * mono^k, within the policy."""
+    return TruncatedSeries(varset, policy,
+                           {tuple(k * e for e in mono): c
+                            for k, c in enumerate(coeffs)})
 
 
 def lhs_series(variant, n, policy):
-    """The product side of the named identity, as a truncated series.
+    r"""The product side of the named identity, as a truncated series.
 
-    ``iwahori_char`` names the gl_slform product: the character of the
-    functions on the Iwahori matrix space."""
+    Every factor is a series in one monomial a = x_i y_j (or, for the
+    determinant factor of gl_slform, a = x_1..x_n y_1..y_n), expanded in
+    closed form by the q-binomial theorem:
+
+        1 / (a; q)_oo           = sum_k a^k / (q; q)_k,
+        (a; q)_oo               = sum_k (-1)^k q^{k(k-1)/2} a^k / (q; q)_k,
+        (b a; q)_oo / (a; q)_oo = sum_k (b; q)_k a^k / (q; q)_k.
+
+    A factor in q a rather than a (the pairs i > j) has its k-th
+    coefficient shifted by q^k.  ``iwahori_char`` names the gl_slform
+    product: the character of the functions on the Iwahori matrix space."""
     varset = VariableSet.gl(n)
-    if variant == "gl_qt":
-        if policy.max_q_degree is not None:
-            raise ExactError("gl_qt works with exact coefficients; no q-cap")
-        one = QTRational.one()
-        q = QTRational.q()
-        t = QTRational.t()
-        result = TruncatedSeries.constant(varset, policy, one)
-        for i in range(n):
-            for j in range(n):
-                mono = _xy_monomial(n, i, j)
-                lin = TruncatedSeries(varset, policy,
-                                      {(0,) * (2 * n): one, mono: -one})
-                if i == j:
-                    result = mul_truncated(result, inverse_truncated(lin))
-                elif i < j:
-                    tlin = TruncatedSeries(varset, policy,
-                                           {(0,) * (2 * n): one, mono: -t})
-                    result = mul_truncated(result, tlin)
-                    result = mul_truncated(result, inverse_truncated(lin))
-                num = pochhammer_series(q * t, mono, None, varset, policy)
-                den = pochhammer_series(q, mono, None, varset, policy)
-                result = mul_truncated(result, num)
-                result = mul_truncated(result, inverse_truncated(den))
-        return result
-
+    top = min(policy.max_x_degree, policy.max_y_degree)
     cap = policy.max_q_degree
-    if cap is None:
-        raise ExactError(f"variant {variant} needs a finite q-cap")
-    if variant == "iwahori_char":
-        variant = "gl_slform"
-    one = QSeries.one(cap)
-    q1 = QSeries(cap, (0, 1))
+    if variant == "gl_qt":
+        if cap is not None:
+            raise ExactError("gl_qt works with exact coefficients; no q-cap")
+
+        def ratios(first, shift):
+            # (q^first t; q)_k q^(shift k) / (q; q)_k for k <= top
+            out, num = [], QTPoly.one()
+            for k in range(top + 1):
+                out.append(QTRational(
+                    num * QTPoly.term(1, shift * k, 0),
+                    QTPoly.from_qpoly(qq_pochhammer_poly(k))))
+                num = num * QTPoly.one_minus_qt(first + k, 1)
+            return out
+        # b = qt on the diagonal, b = t above it, and b = t in q a below it
+        diag, upper, lower = ratios(1, 0), ratios(0, 0), ratios(0, 1)
+        one = QTRational.one()
+    else:
+        if cap is None:
+            raise ExactError(f"variant {variant} needs a finite q-cap")
+        if variant == "iwahori_char":
+            variant = "gl_slform"
+        one = QSeries.one(cap)
+        if variant == "classical_q0":
+            diag = upper = [one] * (top + 1)
+            lower = None    # no factor below the diagonal
+        elif variant in ("gl_t0", "gl_slform"):
+            inv_poch = [inv_pochhammer_qq(k, cap) for k in range(top + 1)]
+            diag = upper = inv_poch
+            lower = [c.shift(k) for k, c in enumerate(inv_poch)]
+        else:
+            raise ExactError(f"no product side for variant {variant!r}")
     result = TruncatedSeries.constant(varset, policy, one)
-    if variant == "classical_q0":
-        for i in range(n):
-            for j in range(i, n):
-                lin = TruncatedSeries(varset, policy,
-                                      {(0,) * (2 * n): one,
-                                       _xy_monomial(n, i, j): -one})
-                result = mul_truncated(result, inverse_truncated(lin))
-        return result
-    if variant in ("gl_t0", "gl_slform"):
-        for i in range(n):
-            for j in range(n):
-                mono = _xy_monomial(n, i, j)
-                if i <= j:
-                    lin = TruncatedSeries(varset, policy,
-                                          {(0,) * (2 * n): one, mono: -one})
-                    result = mul_truncated(result, inverse_truncated(lin))
-                factor = inverse_truncated(
-                    pochhammer_series(q1, mono, None, varset, policy))
-                result = mul_truncated(result, factor)
-        if variant == "gl_slform":
-            det = tuple([1] * (2 * n))
-            result = mul_truncated(
-                result, pochhammer_series(one, det, None, varset, policy))
-        return result
-    raise ExactError(f"no product side for variant {variant!r}")
+    for i in range(n):
+        for j in range(n):
+            cs = diag if i == j else upper if i < j else lower
+            if cs is not None:
+                mono = tuple(int(k in (i, n + j)) for k in range(2 * n))
+                result = mul_truncated(result, _factor_series(
+                    varset, policy, mono, cs))
+    if variant == "gl_slform":
+        det = [c.shift(k * (k - 1) // 2) * (-1) ** k
+               for k, c in enumerate(inv_poch)]
+        result = mul_truncated(result, _factor_series(
+            varset, policy, (1,) * (2 * n), det))
+    return result
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _pair_product_series(varset, policy, xterms, yterms, norm):
-    """norm * E(x-part) * E(y-part) assembled directly as a term dict."""
-    n = varset.nx
-    dmx, dmy = policy.max_x_degree, policy.max_y_degree
-    out = {}
+def _pair_product_series(out, xterms, yterms, norm):
+    """Add norm * E(x-part) * E(y-part) into the term dict ``out``."""
     for ex, cx in xterms.items():
-        if sum(ex) > dmx:
-            continue
         cxn = cx * norm
         for ey, cy in yterms.items():
-            if sum(ey) > dmy:
-                continue
-            key = tuple(u + v for u, v in zip(ex, ey))
-            c = cxn * cy
-            if key in out:
-                out[key] = out[key] + c
-            else:
-                out[key] = c
-    return TruncatedSeries(varset, policy, out)
+            key = ex + ey
+            prev = out.get(key)
+            out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
 def _rhs_lambdas(variant, n, policy):
@@ -200,49 +186,37 @@ def _rhs_lambdas(variant, n, policy):
 
 def rhs_series(variant, n, policy):
     """The Macdonald-polynomial side: sum over compositions of
-    norm * E(x) * E(y) at the variant's parameter points."""
-    varset = VariableSet.gl(n)
+    norm * E(x) * E(y) at the variant's parameter points.
+
+    E_lam has degree |lam| <= min(Dx, Dy), so every summand lies within the
+    policy; the terms of all summands go into one dict."""
     lambdas = _rhs_lambdas(variant, n, policy)
     cap = policy.max_q_degree
-
+    terms = {}
     if variant == "gl_qt":
         eng = generic_engine(n)
-
-        def summand(lam):
-            terms = eng.terms_qtrational(lam)
-            xt = {e + (0,) * n: c for e, c in terms.items()}
-            yt = {(0,) * n + e: invert_q(c, invert_t=True)
-                  for e, c in terms.items()}
-            return _pair_product_series(varset, policy, xt, yt, norm_a_qt(lam))
+        for lam in lambdas:
+            xt = eng.terms_qtrational(lam)
+            yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
+            _pair_product_series(terms, xt, yt, norm_a_qt(lam))
     elif variant in ("gl_t0", "gl_slform", "iwahori_char"):
         t0 = e_t0_table(n, lambdas, cap)
         atom = e_atom_table(n, lambdas, cap)
-
-        def summand(lam):
-            xt = {e + (0,) * n: c for e, c in t0[lam].items()}
-            yt = {(0,) * n + e: c for e, c in atom[lam].items()}
-            return _pair_product_series(varset, policy, xt, yt,
-                                        norm_a_q(lam, cap))
+        for lam in lambdas:
+            _pair_product_series(terms, t0[lam], atom[lam], norm_a_q(lam, cap))
     elif variant == "classical_q0":
         # the key polynomials E(x; 0, 0) and the Demazure atoms E(x; oo, oo)
         # are the q^0 coefficients of the t = 0 and (q^{-1}, oo) tables
         keys = e_t0_table(n, lambdas, 0)
         atoms = e_atom_table(n, lambdas, 0)
-
-        def summand(lam):
-            one = QSeries.one(cap)
-            xt = {e + (0,) * n: QSeries.from_int(c[0], cap)
-                  for e, c in keys[lam].items()}
-            yt = {(0,) * n + e: QSeries.from_int(c[0], cap)
-                  for e, c in atoms[lam].items()}
-            return _pair_product_series(varset, policy, xt, yt, one)
+        for lam in lambdas:
+            _pair_product_series(terms,
+                                 {e: c[0] for e, c in keys[lam].items()},
+                                 {e: c[0] for e, c in atoms[lam].items()},
+                                 QSeries.one(cap))
     else:
         raise ExactError(f"no Macdonald side for variant {variant!r}")
-
-    total = TruncatedSeries(varset, policy, {}, _checked=True)
-    for lam in lambdas:
-        total = total + summand(lam)
-    return total
+    return TruncatedSeries(VariableSet.gl(n), policy, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -607,22 +607,34 @@ def macdonald_E(lam, n=None):
 
 def macdonald_E_fillings(lam, n=None):
     """E_lam(x; q, t) summed over non-attacking fillings (the independent
-    second path; equals macdonald_E coefficient by coefficient)."""
+    second path; equals macdonald_E coefficient by coefficient).
+
+    A filling weighs q^maj t^coinv prod (1 - t) / (1 - q^{leg+1} t^{arm+1})
+    over its factor cells.  Over the common denominator
+    D_lam = prod_cells (1 - q^{leg+1} t^{arm+1}) its numerator is the
+    integer polynomial q^maj t^coinv (1 - t)^{#factor cells} times the
+    cell factors of the other cells; the numerators are summed per weight
+    and each sum is reduced once."""
     lam = _as_tuple(lam)
     if n is None:
         n = len(lam)
+    cells = {}    # cell -> (q, t) exponents of its factor in D_lam
+    den = IntQT.one()
+    for cell in diagram(lam):
+        arm, leg = arm_leg(lam, cell)
+        cells[cell] = (leg + 1, arm + 1)
+        den = den.mul_one_minus_qt(leg + 1, arm + 1)
     acc = {}
     for sigma in fillings(lam):
         weight, maj, coinv, fcells = filling_statistics(lam, sigma)
-        term = QTRational.from_qtpoly(QTPoly.term(1, maj, coinv))
-        for (_, arm, leg) in fcells:
-            term = term * QTRational(QTPoly.one() - QTPoly.t(),
-                                     QTPoly.one_minus_qt(leg + 1, arm + 1))
-        if weight in acc:
-            acc[weight] = acc[weight] + term
-        else:
-            acc[weight] = term
-    terms = {w: c for w, c in acc.items() if not c.is_zero}
+        factor = {cell for cell, _, _ in fcells}
+        num = IntQT({(maj, coinv): 1})
+        for cell, qt in cells.items():
+            num = num.mul_one_minus_qt(*((0, 1) if cell in factor else qt))
+        acc.setdefault(weight, IntQT()).add_inplace(num)
+    den = den.to_qtpoly()
+    terms = {w: QTRational(c.to_qtpoly(), den)
+             for w, c in acc.items() if not c.is_zero}
     return MacdonaldPolynomial(n, lam, terms, "generic")
 
 

@@ -5,7 +5,8 @@ from qcauchy.identities import (_sl_lhs_window, lhs_series, project_to_sl,
                                 rhs_series, sl_certificate, sl_window_pairs,
                                 verify_identity, verify_sl2_appendix)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
-                            first_difference)
+                            first_difference, inverse_truncated, mul_truncated,
+                            pochhammer_series)
 from qcauchy.weights import compositions_up_to
 
 
@@ -38,6 +39,62 @@ class TestLhs:
         # they differ exactly in the determinant letters
         d = first_difference(plain, koszul)
         assert d is not None and sum(d[0]) == 4
+
+
+def _lhs_by_pochhammer(variant, n, policy):
+    """The product side multiplied out factor by factor from Pochhammer
+    products and series inverses: the construction the closed forms of
+    lhs_series replace, kept as their oracle."""
+    varset = VariableSet.gl(n)
+    K = policy.max_q_degree
+    one = QTRational.one() if K is None else QSeries.one(K)
+    q = QTRational.q() if K is None else QSeries(K, (0, 1))
+    zero = (0,) * (2 * n)
+
+    def linear(a, c):    # 1 - c a
+        return TruncatedSeries(varset, policy, {zero: one, a: -c})
+
+    result = TruncatedSeries.constant(varset, policy, one)
+    for i in range(n):
+        for j in range(n):
+            a = tuple(int(k in (i, n + j)) for k in range(2 * n))
+            if i <= j:
+                result = mul_truncated(result,
+                                       inverse_truncated(linear(a, one)))
+            if variant == "classical_q0":
+                continue
+            if variant == "gl_qt":
+                if i < j:
+                    result = mul_truncated(result, linear(a, QTRational.t()))
+                result = mul_truncated(result, pochhammer_series(
+                    q * QTRational.t(), a, None, varset, policy))
+            result = mul_truncated(result, inverse_truncated(
+                pochhammer_series(q, a, None, varset, policy)))
+    if variant in ("gl_slform", "iwahori_char"):
+        result = mul_truncated(result, pochhammer_series(
+            one, (1,) * (2 * n), None, varset, policy))
+    return result
+
+
+@pytest.mark.parametrize("variant", ["gl_t0", "gl_slform", "iwahori_char",
+                                     "classical_q0"])
+@pytest.mark.parametrize("n, dmax", [(1, 4), (2, 4), (3, 3)])
+def test_closed_form_factors_match_pochhammer_products(variant, n, dmax):
+    for dx in range(dmax + 1):
+        for dy in range(dmax + 1):
+            for K in range(5):
+                pol = TruncationPolicy(dx, dy, K)
+                assert lhs_series(variant, n, pol) == \
+                    _lhs_by_pochhammer(variant, n, pol), (dx, dy, K)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_qt_factors_match_pochhammer_products(n):
+    for dx in range(4):
+        for dy in range(4):
+            pol = TruncationPolicy(dx, dy, None)
+            assert lhs_series("gl_qt", n, pol) == \
+                _lhs_by_pochhammer("gl_qt", n, pol), (dx, dy)
 
 
 class TestRhs:
