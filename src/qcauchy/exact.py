@@ -11,10 +11,18 @@ All arithmetic is exact; there is no floating point anywhere.  A
 ``QTRational`` is kept in a canonical reduced form (gcd-free, content
 normalized, denominator's lexicographically-leading coefficient equal to 1
 for the order q < t), so structural equality decides mathematical equality.
+A fraction over binomials 1 - q^a t^d, the denominators of Macdonald
+coefficients and norms, is brought to that form by integer trial division
+by the binomials' cyclotomic factors (``reduce_over_binomials``); other
+fractions by the general gcd (``normalize_qt``).
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
+from collections import Counter
 from fractions import Fraction
 
 Rational = Fraction
@@ -367,6 +375,21 @@ class QTPoly:
         return cls((QPoly.zero(),) * j + (QPoly.monomial(i, c),))
 
     @classmethod
+    def from_terms(cls, terms):
+        """From a sparse dict {(q_exp, t_exp): coefficient}, exponents >= 0."""
+        rows = {}
+        for (i, j), c in terms.items():
+            if i < 0 or j < 0:
+                raise ExactError("negative exponent; clear it first")
+            rows.setdefault(j, {})[i] = c
+        out = []
+        for j in range(max(rows, default=-1) + 1):
+            row = rows.get(j, {})
+            out.append(QPoly([row.get(i, 0)
+                              for i in range(max(row, default=-1) + 1)]))
+        return cls(out)
+
+    @classmethod
     def one_minus_qt(cls, a, d):
         """1 - q^a t^d with a >= 0, d >= 0."""
         if d == 0:
@@ -585,7 +608,7 @@ def qtpoly_gcd(a, b):
     # normalize: q-leading coefficient of t-leading QPoly equal to 1
     lead = g.tcoeffs[-1].coeffs[-1]
     if lead != 1:
-        g = g.scale(1 / lead)
+        g = g.scale(_ONE / _frac(lead))
     return g.scale_qpoly(cont) if cont != QPoly.one() else g
 
 
@@ -737,13 +760,123 @@ def normalize_qt(num, den):
     if g.tdegree() > 0 or g.qdegree() > 0:
         num = num.exact_div(g)
         den = den.exact_div(g)
-    # unit normalization: denominator's lex-leading coefficient = 1
+    return _unit_normalized(num, den)
+
+
+def _unit_normalized(num, den):
+    """num/den for a gcd-free pair, scaled so that the denominator's
+    lex-leading coefficient is 1."""
     _, _, lead = den.lex_leading()
     if lead != 1:
         inv = Fraction(1) / _frac(lead)
         num = num.scale(inv)
         den = den.scale(inv)
     return QTRational(num, den, _normalized=True)
+
+
+# ---------------------------------------------------------------------------
+# fractions over binomials 1 - q^a t^d: reduction by cyclotomic factors
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _cyclotomic(k):
+    """Coefficients of the cyclotomic polynomial Phi_k(u), constant first."""
+    p = QPoly((-1,) + (0,) * (k - 1) + (1,))
+    for j in range(1, k):
+        if k % j == 0:
+            p = p.exact_div(QPoly(_cyclotomic(j)))
+    return p.coeffs
+
+
+def _divide_exact(num, divisor):
+    """num / divisor by sparse long division in lex order (t first, then q),
+    or None when divisor does not divide num.
+
+    ``num`` is {(q_exp, t_exp): int}; ``divisor`` is a list of
+    ((q_exp, t_exp), int), its lex-leading term first, with coefficient 1.
+    In an exact division the leading term of every remainder is a multiple
+    of the divisor's, so the first one that is not decides."""
+    (li, lj), _ = divisor[0]
+    rest = divisor[1:]
+    rem = dict(num)
+    heap = [(-j, -i) for i, j in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        nj, ni = heapq.heappop(heap)
+        c = rem.pop((-ni, -nj))
+        if not c:
+            continue
+        i, j = -ni - li, -nj - lj
+        if i < 0 or j < 0:
+            return None
+        quo[(i, j)] = c
+        # every new term is lex-below the one just removed
+        for (di, dj), x in rest:
+            m = (i + di, j + dj)
+            if m in rem:
+                rem[m] -= c * x
+            else:
+                rem[m] = -c * x
+                heapq.heappush(heap, (-m[1], -m[0]))
+    return quo
+
+
+def reduce_over_binomials(num, binomials):
+    """The canonical QTRational of num / prod (1 - q^a t^d).
+
+    ``num`` is a sparse integer polynomial {(q_exp, t_exp): int} with
+    nonnegative exponents; ``binomials`` lists the pairs (a, d), a, d >= 0.
+
+    With g = gcd(a, d) and u = q^{a/g} t^{d/g},
+
+        1 - u^g = -prod_{k | g} Phi_k(u),
+
+    and each Phi_k(q^alpha t^beta) with gcd(alpha, beta) = 1 is irreducible
+    over Q: a unimodular change of variables of the Laurent ring maps it to
+    Phi_k(u).  Factors of different (k, alpha, beta) are not associate, so
+    dividing num by each factor, as often as it occurs and as long as it
+    divides, leaves a numerator coprime to the factors kept.  That is the
+    gcd-free form; every division is exact and in integers, because each
+    Phi_k is monic.  The kept factors multiply out to a denominator with
+    lex-leading coefficient 1, and the signs of the binomials go to the
+    numerator: the canonical form of ``QTRational``, with no general gcd.
+
+    A binomial (0, 0) is 1 - 1 = 0 and raises ZeroDenominatorError."""
+    factors = Counter()
+    for a, d in binomials:
+        if a < 0 or d < 0:
+            raise ExactError(f"binomial 1 - q^{a} t^{d}: negative exponent")
+        if a == 0 and d == 0:
+            raise ZeroDenominatorError("binomial 1 - q^0 t^0 is zero")
+        g = math.gcd(a, d)
+        for k in range(1, g + 1):
+            if g % k == 0:
+                factors[(k, a // g, d // g)] += 1
+    num = {m: c for m, c in num.items() if c}
+    if not num:
+        return QTRational.zero()
+    den = {(0, 0): 1}
+    for (k, alpha, beta), count in factors.items():
+        phi = [((alpha * e, beta * e), c)
+               for e, c in reversed(list(enumerate(_cyclotomic(k)))) if c]
+        while count:
+            quo = _divide_exact(num, phi)
+            if quo is None:
+                break
+            num = quo
+            count -= 1
+        for _ in range(count):
+            prod = {}
+            for (i, j), x in den.items():
+                for (di, dj), y in phi:
+                    m = (i + di, j + dj)
+                    prod[m] = prod.get(m, 0) + x * y
+            den = {m: c for m, c in prod.items() if c}
+    if len(binomials) % 2:
+        num = {m: -c for m, c in num.items()}
+    return QTRational(QTPoly.from_terms(num), QTPoly.from_terms(den),
+                      _normalized=True)
 
 
 def limit_t(f, direction):
@@ -779,6 +912,14 @@ def invert_q(f, invert_t=False):
     """Substitute q -> 1/q (and optionally t -> 1/t), clearing negative powers.
 
     Involutive: invert_q(invert_q(f)) == f.
+
+    The image of a canonical f is gcd-free and needs only the unit
+    normalization, no gcd.  q -> 1/q (and t -> 1/t) is an automorphism of
+    the Laurent ring Q[q^+-1, t^+-1], so the reversed numerator and
+    denominator have no common factor there; in Q[q, t] a common factor
+    could only be q (or t).  But a reversal has q-valuation 0 (and the
+    t-reversal t-valuation 0), and only one side is multiplied by a power
+    of q (of t) to clear the negative exponents.
     """
     if f.is_zero:
         return f
@@ -811,7 +952,7 @@ def invert_q(f, invert_t=False):
             n2 = n2.shift_t(td - tn)
         else:
             d2 = d2.shift_t(tn - td)
-    return QTRational(n2, d2)
+    return _unit_normalized(n2, d2)
 
 
 # ---------------------------------------------------------------------------

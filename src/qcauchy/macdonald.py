@@ -26,7 +26,8 @@ and, for mu_i > mu_{i+1},
 
 Coefficients are carried with a factored common denominator (a product of
 binomials 1 - q^a t^d), which keeps the recursion entirely in integer
-arithmetic; reduced QTRational coefficients are produced on demand.
+arithmetic; reduced QTRational coefficients are produced on demand, by
+trial division over the binomials' cyclotomic factors.
 
 The t = 0 and (q^{-1}, infinity) specializations, and their q^0 corners,
 have one production path each: ``e_t0_table`` (``T0Engine``) and
@@ -44,7 +45,8 @@ from fractions import Fraction
 
 from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
                     QSeries, QTPoly, QTRational, gaussian_binomial,
-                    geometric_series, invert_q, inv_pochhammer_qq, limit_t)
+                    geometric_series, invert_q, inv_pochhammer_qq, limit_t,
+                    reduce_over_binomials)
 from .weights import (Composition, antidominant_data, arm_leg, diagram,
                       restrict_weight)
 
@@ -153,22 +155,8 @@ class IntQT:
                 out.pop(k, None)
         return IntQT(out)
 
-    def tdegree(self):
-        return max((j for _, j in self.m), default=-1)
-
     def qval(self):
         return min((i for i, _ in self.m), default=0)
-
-    def to_qtpoly(self):
-        """As a QTPoly; requires nonnegative q-exponents."""
-        if self.qval() < 0:
-            raise ExactError("negative q-exponent; clear before converting")
-        rows = []
-        for j in range(self.tdegree() + 1):
-            sl = {i: v for (i, jj), v in self.m.items() if jj == j}
-            rows.append(QPoly([sl.get(i, 0)
-                               for i in range(max(sl, default=-1) + 1)]))
-        return QTPoly(rows)
 
     def __eq__(self, other):
         return isinstance(other, IntQT) and self.m == other.m
@@ -276,15 +264,21 @@ class GenericMacdonaldEngine:
     # -- reduced coefficients ----------------------------------------------
 
     def coeff_qtrational(self, fe, exps):
+        """The coefficient of x^exps in E_lam as a canonical QTRational: its
+        integer numerator reduced over the binomials ``fe.den`` by
+        ``reduce_over_binomials``, with no general gcd.  A numerator of
+        q-valuation v < 0 is reduced as q^{-v} c, and q^{-v} joins the
+        reduced denominator: q^{-v} c is not divisible by q and no binomial
+        is, so q^{-v} cannot cancel."""
         c = fe.terms.get(exps)
         if c is None:
             return QTRational.zero()
         v = c.qval()
-        den = fe.den_poly()
-        if v < 0:
-            c = c.mul_qpow(-v)
-            den = den.mul_qpow(-v)
-        return QTRational(c.to_qtpoly(), den.to_qtpoly())
+        if v >= 0:
+            return reduce_over_binomials(c.m, fe.den)
+        r = reduce_over_binomials(c.mul_qpow(-v).m, fe.den)
+        return QTRational(r.num, r.den.scale_qpoly(QPoly.monomial(-v)),
+                          _normalized=True)
 
     def terms_qtrational(self, lam):
         fe = self.get(_as_tuple(lam))
@@ -607,7 +601,10 @@ def macdonald_E(lam, n=None):
 
 def macdonald_E_fillings(lam, n=None):
     """E_lam(x; q, t) summed over non-attacking fillings (the independent
-    second path; equals macdonald_E coefficient by coefficient).
+    second path; equals macdonald_E coefficient by coefficient).  It
+    reduces through ``QTRational(num, den)``, the general gcd, and so is
+    also the test oracle of ``reduce_over_binomials``, the trial division
+    behind ``macdonald_E``.
 
     A filling weighs q^maj t^coinv prod (1 - t) / (1 - q^{leg+1} t^{arm+1})
     over its factor cells.  Over the common denominator
@@ -632,8 +629,8 @@ def macdonald_E_fillings(lam, n=None):
         for cell, qt in cells.items():
             num = num.mul_one_minus_qt(*((0, 1) if cell in factor else qt))
         acc.setdefault(weight, IntQT()).add_inplace(num)
-    den = den.to_qtpoly()
-    terms = {w: QTRational(c.to_qtpoly(), den)
+    den = QTPoly.from_terms(den.m)
+    terms = {w: QTRational(QTPoly.from_terms(c.m), den)
              for w, c in acc.items() if not c.is_zero}
     return MacdonaldPolynomial(n, lam, terms, "generic")
 
@@ -688,15 +685,17 @@ def specialize_E(E, mode):
 
 def norm_a_qt(lam):
     """a_lam(q, t) = prod over cells of
-    (1 - q^{leg+1} t^{arm+1}) / (1 - q^{leg+1} t^{arm})."""
+    (1 - q^{leg+1} t^{arm+1}) / (1 - q^{leg+1} t^{arm}): the integer
+    product of the numerator binomials, reduced over the denominator
+    binomials by ``reduce_over_binomials``."""
     lam = _as_tuple(lam)
-    num = QTPoly.one()
-    den = QTPoly.one()
+    num = IntQT.one()
+    den = []
     for cell in diagram(lam):
         arm, leg = arm_leg(lam, cell)
-        num = num * QTPoly.one_minus_qt(leg + 1, arm + 1)
-        den = den * QTPoly.one_minus_qt(leg + 1, arm)
-    return QTRational(num, den)
+        num = num.mul_one_minus_qt(leg + 1, arm + 1)
+        den.append((leg + 1, arm))
+    return reduce_over_binomials(num.m, den)
 
 
 def norm_a_q(lam, cap):

@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcauchy.exact import (DivergentLimitError, QPoly, QSeries, QTPoly,
-                           QTRational, ZeroDenominatorError,
+from qcauchy.exact import (DivergentLimitError, ExactError, QPoly, QSeries,
+                           QTPoly, QTRational, ZeroDenominatorError,
                            gaussian_binomial, geometric_series, invert_q,
                            inv_pochhammer_qq, limit_t, normalize_qt,
-                           qq_pochhammer_poly, qseries_from_qtrational)
+                           qq_pochhammer_poly, qseries_from_qtrational,
+                           qtpoly_gcd, reduce_over_binomials)
+from qcauchy.macdonald import IntQT
 
 ONE = QTPoly.one()
 Q = QTPoly.q()
@@ -37,6 +39,12 @@ class TestNormalize:
         c = ONE + Q + T * T
         a, b = ONE - Q * T, ONE - Q
         assert normalize_qt(a * c, b * c) == normalize_qt(a, b)
+
+    def test_huge_leading_coefficient(self):
+        # the gcd is scaled exactly: 1 / 10**400 as a float is 0.0
+        a = (T + Q).scale(10 ** 400)
+        assert qtpoly_gcd(a, a) == T + Q
+        assert QTRational(a, a) == QTRational.one()
 
 
 class TestLimit:
@@ -82,6 +90,17 @@ class TestInvertQ:
                   QTRational(Q + T, ONE + Q * Q)):
             assert invert_q(invert_q(f)) == f
             assert invert_q(invert_q(f, True), True) == f
+
+    def test_image_needs_no_gcd(self):
+        # the image of a canonical coefficient is already gcd-free
+        from qcauchy.macdonald import macdonald_E
+        from qcauchy.weights import compositions_up_to
+        for n in (1, 2, 3):
+            for lam in compositions_up_to(n, 4):
+                for c in macdonald_E(lam, n).terms.values():
+                    for invert_t in (False, True):
+                        r = invert_q(c, invert_t)
+                        assert r == QTRational(r.num, r.den), (lam, invert_t)
 
     def test_norm_factor_substitution(self):
         # substituting inside the factored norm product agrees with
@@ -141,6 +160,88 @@ def test_canonical_form_decides_equality(a, b, c):
     if b.is_zero or c.is_zero:
         return
     assert QTRational(a, b) == QTRational(a * c, b * c)
+
+
+def _terms_qtpoly(terms):
+    p = QTPoly.zero()
+    for (i, j), c in terms.items():
+        p = p + QTPoly.term(c, i, j)
+    return p
+
+
+def _times_binomial(terms, a, d):
+    return IntQT(terms).mul_one_minus_qt(a, d).m
+
+
+def _gcd_path(terms, binomials):
+    den = ONE
+    for a, d in binomials:
+        den = den * QTPoly.one_minus_qt(a, d)
+    return QTRational(_terms_qtpoly(terms), den)
+
+
+_binomials = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(
+        lambda b: b != (0, 0)),
+    min_size=1, max_size=5)
+_numerators = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-3, 3),
+    max_size=5)
+
+
+class TestReduceOverBinomials:
+    @settings(max_examples=150, deadline=None)
+    @given(_binomials, _numerators, st.booleans(), st.data())
+    def test_matches_gcd_path(self, binomials, num, cancel, data):
+        # in half the examples the numerator carries some of the binomials
+        if cancel:
+            picked = data.draw(st.lists(st.booleans(), min_size=len(binomials),
+                                        max_size=len(binomials)))
+            for (a, d), take in zip(binomials, picked):
+                if take:
+                    num = _times_binomial(num, a, d)
+        assert (reduce_over_binomials(num, binomials)
+                == _gcd_path(num, binomials))
+
+    def test_repeated_and_shared_factors(self):
+        # (1 - q^2 t^2) and (1 - q t) share Phi_1(q t); cancelling
+        # (1 - q t)^2 needs a second division by the same factor
+        for binomials, carried in (
+                (((1, 1), (1, 1)), ((1, 1), (1, 1))),
+                (((2, 2), (1, 1)), ((1, 1), (1, 1))),
+                (((2, 2), (2, 2), (1, 0)), ((2, 0), (1, 1))),
+                (((3, 0), (1, 2)), ((1, 0),))):
+            num = {(0, 0): 1, (1, 2): 2}
+            for a, d in carried:
+                num = _times_binomial(num, a, d)
+            assert (reduce_over_binomials(num, binomials)
+                    == _gcd_path(num, binomials)), binomials
+
+    def test_signs(self):
+        # 1 / (1 - q) = -1 / (q - 1); t / ((1 - t)(1 - q t)) keeps its sign
+        assert (reduce_over_binomials({(0, 0): 1}, [(1, 0)])
+                == QTRational(ONE, ONE - Q))
+        assert (reduce_over_binomials({(0, 1): 1}, [(0, 1), (1, 1)])
+                == QTRational(T, (ONE - T) * (ONE - Q * T)))
+
+    def test_invalid_binomials(self):
+        for num in ({(0, 0): 1}, {}):
+            with pytest.raises(ZeroDenominatorError):
+                reduce_over_binomials(num, [(1, 1), (0, 0)])
+            with pytest.raises(ExactError):
+                reduce_over_binomials(num, [(1, -1)])
+
+    def test_norms_match_product_construction(self):
+        from qcauchy.macdonald import norm_a_qt
+        from qcauchy.weights import arm_leg, compositions_up_to, diagram
+        for n in (1, 2, 3):
+            for lam in compositions_up_to(n, 5):
+                num, den = ONE, ONE
+                for cell in diagram(lam):
+                    arm, leg = arm_leg(lam, cell)
+                    num = num * QTPoly.one_minus_qt(leg + 1, arm + 1)
+                    den = den * QTPoly.one_minus_qt(leg + 1, arm)
+                assert norm_a_qt(lam) == QTRational(num, den), lam
 
 
 class TestQSeries:

@@ -1,6 +1,7 @@
 """Tooling around the library: the benchmark's tracer (perfbench/spans.py)
 wraps qcauchy functions by name, so a renamed or removed function must fail
-here and not in every traced benchmark operation; and the demos must run."""
+here and not in every traced benchmark operation; the demos must run; and
+the exact (q, t) query commands must not reach the general gcd."""
 
 import glob
 import os
@@ -34,3 +35,24 @@ def test_demos_run(demo):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_query_commands_need_no_gcd(monkeypatch, capsys):
+    # macdonald --spec qt|qt-inv and norm --qt reduce by trial division over
+    # the cyclotomic factors of their binomials and never fall back to the
+    # general gcd
+    from qcauchy import cli, exact
+    from qcauchy.weights import compositions_up_to
+
+    def no_gcd(a, b):
+        raise AssertionError("general gcd reached")
+    monkeypatch.setattr(exact, "qtpoly_gcd", no_gcd)
+    for n in (1, 2, 3):
+        for lam in compositions_up_to(n, 4):
+            text = ",".join(map(str, lam))
+            common = ["--n", str(n), "--lambda", text]
+            for argv in (["macdonald", *common, "--spec", "qt"],
+                         ["macdonald", *common, "--spec", "qt-inv"],
+                         ["norm", *common, "--qt"]):
+                assert cli.run(argv) == 0, argv
+    capsys.readouterr()
