@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from .exact import ExactError
 from .macdonald import e_atom_table, e_t0_table
-from .affine import beta_sequence, hw_algebra_char, hw_algebra_char_gl
+from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
+                     hw_algebra_char_gl)
 from .identities import VerificationReport
 from .series import TruncatedSeries, VariableSet, mul_truncated
 from .weights import antidominant_data, restrict_weight
@@ -97,7 +98,8 @@ def char_module(kind, lam, policy, lattice="sl"):
 def ch_weyl_ratio_check(lam, m, word):
     """Consistency of the two descriptions of the graded character ratio of
     global to local Weyl modules with characteristics: the polynomial-algebra
-    degrees against the beta-count degrees for the supplied word.
+    degrees against the degrees 1, ..., l_{alpha_j, m} of the literal beta
+    counts ``char_l`` for the supplied word.
 
     Returns a VerificationReport (variant 'weyl_ratio')."""
     import time
@@ -106,16 +108,9 @@ def ch_weyl_ratio_check(lam, m, word):
     n = len(lam)
     lam_minus, _ = antidominant_data(lam)
     by_formula = hw_algebra_char(lam, "at_m", m=m, word=word)
-    betas = beta_sequence(word)[:m]
-    degrees = []
-    for j in range(1, n):
-        neg = [0] * n
-        neg[j - 1], neg[j] = -1, 1
-        cnt = sum(1 for b in betas if b.finite_part == tuple(neg))
-        top = -(lam_minus[j - 1] - lam_minus[j]) - cnt
-        degrees.extend(range(1, top + 1))
-    from .affine import HwAlgebraChar
-    by_count = HwAlgebraChar(degrees)
+    by_count = HwAlgebraChar([
+        d for j in range(1, n)
+        for d in range(1, char_l(lam_minus, word, (j, j + 1), m) + 1)])
     ok = by_formula == by_count
     witness = None if ok else {
         "formula": list(by_formula.generator_degrees),

@@ -1,11 +1,16 @@
 r"""Exact scalar arithmetic.
 
-Four coefficient types used everywhere downstream:
+The coefficient types used everywhere downstream:
 
 * ``Rational``       -- arbitrary-precision rationals (``fractions.Fraction``),
-* ``QPoly``          -- polynomials in q over the rationals,
-* ``QTRational``     -- reduced fractions of polynomials in (q, t),
+* ``QPoly``          -- polynomials in q over the rationals, dense,
+* ``QTPoly``         -- polynomials in (q, t) over the rationals, sparse:
+                        {(q_exp, t_exp): coefficient},
+* ``QTRational``     -- reduced fractions of QTPolys,
 * ``QSeries``        -- q-power series truncated at an explicit cap.
+
+A QTPoly has no rows of its own: its t-rows, QPolys indexed by t-degree,
+are built on demand for rendering and for the general gcd.
 
 All arithmetic is exact; there is no floating point anywhere.  A
 ``QTRational`` is kept in a canonical reduced form (gcd-free, content
@@ -14,7 +19,8 @@ for the order q < t), so structural equality decides mathematical equality.
 A fraction over binomials 1 - q^a t^d, the denominators of Macdonald
 coefficients and norms, is brought to that form by integer trial division
 by the binomials' cyclotomic factors (``reduce_over_binomials``); other
-fractions by the general gcd (``normalize_qt``).
+fractions by the general gcd (``normalize_qt``).  Both end in the one
+exact (q, t) division, ``_divide_exact``, by a lex-monic divisor.
 """
 
 from __future__ import annotations
@@ -78,7 +84,10 @@ def _coeff(x):
 
 
 def _exact_scalar_div(a, b):
-    v = Fraction(a.numerator * b.denominator, a.denominator * b.numerator)         if not (isinstance(a, int) and isinstance(b, int)) else Fraction(a, b)
+    if isinstance(a, int) and isinstance(b, int):
+        v = Fraction(a, b)
+    else:
+        v = Fraction(a.numerator * b.denominator, a.denominator * b.numerator)
     return v.numerator if v.denominator == 1 else v
 
 
@@ -290,12 +299,10 @@ class QPoly:
 
 
 def _gcd_int(a, b):
-    import math
     return math.gcd(a, b) or 1
 
 
 def _prim_int_list(coeffs):
-    import math
     g = 0
     for c in coeffs:
         g = math.gcd(g, c)
@@ -308,10 +315,9 @@ def _int_prim(p):
     """Integer primitive coefficient list of a QPoly, or None for zero."""
     if p.is_zero:
         return None
-    from math import gcd, lcm
     den = 1
     for c in p.coeffs:
-        den = lcm(den, c.denominator)
+        den = math.lcm(den, c.denominator)
     ints = [int(c * den) for c in p.coeffs]
     return _prim_int_list(ints)
 
@@ -335,205 +341,181 @@ def gaussian_binomial(m, a):
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials in (q, t): dense in t with QPoly coefficients
+# polynomials in (q, t): sparse, {(q_exp, t_exp): coefficient}
 # ---------------------------------------------------------------------------
 
+def _clean(m):
+    """m without its zero coefficients, integral Fractions made ints."""
+    return {k: v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            for k, v in m.items() if v}
+
+
+def _qpoly(row):
+    """The QPoly of a sparse row {q_exp: coefficient} of a QTPoly, whose
+    coefficients are already nonzero and normalized."""
+    p = QPoly.__new__(QPoly)
+    p.coeffs = tuple(row.get(i, 0) for i in range(max(row, default=-1) + 1))
+    return p
+
+
 class QTPoly:
-    """Polynomial in (q, t) stored as a tuple of QPoly indexed by t-degree."""
+    """Polynomial in (q, t) with rational coefficients, stored sparse.
 
-    __slots__ = ("tcoeffs",)
+    ``m`` maps (q_exp, t_exp) to a nonzero coefficient: an int, or a
+    Fraction where it is not integral.  The constructor trusts ``m`` to be
+    in that form.  The Macdonald recursion builds its integer numerators
+    in place (``add_inplace``), Laurent in q (``mul_qpow``); every other
+    QTPoly, in particular the numerator and denominator of a QTRational,
+    is a polynomial that nothing changes after it is built.  The t-rows
+    (``tcoeff``, ``tcoeffs``) are QPoly views built on demand, for
+    rendering and for the general gcd.
+    """
 
-    def __init__(self, tcoeffs=()):
-        cs = [c if isinstance(c, QPoly) else QPoly((c,)) for c in tcoeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        self.tcoeffs = tuple(cs)
+    __slots__ = ("m",)
+
+    def __init__(self, m=None):
+        self.m = m if m is not None else {}
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls()
 
     @classmethod
     def one(cls):
-        return cls((QPoly.one(),))
+        return cls({(0, 0): 1})
 
     @classmethod
     def q(cls):
-        return cls((QPoly.gen(),))
+        return cls({(1, 0): 1})
 
     @classmethod
     def t(cls):
-        return cls((QPoly.zero(), QPoly.one()))
+        return cls({(0, 1): 1})
 
     @classmethod
     def from_qpoly(cls, p):
-        return cls((p,))
+        return cls({(i, 0): c for i, c in enumerate(p.coeffs) if c})
 
     @classmethod
     def term(cls, c, i, j):
         """c * q^i * t^j."""
-        return cls((QPoly.zero(),) * j + (QPoly.monomial(i, c),))
-
-    @classmethod
-    def from_terms(cls, terms):
-        """From a sparse dict {(q_exp, t_exp): coefficient}, exponents >= 0."""
-        rows = {}
-        for (i, j), c in terms.items():
-            if i < 0 or j < 0:
-                raise ExactError("negative exponent; clear it first")
-            rows.setdefault(j, {})[i] = c
-        out = []
-        for j in range(max(rows, default=-1) + 1):
-            row = rows.get(j, {})
-            out.append(QPoly([row.get(i, 0)
-                              for i in range(max(row, default=-1) + 1)]))
-        return cls(out)
+        c = _coeff(c)
+        return cls({(i, j): c} if c else {})
 
     @classmethod
     def one_minus_qt(cls, a, d):
         """1 - q^a t^d with a >= 0, d >= 0."""
-        if d == 0:
-            return cls((QPoly.one() - QPoly.monomial(a),))
-        return cls((QPoly.one(),) + (QPoly.zero(),) * (d - 1) + (QPoly.monomial(a, -1),))
+        return cls.one().mul_one_minus_qt(a, d)
 
     @property
     def is_zero(self):
-        return not self.tcoeffs
+        return not self.m
 
     def tdegree(self):
-        return len(self.tcoeffs) - 1
+        return max((j for _, j in self.m), default=-1)
 
     def qdegree(self):
-        return max((c.degree() for c in self.tcoeffs if not c.is_zero), default=-1)
+        return max((i for i, _ in self.m), default=-1)
+
+    def qval(self):
+        return min((i for i, _ in self.m), default=0)
 
     def tvaluation(self):
         if self.is_zero:
             raise ExactError("t-valuation of zero polynomial")
-        for j, c in enumerate(self.tcoeffs):
-            if not c.is_zero:
-                return j
-        raise AssertionError
+        return min(j for _, j in self.m)
 
     def tcoeff(self, j):
-        if 0 <= j < len(self.tcoeffs):
-            return self.tcoeffs[j]
-        return QPoly.zero()
+        """The coefficient of t^j, a QPoly."""
+        return _qpoly({i: c for (i, k), c in self.m.items() if k == j})
+
+    @property
+    def tcoeffs(self):
+        """The t-rows: the QPoly coefficients of t^0, ..., t^tdegree."""
+        rows = {}
+        for (i, j), c in self.m.items():
+            rows.setdefault(j, {})[i] = c
+        return tuple(_qpoly(rows.get(j, {}))
+                     for j in range(max(rows, default=-1) + 1))
+
+    def copy(self):
+        return QTPoly(dict(self.m))
+
+    def add_inplace(self, other, sign=1):
+        """self += sign * other, in place; returns self.  Like
+        ``mul_one_minus_qt`` it keeps an integral sum of Fractions a
+        Fraction: the numerators built in place are integer, and
+        ``__add__`` and ``__sub__`` normalize."""
+        m = self.m
+        for k, v in other.m.items():
+            nv = m.get(k, 0) + sign * v
+            if nv:
+                m[k] = nv
+            else:
+                m.pop(k, None)
+        return self
 
     def __add__(self, other):
-        a, b = self.tcoeffs, other.tcoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return QTPoly(out)
+        return QTPoly(_clean(self.copy().add_inplace(other).m))
 
     def __neg__(self):
-        return QTPoly(tuple(-c for c in self.tcoeffs))
+        return QTPoly({k: -v for k, v in self.m.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return QTPoly(_clean(self.copy().add_inplace(other, -1).m))
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return QTPoly(())
-        a, b = self.tcoeffs, other.tcoeffs
-        out = [QPoly.zero()] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca.is_zero:
-                continue
-            for j, cb in enumerate(b):
-                if not cb.is_zero:
-                    out[i + j] = out[i + j] + ca * cb
-        return QTPoly(out)
-
-    def __pow__(self, n):
-        result = QTPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale_qpoly(self, p):
-        return QTPoly(tuple(c * p for c in self.tcoeffs))
+        out = {}
+        for (i, j), a in self.m.items():
+            for (k, l), b in other.m.items():
+                key = (i + k, j + l)
+                out[key] = out.get(key, 0) + a * b
+        return QTPoly(_clean(out))
 
     def scale(self, c):
         c = _coeff(c)
-        return QTPoly(tuple(x.scale(c) for x in self.tcoeffs))
+        return QTPoly(_clean({k: v * c for k, v in self.m.items()}))
 
-    def shift_t(self, k):
-        if self.is_zero:
+    def mul_qpow(self, k):
+        """Multiply by q^k, k of either sign."""
+        if k == 0:
             return self
-        return QTPoly((QPoly.zero(),) * k + self.tcoeffs)
+        return QTPoly({(i + k, j): v for (i, j), v in self.m.items()})
 
-    def content_q(self):
-        """Monic gcd over Q[q] of all t-coefficients."""
-        g = QPoly.zero()
-        for c in self.tcoeffs:
-            g = g.gcd(c)
-            if g.degree() == 0:
-                break
-        return g
+    def mul_t(self):
+        return QTPoly({(i, j + 1): v for (i, j), v in self.m.items()})
 
-    def primitive_t(self):
-        g = self.content_q()
-        if g.is_zero or g == QPoly.one():
-            return self
-        return QTPoly(tuple(c.exact_div(g) for c in self.tcoeffs))
-
-    def exact_div(self, other):
-        """Exact division in (Q[q])[t]; raises if not divisible."""
-        if other.is_zero:
-            raise ZeroDivisionError
-        rem = list(self.tcoeffs)
-        db = other.tdegree()
-        lb = other.tcoeffs[-1]
-        quo = [QPoly.zero()] * max(0, len(rem) - db)
-        while len(rem) - 1 >= db and rem:
-            if rem[-1].is_zero:
-                rem.pop()
-                continue
-            k = len(rem) - 1 - db
-            f = rem[-1].exact_div(lb)
-            quo[k] = f
-            for i, c in enumerate(other.tcoeffs):
-                rem[k + i] = rem[k + i] - f * c
-            rem.pop()
-        if any(not c.is_zero for c in rem):
-            raise ExactError("inexact (q,t)-polynomial division")
-        return QTPoly(quo)
+    def mul_one_minus_qt(self, a, d):
+        """Multiply by 1 - q^a t^d."""
+        out = dict(self.m)
+        for (i, j), v in self.m.items():
+            k = (i + a, j + d)
+            nv = out.get(k, 0) - v
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+        return QTPoly(out)
 
     def eval_qt(self, qv, tv):
         qv, tv = _frac(qv), _frac(tv)
-        acc = Fraction(0)
-        for c in reversed(self.tcoeffs):
-            acc = acc * tv + c(qv)
-        return acc
+        return sum((c * qv ** i * tv ** j for (i, j), c in self.m.items()),
+                   _ZERO)
 
     def lex_leading(self):
         """(t-degree, q-degree, coefficient) of the lex-leading term, q < t."""
         if self.is_zero:
             raise ExactError("leading term of zero polynomial")
-        j = self.tdegree()
-        c = self.tcoeffs[j]
-        return j, c.degree(), c.coeffs[-1]
-
-    def monomials(self):
-        for j, c in enumerate(self.tcoeffs):
-            for i, x in enumerate(c.coeffs):
-                if x != 0:
-                    yield (i, j, x)
+        j, i = max((j, i) for i, j in self.m)
+        return j, i, self.m[(i, j)]
 
     def __eq__(self, other):
         if isinstance(other, QTPoly):
-            return self.tcoeffs == other.tcoeffs
+            return self.m == other.m
         return NotImplemented
 
     def __hash__(self):
-        return hash(("QTPoly", self.tcoeffs))
+        return hash(frozenset(self.m.items()))
 
     def __repr__(self):
         return f"QTPoly({[str(c) for c in self.tcoeffs]})"
@@ -552,30 +534,51 @@ class QTPoly:
         return " + ".join(parts)
 
 
-def _pseudo_rem_t(a, b):
-    """Pseudo-remainder of a by b in (Q[q])[t]."""
-    db = b.tdegree()
-    lb = b.tcoeffs[-1]
-    r = a
-    while not r.is_zero and r.tdegree() >= db:
-        s = r.tcoeffs[-1]
-        k = r.tdegree() - db
-        r = r.scale_qpoly(lb) - b.shift_t(k).scale_qpoly(s)
-    return r
+# -- the general gcd, on t-rows: tuples of QPoly indexed by t-degree ---------
+
+def _row_content(rows):
+    """Monic gcd over Q[q] of the rows."""
+    g = QPoly.zero()
+    for c in rows:
+        g = g.gcd(c)
+        if g.degree() == 0:
+            break
+    return g
+
+
+def _row_div(rows, g):
+    """The rows divided by a common factor g (zero g: all rows zero)."""
+    if g.is_zero or g == QPoly.one():
+        return rows
+    return tuple(c.exact_div(g) for c in rows)
+
+
+def _pseudo_rem_rows(a, b):
+    """Pseudo-remainder of the rows a by the rows b in (Q[q])[t]."""
+    db, lb = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) - 1 >= db:
+        s, k = r[-1], len(r) - 1 - db
+        r = [c * lb for c in r]
+        for i, c in enumerate(b):
+            r[k + i] = r[k + i] - s * c
+        while r and r[-1].is_zero:
+            r.pop()
+    return tuple(r)
 
 
 def _t_parts_coprime(a, b):
-    """True when the t-primitive parts of a, b are provably coprime, by a
+    """True when the t-primitive rows a, b are provably coprime, by a
     gcd of the specializations at a random rational q (sound: for q0 with a
     nonvanishing t-leading coefficient, the specialized gcd degree bounds
     the true gcd degree from above)."""
     for q0 in (Fraction(3, 2), Fraction(-5, 7), Fraction(11, 4)):
-        la = a.tcoeffs[-1](q0)
-        lb = b.tcoeffs[-1](q0)
+        la = a[-1](q0)
+        lb = b[-1](q0)
         if la == 0 and lb == 0:
             continue
-        fa = QPoly([c(q0) for c in a.tcoeffs])
-        fb = QPoly([c(q0) for c in b.tcoeffs])
+        fa = QPoly([c(q0) for c in a])
+        fb = QPoly([c(q0) for c in b])
         if fa.gcd(fb).degree() == 0:
             return True
         return False
@@ -583,33 +586,34 @@ def _t_parts_coprime(a, b):
 
 
 def qtpoly_gcd(a, b):
-    """Gcd in Q[q, t] via the Euclidean algorithm in (Q(q))[t].
+    """Gcd in Q[q, t] via the Euclidean algorithm in (Q(q))[t], lex-monic.
 
-    Computed fraction-free with primitive pseudo-remainder sequences and a
-    separate gcd of q-contents; a coprimality certificate by specialization
-    short-circuits the common case.
+    Computed on the t-rows of a and b, fraction-free with primitive
+    pseudo-remainder sequences and a separate gcd of q-contents; a
+    coprimality certificate by specialization short-circuits the common
+    case.
     """
     if a.is_zero:
         return b
     if b.is_zero:
         return a
-    ca, cb = a.content_q(), b.content_q()
+    ra, rb = a.tcoeffs, b.tcoeffs
+    ca, cb = _row_content(ra), _row_content(rb)
     cont = ca.gcd(cb)
-    pa, pb = a.primitive_t(), b.primitive_t()
-    if pa.tdegree() > 0 and pb.tdegree() > 0 and _t_parts_coprime(pa, pb):
-        g = QTPoly.one()
-        return g.scale_qpoly(cont) if cont != QPoly.one() else g
-    if pa.tdegree() < pb.tdegree():
+    pa, pb = _row_div(ra, ca), _row_div(rb, cb)
+    if len(pa) > 1 and len(pb) > 1 and _t_parts_coprime(pa, pb):
+        return QTPoly.from_qpoly(cont)
+    if len(pa) < len(pb):
         pa, pb = pb, pa
-    while not pb.is_zero:
-        r = _pseudo_rem_t(pa, pb)
-        pa, pb = pb, (r.primitive_t() if not r.is_zero else r)
-    g = pa.primitive_t()
-    # normalize: q-leading coefficient of t-leading QPoly equal to 1
-    lead = g.tcoeffs[-1].coeffs[-1]
-    if lead != 1:
-        g = g.scale(_ONE / _frac(lead))
-    return g.scale_qpoly(cont) if cont != QPoly.one() else g
+    while pb:
+        r = _pseudo_rem_rows(pa, pb)
+        pa, pb = pb, _row_div(r, _row_content(r))
+    g = _row_div(pa, _row_content(pa))
+    # lex-monic: the q-leading coefficient of the t-leading row is 1
+    lead = g[-1].coeffs[-1]
+    unit = cont if lead == 1 else cont.scale(_ONE / _frac(lead))
+    return QTPoly({(i, j): c for j, row in enumerate(g)
+                   for i, c in enumerate((row * unit).coeffs) if c})
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +657,7 @@ class QTRational:
 
     @classmethod
     def from_int(cls, n):
-        return cls(QTPoly((QPoly((n,)),)), QTPoly.one(), _normalized=True)
+        return cls(QTPoly.term(n, 0, 0), QTPoly.one(), _normalized=True)
 
     @classmethod
     def from_qtpoly(cls, p):
@@ -717,7 +721,8 @@ class QTRational:
         if d0.is_zero:
             raise DivergentLimitError("denominator vanishes at t=0",
                                       num_val=None, den_val=self.den.tvaluation())
-        return QTRational(QTPoly((self.num.tcoeff(0),)), QTPoly((d0,)))
+        return QTRational(QTPoly.from_qpoly(self.num.tcoeff(0)),
+                          QTPoly.from_qpoly(d0))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, QTPoly)):
@@ -727,7 +732,7 @@ class QTRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("QTRational", self.num.tcoeffs, self.den.tcoeffs))
+        return hash(("QTRational", self.num, self.den))
 
     def __repr__(self):
         if self.den == QTPoly.one():
@@ -741,9 +746,9 @@ def _coerce_qtr(x):
     if isinstance(x, QTPoly):
         return QTRational.from_qtpoly(x)
     if isinstance(x, QPoly):
-        return QTRational.from_qtpoly(QTPoly((x,)))
+        return QTRational.from_qtpoly(QTPoly.from_qpoly(x))
     if isinstance(x, (int, Fraction)):
-        return QTRational(QTPoly((QPoly((x,)),)), QTPoly.one())
+        return QTRational(QTPoly.term(x, 0, 0), QTPoly.one())
     raise TypeError(f"cannot coerce {type(x)} to QTRational")
 
 
@@ -758,8 +763,8 @@ def normalize_qt(num, den):
         return QTRational(QTPoly.zero(), QTPoly.one(), _normalized=True)
     g = qtpoly_gcd(num, den)
     if g.tdegree() > 0 or g.qdegree() > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
+        num = _divide_exact(num, g)
+        den = _divide_exact(den, g)
     return _unit_normalized(num, den)
 
 
@@ -789,16 +794,18 @@ def _cyclotomic(k):
 
 
 def _divide_exact(num, divisor):
-    """num / divisor by sparse long division in lex order (t first, then q),
-    or None when divisor does not divide num.
+    """num / divisor for QTPolys, by sparse long division in lex order (t
+    first, then q), or None when divisor does not divide num.
 
-    ``num`` is {(q_exp, t_exp): int}; ``divisor`` is a list of
-    ((q_exp, t_exp), int), its lex-leading term first, with coefficient 1.
-    In an exact division the leading term of every remainder is a multiple
-    of the divisor's, so the first one that is not decides."""
-    (li, lj), _ = divisor[0]
-    rest = divisor[1:]
-    rem = dict(num)
+    The divisor must be lex-monic (lex-leading coefficient 1), so that
+    every quotient coefficient is a remainder coefficient.  In an exact
+    division the leading term of every remainder is a multiple of the
+    divisor's, so the first one that is not decides."""
+    lj, li, lead = divisor.lex_leading()
+    if lead != 1:
+        raise ExactError("exact division by a divisor that is not lex-monic")
+    rest = [(k, x) for k, x in divisor.m.items() if k != (li, lj)]
+    rem = dict(num.m)
     heap = [(-j, -i) for i, j in rem]
     heapq.heapify(heap)
     quo = {}
@@ -810,7 +817,8 @@ def _divide_exact(num, divisor):
         i, j = -ni - li, -nj - lj
         if i < 0 or j < 0:
             return None
-        quo[(i, j)] = c
+        quo[(i, j)] = (c.numerator if type(c) is Fraction and c.denominator == 1
+                       else c)
         # every new term is lex-below the one just removed
         for (di, dj), x in rest:
             m = (i + di, j + dj)
@@ -819,7 +827,7 @@ def _divide_exact(num, divisor):
             else:
                 rem[m] = -c * x
                 heapq.heappush(heap, (-m[1], -m[0]))
-    return quo
+    return QTPoly(quo)
 
 
 def reduce_over_binomials(num, binomials):
@@ -853,13 +861,13 @@ def reduce_over_binomials(num, binomials):
         for k in range(1, g + 1):
             if g % k == 0:
                 factors[(k, a // g, d // g)] += 1
-    num = {m: c for m, c in num.items() if c}
-    if not num:
+    num = QTPoly({m: c for m, c in num.items() if c})
+    if num.is_zero:
         return QTRational.zero()
-    den = {(0, 0): 1}
+    den = QTPoly.one()
     for (k, alpha, beta), count in factors.items():
-        phi = [((alpha * e, beta * e), c)
-               for e, c in reversed(list(enumerate(_cyclotomic(k)))) if c]
+        phi = QTPoly({(alpha * e, beta * e): c
+                      for e, c in enumerate(_cyclotomic(k)) if c})
         while count:
             quo = _divide_exact(num, phi)
             if quo is None:
@@ -867,16 +875,10 @@ def reduce_over_binomials(num, binomials):
             num = quo
             count -= 1
         for _ in range(count):
-            prod = {}
-            for (i, j), x in den.items():
-                for (di, dj), y in phi:
-                    m = (i + di, j + dj)
-                    prod[m] = prod.get(m, 0) + x * y
-            den = {m: c for m, c in prod.items() if c}
+            den = den * phi
     if len(binomials) % 2:
-        num = {m: -c for m, c in num.items()}
-    return QTRational(QTPoly.from_terms(num), QTPoly.from_terms(den),
-                      _normalized=True)
+        num = -num
+    return QTRational(num, den, _normalized=True)
 
 
 def limit_t(f, direction):
@@ -895,7 +897,8 @@ def limit_t(f, direction):
                 num_val=vn, den_val=vd)
         if vn > vd:
             return QTRational.zero()
-        return QTRational(QTPoly((f.num.tcoeff(vn),)), QTPoly((f.den.tcoeff(vd),)))
+        return QTRational(QTPoly.from_qpoly(f.num.tcoeff(vn)),
+                          QTPoly.from_qpoly(f.den.tcoeff(vd)))
     if direction == "infinity":
         dn, dd = f.num.tdegree(), f.den.tdegree()
         if dn > dd:
@@ -904,7 +907,8 @@ def limit_t(f, direction):
                 num_val=dn, den_val=dd)
         if dn < dd:
             return QTRational.zero()
-        return QTRational(QTPoly((f.num.tcoeff(dn),)), QTPoly((f.den.tcoeff(dd),)))
+        return QTRational(QTPoly.from_qpoly(f.num.tcoeff(dn)),
+                          QTPoly.from_qpoly(f.den.tcoeff(dd)))
     raise ValueError(f"unknown limit direction {direction!r}")
 
 
@@ -913,46 +917,28 @@ def invert_q(f, invert_t=False):
 
     Involutive: invert_q(invert_q(f)) == f.
 
+    Both sides go through one exponent map, q^i t^j -> q^(dq - i) t^j
+    (q^(dq - i) t^(dt - j) when t is inverted), with dq and dt the larger
+    q- and t-degree of numerator and denominator: f(1/q) is
+    q^dq num(1/q) / (q^dq den(1/q)).
+
     The image of a canonical f is gcd-free and needs only the unit
     normalization, no gcd.  q -> 1/q (and t -> 1/t) is an automorphism of
     the Laurent ring Q[q^+-1, t^+-1], so the reversed numerator and
     denominator have no common factor there; in Q[q, t] a common factor
-    could only be q (or t).  But a reversal has q-valuation 0 (and the
-    t-reversal t-valuation 0), and only one side is multiplied by a power
-    of q (of t) to clear the negative exponents.
+    could only be q (or t).  But the side of q-degree dq maps to a
+    polynomial of q-valuation 0 (the side of t-degree dt to one of
+    t-valuation 0), so q (t) divides at most one side.
     """
     if f.is_zero:
         return f
+    dq = max(f.num.qdegree(), f.den.qdegree())
+    dt, sign = (max(f.num.tdegree(), f.den.tdegree()), -1) if invert_t else (0, 1)
 
-    def rev(p):
-        # q-reversal of every t-coefficient against the global q-degree of p
-        dq = p.qdegree()
-        out = []
-        for c in p.tcoeffs:
-            if c.is_zero:
-                out.append(c)
-            else:
-                out.append(QPoly(tuple(reversed(c.coeffs)) + (0,) * 0).shift(dq - c.degree()))
-        # the reversal of coefficient c of degree d is q^(dq-d) * rev(c)
-        return QTPoly(out)
+    def image(p):
+        return QTPoly({(dq - i, dt + sign * j): c for (i, j), c in p.m.items()})
 
-    num, den = f.num, f.den
-    n2, d2 = rev(num), rev(den)
-    dn, dd = num.qdegree(), den.qdegree()
-    # f(1/q) = (q^dd / q^dn) * n2 / d2
-    if dd >= dn:
-        n2 = n2.scale_qpoly(QPoly.monomial(dd - dn))
-    else:
-        d2 = d2.scale_qpoly(QPoly.monomial(dn - dd))
-    if invert_t:
-        tn, td = n2.tdegree(), d2.tdegree()
-        n2 = QTPoly(tuple(reversed(n2.tcoeffs)))
-        d2 = QTPoly(tuple(reversed(d2.tcoeffs)))
-        if td >= tn:
-            n2 = n2.shift_t(td - tn)
-        else:
-            d2 = d2.shift_t(tn - td)
-    return _unit_normalized(n2, d2)
+    return _unit_normalized(image(f.num), image(f.den))
 
 
 # ---------------------------------------------------------------------------

@@ -103,69 +103,6 @@ def divided_difference(terms, i, add_fn):
 
 
 # ---------------------------------------------------------------------------
-# integer (q, t)-polynomials, Laurent in q
-# ---------------------------------------------------------------------------
-
-class IntQT:
-    """Sparse integer polynomial in t, Laurent in q: {(q_exp, t_exp): int}."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m=None):
-        self.m = m if m is not None else {}
-
-    @classmethod
-    def one(cls):
-        return cls({(0, 0): 1})
-
-    @property
-    def is_zero(self):
-        return not self.m
-
-    def copy(self):
-        return IntQT(dict(self.m))
-
-    def add_inplace(self, other, sign=1):
-        m = self.m
-        for k, v in other.m.items():
-            nv = m.get(k, 0) + sign * v
-            if nv:
-                m[k] = nv
-            else:
-                m.pop(k, None)
-        return self
-
-    def mul_qpow(self, k):
-        if k == 0:
-            return self
-        return IntQT({(i + k, j): v for (i, j), v in self.m.items()})
-
-    def mul_t(self):
-        return IntQT({(i, j + 1): v for (i, j), v in self.m.items()})
-
-    def mul_one_minus_qt(self, a, d):
-        """Multiply by 1 - q^a t^d."""
-        out = dict(self.m)
-        for (i, j), v in self.m.items():
-            k = (i + a, j + d)
-            nv = out.get(k, 0) - v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-        return IntQT(out)
-
-    def qval(self):
-        return min((i for i, _ in self.m), default=0)
-
-    def __eq__(self, other):
-        return isinstance(other, IntQT) and self.m == other.m
-
-    def __repr__(self):
-        return f"IntQT({self.m!r})"
-
-
-# ---------------------------------------------------------------------------
 # generic engine: factored denominators, exact integer numerators
 # ---------------------------------------------------------------------------
 
@@ -178,11 +115,11 @@ class FactoredE:
     def __init__(self, n, lam, terms, den):
         self.n = n
         self.lam = lam
-        self.terms = terms      # {exps: IntQT}
+        self.terms = terms      # {exps: QTPoly}, Laurent in q
         self.den = den          # tuple of (a, d)
 
     def den_poly(self):
-        dp = IntQT.one()
+        dp = QTPoly.one()
         for a, d in self.den:
             dp = dp.mul_one_minus_qt(a, d)
         return dp
@@ -210,7 +147,7 @@ class GenericMacdonaldEngine:
         _compositions([lam])
         parent, step = recursion_parent(lam)
         if parent is None:
-            fe = FactoredE(self.n, lam, {(0,) * self.n: IntQT.one()}, ())
+            fe = FactoredE(self.n, lam, {(0,) * self.n: QTPoly.one()}, ())
         elif step[0] == "PHI":
             fe = self._phi_step(self.get(parent), lam)
         else:
@@ -235,7 +172,7 @@ class GenericMacdonaldEngine:
         def add(out, key, c, sign):
             cur = out.get(key)
             if cur is None:
-                out[key] = c.copy() if sign == 1 else IntQT({}).add_inplace(c, -1)
+                out[key] = c.copy() if sign == 1 else -c
             else:
                 cur.add_inplace(c, sign)
                 if cur.is_zero:
@@ -277,8 +214,7 @@ class GenericMacdonaldEngine:
         if v >= 0:
             return reduce_over_binomials(c.m, fe.den)
         r = reduce_over_binomials(c.mul_qpow(-v).m, fe.den)
-        return QTRational(r.num, r.den.scale_qpoly(QPoly.monomial(-v)),
-                          _normalized=True)
+        return QTRational(r.num, r.den.mul_qpow(-v), _normalized=True)
 
     def terms_qtrational(self, lam):
         fe = self.get(_as_tuple(lam))
@@ -616,7 +552,7 @@ def macdonald_E_fillings(lam, n=None):
     if n is None:
         n = len(lam)
     cells = {}    # cell -> (q, t) exponents of its factor in D_lam
-    den = IntQT.one()
+    den = QTPoly.one()
     for cell in diagram(lam):
         arm, leg = arm_leg(lam, cell)
         cells[cell] = (leg + 1, arm + 1)
@@ -625,13 +561,11 @@ def macdonald_E_fillings(lam, n=None):
     for sigma in fillings(lam):
         weight, maj, coinv, fcells = filling_statistics(lam, sigma)
         factor = {cell for cell, _, _ in fcells}
-        num = IntQT({(maj, coinv): 1})
+        num = QTPoly({(maj, coinv): 1})
         for cell, qt in cells.items():
             num = num.mul_one_minus_qt(*((0, 1) if cell in factor else qt))
-        acc.setdefault(weight, IntQT()).add_inplace(num)
-    den = QTPoly.from_terms(den.m)
-    terms = {w: QTRational(QTPoly.from_terms(c.m), den)
-             for w, c in acc.items() if not c.is_zero}
+        acc.setdefault(weight, QTPoly()).add_inplace(num)
+    terms = {w: QTRational(c, den) for w, c in acc.items() if not c.is_zero}
     return MacdonaldPolynomial(n, lam, terms, "generic")
 
 
@@ -689,7 +623,7 @@ def norm_a_qt(lam):
     product of the numerator binomials, reduced over the denominator
     binomials by ``reduce_over_binomials``."""
     lam = _as_tuple(lam)
-    num = IntQT.one()
+    num = QTPoly.one()
     den = []
     for cell in diagram(lam):
         arm, leg = arm_leg(lam, cell)

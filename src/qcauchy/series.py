@@ -427,7 +427,7 @@ def pochhammer_series(coeff, monomial, count, varset, policy):
     while _monomial_power_admits(varset, policy, monomial, k):
         qfac = QTRational.from_qtpoly(QTPoly.term(1, k * (k - 1) // 2, 0))
         inv_poch = QTRational.from_qtpoly(
-            QTPoly((qq_pochhammer_poly(k),))).inverse()
+            QTPoly.from_qpoly(qq_pochhammer_poly(k))).inverse()
         sign = -1 if k % 2 else 1
         c = power * qfac * inv_poch * QTRational.from_int(sign)
         if not c.is_zero:

@@ -8,8 +8,7 @@ from qcauchy.exact import (DivergentLimitError, ExactError, QPoly, QSeries,
                            gaussian_binomial, geometric_series, invert_q,
                            inv_pochhammer_qq, limit_t, normalize_qt,
                            qq_pochhammer_poly, qseries_from_qtrational,
-                           qtpoly_gcd, reduce_over_binomials)
-from qcauchy.macdonald import IntQT
+                           qtpoly_gcd, reduce_over_binomials, _divide_exact)
 
 ONE = QTPoly.one()
 Q = QTPoly.q()
@@ -45,6 +44,18 @@ class TestNormalize:
         a = (T + Q).scale(10 ** 400)
         assert qtpoly_gcd(a, a) == T + Q
         assert QTRational(a, a) == QTRational.one()
+
+    def test_rational_cofactors(self):
+        # the common factor 2q + 1 is q + 1/2 in lex-monic form, so both
+        # exact divisions by it run through Fraction remainders
+        c = Q.scale(2) + ONE
+        f = normalize_qt(c * (T + Q), c * (ONE - T))
+        assert f.num == -(T + Q) and f.den == T - ONE
+        assert all(type(x) is int for x in f.num.m.values())
+
+    def test_division_needs_lex_monic_divisor(self):
+        with pytest.raises(ExactError):
+            _divide_exact(Q * T, T.scale(2))
 
 
 class TestLimit:
@@ -101,6 +112,9 @@ class TestInvertQ:
                     for invert_t in (False, True):
                         r = invert_q(c, invert_t)
                         assert r == QTRational(r.num, r.den), (lam, invert_t)
+                        assert r.eval_qt(Fraction(2, 3), Fraction(5, 7)) == \
+                            c.eval_qt(Fraction(3, 2), Fraction(7, 5)
+                                      if invert_t else Fraction(5, 7))
 
     def test_norm_factor_substitution(self):
         # substituting inside the factored norm product agrees with
@@ -160,6 +174,7 @@ def test_canonical_form_decides_equality(a, b, c):
     if b.is_zero or c.is_zero:
         return
     assert QTRational(a, b) == QTRational(a * c, b * c)
+    assert hash(QTRational(a, b)) == hash(QTRational(a * c, b * c))
 
 
 def _terms_qtpoly(terms):
@@ -170,7 +185,7 @@ def _terms_qtpoly(terms):
 
 
 def _times_binomial(terms, a, d):
-    return IntQT(terms).mul_one_minus_qt(a, d).m
+    return QTPoly(dict(terms)).mul_one_minus_qt(a, d).m
 
 
 def _gcd_path(terms, binomials):

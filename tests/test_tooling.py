@@ -4,6 +4,7 @@ here and not in every traced benchmark operation; the demos must run; and
 the exact (q, t) query commands must not reach the general gcd."""
 
 import glob
+import json
 import os
 import subprocess
 import sys
@@ -13,14 +14,34 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# installs the tracer and runs a small gl-qt verification under it, which
+# also calls the gcd's after-hook: it reads the degrees of the gcd's result
+TRACED_GL_QT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+from qcauchy import cli
+argv = ["verify", "--identity", "gl-qt", "--n", "1", "--max-deg", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    status = tracer.run_op(0, cli.run, argv)
+snap = tracer.snapshot()
+print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
+                  "exact.qtpoly_gcd.nontrivial" in snap["counts"]]))
+"""
+
+
 def test_tracer_installs():
-    code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
-            "import spans; spans.install(spans.Tracer())")
     proc = subprocess.run(
-        [sys.executable, "-c", code, os.path.join(ROOT, "perfbench"),
+        [sys.executable, "-c", TRACED_GL_QT, os.path.join(ROOT, "perfbench"),
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    status, gcd_calls, hooked = json.loads(proc.stdout.splitlines()[-1])
+    assert status == 0
+    assert gcd_calls > 0
+    assert hooked
 
 
 DEMOS = os.path.join(ROOT, "demos")
