@@ -425,6 +425,9 @@ def hw_algebra_char(lam, mode, m=None, word=None):
     if mode == "at_m":
         if word is None or m is None:
             raise ExactError("mode at_m needs m and a reduced word")
+        if not 0 <= m <= word.length:
+            raise ExactError(
+                f"m = {m} out of range for word of length {word.length}")
         betas = beta_sequence(word)[:m]
         for j in range(1, n):
             neg = [0] * n

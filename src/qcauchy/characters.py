@@ -20,12 +20,12 @@ n, policy)`` in ``identities``.
 from __future__ import annotations
 
 from .exact import ExactError
-from .macdonald import e_atom_table, e_t0_table
+from .macdonald import e_atom_table, e_t0_table, restrict_poly_terms
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
 from .identities import VerificationReport
 from .series import TruncatedSeries, VariableSet, mul_truncated
-from .weights import antidominant_data, restrict_weight
+from .weights import antidominant_data
 
 
 def _require_cap(policy):
@@ -37,16 +37,10 @@ def _require_cap(policy):
 def _embed_terms(terms, nvars, offset, restrict):
     """Exponent-keyed QSeries terms -> series terms over the chosen
     variable block, optionally pushed through the gl -> sl restriction."""
-    out = {}
-    for exps, c in terms.items():
-        if restrict:
-            exps = restrict_weight(exps)
-        key = (0,) * offset + tuple(exps) + (0,) * (nvars - offset - len(exps))
-        if key in out:
-            out[key] = out[key] + c
-        else:
-            out[key] = c
-    return out
+    if restrict:
+        terms = restrict_poly_terms(terms)
+    return {(0,) * offset + tuple(e) + (0,) * (nvars - offset - len(e)): c
+            for e, c in terms.items()}
 
 
 def char_module(kind, lam, policy, lattice="sl"):

@@ -181,26 +181,21 @@ def cmd_verify(args):
         if args.max_q is None:
             raise UsageError(f"{args.identity} needs --max-q")
         policy = TruncationPolicy(args.max_deg, args.max_deg, args.max_q)
-    if variant == "sl2_appendix":
-        if args.n != 2:
-            raise UsageError("sl2-appendix is a rank-2 suite; use --n 2")
-        report = verify_sl2_appendix((-args.max_deg, args.max_deg), args.max_q)
-    else:
-        report = verify_identity(variant, args.n, policy)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.text())
-    print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
-    return 0 if report.passed else 1
+    if variant == "sl2_appendix" and args.n != 2:
+        raise UsageError("sl2-appendix is a rank-2 suite; use --n 2")
+    return _emit_report(verify_identity(variant, args.n, policy), args.format)
 
 
 def cmd_appendix(args):
-    report = verify_sl2_appendix((-args.range, args.range), args.max_q)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.text())
+    return _emit_report(
+        verify_sl2_appendix((-args.range, args.range), args.max_q),
+        args.format)
+
+
+def _emit_report(report, fmt):
+    """Print the report on stdout and its time on stderr; return the exit
+    status."""
+    print(report.to_json() if fmt == "json" else report.text())
     print(f"elapsed: {report.elapsed:.3f}s", file=sys.stderr)
     return 0 if report.passed else 1
 

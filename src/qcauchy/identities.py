@@ -15,13 +15,16 @@ in canonical order as the failure witness):
 * ``sl2_appendix`` -- the rank-one closed forms.
 
 The sl projection sums fibers lam + k*1.  ``sl_certificate`` walks, per
-class pair, every solution of the support system of the kernel once: it
+class pair, the solutions of the support system of the kernel once: it
 bounds the fiber index k, which fixes the certified gl box, and it sums the
-solutions' weights, which are the projected product side.  The Macdonald
-side then sums every min-zero lam up to that box: E_lam(x) E_lam(y) has
-x- and y-degree |lam|, so these are all the summands that can reach a
-certified fiber.  Every summand has nonnegative coefficients, which is
-checked as it is read.
+solutions' weights, which are the projected product side.  The system sees
+a beta matrix only through its margins (row and column sums), so the walk
+runs over margin classes, each weighing the sum over its matrices.  The
+Macdonald side then sums every min-zero lam up to that box: E_lam(x)
+E_lam(y) has x- and y-degree |lam|, so these are all the summands that can
+reach a certified fiber.  Every summand has nonnegative coefficients, which
+is checked as it is read.  ``_sl_series`` turns the sums per class pair of
+either side into the sl series on the window.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _mk_report(variant, n, policy_dict, diff, varset, lam_count, t_start):
+def _mk_report(variant, n, policy_dict, diff, lam_count, t_start):
     if diff is None:
         return VerificationReport(variant, n, policy_dict, "pass", None,
                                   lam_count, time.monotonic() - t_start)
@@ -235,93 +238,62 @@ def sl_window_pairs(n, max_deg):
     return pairs
 
 
-def _kostant_solutions(c, n):
-    """Nonnegative solutions {m_{ij}} of sum m_{ij} (e_i - e_j) = c, i < j.
+def _kostant_xsums(c, n):
+    """The x-side sums (sum_j m_{ij})_i of the nonnegative solutions {m_{ij}}
+    of sum m_{ij} (e_i - e_j) = c, i < j, one list per solution.
 
     Each unit of m_{ij} consumes j - i units of the weighted height
     -sum k c_k, which bounds the search."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     sols = []
+    mx = [0] * n
 
-    def rec(idx, rem, m):
+    def rec(idx, rem):
         height = -sum(k * rem[k] for k in range(n))
         if height < 0:
             return
         if idx == len(pairs):
             if all(x == 0 for x in rem):
-                sols.append(dict(m))
+                sols.append(list(mx))
             return
         i, j = pairs[idx]
         for v in range(height // (j - i) + 1):
             rem[i] -= v
             rem[j] += v
-            m[(i, j)] = v
-            rec(idx + 1, rem, m)
+            mx[i] += v
+            rec(idx + 1, rem)
             rem[i] += v
             rem[j] -= v
-        del m[(i, j)]
+            mx[i] -= v
 
-    rec(0, list(c), {})
+    rec(0, list(c))
     return sols
 
 
-def _beta_matrices(n, budget):
-    """Nonnegative n x n matrices with entry sum <= budget, as
-    (row sums, column sums, entries in row-major order)."""
+def _beta_margins(n, K):
+    """The nonnegative n x n matrices with entry sum <= K, grouped by their
+    margins: a list of (row sums, column sums, weight), sorted by entry sum,
+    where the weight is the sum over the class of prod_entries
+    q^v / (q; q)_v at cap K."""
+    beta_w = [inv_pochhammer_qq(v, K).shift(v) for v in range(K + 1)]
     cells = [(r, s) for r in range(n) for s in range(n)]
-    out = []
+    classes = {}
 
-    def rec(idx, left, rows, cols, entries):
+    def rec(idx, left, rows, cols, w):
         if idx == len(cells):
-            out.append((tuple(rows), tuple(cols), tuple(entries)))
+            key = (tuple(rows), tuple(cols))
+            classes[key] = classes[key] + w if key in classes else w
             return
         r, s = cells[idx]
         for v in range(left + 1):
             rows[r] += v
             cols[s] += v
-            entries.append(v)
-            rec(idx + 1, left - v, rows, cols, entries)
-            entries.pop()
+            rec(idx + 1, left - v, rows, cols, w * beta_w[v] if v else w)
             rows[r] -= v
             cols[s] -= v
-    rec(0, budget, [0] * n, [0] * n, [])
-    return out
-
-
-def _sl_supports(n, pairs, K):
-    """The solutions of the support system of sl_certificate on the given
-    class pairs: yields (pair, S, beta entries, k) for every S and beta
-    matrix within the q-budget sum(beta) + S(S+1)/2 <= K and every Kostant
-    solution m, with the fiber index k it lands on, when both k and the
-    y-side index k - (|b| - |a|) / n are nonnegative."""
-    betas_by_budget = {}
-    kostant = {}    # tuple(c) -> the x-side sums of its Kostant solutions
-    for a, b in pairs:
-        off, rem = divmod(sum(b) - sum(a), n)
-        if rem:
-            continue
-        S = 0
-        while S * (S + 1) // 2 <= K:
-            budget = K - S * (S + 1) // 2
-            if budget not in betas_by_budget:
-                betas_by_budget[budget] = _beta_matrices(n, budget)
-            for rows, cols, entries in betas_by_budget[budget]:
-                c = [a[i] + off - b[i] - rows[i] + cols[i] for i in range(n)]
-                if sum(c) != 0:
-                    continue
-                sums = kostant.get(tuple(c))
-                if sums is None:
-                    sums = kostant[tuple(c)] = []
-                    for m in _kostant_solutions(c, n):
-                        mx = [0] * n
-                        for (i, _), v in m.items():
-                            mx[i] += v
-                        sums.append(mx)
-                for mx in sums:
-                    k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
-                    if k >= 0 and k >= off:
-                        yield (a, b), S, entries, k
-            S += 1
+    rec(0, K, [0] * n, [0] * n, QSeries.one(K))
+    return sorted(((rows, cols, w) for (rows, cols), w in classes.items()),
+                  key=lambda item: sum(item[0]))
 
 
 def _sl_window_policy(pairs, K):
@@ -329,6 +301,16 @@ def _sl_window_policy(pairs, K):
     degree in both blocks, q-cap K."""
     wdeg = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
     return TruncationPolicy(2 * wdeg, 2 * wdeg, K)
+
+
+def _sl_series(n, pairs, K, by_pair):
+    """The sl series on the window of ``pairs`` from {class pair: QSeries}:
+    each pair keyed on its sl class, zero sums dropped.  restrict_weight is
+    injective on min-zero representatives, so no two pairs share a key."""
+    terms = {restrict_weight(a) + restrict_weight(b): c
+             for (a, b), c in by_pair.items() if not c.is_zero}
+    return TruncatedSeries(VariableSet.sl(n), _sl_window_policy(pairs, K),
+                           terms, _checked=True)
 
 
 def sl_certificate(n, pairs, K):
@@ -343,31 +325,52 @@ def sl_certificate(n, pairs, K):
     shift k by n(k - l) = |b| - |a| (the kernel is balanced), so one index
     suffices.
 
-    The same walk sums the solutions' coefficients in the gl_slform
-    product, which are exactly the fiber sums project_to_sl would take over
-    the full box: a beta entry v weighs q^v / (q; q)_v, and S weighs
-    (-1)^S q^{S(S+1)/2} / (q; q)_S.  Returns (kmax, Dx, Dy, fibers) with
-    kmax keyed on the x-side and fibers[pair] that sum, for every pair with
-    a solution."""
-    inv_poch = [inv_pochhammer_qq(m, K) for m in range(K + 1)]
-    beta_w = [p.shift(v) for v, p in enumerate(inv_poch)]
-    poch_w = [p.shift(S * (S + 1) // 2) * (-1 if S % 2 else 1)
-              for S, p in enumerate(inv_poch)]
-    zero = QSeries.zero(K)
+    Eliminating nu leaves the Kostant system sum m_{ij} (e_i - e_j) = c,
+    c = a - b + (|b| - |a|)/n * 1 - rows + cols, and k is the largest entry
+    of m's x-side sums + rows + S - a.  Both see beta only through its
+    margins (rows, cols), so the walk counts, per pair, S and margin class,
+    the Kostant solutions with k >= 0 and k >= (|b| - |a|)/n.
+
+    It also sums the solutions' coefficients in the gl_slform product,
+    which are exactly the fiber sums project_to_sl would take over the full
+    box: a beta matrix weighs prod_entries q^v / (q; q)_v (summed over its
+    class by ``_beta_margins``), and S weighs (-1)^S q^{S(S+1)/2} / (q; q)_S.
+    Returns (kmax, Dx, Dy, fibers) with kmax keyed on the x-side and
+    fibers[pair] that sum, for every pair with a solution."""
+    poch_w = [inv_pochhammer_qq(S, K).shift(S * (S + 1) // 2)
+              * (-1 if S % 2 else 1)
+              for S in range(K + 1) if S * (S + 1) // 2 <= K]
+    margins = _beta_margins(n, K)
+    kostant = {}    # c -> the x-side sums of its Kostant solutions
     kmax = {pair: -1 for pair in pairs}
-    weights = {}    # (S, beta entries) -> weight; each is formed once per call
     fibers = {}
-    for pair, S, entries, k in _sl_supports(n, pairs, K):
-        if k > kmax[pair]:
-            kmax[pair] = k
-        w = weights.get((S, entries))
-        if w is None:
-            w = poch_w[S]
-            for v in entries:
-                if v:
-                    w = w * beta_w[v]
-            weights[(S, entries)] = w
-        fibers[pair] = fibers.get(pair, zero) + w
+    for pair in pairs:
+        a, b = pair
+        off, rem = divmod(sum(b) - sum(a), n)
+        if rem:
+            continue
+        for S, pw in enumerate(poch_w):
+            acc = [0] * (K + 1)     # integer coefficients of q^0 .. q^K
+            for rows, cols, w in margins:
+                if sum(rows) + S * (S + 1) // 2 > K:
+                    break
+                c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
+                          for i in range(n))
+                sums = kostant.get(c)
+                if sums is None:
+                    sums = kostant[c] = _kostant_xsums(c, n)
+                count = 0
+                for mx in sums:
+                    k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
+                    if k >= 0 and k >= off:
+                        count += 1
+                        kmax[pair] = max(kmax[pair], k)
+                if count:
+                    for i, x in enumerate(w.coeffs):
+                        acc[i] += count * x
+            if any(acc):    # iff a solution: class weights are >= 0, nonzero
+                term = pw * QSeries(K, acc)
+                fibers[pair] = fibers[pair] + term if pair in fibers else term
     Dx = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
              default=0)
     Dy = Dx    # the balance relation makes the two box needs coincide
@@ -380,42 +383,27 @@ def project_to_sl(f, pairs, kmax, K):
     Requires the series box to contain every certified fiber contributor;
     raises otherwise ('window exceeds certified bound')."""
     n = f.varset.nx
-    out = {}
+    by_pair = {}
     for (a, b) in pairs:
         k = kmax.get((a, b), -1)
         if k < 0:
             continue
         off = (sum(b) - sum(a)) // n
-        if sum(a) + n * k > f.policy.max_x_degree or \
-           sum(a) + n * k > f.policy.max_y_degree:
+        if sum(a) + n * k > min(f.policy.max_x_degree, f.policy.max_y_degree):
             raise InvariantError("window exceeds certified bound")
-        acc = None
         for kk in range(max(0, off), k + 1):
             exps = tuple(x + kk for x in a) + tuple(y + kk - off for y in b)
             c = f.terms.get(exps)
             if c is not None:
-                acc = c if acc is None else acc + c
-        if acc is not None and not acc.is_zero:
-            key = restrict_weight(a) + restrict_weight(b)
-            if key in out:
-                out[key] = out[key] + acc
-            else:
-                out[key] = acc
-    return TruncatedSeries(VariableSet.sl(n), _sl_window_policy(pairs, K),
-                           out, _checked=True)
+                prev = by_pair.get((a, b))
+                by_pair[(a, b)] = c if prev is None else prev + c
+    return _sl_series(n, pairs, K, by_pair)
 
 
 def _sl_lhs_window(n, pairs, fibers, K):
     """Projected gl_slform product side: the fiber sums of
     ``sl_certificate`` keyed on their sl classes."""
-    zero = QSeries.zero(K)
-    out = {}
-    for (a, b), c in fibers.items():
-        key = restrict_weight(a) + restrict_weight(b)
-        out[key] = out.get(key, zero) + c
-    out = {k: v for k, v in out.items() if not v.is_zero}
-    return TruncatedSeries(VariableSet.sl(n), _sl_window_policy(pairs, K),
-                           out, _checked=True)
+    return _sl_series(n, pairs, K, fibers)
 
 
 def _sl_rhs_adaptive(n, pairs, K, bound):
@@ -461,21 +449,14 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
                 yhits.append((rep, c))
         for arep, ca in xhits:
             for brep, cb in yhits:
-                if (arep, brep) not in pair_set:
+                pair = (arep, brep)
+                if pair not in pair_set:
                     continue
-                key = restrict_weight(arep) + restrict_weight(brep)
                 prod = ca * cb
-                acc_a[key] = acc_a.get(key, zero) + prod * norm_a
-                acc_h[key] = acc_h.get(key, zero) + prod * norm_h
-    svars = VariableSet.sl(n)
-    spolicy = _sl_window_policy(pairs, K)
-    sa = TruncatedSeries(svars, spolicy,
-                         {k: v for k, v in acc_a.items() if not v.is_zero},
-                         _checked=True)
-    sh = TruncatedSeries(svars, spolicy,
-                         {k: v for k, v in acc_h.items() if not v.is_zero},
-                         _checked=True)
-    return sa, sh, len(lambdas)
+                acc_a[pair] = acc_a.get(pair, zero) + prod * norm_a
+                acc_h[pair] = acc_h.get(pair, zero) + prod * norm_h
+    return (_sl_series(n, pairs, K, acc_a), _sl_series(n, pairs, K, acc_h),
+            len(lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +482,7 @@ def verify_identity(variant, n, policy):
         diff = first_difference(p_lhs, p_gl)
         if diff is None:
             diff = first_difference(p_gl, p_sl)
-        return _mk_report(variant, n, policy_dict, diff, p_lhs.varset,
-                          count, t_start)
+        return _mk_report(variant, n, policy_dict, diff, count, t_start)
 
     if variant == "sl2_appendix":
         return verify_sl2_appendix(
@@ -512,7 +492,7 @@ def verify_identity(variant, n, policy):
     lhs = lhs_series(variant, n, policy)
     rhs = rhs_series(variant, n, policy)
     diff = first_difference(lhs, rhs)
-    return _mk_report(variant, n, policy_dict, diff, lhs.varset,
+    return _mk_report(variant, n, policy_dict, diff,
                       len(_rhs_lambdas(variant, n, policy)), t_start)
 
 

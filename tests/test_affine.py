@@ -160,6 +160,14 @@ class TestHwAlgebra:
                 assert hw_algebra_char(lam, "U") == \
                     hw_algebra_char(lam, "at_m", m=pu, word=wu), lam
 
+    def test_at_m_out_of_range(self):
+        # m outside 0..length is rejected as char_l rejects it, not sliced
+        word, _ = factorized_words((0, 2), "U")
+        assert word.length == 2
+        for m in (-1, 7):
+            with pytest.raises(ExactError):
+                hw_algebra_char((0, 2), "at_m", m=m, word=word)
+
     def test_norm_identification(self):
         # characters of the D algebras match the arm/leg norm on canonical
         # representatives

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from qcauchy.exact import QSeries, QTRational, inv_pochhammer_qq
-from qcauchy.identities import (_sl_lhs_window, lhs_series, project_to_sl,
-                                rhs_series, sl_certificate, sl_window_pairs,
-                                verify_identity, verify_sl2_appendix)
+from qcauchy.identities import (_kostant_xsums, _sl_lhs_window, lhs_series,
+                                project_to_sl, rhs_series, sl_certificate,
+                                sl_window_pairs, verify_identity,
+                                verify_sl2_appendix)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series)
@@ -257,6 +260,65 @@ def test_sl_window_matches_full_box_projection(n, w, K):
     got = _sl_lhs_window(n, pairs, fibers, K)
     assert got.terms == want.terms
     assert got.policy == want.policy
+
+
+def _matrices(cells, budget):
+    """Entry tuples of the nonnegative matrices with the given number of
+    cells and entry sum <= budget."""
+    if cells == 0:
+        yield ()
+        return
+    for v in range(budget + 1):
+        for rest in _matrices(cells - 1, budget - v):
+            yield (v,) + rest
+
+
+def _per_matrix_certificate(n, pairs, K):
+    """The certificate's (kmax, Dx, fibers) by a walk over every beta
+    matrix on its own: the row and column sums, the Kostant right-hand side
+    and the weight are formed per matrix, with no grouping by margins."""
+    inv_poch = [inv_pochhammer_qq(v, K) for v in range(K + 1)]
+    kostant = {}
+    kmax = {pair: -1 for pair in pairs}
+    fibers = {}
+    S = 0
+    while S * (S + 1) // 2 <= K:
+        betas = []
+        for entries in _matrices(n * n, K - S * (S + 1) // 2):
+            w = inv_poch[S].shift(S * (S + 1) // 2) * (-1) ** S
+            for v in entries:
+                w = w * inv_poch[v].shift(v)
+            betas.append(([sum(entries[r * n:(r + 1) * n]) for r in range(n)],
+                          [sum(entries[s::n]) for s in range(n)], w))
+        for a, b in pairs:
+            off, rem = divmod(sum(b) - sum(a), n)
+            if rem:
+                continue
+            for rows, cols, w in betas:
+                c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
+                          for i in range(n))
+                if c not in kostant:
+                    kostant[c] = _kostant_xsums(c, n)
+                for mx in kostant[c]:
+                    k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
+                    if k >= 0 and k >= off:
+                        kmax[(a, b)] = max(kmax[(a, b)], k)
+                        fibers[(a, b)] = fibers.get((a, b),
+                                                    QSeries.zero(K)) + w
+        S += 1
+    Dx = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
+             default=0)
+    return kmax, Dx, fibers
+
+
+@pytest.mark.parametrize("n, w, K", list(itertools.product(
+    (1, 2, 3), (1, 2, 3), range(5))))
+def test_margin_certificate_matches_per_matrix_walk(n, w, K):
+    # grouping the beta matrices by margins changes no bound and no sum
+    pairs = sl_window_pairs(n, w)
+    kmax, Dx, Dy, fibers = sl_certificate(n, pairs, K)
+    assert Dy == Dx
+    assert (kmax, Dx, fibers) == _per_matrix_certificate(n, pairs, K)
 
 
 @pytest.mark.parametrize("n, w, K, summands, box", [

@@ -15,8 +15,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # installs the tracer and runs a small gl-qt verification under it, which
-# also calls the gcd's after-hook: it reads the degrees of the gcd's result
-TRACED_GL_QT = """
+# also calls the gcd's after-hook: it reads the degrees of the gcd's result;
+# then a small sl verification, whose after-hooks read the certified box at
+# r[1] of sl_certificate and the summand count at r[2] of _sl_rhs_adaptive
+TRACED_VERIFY = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import spans
@@ -27,21 +29,34 @@ argv = ["verify", "--identity", "gl-qt", "--n", "1", "--max-deg", "2"]
 with contextlib.redirect_stdout(io.StringIO()):
     status = tracer.run_op(0, cli.run, argv)
 snap = tracer.snapshot()
+before = dict(snap["counts"])
+argv = ["verify", "--identity", "sl", "--n", "2", "--max-deg", "2",
+        "--max-q", "3"]
+with contextlib.redirect_stdout(io.StringIO()):
+    sl_status = tracer.run_op(1, cli.run, argv)
+sl_counts = {name: v - before.get(name, 0)
+             for name, v in tracer.snapshot()["counts"].items()}
 print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
-                  "exact.qtpoly_gcd.nontrivial" in snap["counts"]]))
+                  "exact.qtpoly_gcd.nontrivial" in snap["counts"],
+                  sl_status, sl_counts]))
 """
 
 
 def test_tracer_installs():
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_GL_QT, os.path.join(ROOT, "perfbench"),
+        [sys.executable, "-c", TRACED_VERIFY, os.path.join(ROOT, "perfbench"),
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, gcd_calls, hooked = json.loads(proc.stdout.splitlines()[-1])
+    status, gcd_calls, hooked, sl_status, sl_counts = json.loads(
+        proc.stdout.splitlines()[-1])
     assert status == 0
     assert gcd_calls > 0
     assert hooked
+    # the report's certified_box and summands at this point
+    assert sl_status == 0
+    assert sl_counts["identities.certificate.box"] == 8
+    assert sl_counts["identities.macdonald_side.summands"] == 17
 
 
 DEMOS = os.path.join(ROOT, "demos")
