@@ -1,14 +1,16 @@
 """Norm factors and the affine combinatorics behind them.
 
 The norm a_lambda(q) has three independent descriptions: the arm/leg cell
-product, an alternative Pochhammer product read off the antidominant data,
-and the Hilbert series of a free polynomial algebra whose generator degrees
-come from reduced-word prefixes in the extended affine Weyl group.  This
-script computes all three and shows the word machinery.
+product, the t -> 0 limit of the exact a_lambda(q, t), and an alternative
+Pochhammer product read off the antidominant data.  The alternative product
+is the Hilbert series of a free polynomial algebra (times 1/(q; q)_{min
+lambda} in gl), whose generator degrees come from reduced-word prefixes in
+the extended affine Weyl group: ``hw_algebra_char_gl`` computes both at
+once.  This script computes all three and shows the word machinery.
 """
 
 from qcauchy import (beta_sequence, factorized_words, hw_algebra_char,
-                     limit_t, norm_a_q, norm_a_q_alt, norm_a_qt,
+                     hw_algebra_char_gl, limit_t, norm_a_q, norm_a_qt,
                      qseries_from_qtrational, translation_reduced_word)
 
 
@@ -21,7 +23,7 @@ def main():
     print("  ", norm_a_qt(lam), "\n")
 
     a1 = norm_a_q(lam, cap)
-    a2 = norm_a_q_alt(lam, cap)
+    a2 = hw_algebra_char_gl(lam, "D", cap)
     a3 = qseries_from_qtrational(limit_t(norm_a_qt(lam), "zero"), cap)
     print("arm/leg product     :", list(a1.coeffs))
     print("alternative product :", list(a2.coeffs))

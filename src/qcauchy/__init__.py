@@ -14,12 +14,12 @@ from .weights import (Composition, Permutation, antidominant_data, arm_leg,
                       bruhat_leq, diagram, order_geq, restrict_weight,
                       sl_representative)
 from .macdonald import (MacdonaldPolynomial, fillings, macdonald_E,
-                        macdonald_E_fillings, norm_a_q, norm_a_q_alt,
-                        norm_a_qt, rs_polynomial, sl2_closed_forms,
-                        specialize_E)
+                        macdonald_E_fillings, norm_a_q, norm_a_qt,
+                        rs_polynomial, sl2_closed_forms, specialize_E)
 from .affine import (AffineCoroot, AffinePerm, HwAlgebraChar, ReducedWord,
                      beta_sequence, char_l, factorized_words,
-                     hw_algebra_char, translation_reduced_word)
+                     hw_algebra_char, hw_algebra_char_gl,
+                     translation_reduced_word)
 from .characters import char_module, ch_weyl_ratio_check
 from .identities import (VerificationReport, lhs_series, project_to_sl,
                          rhs_series, verify_identity, verify_sl2_appendix)

@@ -18,7 +18,7 @@ every degree is positive.
 
 from __future__ import annotations
 
-from .exact import ExactError, QSeries, geometric_series
+from .exact import ExactError, QSeries, geometric_series, inv_pochhammer_qq
 from .weights import Permutation, antidominant_data
 
 
@@ -297,31 +297,15 @@ def char_l(lam_minus, word, alpha, m):
 # factorized reduced words and highest-weight algebras
 # ---------------------------------------------------------------------------
 
-def stabilizer(lam_minus):
-    """Generators-free enumeration of stab_W(lam_-) as permutations."""
-    from itertools import permutations as allp
-    n = len(lam_minus)
-    out = []
-    for images in allp(range(1, n + 1)):
-        w = Permutation(images)
-        if w.act(lam_minus) == tuple(lam_minus):
-            out.append(w)
-    return out
-
-
 def maximal_sigma(lam):
-    """The maximal-length sigma with sigma(lam_-) = lam."""
+    """The maximal-length sigma with sigma(lam_-) = lam, and lam_-.
+
+    sigma(j) is the j-th position when the positions are sorted by
+    (lam_i, -i): the sort of ``antidominant_data`` with ties taken in
+    reverse, so that every pair of equal entries is an inversion."""
     lam = tuple(lam)
-    lam_minus, v = antidominant_data(lam)
-    base = v.inverse()
-    best = None
-    for u in stabilizer(lam_minus):
-        cand = base * u
-        if cand.act(lam_minus) != lam:
-            raise ExactError("stabilizer coset error")
-        if best is None or cand.length() > best.length():
-            best = cand
-    return best, lam_minus
+    order = sorted(range(len(lam)), key=lambda i: (lam[i], -i))
+    return Permutation(i + 1 for i in order), tuple(lam[i] for i in order)
 
 
 def _pi_conjugate_letters(letters, r, n):
@@ -386,11 +370,6 @@ class HwAlgebraChar:
         return f"HwAlgebraChar{self.generator_degrees}"
 
 
-def _root_positive(w, j):
-    """1 if w(alpha_j) is a positive root, for a finite permutation w."""
-    return 1 if w(j) < w(j + 1) else 0
-
-
 def hw_algebra_char(lam, mode, m=None, word=None):
     """Generator degrees of the highest-weight algebra at weight lam.
 
@@ -400,26 +379,21 @@ def hw_algebra_char(lam, mode, m=None, word=None):
     = alpha_j^vee}} for the supplied reduced word.
 
     ``lam`` is a gl vector; the pairings are sl pairings (differences).  The
-    D mode uses the minimal-length class element v(lam)^{-1} (matching the
-    alternative norm product), the U mode the maximal one; these are exactly
-    the inversion counts produced by the prefixes of the factorized words
-    (a prefix w contributes the inversions of w^{-1})."""
+    D mode uses the minimal-length class element v(lam)^{-1} (its gl lift
+    ``hw_algebra_char_gl`` is the alternative norm product), the U mode the
+    maximal one; these are exactly the inversion counts produced by the
+    prefixes of the factorized words (a prefix w contributes the inversions
+    of w^{-1})."""
     lam = tuple(int(e) for e in lam)
     n = len(lam)
     lam_minus, v = antidominant_data(lam)
     pairings = [lam_minus[j - 1] - lam_minus[j] for j in range(1, n)]
     degrees = []
     if mode in ("D", "U"):
-        if mode == "D":
-            sig = v.inverse()          # the minimal-length class element
-        else:
-            sig, _ = maximal_sigma(lam)
+        sig = v.inverse() if mode == "D" else maximal_sigma(lam)[0]
         for j in range(1, n):
-            base = -pairings[j - 1]
-            if mode == "D":
-                top = base - 1 + _root_positive(sig, j)
-            else:
-                top = base - _root_positive(sig, j)
+            positive = int(sig(j) < sig(j + 1))     # sig alpha_j > 0
+            top = -pairings[j - 1] - (1 - positive if mode == "D" else positive)
             degrees.extend(range(1, top + 1))
         return HwAlgebraChar(degrees)
     if mode == "at_m":
@@ -440,8 +414,10 @@ def hw_algebra_char(lam, mode, m=None, word=None):
 
 
 def hw_algebra_char_gl(lam, mode, cap):
-    """gl lift: the sl character times 1/(q; q)_{min entry of lam}."""
-    from .exact import inv_pochhammer_qq
+    """gl lift: the sl character times 1/(q; q)_{min entry of lam}.
+
+    In mode 'D' this is the alternative norm product
+    1/(q; q)_{(lam_-)_1} prod_j 1/(q; q)_{top_j}, which equals a_lam(q)."""
     lam = tuple(int(e) for e in lam)
     base = hw_algebra_char(lam, mode).qseries(cap)
     return base * inv_pochhammer_qq(min(lam), cap)

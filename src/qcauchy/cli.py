@@ -31,10 +31,11 @@ import json
 import sys
 from fractions import Fraction
 
+from .affine import hw_algebra_char_gl
 from .exact import ExactError, InvariantError, QPoly, QSeries, QTRational
 from .identities import verify_identity, verify_sl2_appendix
 from .macdonald import (e_atom_table, e_t0_table, exact_cap, macdonald_E,
-                        norm_a_q, norm_a_q_alt, norm_a_qt, specialize_E)
+                        norm_a_q, norm_a_qt, specialize_E)
 from .series import TruncationPolicy, render_scalar
 
 IDENTITY_NAMES = {
@@ -148,7 +149,8 @@ def cmd_norm(args):
         value = norm_a_qt(lam)
     else:
         cap = args.max_q if args.max_q is not None else 10
-        value = norm_a_q_alt(lam, cap) if args.alt else norm_a_q(lam, cap)
+        value = (hw_algebra_char_gl(lam, "D", cap) if args.alt
+                 else norm_a_q(lam, cap))
     if args.format == "json":
         print(json.dumps({"lambda": list(lam), "n": args.n,
                           "value": render_scalar(value)}, sort_keys=True))

@@ -380,11 +380,15 @@ def sl_certificate(n, pairs, K):
 def project_to_sl(f, pairs, kmax, K):
     """Fiber sums of a gl series over the window class pairs.
 
+    Each pair is two min-zero class representatives (two pairs keyed on one
+    sl class would overwrite each other); raises ExactError otherwise.
     Requires the series box to contain every certified fiber contributor;
     raises otherwise ('window exceeds certified bound')."""
     n = f.varset.nx
     by_pair = {}
     for (a, b) in pairs:
+        if min(a) != 0 or min(b) != 0:
+            raise ExactError(f"class pair {(a, b)} is not min-zero")
         k = kmax.get((a, b), -1)
         if k < 0:
             continue

@@ -47,8 +47,7 @@ from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
                     QSeries, QTPoly, QTRational, gaussian_binomial,
                     geometric_series, invert_q, inv_pochhammer_qq, limit_t,
                     reduce_over_binomials)
-from .weights import (Composition, antidominant_data, arm_leg, diagram,
-                      restrict_weight)
+from .weights import Composition, arm_leg, diagram, restrict_weight
 
 
 def _as_tuple(lam):
@@ -640,24 +639,6 @@ def norm_a_q(lam, cap):
         arm, leg = arm_leg(lam, cell)
         if arm == 0:
             s = s * geometric_series(leg + 1, cap)
-    return s
-
-
-def norm_a_q_alt(lam, cap):
-    """The alternative product: 1/(q; q)_{(lam_-)_1} times, over j, the
-    factor 1/(q; q)_{-<lam_-, alpha_j^vee>} when v(lam)^{-1} alpha_j > 0 and
-    1/(q; q)_{-<lam_-, alpha_j^vee> - 1} otherwise."""
-    lam = _as_tuple(lam)
-    n = len(lam)
-    lam_minus, v = antidominant_data(lam)
-    vinv = v.inverse()
-    s = inv_pochhammer_qq(lam_minus[0], cap)
-    for j in range(1, n):
-        m = -(lam_minus[j - 1] - lam_minus[j])
-        if vinv(j) < vinv(j + 1):      # v^{-1} alpha_j positive
-            s = s * inv_pochhammer_qq(m, cap)
-        else:
-            s = s * inv_pochhammer_qq(m - 1, cap)
     return s
 
 

@@ -81,8 +81,10 @@ class VariableSet:
 class TruncationPolicy:
     """Per-block degree caps plus an optional q-degree cap.
 
-    Policies compose by componentwise minimum; ``max_q_degree=None`` means
-    unbounded in q (only meaningful with exact QTRational scalars).
+    A sum or a product takes two series with one policy; a series moves to
+    a smaller policy only by ``TruncatedSeries.retruncate``.
+    ``max_q_degree=None`` means unbounded in q (only meaningful with exact
+    QTRational scalars).
     """
 
     __slots__ = ("max_x_degree", "max_y_degree", "max_q_degree")
@@ -93,16 +95,6 @@ class TruncationPolicy:
         self.max_x_degree = max_x_degree
         self.max_y_degree = max_y_degree
         self.max_q_degree = max_q_degree
-
-    def meet(self, other):
-        if self.max_q_degree is None:
-            kq = other.max_q_degree
-        elif other.max_q_degree is None:
-            kq = self.max_q_degree
-        else:
-            kq = min(self.max_q_degree, other.max_q_degree)
-        return TruncationPolicy(min(self.max_x_degree, other.max_x_degree),
-                                min(self.max_y_degree, other.max_y_degree), kq)
 
     def admits(self, dx, dy):
         return dx <= self.max_x_degree and dy <= self.max_y_degree
@@ -188,9 +180,8 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._compat(other)
-        policy = self.policy.meet(other.policy)
-        out = dict(self._retrunc(policy).terms)
-        for exps, c in other._retrunc(policy).terms.items():
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
             if exps in out:
                 s = out[exps] + c
                 if _is_zero_scalar(s):
@@ -199,7 +190,7 @@ class TruncatedSeries:
                     out[exps] = s
             else:
                 out[exps] = c
-        return TruncatedSeries(self.varset, policy, out, _checked=True)
+        return TruncatedSeries(self.varset, self.policy, out, _checked=True)
 
     def __neg__(self):
         return TruncatedSeries(self.varset, self.policy,
@@ -224,8 +215,13 @@ class TruncatedSeries:
     def _compat(self, other):
         if self.varset != other.varset:
             raise ExactError("variable-set mismatch")
+        if self.policy != other.policy:
+            raise ExactError("truncation-policy mismatch")
 
-    def _retrunc(self, policy):
+    def retruncate(self, policy):
+        """Re-truncate to a policy <= the current one."""
+        if not policy.leq(self.policy):
+            raise ExactError("retruncate target policy exceeds current policy")
         if policy == self.policy:
             return self
         out = {}
@@ -238,12 +234,6 @@ class TruncatedSeries:
                 if not _is_zero_scalar(c2):
                     out[exps] = c2
         return TruncatedSeries(self.varset, policy, out, _checked=True)
-
-    def retruncate(self, policy):
-        """Re-truncate to a policy <= the current one."""
-        if not policy.leq(self.policy):
-            raise ExactError("retruncate target policy exceeds current policy")
-        return self._retrunc(policy)
 
     def by_total_degree(self):
         buckets = {}
@@ -270,9 +260,7 @@ class TruncatedSeries:
 def mul_truncated(f, g):
     """Exact product with all out-of-policy terms discarded."""
     f._compat(g)
-    policy = f.policy.meet(g.policy)
-    f = f._retrunc(policy)
-    g = g._retrunc(policy)
+    policy = f.policy
     varset = f.varset
     dmax_x, dmax_y = policy.max_x_degree, policy.max_y_degree
     out = {}

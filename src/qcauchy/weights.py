@@ -217,7 +217,7 @@ def antidominant_data(lam):
 
     Works for arbitrary integer vectors (negative entries allowed).
     """
-    entries = _as_entries(lam) if not isinstance(lam, Composition) else lam.entries
+    entries = _as_entries(lam)
     n = len(entries)
     order = sorted(range(n), key=lambda i: (entries[i], i))
     lam_minus = tuple(entries[i] for i in order)
@@ -253,8 +253,7 @@ def in_negative_root_cone(vec):
         total += e
         if total > 0:
             return False
-    return total + vec[-1] == 0 and all(
-        sum(vec[: k + 1]) <= 0 for k in range(len(vec) - 1))
+    return total + vec[-1] == 0
 
 
 def order_geq(lam, mu):

@@ -7,14 +7,15 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qcauchy.affine import factorized_words, hw_algebra_char
+from qcauchy.affine import (factorized_words, hw_algebra_char,
+                            hw_algebra_char_gl)
 from qcauchy.cli import run as cli_run
 from qcauchy.characters import ch_weyl_ratio_check
 from qcauchy.exact import (QPoly, QSeries, limit_t, qseries_from_qtrational)
 from qcauchy.identities import verify_identity, verify_sl2_appendix
 from qcauchy.macdonald import (e_atom_table, e_t0_table, exact_cap,
                                macdonald_E, macdonald_E_fillings, norm_a_q,
-                               norm_a_q_alt, norm_a_qt, restrict_poly_terms,
+                               norm_a_qt, restrict_poly_terms,
                                sl2_closed_forms, specialize_E)
 from qcauchy.series import TruncationPolicy
 from qcauchy.weights import (compositions_up_to, min_zero_compositions_up_to,
@@ -98,7 +99,7 @@ def test_ac07_norm_cross_check():
     for n in (1, 2, 3, 4):
         for lam in compositions_up_to(n, 6):
             a = norm_a_q(lam, 12)
-            b = norm_a_q_alt(lam, 12)
+            b = hw_algebra_char_gl(lam, "D", 12)
             c = qseries_from_qtrational(limit_t(norm_a_qt(lam), "zero"), 12)
             ok = ok and a == b == c
             cases += 1

@@ -6,10 +6,11 @@ from qcauchy.affine import (AffineCoroot, AffinePerm, HwAlgebraChar,
                             ReducedWord, beta_sequence, char_l,
                             expected_translation_length, factorized_words,
                             hw_algebra_char, hw_algebra_char_gl,
-                            translation_reduced_word)
+                            maximal_sigma, translation_reduced_word)
 from qcauchy.exact import ExactError, QSeries, inv_pochhammer_qq
 from qcauchy.macdonald import norm_a_q
-from qcauchy.weights import (compositions_up_to, min_zero_compositions_up_to,
+from qcauchy.weights import (Permutation, antidominant_data,
+                             compositions_up_to, min_zero_compositions_up_to,
                              restrict_weight, sl_representative)
 
 
@@ -32,6 +33,23 @@ def ball(n, radius):
                     nxt.append(g)
         frontier = nxt
     return seen
+
+
+def maximal_sigma_by_walk(lam):
+    """The longest element of the coset v(lam)^{-1} stab(lam_-), by walking
+    all n! permutations and keeping those that fix lam_-."""
+    lam_minus, v = antidominant_data(lam)
+    base = v.inverse()
+    best = None
+    for images in itertools.permutations(range(1, len(lam) + 1)):
+        u = Permutation(images)
+        if u.act(lam_minus) != lam_minus:
+            continue
+        cand = base * u
+        assert cand.act(lam_minus) == tuple(lam)
+        if best is None or cand.length() > best.length():
+            best = cand
+    return best, lam_minus
 
 
 class TestTranslationWords:
@@ -175,6 +193,14 @@ class TestHwAlgebra:
             for lam in min_zero_compositions_up_to(n, 6):
                 assert hw_algebra_char(lam, "D").qseries(20) == \
                     norm_a_q(lam, 20), lam
+
+    def test_maximal_sigma_matches_walk(self):
+        # the sort with ties reversed against the stabilizer walk, 265 weights
+        lams = [lam for n in range(1, 5) for lam in compositions_up_to(n, 5)]
+        lams += list(compositions_up_to(5, 3))
+        assert len(lams) == 265
+        for lam in lams:
+            assert maximal_sigma(lam) == maximal_sigma_by_walk(lam), lam
 
     def test_gl_lift(self):
         lam = (3, 1)

@@ -140,6 +140,41 @@ class TestUsageErrors:
         assert code == 2
 
 
+# stdout of norm --alt (the gl lift of the D algebra character) and of
+# char --kind A-U (sigma_max) at a few points, as the separate alternative
+# norm product and the stabilizer walk for sigma_max printed them; (1,3,1)
+# and (2,1,1,2) have tied entries, where only the maximal tie order gives
+# these series
+@pytest.mark.parametrize("argv, expected", [
+    ("norm --n 3 --lambda 3,0,2 --alt --max-q 10",
+     '{"cap": 10, "coeffs": ["1", "1", "2", "2", "3", "3", "4", "4", "5", '
+     '"5", "6"]}'),
+    ("norm --n 1 --lambda 3 --alt --max-q 5",
+     '{"cap": 5, "coeffs": ["1", "1", "2", "3", "4", "5"]}'),
+    ("norm --n 4 --lambda 1,0,2,1 --alt --max-q 8",
+     '{"cap": 8, "coeffs": ["1"]}'),
+    ("norm --n 3 --lambda 2,2,1 --alt --max-q 6 --format json",
+     '{"lambda": [2, 2, 1], "n": 3, "value": {"cap": 6, "coeffs": '
+     '["1", "1", "1", "1", "1", "1", "1"]}}'),
+    ("char --kind A-U --n 3 --lambda 1,3,1 --max-deg 0 --max-q 6 "
+     "--lattice gl",
+     "(1 + 2*q + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5 + 7*q^6 + O(q^7))"),
+    ("char --kind A-U --n 4 --lambda 2,1,1,2 --max-deg 0 --max-q 6 "
+     "--lattice gl",
+     "(1 + q + q^2 + q^3 + q^4 + q^5 + q^6 + O(q^7))"),
+    ("char --kind A-U --n 3 --lambda 1,0,1 --max-deg 1 --max-q 6 "
+     "--lattice gl --format json",
+     '{"kind": "A-U", "lambda": [1, 0, 1], "n": 3, "policy": {"max_deg": 1, '
+     '"max_q": 6}, "terms": [{"coeff": {"cap": 6, "coeffs": ["1"]}, '
+     '"exps": [0, 0, 0, 0, 0, 0]}]}'),
+], ids=["norm-alt-302", "norm-alt-rank1", "norm-alt-1021", "norm-alt-json",
+        "A-U-131", "A-U-2112", "A-U-json"])
+def test_algebra_character_outputs(argv, expected):
+    code, out, _ = invoke(argv.split())
+    assert code == 0
+    assert out == expected + "\n"
+
+
 class TestDeterminism:
     def test_jobs_byte_identical(self):
         base = ["verify", "--identity", "gl-t0", "--n", "2",

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from qcauchy.exact import QSeries, QTRational, inv_pochhammer_qq
+from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
 from qcauchy.identities import (_kostant_xsums, _sl_lhs_window, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
@@ -232,6 +232,16 @@ class TestProjection:
         from qcauchy.exact import InvariantError
         with pytest.raises(InvariantError):
             project_to_sl(f, pairs, kmax, 2)
+
+    def test_non_min_zero_pair_rejected(self):
+        # (1, 1) and (0, 0) key on one sl class: summing the two pairs
+        # would let the later fiber sum replace the earlier one
+        f = lhs_series("gl_slform", 2, TruncationPolicy(6, 6, 3))
+        for pairs in ([((1, 1), (0, 0)), ((0, 0), (0, 0))],
+                      [((0, 0), (0, 1)), ((0, 0), (2, 1))]):
+            kmax = {p: 2 for p in pairs}
+            with pytest.raises(ExactError):
+                project_to_sl(f, pairs, kmax, 3)
 
     def test_sl_identity_small(self):
         pol = TruncationPolicy(2, 2, 3)

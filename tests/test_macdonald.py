@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcauchy.affine import hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            invert_q, limit_t, qseries_from_qtrational)
 from qcauchy.macdonald import (MacdonaldPolynomial, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
-                               macdonald_E_fillings, norm_a_q, norm_a_q_alt,
-                               norm_a_qt, restrict_poly_terms, rs_polynomial,
+                               macdonald_E_fillings, norm_a_q, norm_a_qt,
+                               restrict_poly_terms, rs_polynomial,
                                sl2_closed_forms, specialize_E)
 from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
 
@@ -177,7 +178,7 @@ class TestNorms:
         for n in (2, 3, 4):
             for lam in compositions_up_to(n, 4):
                 x = norm_a_q(lam, cap)
-                y = norm_a_q_alt(lam, cap)
+                y = hw_algebra_char_gl(lam, "D", cap)
                 z = qseries_from_qtrational(
                     limit_t(norm_a_qt(lam), "zero"), cap)
                 assert x == y == z, lam

@@ -172,6 +172,16 @@ def test_qbinomial_theorem():
     assert first_difference(lhs, rhs) is None
 
 
+def test_policy_mismatch_rejected():
+    # a sum or a product takes one policy; retruncate first
+    big = unit(GL1, TruncationPolicy(4, 4, 6), 6)
+    small = unit(GL1, TruncationPolicy(2, 2, 3), 3)
+    for op in (mul_truncated, TruncatedSeries.__add__):
+        with pytest.raises(ExactError):
+            op(big, small)
+    assert mul_truncated(big.retruncate(small.policy), small) == small
+
+
 def test_truncation_coherence():
     # computing at P then retruncating to P' <= P equals computing at P'
     big = TruncationPolicy(4, 4, 6)

@@ -1,7 +1,8 @@
 """Tooling around the library: the benchmark's tracer (perfbench/spans.py)
 wraps qcauchy functions by name, so a renamed or removed function must fail
-here and not in every traced benchmark operation; the demos must run; and
-the exact (q, t) query commands must not reach the general gcd."""
+here and not in every traced benchmark operation; the benchmark's own
+self-tests must pass; the demos must run; and the exact (q, t) query
+commands must not reach the general gcd."""
 
 import glob
 import json
@@ -57,6 +58,14 @@ def test_tracer_installs():
     assert sl_status == 0
     assert sl_counts["identities.certificate.box"] == 8
     assert sl_counts["identities.macdonald_side.summands"] == 17
+
+
+def test_benchmark_self_tests():
+    proc = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s",
+         "perfbench/tests"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 DEMOS = os.path.join(ROOT, "demos")
