@@ -14,13 +14,14 @@ Exit status 0 on pass/success, 1 on verification failure, 2 on usage error
 (a malformed or out-of-range option, or flags that do not go together:
 --max-q with a macdonald spec other than t0 or qinv-tinf, norm --qt with
 --max-q or --alt), 3 on a broken internal invariant (failed positivity, a
-window beyond its certified bound, a non-monic E).  Errors print one
-``error:`` or ``internal error:`` line to stderr.  Output is deterministic;
-timing goes to stderr.  ``macdonald --spec t0`` and ``qinv-tinf`` read the
-t = 0 and (q^{-1}, oo) tables at a cap where they are exact polynomials,
-``q0`` and ``qinf-tinf`` their q^0 coefficients.  ``verify --jobs`` is
-accepted for compatibility (it must be at least 1) and has no effect:
-every identity runs in one thread.
+window beyond its certified bound, a non-monic E) or on a request that
+exhausts the interpreter (``RecursionError``, ``MemoryError``).  Errors
+print one ``error:`` or ``internal error:`` line to stderr.  Output is
+deterministic; timing goes to stderr.  ``macdonald --spec t0`` and
+``qinv-tinf`` read the t = 0 and (q^{-1}, oo) tables at a cap where they
+are exact polynomials, ``q0`` and ``qinf-tinf`` their q^0 coefficients.
+``verify --jobs`` is accepted for compatibility (it must be at least 1) and
+has no effect: every identity runs in one thread.
 """
 
 from __future__ import annotations
@@ -54,6 +55,15 @@ SPEC_NAMES = {"qt": "generic", "t0": "t0", "qinv-tinf": "qinv_tinf",
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line: it raises
+    UsageError where argparse would print its usage and exit.  A message
+    quotes arguments as given, so their line breaks are escaped."""
+
+    def error(self, message):
+        raise UsageError(message.replace("\n", "\\n"))
 
 
 def _parse_lambda(text, n):
@@ -205,7 +215,7 @@ def _emit_report(report, fmt):
 @functools.lru_cache(maxsize=None)
 def build_parser():
     """The argument parser, built on first use and kept for the process."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qcauchy",
         description="Exact computations with nonsymmetric Macdonald "
                     "polynomials and q-Cauchy identity verification")
@@ -263,17 +273,24 @@ def build_parser():
 
 def run(argv):
     """Entry point returning the exit status (0 pass, 1 fail, 2 usage,
-    3 broken invariant)."""
-    parser = build_parser()
+    3 broken invariant or exhausted interpreter)."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
+        args = build_parser().parse_args(argv)
+    except SystemExit as ex:    # --help printed the help text
         return 2 if ex.code not in (0, None) else 0
+    except UsageError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
     try:
         _check_ranges(args)
         return args.func(args)
     except InvariantError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
+        return 3
+    except (RecursionError, MemoryError) as ex:
+        # the request exhausted the interpreter, not a failed verification
+        detail = f": {ex}" if str(ex) else ""
+        print(f"internal error: {type(ex).__name__}{detail}", file=sys.stderr)
         return 3
     except (UsageError, ExactError) as ex:
         print(f"error: {ex}", file=sys.stderr)

@@ -7,7 +7,9 @@ The coefficient types used everywhere downstream:
 * ``QTPoly``         -- polynomials in (q, t) over the rationals, sparse:
                         {(q_exp, t_exp): coefficient},
 * ``QTRational``     -- reduced fractions of QTPolys,
-* ``QSeries``        -- q-power series truncated at an explicit cap.
+* ``QSeries``        -- q-power series truncated at an explicit cap,
+* ``PackedQ``        -- integer QSeries packed into one int per series
+                        (Kronecker substitution) for bulk products and sums.
 
 A QTPoly has no rows of its own: its t-rows, QPolys indexed by t-degree,
 are built on demand for rendering and for the general gcd.
@@ -1077,6 +1079,63 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries(cap={self.cap}, {list(self.coeffs)})"
+
+
+class PackedQ:
+    r"""Integer q-series truncated at ``cap``, packed into one Python int
+    (Kronecker substitution): the coefficients c_0, c_1, ... become
+    sum_k c_k 2^{B k} for a slot width of B bits, so a product of series is
+    one integer product and a sum one integer sum.
+
+    Soundness.  P |-> P(2^B) mod 2^{B (cap + 1)} is a ring homomorphism
+    from Z[q] that kills q^{cap + 1}, so products, sums and ``mask`` (the
+    low B (cap + 1) bits) may be taken in any order and the masked value is
+    the image of the truncated exact result.  Unpacking takes centered
+    residues slot by slot, which inverts that image on every coefficient
+    list with |c_k| < 2^{B - 1}.  ``bound`` is a caller's bound on the
+    absolute value of every coefficient to be unpacked; B is
+    ``bound.bit_length() + 2``, so |c_k| <= bound < 2^{B - 2}, a margin of
+    one bit over what the centered residue needs.
+    """
+
+    __slots__ = ("width", "cap", "mask", "bias")
+
+    def __init__(self, bound, cap):
+        self.width = bound.bit_length() + 2
+        self.cap = cap
+        self.mask = (1 << self.width * (cap + 1)) - 1
+        self.bias = self.mask // ((1 << self.width) - 1) << (self.width - 1)
+
+    def pack(self, coeffs):
+        """sum_k coeffs[k] 2^{B k} for integer coefficients; a coefficient
+        that is not an int raises ExactError."""
+        value = 0
+        for c in reversed(coeffs):
+            if type(c) is not int:
+                raise ExactError(f"cannot pack non-integer coefficient {c!r}")
+            value = (value << self.width) + c
+        return value
+
+    def unpack(self, value):
+        """The QSeries at ``cap`` whose packed image is ``value`` modulo
+        q^{cap + 1}: the low slots, each read as a centered residue."""
+        # adding half a slot to every slot makes each slot c_k + 2^{B-1},
+        # which lies in [0, 2^B): no slot borrows from the next
+        width = self.width
+        slot = (1 << width) - 1
+        half = 1 << (width - 1)
+        value = (value + self.bias) & self.mask
+        out = []
+        for _ in range(self.cap + 1):
+            out.append((value & slot) - half)
+            value >>= width
+        return QSeries(self.cap, out)
+
+
+def l1_mass(coeffs):
+    """sum |c| over the coefficients: bounds every coefficient of a product
+    by the product of the factors' masses."""
+    return sum(abs(c) for c in coeffs)
 
 
 def geometric_series(exponent, cap):

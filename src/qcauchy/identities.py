@@ -25,16 +25,32 @@ E_lam(y) has x- and y-degree |lam|, so these are all the summands that can
 reach a certified fiber.  Every summand has nonnegative coefficients, which
 is checked as it is read.  ``_sl_series`` turns the sums per class pair of
 either side into the sl series on the window.
+
+The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
+build both sides on packed integers (``PackedQ``, Kronecker substitution):
+a truncated q-series with integer coefficients is one int with B bits per
+coefficient, a product of series one integer product.  Packed arithmetic
+is taken modulo 2^{B (cap + 1)}, the image of truncation at q^cap, and
+unpacking reads each slot as a centered residue, which is exact when every
+coefficient read has absolute value below 2^{B - 1}.  The width is
+B = bound.bit_length() + 2 for a bound on every coefficient of every
+intermediate value: on the product side the product of the factors' L1
+masses (sum of |coefficient| over a factor), on the Macdonald side
+sum_lam L1(norm) L1(t = 0 table) L1(atom table).  An L1 mass bounds every
+coefficient, and the mass of a product is at most the product of the
+masses, so |coefficient| <= bound < 2^{B - 2}.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 
-from .exact import (ExactError, InvariantError, QSeries, QTPoly, QTRational,
-                    inv_pochhammer_qq, invert_q, qq_pochhammer_poly)
+from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
+                    QTRational, inv_pochhammer_qq, invert_q, l1_mass,
+                    qq_pochhammer_poly)
 from .macdonald import (e_atom_table, e_t0_table, generic_engine, norm_a_q,
                         norm_a_qt, sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
@@ -102,6 +118,56 @@ def _factor_series(varset, policy, mono, coeffs):
                             for k, c in enumerate(coeffs)})
 
 
+def _packed_product(varset, policy, factors):
+    """The product of the factors sum_k cs[k] mono^k, given as (mono, cs)
+    with integer QSeries cs[k], on packed q-series: {exps: QSeries}.
+
+    Each step multiplies every term e by the powers of one factor's
+    monomial that keep e within the policy.  The coefficients of the
+    product, at every step and before truncation, are bounded by the
+    product of the factors' L1 masses (the mass of a factor is the sum of
+    |coefficient| over all its coefficients), which fixes the slot width
+    of ``PackedQ``."""
+    bound = math.prod(sum(l1_mass(c.coeffs) for c in cs) for _, cs in factors)
+    packing = PackedQ(bound, policy.max_q_degree)
+    mask = packing.mask
+    dmax_x, dmax_y = policy.max_x_degree, policy.max_y_degree
+    # a monomial is keyed on the integer with base-b digits (x-degree,
+    # y-degree, exponents): a product of monomials is a sum of keys, and
+    # the degrees are the two low digits.  No digit reaches b.
+    b = max(dmax_x, dmax_y) + 1
+
+    def encode(exps):
+        key = 0
+        for d in reversed(varset.block_degrees(exps) + exps):
+            key = key * b + d
+        return key
+
+    terms = {0: 1}
+    for mono, cs in factors:
+        mx, my = varset.block_degrees(mono)
+        step = encode(mono)
+        packed = [packing.pack(c.coeffs) for c in cs]
+        new = {}
+        for key, v in terms.items():
+            room = min((dmax_x - key % b) // mx, (dmax_y - key // b % b) // my)
+            for p in packed[: room + 1]:
+                if p:
+                    new[key] = new.get(key, 0) + (v * p & mask)
+                key += step
+        terms = new
+    out = {}
+    for key, v in terms.items():
+        s = packing.unpack(v)
+        if not s.is_zero:
+            digits = []
+            for _ in range(2 + varset.size):
+                key, d = divmod(key, b)
+                digits.append(d)
+            out[tuple(digits[2:])] = s
+    return out
+
+
 def lhs_series(variant, n, policy):
     r"""The product side of the named identity, as a truncated series.
 
@@ -115,10 +181,17 @@ def lhs_series(variant, n, policy):
 
     A factor in q a rather than a (the pairs i > j) has its k-th
     coefficient shifted by q^k.  ``iwahori_char`` names the gl_slform
-    product: the character of the functions on the Iwahori matrix space."""
+    product: the character of the functions on the Iwahori matrix space.
+
+    The q-series variants multiply on packed integers (``PackedQ``) with
+    the slot width of the product of the factors' L1 masses: that product
+    bounds every coefficient of every partial product, so each slot holds
+    its coefficient exactly (see ``_packed_product``).  ``gl_qt`` keeps
+    exact (q, t) scalars and ``mul_truncated``."""
     varset = VariableSet.gl(n)
     top = min(policy.max_x_degree, policy.max_y_degree)
     cap = policy.max_q_degree
+    det = None
     if variant == "gl_qt":
         if cap is not None:
             raise ExactError("gl_qt works with exact coefficients; no q-cap")
@@ -134,35 +207,38 @@ def lhs_series(variant, n, policy):
             return out
         # b = qt on the diagonal, b = t above it, and b = t in q a below it
         diag, upper, lower = ratios(1, 0), ratios(0, 0), ratios(0, 1)
-        one = QTRational.one()
     else:
         if cap is None:
             raise ExactError(f"variant {variant} needs a finite q-cap")
-        if variant == "iwahori_char":
-            variant = "gl_slform"
-        one = QSeries.one(cap)
         if variant == "classical_q0":
-            diag = upper = [one] * (top + 1)
+            diag = upper = [QSeries.one(cap)] * (top + 1)
             lower = None    # no factor below the diagonal
-        elif variant in ("gl_t0", "gl_slform"):
+        elif variant in ("gl_t0", "gl_slform", "iwahori_char"):
             inv_poch = [inv_pochhammer_qq(k, cap) for k in range(top + 1)]
             diag = upper = inv_poch
             lower = [c.shift(k) for k, c in enumerate(inv_poch)]
+            if variant != "gl_t0":
+                det = [c.shift(k * (k - 1) // 2) * (-1) ** k
+                       for k, c in enumerate(inv_poch)]
         else:
             raise ExactError(f"no product side for variant {variant!r}")
-    result = TruncatedSeries.constant(varset, policy, one)
+    factors = []
     for i in range(n):
         for j in range(n):
             cs = diag if i == j else upper if i < j else lower
             if cs is not None:
-                mono = tuple(int(k in (i, n + j)) for k in range(2 * n))
-                result = mul_truncated(result, _factor_series(
-                    varset, policy, mono, cs))
-    if variant == "gl_slform":
-        det = [c.shift(k * (k - 1) // 2) * (-1) ** k
-               for k, c in enumerate(inv_poch)]
-        result = mul_truncated(result, _factor_series(
-            varset, policy, (1,) * (2 * n), det))
+                factors.append(
+                    (tuple(int(k in (i, n + j)) for k in range(2 * n)), cs))
+    if det is not None:
+        factors.append(((1,) * (2 * n), det))
+    if variant != "gl_qt":
+        return TruncatedSeries(varset, policy,
+                               _packed_product(varset, policy, factors),
+                               _checked=True)
+    result = TruncatedSeries.constant(varset, policy, QTRational.one())
+    for mono, cs in factors:
+        result = mul_truncated(result,
+                               _factor_series(varset, policy, mono, cs))
     return result
 
 
@@ -180,6 +256,39 @@ def _pair_product_series(out, xterms, yterms, norm):
             out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
+def _packed_macdonald_sum(lambdas, norms, xtables, ytables, cap):
+    """sum over lam of norms[lam] * E(x) * E(y) from the tables
+    {lam: {exps: QSeries}}, on packed q-series: {x-exps + y-exps: QSeries}
+    at ``cap``, zero sums dropped.
+
+    Each table entry and each norm is packed once, and the products are
+    summed per key untruncated.  A key splits into one x- and one
+    y-exponent, so every slot of its sum is at most
+    sum_lam L1(norm) L1(x-table) L1(y-table) in absolute value, where the
+    L1 mass of a table sums |coefficient| over all its entries: that bound
+    fixes the slot width of ``PackedQ``."""
+    def mass(table):
+        return sum(l1_mass(c.coeffs) for c in table.values())
+    packing = PackedQ(sum(l1_mass(norms[lam].coeffs) * mass(xtables[lam])
+                          * mass(ytables[lam]) for lam in lambdas), cap)
+    acc = {}
+    for lam in lambdas:
+        pnorm = packing.pack(norms[lam].coeffs)
+        ys = [(ey, packing.pack(cy.coeffs))
+              for ey, cy in ytables[lam].items()]
+        for ex, cx in xtables[lam].items():
+            px = packing.pack(cx.coeffs) * pnorm
+            for ey, py in ys:
+                key = ex + ey
+                acc[key] = acc.get(key, 0) + px * py
+    out = {}
+    for key, v in acc.items():
+        s = packing.unpack(v)
+        if not s.is_zero:
+            out[key] = s
+    return out
+
+
 def _rhs_lambdas(variant, n, policy):
     bound = min(policy.max_x_degree, policy.max_y_degree)
     if variant in ("gl_slform", "iwahori_char"):
@@ -192,34 +301,34 @@ def rhs_series(variant, n, policy):
     norm * E(x) * E(y) at the variant's parameter points.
 
     E_lam has degree |lam| <= min(Dx, Dy), so every summand lies within the
-    policy; the terms of all summands go into one dict."""
+    policy; the terms of all summands go into one dict.  The q-series
+    variants sum on packed integers (``_packed_macdonald_sum``), with the
+    slot width of sum_lam L1(norm) L1(t = 0 table) L1(atom table), which
+    bounds every coefficient of every partial sum; ``gl_qt`` sums exact
+    (q, t) scalars."""
     lambdas = _rhs_lambdas(variant, n, policy)
     cap = policy.max_q_degree
-    terms = {}
     if variant == "gl_qt":
+        terms = {}
         eng = generic_engine(n)
         for lam in lambdas:
             xt = eng.terms_qtrational(lam)
             yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
             _pair_product_series(terms, xt, yt, norm_a_qt(lam))
     elif variant in ("gl_t0", "gl_slform", "iwahori_char"):
-        t0 = e_t0_table(n, lambdas, cap)
-        atom = e_atom_table(n, lambdas, cap)
-        for lam in lambdas:
-            _pair_product_series(terms, t0[lam], atom[lam], norm_a_q(lam, cap))
+        terms = _packed_macdonald_sum(
+            lambdas, {lam: norm_a_q(lam, cap) for lam in lambdas},
+            e_t0_table(n, lambdas, cap), e_atom_table(n, lambdas, cap), cap)
     elif variant == "classical_q0":
         # the key polynomials E(x; 0, 0) and the Demazure atoms E(x; oo, oo)
         # are the q^0 coefficients of the t = 0 and (q^{-1}, oo) tables
-        keys = e_t0_table(n, lambdas, 0)
-        atoms = e_atom_table(n, lambdas, 0)
-        for lam in lambdas:
-            _pair_product_series(terms,
-                                 {e: c[0] for e, c in keys[lam].items()},
-                                 {e: c[0] for e, c in atoms[lam].items()},
-                                 QSeries.one(cap))
+        one = QSeries.one(0)
+        terms = _packed_macdonald_sum(
+            lambdas, {lam: one for lam in lambdas},
+            e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0), cap)
     else:
         raise ExactError(f"no Macdonald side for variant {variant!r}")
-    return TruncatedSeries(VariableSet.gl(n), policy, terms)
+    return TruncatedSeries(VariableSet.gl(n), policy, terms, _checked=True)
 
 
 # ---------------------------------------------------------------------------

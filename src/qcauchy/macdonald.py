@@ -138,21 +138,33 @@ class GenericMacdonaldEngine:
     # -- recursion ---------------------------------------------------------
 
     def get(self, lam):
+        """E_lam, built forward from the first memoized composition on its
+        ``recursion_parent`` chain (or from the zero composition); every
+        composition on the way is memoized.  The chain is walked in a loop:
+        it has at least |lam| steps, more than the interpreter's recursion
+        limit allows for a deep composition."""
         lam = _as_tuple(lam)
         if len(lam) != self.n:
             raise ExactError("composition rank mismatch")
         if lam in self.memo:
             return self.memo[lam]
         _compositions([lam])
-        parent, step = recursion_parent(lam)
-        if parent is None:
-            fe = FactoredE(self.n, lam, {(0,) * self.n: QTPoly.one()}, ())
-        elif step[0] == "PHI":
-            fe = self._phi_step(self.get(parent), lam)
-        else:
-            fe = self._t_step(self.get(parent), lam, step)
-        fe.monic_check()
-        self.memo[lam] = fe
+        chain = []      # (composition, step) from lam down the parents
+        cur = lam
+        while cur is not None and cur not in self.memo:
+            parent, step = recursion_parent(cur)
+            chain.append((cur, step))
+            cur = parent
+        fe = self.memo.get(cur)
+        for cur, step in reversed(chain):
+            if step is None:
+                fe = FactoredE(self.n, cur, {(0,) * self.n: QTPoly.one()}, ())
+            elif step[0] == "PHI":
+                fe = self._phi_step(fe, cur)
+            else:
+                fe = self._t_step(fe, cur, step)
+            fe.monic_check()
+            self.memo[cur] = fe
         return fe
 
     def _phi_step(self, fe, lam):

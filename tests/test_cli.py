@@ -3,8 +3,9 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcauchy.cli import run
+from qcauchy.cli import IDENTITY_NAMES, SPEC_NAMES, run
 
 
 def invoke(argv):
@@ -100,9 +101,14 @@ class TestSlMismatch:
 
 class TestUsageErrors:
     def test_unknown_flag(self):
-        code, _, _ = invoke(["verify", "--identity", "gl-t0", "--n", "2",
-                             "--max-deg", "2", "--max-q", "2", "--bogus"])
+        code, _, err = invoke(["verify", "--identity", "gl-t0", "--n", "2",
+                               "--max-deg", "2", "--max-q", "2", "--bogus"])
         assert code == 2
+        assert err == "error: unrecognized arguments: --bogus\n"
+        # argparse quotes the argument as given; its line break is escaped
+        code, _, err = invoke(["appendix", "--bo\ngus"])
+        assert code == 2
+        assert err == "error: unrecognized arguments: --bo\\ngus\n"
 
     def test_malformed_lambda(self):
         code, _, err = invoke(["macdonald", "--n", "2", "--lambda", "0,x"])
@@ -135,9 +141,11 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_unknown_identity(self):
-        code, _, _ = invoke(["verify", "--identity", "nope", "--n", "2",
-                             "--max-deg", "2", "--max-q", "2"])
+        code, _, err = invoke(["verify", "--identity", "nope", "--n", "2",
+                               "--max-deg", "2", "--max-q", "2"])
         assert code == 2
+        assert err.startswith("error: argument --identity: invalid choice")
+        assert err.count("\n") == 1
 
 
 # stdout of norm --alt (the gl lift of the D algebra character) and of
@@ -173,6 +181,96 @@ def test_algebra_character_outputs(argv, expected):
     code, out, _ = invoke(argv.split())
     assert code == 0
     assert out == expected + "\n"
+
+
+class TestInterpreterLimits:
+    @pytest.mark.parametrize("spec", ["qt", "qt-inv"])
+    def test_deep_composition(self, spec, monkeypatch):
+        # the recursion chain of (1500) is 1500 steps, beyond the
+        # interpreter's default recursion limit; a fresh engine walks all
+        import qcauchy.macdonald as macdonald
+        monkeypatch.setattr(macdonald, "_GENERIC", {})
+        code, out, err = invoke(["macdonald", "--n", "1", "--lambda", "1500",
+                                 "--spec", spec])
+        assert (code, out, err) == (0, "((1)) x1^1500\n", "")
+
+    @pytest.mark.parametrize("exc", [
+        RecursionError("maximum recursion depth exceeded"), MemoryError()],
+        ids=["recursion", "memory"])
+    def test_exhausted_interpreter_exits_three(self, exc, monkeypatch):
+        import qcauchy.cli as cli
+
+        def exhausted(*args):
+            raise exc
+        monkeypatch.setattr(cli, "verify_identity", exhausted)
+        code, out, err = invoke(["verify", "--identity", "gl-t0", "--n", "2",
+                                 "--max-deg", "1", "--max-q", "1"])
+        assert code == 3 and out == ""
+        assert "Traceback" not in err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert type(exc).__name__ in err
+
+
+_MALFORMED_LAMBDAS = ("", ",", "x", "1,,2", "-1,0", "1.5", "0,1,2,3,4")
+_NINE_IN_TEN = st.sampled_from((True,) * 9 + (False,))
+
+
+@st.composite
+def _argvs(draw):
+    """A command line: every verb and flag, n <= 3, degrees and caps <= 3
+    and below their least admissible values, well-formed and malformed
+    lambdas, a flag sometimes left out and an unknown one sometimes added.
+    Valid values are drawn more often than invalid ones, so that most
+    examples get past the usage checks."""
+    verb = draw(st.sampled_from(["macdonald", "norm", "char", "verify",
+                                 "appendix"]))
+    n = draw(st.sampled_from((1, 2, 3) * 3 + (0, -1)))
+    # gl-qt and sl at rank 3 take seconds from degree or cap 3 on
+    top = 2 if verb == "verify" and n == 3 else 3
+    num = st.sampled_from(tuple(map(str, range(top + 1))) * 3 + ("-1",))
+    well_formed = st.lists(st.integers(0, 3), min_size=max(n, 1),
+                           max_size=max(n, 1)).map(
+        lambda xs: ",".join(map(str, xs)))
+    lam = st.one_of(well_formed, well_formed,
+                    st.sampled_from(_MALFORMED_LAMBDAS))
+    required = {
+        "macdonald": [("--n", st.just(str(n))), ("--lambda", lam)],
+        "norm": [("--n", st.just(str(n))), ("--lambda", lam)],
+        "char": [("--kind", st.sampled_from(["D", "Uo", "T", "A-D", "A-U"])),
+                 ("--n", st.just(str(n))), ("--lambda", lam),
+                 ("--max-deg", num), ("--max-q", num)],
+        "verify": [("--identity",
+                    st.sampled_from(sorted(IDENTITY_NAMES) + ["nope"])),
+                   ("--n", st.just(str(n))), ("--max-deg", num)],
+        "appendix": [],
+    }[verb]
+    optional = {
+        "macdonald": [("--spec", st.sampled_from(sorted(SPEC_NAMES))),
+                      ("--max-q", num)],
+        "norm": [("--qt", None), ("--alt", None), ("--max-q", num)],
+        "char": [("--lattice", st.sampled_from(["sl", "gl"]))],
+        "verify": [("--max-q", num), ("--jobs", num)],
+        "appendix": [("--range", num), ("--max-q", num)],
+    }[verb] + [("--format", st.sampled_from(("text", "json") * 3 + ("xml",)))]
+    argv = [verb]
+    for flags, present in ((required, _NINE_IN_TEN),
+                           (optional, st.booleans())):
+        for flag, values in flags:
+            if draw(present):
+                argv += [flag] if values is None else [flag, draw(values)]
+    if not draw(_NINE_IN_TEN):
+        argv.append(draw(st.sampled_from(["--bogus", "--bo\ngus"])))
+    return argv
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_argvs())
+def test_cli_fuzz(argv):
+    code, _, err = invoke(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+    if code in (2, 3):
+        assert err.count("\n") == 1, (argv, err)
 
 
 class TestDeterminism:

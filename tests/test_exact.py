@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcauchy.exact import (DivergentLimitError, ExactError, QPoly, QSeries,
-                           QTPoly, QTRational, ZeroDenominatorError,
+from qcauchy.exact import (DivergentLimitError, ExactError, PackedQ, QPoly,
+                           QSeries, QTPoly, QTRational, ZeroDenominatorError,
                            gaussian_binomial, geometric_series, invert_q,
-                           inv_pochhammer_qq, limit_t, normalize_qt,
+                           inv_pochhammer_qq, l1_mass, limit_t, normalize_qt,
                            qq_pochhammer_poly, qseries_from_qtrational,
                            qtpoly_gcd, reduce_over_binomials, _divide_exact)
 
@@ -293,6 +293,52 @@ class TestQSeries:
     def test_from_qtrational(self):
         f = QTRational(ONE, ONE - Q)
         assert qseries_from_qtrational(f, 4) == geometric_series(1, 4)
+
+
+def _coeff_lists(data, cap, m):
+    """Two integer lists in [-m, m] that run past the cap, with the edges
+    -m, 0 and m drawn often."""
+    coeff = st.one_of(st.sampled_from([m, -m, 0]), st.integers(-m, m))
+    return [data.draw(st.lists(coeff, max_size=cap + 3)) for _ in range(2)]
+
+
+class TestPackedQ:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2 ** 70), st.data())
+    def test_matches_qseries_arithmetic(self, cap, m, data):
+        a, b = _coeff_lists(data, cap, m)
+        fa, fb = QSeries(cap, a), QSeries(cap, b)
+        # the L1 masses of the untruncated lists bound every coefficient of
+        # their product and of their sum
+        prod = PackedQ(l1_mass(a) * l1_mass(b), cap)
+        pa, pb = prod.pack(a), prod.pack(b)
+        assert prod.unpack(pa * pb) == fa * fb
+        assert prod.unpack(pa * pb & prod.mask) == fa * fb
+        total = PackedQ(l1_mass(a) + l1_mass(b), cap)
+        assert total.unpack(total.pack(a) + total.pack(b)) == fa + fb
+        # products masked one by one and then summed, as the identity sides
+        # accumulate them
+        both = PackedQ(l1_mass(a) * (l1_mass(a) + l1_mass(b)), cap)
+        pa, pb = both.pack(a), both.pack(b)
+        assert (both.unpack((pa * pa & both.mask) + (pa * pb & both.mask))
+                == fa * fa + fa * fb)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2 ** 70), st.data())
+    def test_round_trip_at_the_bound(self, cap, bound, data):
+        # every coefficient at most the bound, the edge of the slot width
+        c = data.draw(st.lists(st.sampled_from([bound, -bound]),
+                               max_size=cap + 1))
+        packing = PackedQ(bound, cap)
+        assert packing.width == bound.bit_length() + 2
+        assert packing.unpack(packing.pack(c)) == QSeries(cap, c)
+
+    def test_non_integer_coefficient_rejected(self):
+        packing = PackedQ(4, 2)
+        with pytest.raises(ExactError):
+            packing.pack((1, Fraction(1, 2)))
+        with pytest.raises(ExactError):
+            packing.pack(QSeries(2, (1, Fraction(3, 2))).coeffs)
 
 
 def test_gaussian_binomials():

@@ -3,10 +3,12 @@ import itertools
 import pytest
 
 from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
-from qcauchy.identities import (_kostant_xsums, _sl_lhs_window, lhs_series,
+from qcauchy.identities import (_kostant_xsums, _pair_product_series,
+                                _rhs_lambdas, _sl_lhs_window, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
                                 verify_sl2_appendix)
+from qcauchy.macdonald import e_atom_table, e_t0_table, norm_a_q
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series)
@@ -124,6 +126,37 @@ class TestRhs:
         # E(x) = x1 + x2, E(y) = q y1 + y2
         expected[(1, 0, 1, 0)] = QSeries.one(4) + q * g1
         assert s.terms == expected
+
+
+def _rhs_by_qseries(variant, n, policy):
+    """The Macdonald side summed on QSeries objects, norm * E(x) * E(y)
+    pair by pair: the accumulation the packed sum of rhs_series replaces,
+    kept as its oracle."""
+    lambdas = _rhs_lambdas(variant, n, policy)
+    K = policy.max_q_degree
+    terms = {}
+    if variant == "classical_q0":
+        keys, atoms = e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0)
+        for lam in lambdas:
+            _pair_product_series(terms,
+                                 {e: c[0] for e, c in keys[lam].items()},
+                                 {e: c[0] for e, c in atoms[lam].items()},
+                                 QSeries.one(K))
+    else:
+        t0, atom = e_t0_table(n, lambdas, K), e_atom_table(n, lambdas, K)
+        for lam in lambdas:
+            _pair_product_series(terms, t0[lam], atom[lam], norm_a_q(lam, K))
+    return TruncatedSeries(VariableSet.gl(n), policy, terms)
+
+
+@pytest.mark.parametrize("variant", ["gl_t0", "gl_slform", "classical_q0"])
+@pytest.mark.parametrize("n, dmax", [(1, 4), (2, 4), (3, 3)])
+def test_packed_rhs_matches_qseries_sum(variant, n, dmax):
+    for D in range(dmax + 1):
+        for K in range(5):
+            pol = TruncationPolicy(D, D, K)
+            assert rhs_series(variant, n, pol) == \
+                _rhs_by_qseries(variant, n, pol), (D, K)
 
 
 class TestVerify:

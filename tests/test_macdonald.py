@@ -4,11 +4,12 @@ from hypothesis import given, settings, strategies as st
 from qcauchy.affine import hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            invert_q, limit_t, qseries_from_qtrational)
-from qcauchy.macdonald import (MacdonaldPolynomial, atom_terms, e_atom_table,
+from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
+                               MacdonaldPolynomial, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_qt,
-                               restrict_poly_terms, rs_polynomial,
-                               sl2_closed_forms, specialize_E)
+                               recursion_parent, restrict_poly_terms,
+                               rs_polynomial, sl2_closed_forms, specialize_E)
 from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
 
 ONE = QTPoly.one()
@@ -58,6 +59,37 @@ class TestConstruction:
                     expected = {tuple(e + m for e in exps): c
                                 for exps, c in E.terms.items()}
                     assert Es.terms == expected, (lam, m)
+
+
+def _get_by_recursion(eng, lam, memo):
+    """E_lam by one call per step of the recursion_parent chain: the walk
+    GenericMacdonaldEngine.get replaced, kept as its oracle."""
+    if lam not in memo:
+        parent, step = recursion_parent(lam)
+        if parent is None:
+            memo[lam] = FactoredE(eng.n, lam, {(0,) * eng.n: QTPoly.one()}, ())
+        elif step[0] == "PHI":
+            memo[lam] = eng._phi_step(_get_by_recursion(eng, parent, memo),
+                                      lam)
+        else:
+            memo[lam] = eng._t_step(_get_by_recursion(eng, parent, memo), lam,
+                                    step)
+    return memo[lam]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_engine_walk_matches_recursion(n):
+    # largest first, so that get builds whole chains and memoizes every
+    # composition on them, then reads the rest from the chains' ends
+    eng = GenericMacdonaldEngine(n)
+    lams = sorted(compositions_up_to(n, 6), key=sum, reverse=True)
+    for lam in lams:
+        eng.get(lam)
+    memo = {}
+    for lam, fe in eng.memo.items():
+        want = _get_by_recursion(eng, lam, memo)
+        assert (fe.terms, fe.den) == (want.terms, want.den), lam
+    assert set(lams) <= set(eng.memo)
 
 
 class TestTwoPath:
