@@ -18,7 +18,7 @@ every degree is positive.
 
 from __future__ import annotations
 
-from .exact import ExactError, QSeries, geometric_series, inv_pochhammer_qq
+from .exact import ExactError, geometric_product, inv_pochhammer_qq
 from .weights import Permutation, antidominant_data
 
 
@@ -357,10 +357,7 @@ class HwAlgebraChar:
         self.generator_degrees = tuple(sorted(d for d in degrees if d > 0))
 
     def qseries(self, cap):
-        s = QSeries.one(cap)
-        for d in self.generator_degrees:
-            s = s * geometric_series(d, cap)
-        return s
+        return geometric_product(self.generator_degrees, cap)
 
     def __eq__(self, other):
         return (isinstance(other, HwAlgebraChar)

@@ -1148,6 +1148,20 @@ def geometric_series(exponent, cap):
     return QSeries(cap, out)
 
 
+def geometric_product(exponents, cap):
+    """prod over the exponents d of 1 / (1 - q^d), truncated at cap; every
+    d >= 1.  Multiplying by 1 / (1 - q^d) is c[k] += c[k - d] for k >= d,
+    in place and in increasing k, and a factor with d > cap is 1 modulo
+    q^{cap+1}."""
+    out = [1] + [0] * cap
+    for d in exponents:
+        if d < 1:
+            raise ExactError("geometric series needs exponent >= 1")
+        for k in range(d, cap + 1):
+            out[k] += out[k - d]
+    return QSeries(cap, out)
+
+
 def pochhammer_qq_series(m, cap):
     """(q; q)_m as a truncated series."""
     return QSeries.from_qpoly(qq_pochhammer_poly(m), cap)

@@ -22,9 +22,12 @@ a beta matrix only through its margins (row and column sums), so the walk
 runs over margin classes, each weighing the sum over its matrices.  The
 Macdonald side then sums every min-zero lam up to that box: E_lam(x)
 E_lam(y) has x- and y-degree |lam|, so these are all the summands that can
-reach a certified fiber.  Every summand has nonnegative coefficients, which
-is checked as it is read.  ``_sl_series`` turns the sums per class pair of
-either side into the sl series on the window.
+reach a certified fiber.  Its tables are pruned to the window classes by
+the column program (``e_t0_table`` and ``e_atom_table`` with a window
+degree).  Every summand has nonnegative coefficients, which is checked on
+every norm and on every table coefficient that is read.  ``_sl_series``
+turns the sums per class pair of either side into the sl series on the
+window.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 build both sides on packed integers (``PackedQ``, Kronecker substitution):
@@ -519,21 +522,43 @@ def _sl_lhs_window(n, pairs, fibers, K):
     return _sl_series(n, pairs, K, fibers)
 
 
+def _window_hits(table, reps, side):
+    """The (class, coefficient) of the monomials of a window-pruned table
+    whose min-zero class is in ``reps``; every coefficient read is checked
+    nonnegative."""
+    hits = []
+    for e, c in table.items():
+        if not c.is_nonnegative():
+            raise InvariantError(
+                f"negative {side} coefficient; positivity broken")
+        m = min(e)
+        rep = tuple(x - m for x in e)
+        if rep in reps:
+            hits.append((rep, c))
+    return hits
+
+
 def _sl_rhs_adaptive(n, pairs, K, bound):
     """The sl Macdonald side on the window: every min-zero lam with
     |lam| <= bound summed once, with both norms.
 
     lam reaches the window class pair (a, b) through the monomials of
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
-    tables are read one lam at a time, so only one lam's tables are held;
-    the atom table is read only when the t = 0 table lands on a window
-    x-class.  The name is kept although nothing adapts any more: the
-    benchmark's tracer (``perfbench/spans.py``) looks the function up by it.
+    tables are built with the window's degree (``e_t0_table``,
+    ``e_atom_table``), so they hold only the monomials whose class can be a
+    window class.  They are built one lam at a time, so only one lam's
+    tables are held; the atom table is built only when the t = 0 table
+    lands on a window x-class.  The norms of every lam, and every table
+    coefficient that enters the sum, are checked nonnegative.  The name is
+    kept although nothing adapts any more: the benchmark's tracer
+    (``perfbench/spans.py``) looks the function up by it.
 
     Returns (series with the arm/leg norm, series with the
     highest-weight-algebra norm, lambda_count)."""
     x_reps = {a for a, _ in pairs}
     y_reps = {b for _, b in pairs}
+    x_window = max(map(sum, x_reps), default=0)
+    y_window = max(map(sum, y_reps), default=0)
     pair_set = set(pairs)
     zero = QSeries.zero(K)
     acc_a = {}
@@ -544,22 +569,12 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         norm_h = hw_algebra_char(lam, "D").qseries(K)
         if not norm_a.is_nonnegative() or not norm_h.is_nonnegative():
             raise InvariantError("negative norm coefficient; positivity broken")
-        xhits = []
-        for e, c in e_t0_table(n, [lam], K)[lam].items():
-            if not c.is_nonnegative():
-                raise InvariantError("negative t0 coefficient; positivity broken")
-            rep = tuple(x - min(e) for x in e)
-            if rep in x_reps:
-                xhits.append((rep, c))
+        xhits = _window_hits(e_t0_table(n, [lam], K, x_window)[lam],
+                             x_reps, "t0")
         if not xhits:
             continue
-        yhits = []
-        for e, c in e_atom_table(n, [lam], K)[lam].items():
-            if not c.is_nonnegative():
-                raise InvariantError("negative atom coefficient; positivity broken")
-            rep = tuple(y - min(e) for y in e)
-            if rep in y_reps:
-                yhits.append((rep, c))
+        yhits = _window_hits(e_atom_table(n, [lam], K, y_window)[lam],
+                             y_reps, "atom")
         for arep, ca in xhits:
             for brep, cb in yhits:
                 pair = (arep, brep)

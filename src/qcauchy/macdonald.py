@@ -36,6 +36,11 @@ the columns of the fillings formula, ``_column_terms``.  They serve the
 identities, the characters, the rank-one suite and the command line;
 ``specialize_E`` of the exact ``macdonald_E``, which comes from the
 intertwiner recursion and not from fillings, is kept as their test oracle.
+Given a ``window`` degree W, both tables keep only the monomials x^w whose
+min-zero class w - min(w)*1 has degree <= W, the ones the sl identity
+reads: the column program drops each partial filling that can no longer
+reach such a class, and the pruned table is the full table restricted to
+those monomials.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from fractions import Fraction
 
 from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
                     QSeries, QTPoly, QTRational, gaussian_binomial,
-                    geometric_series, invert_q, inv_pochhammer_qq, limit_t,
+                    geometric_product, invert_q, inv_pochhammer_qq, limit_t,
                     reduce_over_binomials)
 from .weights import Composition, arm_leg, diagram, restrict_weight
 
@@ -245,6 +250,7 @@ def generic_engine(n):
 # the t = 0 and (q^{-1}, oo) tables: a dynamic program over columns
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _columns(lam):
     """Columns j = 1, ..., max(lam) of dg(lam) as (pattern, d).
 
@@ -252,13 +258,14 @@ def _columns(lam):
     d_i >= 1 (and d_i is then that cell's leg + 1), and a cell or basement
     entry in column j - 1 when d_i >= 0.  The pattern is the order type of
     d, densely ranked with -1 and 0 kept as they are; the filling rules
-    only compare these values."""
+    only compare these values.  The last lam's columns are kept: the sl
+    Macdonald side reads both tables of one lam in turn."""
     out = []
     for j in range(1, max(lam, default=0) + 1):
         d = tuple(max(e - j + 1, -1) for e in lam)
         rank = {v: r for r, v in enumerate(sorted(set(d) | {-1, 0}), -1)}
         out.append((tuple(rank[v] for v in d), d))
-    return out
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,10 +325,11 @@ def _transitions(pattern, prev, rule):
     return tuple(out)
 
 
-def _column_terms(columns, n, cap, rule):
+def _column_terms(columns, n, cap, rule, floor=0):
     """E_lam(x; q, 0) (rule ``"t0"``) or E_lam(x; q^{-1}, oo) (rule
     ``"atom"``) modulo q^{cap+1}, as {weight: QSeries}, from the columns
-    ``_columns(lam)`` of dg(lam).
+    ``_columns(lam)`` of dg(lam); only the weights whose entries are all at
+    least ``floor`` are kept.
 
     Both are sums over the non-attacking fillings of the fillings formula.
     At t = 0 a filling survives when it has coinv = 0 and gives q^maj, maj
@@ -334,15 +342,39 @@ def _column_terms(columns, n, cap, rule):
     column: the state is the last column filled (column 0 is the basement
     1, ..., n), its value the number of partial fillings by q-exponent and
     weight, {e: {weight: count}}, a weight packed as the digits of one
-    integer in base (cells + 1).
+    integer in base 2^bits, where 2^(bits - 1) exceeds the number of cells.
 
     A column only adds to the q-exponent (its gain is a sum of legs + 1),
     so a partial filling above ``cap`` has no completion below it:
-    dropping it leaves the result exact modulo q^{cap+1}."""
-    base = sum(1 for _, d in columns for x in d if x >= 1) + 1
+    dropping it leaves the result exact modulo q^{cap+1}.
+
+    The floor is pruned the same way.  It serves a window of degree W: the
+    window classes are the min-zero w - min(w)*1 of degree <= W, and every
+    weight of either table has |w| = |lam|, so w is in a window class iff
+    min(w) >= ceil((|lam| - W) / n), the floor ``_window_floor`` passes.
+    A column's entries are distinct, so each later column adds a 0/1
+    vector to the weight: a partial weight p with some p_v + (columns
+    left) < floor has no completion with every entry at least ``floor``,
+    and is dropped.  After the last column the test is exact, so the
+    result is the full table restricted to the weights with min(w) >=
+    floor.  With floor <= 0 nothing is tested, and a column is tested
+    only once floor exceeds the columns left after it.  The test reads
+    all digits at once: with the top bit of every digit set, subtracting
+    (floor - columns left) from each digit borrows from no other digit
+    (the digits are below 2^(bits - 1), and so is the floor, which is at
+    most ceil(|lam| / n)), and it clears a digit's top bit just where
+    that digit is below it."""
+    bits = sum(1 for _, d in columns for x in d if x >= 1).bit_length() + 1
+    base = 1 << bits
+    ones = sum(1 << (bits * v) for v in range(n))
+    top = ones << (bits - 1)
     packed = {}
     states = {tuple(range(1, n + 1)): {0: {0: 1}}}
+    left = len(columns)
     for pattern, d in columns:
+        left -= 1
+        prune = floor > left
+        low = (floor - left) * ones
         nxt = {}
         gains = {}
         for prev, counts in states.items():
@@ -355,14 +387,32 @@ def _column_terms(columns, n, cap, rule):
                     continue
                 inc = packed.get(col)
                 if inc is None:
-                    inc = packed[col] = sum(base ** (v - 1) for v in col if v)
+                    inc = packed[col] = sum(1 << (bits * (v - 1))
+                                            for v in col if v)
                 acc = nxt.setdefault(col, {})
+                if not prune:
+                    for e, ws in counts.items():
+                        if e + gain <= cap:
+                            tgt = acc.setdefault(e + gain, {})
+                            for w, c in ws.items():
+                                w += inc
+                                tgt[w] = tgt.get(w, 0) + c
+                    continue
                 for e, ws in counts.items():
                     if e + gain <= cap:
                         tgt = acc.setdefault(e + gain, {})
                         for w, c in ws.items():
                             w += inc
-                            tgt[w] = tgt.get(w, 0) + c
+                            if ((w | top) - low) & top == top:
+                                tgt[w] = tgt.get(w, 0) + c
+        if prune:
+            # drop the emptied weight sets: the next column reads min(counts)
+            for col in list(nxt):
+                kept = {e: ws for e, ws in nxt[col].items() if ws}
+                if kept:
+                    nxt[col] = kept
+                else:
+                    del nxt[col]
         states = nxt
     by_weight = {}
     for counts in states.values():
@@ -379,11 +429,24 @@ def _column_terms(columns, n, cap, rule):
     return out
 
 
-class T0Engine:
-    """E_lam(x; q, 0) for batches of compositions, by the column program."""
+def _window_floor(lam, n, window):
+    """The floor of ``_column_terms`` for a window of degree ``window``:
+    ceil((|lam| - window) / n), or 0 (no bound) when ``window`` is None."""
+    if window is None:
+        return 0
+    if window < 0:
+        raise ExactError("a window degree is nonnegative")
+    return -((window - sum(lam)) // n)
 
-    def __init__(self, n):
+
+class T0Engine:
+    """E_lam(x; q, 0) for batches of compositions, by the column program;
+    with a ``window``, only the monomials whose min-zero class has degree
+    at most ``window`` (see ``_column_terms``)."""
+
+    def __init__(self, n, window=None):
         self.n = n
+        self.window = window
 
     def plan(self, targets):
         """(patterns, columns): the distinct column patterns of the batch,
@@ -395,13 +458,18 @@ class T0Engine:
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
         _, columns = self.plan(targets)
-        return {lam: _column_terms(columns[lam], self.n, cap, "t0")
+        return {lam: _column_terms(columns[lam], self.n, cap, "t0",
+                                   _window_floor(lam, self.n, self.window))
                 for lam in targets}
 
 
-def atom_terms(lam, n, cap):
-    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program."""
-    return _column_terms(_columns(_as_tuple(lam)), n, cap, "atom")
+def atom_terms(lam, n, cap, window=None):
+    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program; with a
+    ``window``, only the monomials whose min-zero class has degree at most
+    ``window``."""
+    lam = _as_tuple(lam)
+    return _column_terms(_columns(lam), n, cap, "atom",
+                         _window_floor(lam, n, window))
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +712,19 @@ def norm_a_qt(lam):
 
 
 def norm_a_q(lam, cap):
-    """a_lam(q) = prod over arm-0 cells of 1/(1 - q^{leg+1}), truncated."""
+    """a_lam(q) = prod over arm-0 cells of 1/(1 - q^{leg+1}), truncated.
+
+    By the arm of ``arm_leg``, the cell (i, j) has arm 0 iff j exceeds
+    every lam_k <= lam_i with k < i and every lam_k + 1 <= lam_i with
+    k > i.  So the arm-0 cells of row i are the j > J_i, J_i the largest of
+    0 and those values, and their legs + 1 run over 1, ..., lam_i - J_i."""
     lam = _as_tuple(lam)
-    s = QSeries.one(cap)
-    for cell in diagram(lam):
-        arm, leg = arm_leg(lam, cell)
-        if arm == 0:
-            s = s * geometric_series(leg + 1, cap)
-    return s
+    degrees = []
+    for i, li in enumerate(lam):
+        top = max([0] + [e for e in lam[:i] if e <= li]
+                  + [e + 1 for e in lam[i + 1:] if e < li])
+        degrees.extend(range(1, li - top + 1))
+    return geometric_product(degrees, cap)
 
 
 # -- rank-one closed forms ---------------------------------------------------
@@ -731,14 +804,18 @@ def _compositions(lams):
     return lams
 
 
-def e_t0_table(n, lams, cap):
-    """{lam: {exps: QSeries}} of t = 0 specializations."""
-    return T0Engine(n).batch(_compositions(lams), cap)
+def e_t0_table(n, lams, cap, window=None):
+    """{lam: {exps: QSeries}} of t = 0 specializations; with a ``window``,
+    only the monomials whose min-zero class has degree <= ``window``."""
+    return T0Engine(n, window).batch(_compositions(lams), cap)
 
 
-def e_atom_table(n, lams, cap):
-    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations."""
-    return {lam: atom_terms(lam, n, cap) for lam in _compositions(lams)}
+def e_atom_table(n, lams, cap, window=None):
+    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations; with a
+    ``window``, only the monomials whose min-zero class has degree <=
+    ``window``."""
+    return {lam: atom_terms(lam, n, cap, window=window)
+            for lam in _compositions(lams)}
 
 
 def restrict_poly_terms(terms):

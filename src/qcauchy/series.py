@@ -456,18 +456,16 @@ def series_records(f):
 def first_difference(f, g):
     """First monomial (canonical order) where f and g differ, or None.
 
-    Returns (exps, coeff_f, coeff_g)."""
+    A monomial present on one side only differs unless its scalar is zero.
+    Only the differing monomials are ordered.  Returns (exps, coeff_f,
+    coeff_g)."""
     f._compat(g)
-    keys = set(f.terms) | set(g.terms)
-    for exps in sorted(keys, key=lambda e: monomial_key(f.varset, e)):
-        cf = f.terms.get(exps)
-        cg = g.terms.get(exps)
-        if cf is None or cg is None or cf != cg:
-            if cf is not None and cg is not None and cf == cg:
-                continue
-            if cf is None and cg is not None and _is_zero_scalar(cg):
-                continue
-            if cg is None and cf is not None and _is_zero_scalar(cf):
-                continue
-            return exps, cf, cg
-    return None
+    ft, gt = f.terms, g.terms
+    diff = [e for e, c in ft.items()
+            if (c != gt[e] if e in gt else not _is_zero_scalar(c))]
+    diff += [e for e, c in gt.items()
+             if e not in ft and not _is_zero_scalar(c)]
+    if not diff:
+        return None
+    exps = min(diff, key=lambda e: monomial_key(f.varset, e))
+    return exps, ft.get(exps), gt.get(exps)

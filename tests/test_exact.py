@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qcauchy.exact import (DivergentLimitError, ExactError, PackedQ, QPoly,
                            QSeries, QTPoly, QTRational, ZeroDenominatorError,
-                           gaussian_binomial, geometric_series, invert_q,
+                           gaussian_binomial, geometric_product,
+                           geometric_series, invert_q,
                            inv_pochhammer_qq, l1_mass, limit_t, normalize_qt,
                            qq_pochhammer_poly, qseries_from_qtrational,
                            qtpoly_gcd, reduce_over_binomials, _divide_exact)
@@ -289,6 +290,10 @@ class TestQSeries:
 
     def test_partition_counts(self):
         assert inv_pochhammer_qq(2, 6).coeffs == (1, 1, 2, 2, 3, 3, 4)
+        assert geometric_product((1, 2), 6) == inv_pochhammer_qq(2, 6)
+        assert geometric_product((), 3) == QSeries.one(3)
+        with pytest.raises(ExactError):
+            geometric_product((2, 0), 3)
 
     def test_from_qtrational(self):
         f = QTRational(ONE, ONE - Q)

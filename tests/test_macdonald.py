@@ -1,16 +1,18 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcauchy.affine import hw_algebra_char_gl
+from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
-                           invert_q, limit_t, qseries_from_qtrational)
+                           geometric_series, invert_q, limit_t,
+                           qseries_from_qtrational)
 from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
                                MacdonaldPolynomial, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_qt,
                                recursion_parent, restrict_poly_terms,
                                rs_polynomial, sl2_closed_forms, specialize_E)
-from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
+from qcauchy.weights import (arm_leg, compositions_up_to, diagram,
+                             min_zero_compositions_up_to)
 
 ONE = QTPoly.one()
 Q = QTPoly.q()
@@ -183,6 +185,44 @@ def test_tables_match_specialize_property(case, cap):
         assert table(n, [lam], cap)[lam] == want, (lam, cap, mode)
 
 
+def _in_window(table, n, window):
+    """The monomials of a table whose min-zero class has degree <= window."""
+    return {e: c for e, c in table.items() if sum(e) - n * min(e) <= window}
+
+
+def test_window_tables_match_restricted_tables():
+    # the oracle of the window pruning: the pruned table is the full table
+    # restricted to the window classes, for both rules
+    for n, size in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        lams = sorted(compositions_up_to(n, size))
+        for cap in (0, 2, 4):
+            for table, _ in TABLES:
+                full = table(n, lams, cap)
+                for window in range(4):
+                    pruned = table(n, lams, cap, window)
+                    for lam in lams:
+                        want = _in_window(full[lam], n, window)
+                        assert pruned[lam] == want, \
+                            (lam, cap, window, table.__name__)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SMALL_COMPOSITIONS + [
+           (4, lam) for lam in sorted(compositions_up_to(4, 6))]),
+       st.integers(0, 8), st.integers(0, 6))
+def test_window_tables_property(case, window, cap):
+    n, lam = case
+    for table, _ in TABLES:
+        want = _in_window(table(n, [lam], cap)[lam], n, window)
+        assert table(n, [lam], cap, window)[lam] == want, (lam, window, cap)
+
+
+def test_window_degree_must_be_nonnegative():
+    for table, _ in TABLES:
+        with pytest.raises(ExactError):
+            table(2, [(1, 0)], 2, -1)
+
+
 class TestNorms:
     def test_examples(self):
         a = norm_a_qt((0, 2))
@@ -199,11 +239,28 @@ class TestNorms:
 
     def test_q_series_examples(self):
         # 1/((1-q)(1-q^2)) and 1/(1-q)
-        from qcauchy.exact import geometric_series
         assert norm_a_q((0, 2), 8) == \
             geometric_series(1, 8) * geometric_series(2, 8)
         assert norm_a_q((2, 0), 8) == geometric_series(1, 8)
         assert norm_a_q((0, 0), 8) == QSeries.one(8)
+
+    def test_norm_products_match_geometric_series(self):
+        # the one in-place product builder against the product of the
+        # geometric series 1/(1 - q^d), for both norm products; for
+        # norm_a_q the degrees are read off arm_leg cell by cell
+        for n in (1, 2, 3, 4):
+            for lam in compositions_up_to(n, 6):
+                legs = [leg + 1 for arm, leg in
+                        (arm_leg(lam, cell) for cell in diagram(lam))
+                        if arm == 0]
+                hw = hw_algebra_char(lam, "D")
+                for cap in range(11):
+                    for got, ds in ((norm_a_q(lam, cap), legs),
+                                    (hw.qseries(cap), hw.generator_degrees)):
+                        want = QSeries.one(cap)
+                        for d in ds:
+                            want = want * geometric_series(d, cap)
+                        assert got == want, (lam, cap)
 
     def test_three_way_agreement(self):
         cap = 10
@@ -246,7 +303,6 @@ class TestRankOne:
         e_t0, e_atom, a = sl2_closed_forms(-1, 6)
         assert e_t0 == {1: QPoly.one(), -1: QPoly.one()}
         assert e_atom == {1: QPoly.gen(), -1: QPoly.one()}
-        from qcauchy.exact import geometric_series
         assert a == geometric_series(1, 6)
         e_t0, e_atom, a = sl2_closed_forms(1, 6)
         assert e_t0 == {1: QPoly.one()}

@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcauchy.exact import (DivergentPochhammerError, ExactError, QSeries,
                            QTPoly, QTRational, inv_pochhammer_qq)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
-                            first_difference, inverse_truncated,
-                            mul_truncated, pochhammer_series, series_records)
+                            _is_zero_scalar, first_difference,
+                            inverse_truncated, monomial_key, mul_truncated,
+                            pochhammer_series, series_records)
 
 GL1 = VariableSet.gl(1)
 GL2 = VariableSet.gl(2)
@@ -202,3 +204,50 @@ def test_serialization_deterministic():
     recs = series_records(f)
     assert [r["exps"] for r in recs] == [[0, 0], [1, 1], [2, 2]]
     assert recs[1]["coeff"] == {"cap": 2, "coeffs": ["0", "-3"]}
+
+
+def _first_difference_by_sort(f, g):
+    """The oracle of first_difference: walk every key of both sides in
+    canonical order.  A key on one side only differs unless its scalar is
+    zero."""
+    for exps in sorted(set(f.terms) | set(g.terms),
+                       key=lambda e: monomial_key(f.varset, e)):
+        cf, cg = f.terms.get(exps), g.terms.get(exps)
+        if cf is not None and cg is not None:
+            if cf != cg:
+                return exps, cf, cg
+        elif not _is_zero_scalar(cf if cg is None else cg):
+            return exps, cf, cg
+    return None
+
+
+DIFF_POLICY = TruncationPolicy(3, 3, 2)
+DIFF_EXPS = st.tuples(*[st.integers(0, 1)] * 4)
+DIFF_SCALARS = st.one_of(
+    st.integers(-2, 2),
+    st.lists(st.integers(-2, 2), max_size=3).map(lambda cs: qs(2, *cs)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(DIFF_EXPS, DIFF_SCALARS, max_size=8),
+       st.dictionaries(DIFF_EXPS, DIFF_SCALARS, max_size=4),
+       st.lists(DIFF_EXPS, max_size=3),
+       st.dictionaries(DIFF_EXPS, st.sampled_from([0, qs(2)]), max_size=3),
+       st.booleans())
+def test_first_difference_matches_sorted_walk(terms, changed, dropped,
+                                              zeros, swap):
+    # equal sides, sides that differ (changed or dropped terms), and sides
+    # that differ only by zero scalars present on one side; the scalars are
+    # kept as drawn, zero ones included
+    other = dict(terms)
+    other.update(changed)
+    for e in dropped:
+        other.pop(e, None)
+    for e, z in zeros.items():
+        other.setdefault(e, z)
+    f = TruncatedSeries(GL2, DIFF_POLICY, terms, _checked=True)
+    g = TruncatedSeries(GL2, DIFF_POLICY, other, _checked=True)
+    if swap:
+        f, g = g, f
+    assert first_difference(f, g) == _first_difference_by_sort(f, g)
+    assert first_difference(f, f) is None

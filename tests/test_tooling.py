@@ -58,6 +58,9 @@ def test_tracer_installs():
     assert sl_status == 0
     assert sl_counts["identities.certificate.box"] == 8
     assert sl_counts["identities.macdonald_side.summands"] == 17
+    # the window-pruned tables still go through the wrapped table builders
+    assert sl_counts["macdonald.T0Engine.batch.targets"] > 0
+    assert sl_counts["macdonald.atom_terms.fillings"] > 0
 
 
 def test_benchmark_self_tests():
