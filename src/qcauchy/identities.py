@@ -19,29 +19,32 @@ class pair, the solutions of the support system of the kernel once: it
 bounds the fiber index k, which fixes the certified gl box, and it sums the
 solutions' weights, which are the projected product side.  The system sees
 a beta matrix only through its margins (row and column sums), so the walk
-runs over margin classes, each weighing the sum over its matrices.  The
-Macdonald side then sums every min-zero lam up to that box: E_lam(x)
-E_lam(y) has x- and y-degree |lam|, so these are all the summands that can
-reach a certified fiber.  Its tables are pruned to the window classes by
-the column program (``e_t0_table`` and ``e_atom_table`` with a window
-degree).  Every summand has nonnegative coefficients, which is checked on
-every norm and on every table coefficient that is read.  ``_sl_series``
-turns the sums per class pair of either side into the sl series on the
-window.
+runs over margin classes, each weighing the sum over its matrices, and
+counts a class's solutions for every shift S at once.  The Macdonald side
+then sums every min-zero lam up to that box: E_lam(x) E_lam(y) has x- and
+y-degree |lam|, so these are all the summands that can reach a certified
+fiber.  Its tables are pruned to the window classes by the column program
+(``e_t0_table`` and ``e_atom_table`` with a window degree), which skips a
+lam that cannot reach the window at all.  Every summand has nonnegative
+coefficients, which is checked on every norm and on every table
+coefficient that is read.  ``_sl_series`` turns the sums per class pair of
+either side into the sl series on the window.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
-build both sides on packed integers (``PackedQ``, Kronecker substitution):
-a truncated q-series with integer coefficients is one int with B bits per
-coefficient, a product of series one integer product.  Packed arithmetic
-is taken modulo 2^{B (cap + 1)}, the image of truncation at q^cap, and
-unpacking reads each slot as a centered residue, which is exact when every
-coefficient read has absolute value below 2^{B - 1}.  The width is
-B = bound.bit_length() + 2 for a bound on every coefficient of every
-intermediate value: on the product side the product of the factors' L1
-masses (sum of |coefficient| over a factor), on the Macdonald side
-sum_lam L1(norm) L1(t = 0 table) L1(atom table).  An L1 mass bounds every
-coefficient, and the mass of a product is at most the product of the
-masses, so |coefficient| <= bound < 2^{B - 2}.
+build both sides on packed integers (``PackedQ``, Kronecker substitution),
+and so does the sl Macdonald side: a truncated q-series with integer
+coefficients is one int with B bits per coefficient, a product of series
+one integer product.  Packed arithmetic is taken modulo 2^{B (cap + 1)},
+the image of truncation at q^cap, and unpacking reads each slot as a
+centered residue, which is exact when every coefficient read has absolute
+value below 2^{B - 1}.  The width is B = bound.bit_length() + 2 for a
+bound on every coefficient of every intermediate value: on the product
+side the product of the factors' L1 masses (sum of |coefficient| over a
+factor), on the gl Macdonald side sum_lam L1(norm) L1(t = 0 table) L1(atom
+table), on the sl Macdonald side sum_lam max(L1(norm_a), L1(norm_h))
+L1(x hits) L1(y hits) over the window hits of the two tables.  An L1 mass
+bounds every coefficient, and the mass of a product is at most the product
+of the masses, so |coefficient| <= bound < 2^{B - 2}.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
@@ -66,15 +69,23 @@ VARIANTS = ("gl_qt", "gl_t0", "gl_slform", "sl_projected", "classical_q0",
             "iwahori_char", "sl2_appendix")
 
 
-@dataclass
 class VerificationReport:
-    variant: str
-    n: int
-    policy: dict
-    outcome: str                    # 'pass' | 'fail'
-    witness: object = None          # first mismatch data on failure
-    lambda_count: int = 0
-    elapsed: float = 0.0
+    """The outcome of one identity check: ``witness`` names the first
+    mismatch on failure; ``elapsed`` (seconds) stays out of the
+    deterministic serializations."""
+
+    __slots__ = ("variant", "n", "policy", "outcome", "witness",
+                 "lambda_count", "elapsed")
+
+    def __init__(self, variant, n, policy, outcome, witness=None,
+                 lambda_count=0, elapsed=0.0):
+        self.variant = variant
+        self.n = n
+        self.policy = policy
+        self.outcome = outcome          # 'pass' | 'fail'
+        self.witness = witness
+        self.lambda_count = lambda_count
+        self.elapsed = elapsed
 
     @property
     def passed(self):
@@ -384,9 +395,8 @@ def _kostant_xsums(c, n):
 
 def _beta_margins(n, K):
     """The nonnegative n x n matrices with entry sum <= K, grouped by their
-    margins: a list of (row sums, column sums, weight), sorted by entry sum,
-    where the weight is the sum over the class of prod_entries
-    q^v / (q; q)_v at cap K."""
+    margins: a list of (row sums, column sums, weight), where the weight is
+    the sum over the class of prod_entries q^v / (q; q)_v at cap K."""
     beta_w = [inv_pochhammer_qq(v, K).shift(v) for v in range(K + 1)]
     cells = [(r, s) for r in range(n) for s in range(n)]
     classes = {}
@@ -404,8 +414,7 @@ def _beta_margins(n, K):
             rows[r] -= v
             cols[s] -= v
     rec(0, K, [0] * n, [0] * n, QSeries.one(K))
-    return sorted(((rows, cols, w) for (rows, cols), w in classes.items()),
-                  key=lambda item: sum(item[0]))
+    return [(rows, cols, w) for (rows, cols), w in classes.items()]
 
 
 def _sl_window_policy(pairs, K):
@@ -438,21 +447,27 @@ def sl_certificate(n, pairs, K):
     suffices.
 
     Eliminating nu leaves the Kostant system sum m_{ij} (e_i - e_j) = c,
-    c = a - b + (|b| - |a|)/n * 1 - rows + cols, and k is the largest entry
-    of m's x-side sums + rows + S - a.  Both see beta only through its
-    margins (rows, cols), so the walk counts, per pair, S and margin class,
-    the Kostant solutions with k >= 0 and k >= (|b| - |a|)/n.
+    c = a - b + (|b| - |a|)/n * 1 - rows + cols, and k = t + S with t the
+    largest entry of m's x-side sums + rows - a.  Both see beta only
+    through its margins (rows, cols), so the walk runs, per pair, over the
+    margin classes: it forms c and looks up its Kostant solutions once,
+    sorts their t, and then counts for each S within the q-budget the
+    solutions with k >= 0 and k >= (|b| - |a|)/n, that is t >= max(0,
+    (|b| - |a|)/n) - S, by bisection; the largest k is the last t + S.
 
     It also sums the solutions' coefficients in the gl_slform product,
     which are exactly the fiber sums project_to_sl would take over the full
     box: a beta matrix weighs prod_entries q^v / (q; q)_v (summed over its
     class by ``_beta_margins``), and S weighs (-1)^S q^{S(S+1)/2} / (q; q)_S.
+    The class weights are summed per S as integer coefficient lists, each
+    multiplied by its S weight once per pair.
     Returns (kmax, Dx, Dy, fibers) with kmax keyed on the x-side and
     fibers[pair] that sum, for every pair with a solution."""
     poch_w = [inv_pochhammer_qq(S, K).shift(S * (S + 1) // 2)
               * (-1 if S % 2 else 1)
               for S in range(K + 1) if S * (S + 1) // 2 <= K]
-    margins = _beta_margins(n, K)
+    margins = [(rows, cols, sum(rows), w.coeffs)
+               for rows, cols, w in _beta_margins(n, K)]
     kostant = {}    # c -> the x-side sums of its Kostant solutions
     kmax = {pair: -1 for pair in pairs}
     fibers = {}
@@ -461,25 +476,30 @@ def sl_certificate(n, pairs, K):
         off, rem = divmod(sum(b) - sum(a), n)
         if rem:
             continue
-        for S, pw in enumerate(poch_w):
-            acc = [0] * (K + 1)     # integer coefficients of q^0 .. q^K
-            for rows, cols, w in margins:
-                if sum(rows) + S * (S + 1) // 2 > K:
+        low = max(0, off)
+        best = -1
+        # integer coefficients of q^0 .. q^K, per S
+        accs = [[0] * (K + 1) for _ in poch_w]
+        for rows, cols, size, w in margins:
+            c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
+                      for i in range(n))
+            sums = kostant.get(c)
+            if sums is None:
+                sums = kostant[c] = _kostant_xsums(c, n)
+            if not sums:
+                continue
+            shift = [rows[i] - a[i] for i in range(n)]
+            tops = sorted(max(map(int.__add__, mx, shift)) for mx in sums)
+            for S, acc in enumerate(accs):
+                if size + S * (S + 1) // 2 > K:
                     break
-                c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
-                          for i in range(n))
-                sums = kostant.get(c)
-                if sums is None:
-                    sums = kostant[c] = _kostant_xsums(c, n)
-                count = 0
-                for mx in sums:
-                    k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
-                    if k >= 0 and k >= off:
-                        count += 1
-                        kmax[pair] = max(kmax[pair], k)
+                count = len(tops) - bisect_left(tops, low - S)
                 if count:
-                    for i, x in enumerate(w.coeffs):
+                    best = max(best, tops[-1] + S)
+                    for i, x in enumerate(w):
                         acc[i] += count * x
+        kmax[pair] = best
+        for pw, acc in zip(poch_w, accs):
             if any(acc):    # iff a solution: class weights are >= 0, nonzero
                 term = pw * QSeries(K, acc)
                 fibers[pair] = fibers[pair] + term if pair in fibers else term
@@ -546,12 +566,20 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
     tables are built with the window's degree (``e_t0_table``,
     ``e_atom_table``), so they hold only the monomials whose class can be a
-    window class.  They are built one lam at a time, so only one lam's
-    tables are held; the atom table is built only when the t = 0 table
-    lands on a window x-class.  The norms of every lam, and every table
+    window class, and a lam that cannot reach the window at all gets an
+    empty table without running the column program.  They are built one
+    lam at a time; the atom table is built only when the t = 0 table lands
+    on a window x-class.  The norms of every lam, and every table
     coefficient that enters the sum, are checked nonnegative.  The name is
     kept although nothing adapts any more: the benchmark's tracer
     (``perfbench/spans.py``) looks the function up by it.
+
+    The window hits and both norms of each contributing lam are kept, and
+    the sum runs on packed integers (``PackedQ``): per class pair, each lam
+    adds one product hit(x) hit(y) norm, untruncated, so every slot of a
+    pair's sum is at most sum_lam max(L1(norm_a), L1(norm_h)) L1(x hits)
+    L1(y hits), the bound that fixes the slot width.  Each pair's sum is
+    unpacked once.
 
     Returns (series with the arm/leg norm, series with the
     highest-weight-algebra norm, lambda_count)."""
@@ -560,9 +588,7 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     x_window = max(map(sum, x_reps), default=0)
     y_window = max(map(sum, y_reps), default=0)
     pair_set = set(pairs)
-    zero = QSeries.zero(K)
-    acc_a = {}
-    acc_h = {}
+    kept = []       # (x hits, y hits, norm_a, norm_h) of each contributor
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
     for lam in lambdas:
         norm_a = norm_a_q(lam, K)
@@ -575,16 +601,34 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
             continue
         yhits = _window_hits(e_atom_table(n, [lam], K, y_window)[lam],
                              y_reps, "atom")
+        if yhits:
+            kept.append((xhits, yhits, norm_a, norm_h))
+
+    def mass(hits):
+        return sum(l1_mass(c.coeffs) for _, c in hits)
+    packing = PackedQ(sum(max(l1_mass(na.coeffs), l1_mass(nh.coeffs))
+                          * mass(xhits) * mass(yhits)
+                          for xhits, yhits, na, nh in kept), K)
+    pack = packing.pack
+    acc_a = {}
+    acc_h = {}
+    for xhits, yhits, norm_a, norm_h in kept:
+        pa = pack(norm_a.coeffs)
+        ph = pack(norm_h.coeffs)
+        ys = [(brep, pack(cb.coeffs)) for brep, cb in yhits]
         for arep, ca in xhits:
-            for brep, cb in yhits:
+            px = pack(ca.coeffs)
+            for brep, py in ys:
                 pair = (arep, brep)
-                if pair not in pair_set:
-                    continue
-                prod = ca * cb
-                acc_a[pair] = acc_a.get(pair, zero) + prod * norm_a
-                acc_h[pair] = acc_h.get(pair, zero) + prod * norm_h
-    return (_sl_series(n, pairs, K, acc_a), _sl_series(n, pairs, K, acc_h),
-            len(lambdas))
+                if pair in pair_set:
+                    prod = px * py
+                    acc_a[pair] = acc_a.get(pair, 0) + prod * pa
+                    acc_h[pair] = acc_h.get(pair, 0) + prod * ph
+
+    def unpacked(acc):
+        return {pair: packing.unpack(v) for pair, v in acc.items()}
+    return (_sl_series(n, pairs, K, unpacked(acc_a)),
+            _sl_series(n, pairs, K, unpacked(acc_h)), len(lambdas))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,14 @@ Given a ``window`` degree W, both tables keep only the monomials x^w whose
 min-zero class w - min(w)*1 has degree <= W, the ones the sl identity
 reads: the column program drops each partial filling that can no longer
 reach such a class, and the pruned table is the full table restricted to
-those monomials.
+those monomials.  Before that, ``_reaches_window`` rejects a lam whose
+table can hold no such monomial, and its table is empty without a column
+program.  A window class needs min(w) >= F = ceil((|lam| - W) / n).  At
+t = 0 a cell holds a value above its row's basement value only after an
+ascent in its row, and that ascent costs leg + 1, at least the number of
+cells it raises; so a filling of q-degree at most the cap raises at most
+cap cells, while min(w) >= F forces some lam to raise more.  The atom
+side is the mirror case, with descents and the cells they lower.
 """
 
 from __future__ import annotations
@@ -439,10 +446,46 @@ def _window_floor(lam, n, window):
     return -((window - sum(lam)) // n)
 
 
+def _reaches_window(lam, n, cap, floor, rule):
+    """False only when the table of ``rule`` at ``cap`` has no weight w
+    with min(w) >= ``floor``: the ``_column_terms`` of such a lam would be
+    empty, and it is not run.
+
+    Rows and values are counted from 0 here, so row v's basement value is
+    v.  At t = 0 the entries of a row do not increase along it until its
+    first ascent, so a cell holds a value above its row's basement value
+    only at or after that ascent, which costs leg + 1: at least the number
+    of the row's cells from there on.  So a filling of q-degree at most
+    ``cap`` has at most ``cap`` such raised cells.  If min(w) >= F, at
+    least (n - v) F cells hold a value >= v, and the rows v, ..., n - 1
+    hold sum_{i >= v} lam_i cells, so at least (n - v) F - sum_{i >= v}
+    lam_i cells of the rows above v are raised; a lam with that count
+    above ``cap`` for some v = 1, ..., n - 1 has no such weight.  The atom
+    rule is the mirror case: a cell holds a value below its row's basement
+    value only after a descent, which costs leg + 1, and at least (v + 1) F
+    - sum_{i <= v} lam_i cells of the rows below v are lowered, for
+    v = 0, ..., n - 2."""
+    if floor <= 0:
+        return True
+    held = 0
+    if rule == "t0":
+        for v in range(n - 1, 0, -1):
+            held += lam[v]
+            if (n - v) * floor - held > cap:
+                return False
+    else:
+        for v in range(n - 1):
+            held += lam[v]
+            if (v + 1) * floor - held > cap:
+                return False
+    return True
+
+
 class T0Engine:
     """E_lam(x; q, 0) for batches of compositions, by the column program;
     with a ``window``, only the monomials whose min-zero class has degree
-    at most ``window`` (see ``_column_terms``)."""
+    at most ``window`` (see ``_column_terms``), and an empty table for a
+    lam that cannot reach one (see ``_reaches_window``)."""
 
     def __init__(self, n, window=None):
         self.n = n
@@ -457,19 +500,25 @@ class T0Engine:
 
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
-        _, columns = self.plan(targets)
+        floors = {lam: _window_floor(lam, self.n, self.window)
+                  for lam in targets}
+        live = [lam for lam in targets
+                if _reaches_window(lam, self.n, cap, floors[lam], "t0")]
+        _, columns = self.plan(live)
         return {lam: _column_terms(columns[lam], self.n, cap, "t0",
-                                   _window_floor(lam, self.n, self.window))
+                                   floors[lam]) if lam in columns else {}
                 for lam in targets}
 
 
 def atom_terms(lam, n, cap, window=None):
     """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program; with a
     ``window``, only the monomials whose min-zero class has degree at most
-    ``window``."""
+    ``window``, and an empty table for a lam that cannot reach one."""
     lam = _as_tuple(lam)
-    return _column_terms(_columns(lam), n, cap, "atom",
-                         _window_floor(lam, n, window))
+    floor = _window_floor(lam, n, window)
+    if not _reaches_window(lam, n, cap, floor, "atom"):
+        return {}
+    return _column_terms(_columns(lam), n, cap, "atom", floor)
 
 
 # ---------------------------------------------------------------------------

@@ -79,24 +79,49 @@ class TestInvariantErrors:
 
 
 class TestSlMismatch:
-    def test_injected_mismatch_names_witness(self, monkeypatch):
-        # a norm one too large breaks the identity at the trivial class;
-        # the failing run still sums every lambda up to the certified box
+    # the witness is pinned in full (monomial and both rendered sides), so
+    # the packed Macdonald sums must name the first mismatch exactly
+    def _witness(self, monkeypatch, name, corrupt):
         import qcauchy.identities as identities
-        from qcauchy.exact import QSeries
-        norm_a_q = identities.norm_a_q
-
-        def shifted_norm(lam, cap):
-            return norm_a_q(lam, cap) + QSeries.one(cap)
-        monkeypatch.setattr(identities, "norm_a_q", shifted_norm)
+        monkeypatch.setattr(identities, name,
+                            corrupt(getattr(identities, name)))
         code, out, _ = invoke(["verify", "--identity", "sl", "--n", "3",
                                "--max-deg", "2", "--max-q", "2"])
         assert code == 1
         lines = out.splitlines()
+        # the failing run still sums every lambda up to the certified box
         assert "summands : 316" in lines
         assert "outcome  : fail" in lines
-        witness = json.loads(lines[-1].split(":", 1)[1])
-        assert witness["monomial"] == [0, 0, 0, 0]
+        return json.loads(lines[-1].split(":", 1)[1])
+
+    def test_injected_mismatch_names_witness(self, monkeypatch):
+        # a norm one too large breaks the identity at the trivial class
+        from qcauchy.exact import QSeries
+
+        def corrupt(norm_a_q):
+            return lambda lam, cap: norm_a_q(lam, cap) + QSeries.one(cap)
+        assert self._witness(monkeypatch, "norm_a_q", corrupt) == {
+            "monomial": [0, 0, 0, 0],
+            "lhs": {"cap": 2, "coeffs": ["1", "6", "33"]},
+            "rhs": {"cap": 2, "coeffs": ["2", "12", "58"]}}
+
+    def test_injected_hw_norm_mismatch_names_witness(self, monkeypatch):
+        # a highest-weight-algebra norm q too large passes the product
+        # side against the arm/leg norm and fails the comparison of the
+        # two norms' Macdonald sums
+        from types import SimpleNamespace
+        from qcauchy.exact import QSeries
+
+        def corrupt(hw_algebra_char):
+            def shifted(*args):
+                char = hw_algebra_char(*args)
+                return SimpleNamespace(qseries=lambda cap: (
+                    char.qseries(cap) + QSeries.one(cap).shift(1)))
+            return shifted
+        assert self._witness(monkeypatch, "hw_algebra_char", corrupt) == {
+            "monomial": [0, 0, 0, 0],
+            "lhs": {"cap": 2, "coeffs": ["1", "6", "33"]},
+            "rhs": {"cap": 2, "coeffs": ["1", "7", "39"]}}
 
 
 class TestUsageErrors:

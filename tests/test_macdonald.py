@@ -6,7 +6,8 @@ from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            geometric_series, invert_q, limit_t,
                            qseries_from_qtrational)
 from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
-                               MacdonaldPolynomial, atom_terms, e_atom_table,
+                               MacdonaldPolynomial, _reaches_window,
+                               _window_floor, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_qt,
                                recursion_parent, restrict_poly_terms,
@@ -215,6 +216,28 @@ def test_window_tables_property(case, window, cap):
     for table, _ in TABLES:
         want = _in_window(table(n, [lam], cap)[lam], n, window)
         assert table(n, [lam], cap, window)[lam] == want, (lam, window, cap)
+
+
+def test_reachability_rejects_only_tables_without_window_weights():
+    # the oracle of the reachability test: a lam it rejects has no weight
+    # with min(w) >= the window floor in its full table; some are rejected
+    rejected = cases = 0
+    for n, size in ((2, 10), (3, 8), (4, 6)):
+        lams = sorted(compositions_up_to(n, size))
+        for cap in range(4):
+            for table, rule in ((e_t0_table, "t0"), (e_atom_table, "atom")):
+                full = table(n, lams, cap)
+                for window in range(4):
+                    for lam in lams:
+                        cases += 1
+                        floor = _window_floor(lam, n, window)
+                        if _reaches_window(lam, n, cap, floor, rule):
+                            continue
+                        rejected += 1
+                        assert all(min(w) < floor for w in full[lam]), \
+                            (lam, cap, window, rule)
+    assert cases == 14112
+    assert rejected > 0
 
 
 def test_window_degree_must_be_nonnegative():
