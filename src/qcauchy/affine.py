@@ -383,14 +383,15 @@ def hw_algebra_char(lam, mode, m=None, word=None):
     of w^{-1})."""
     lam = tuple(int(e) for e in lam)
     n = len(lam)
-    lam_minus, v = antidominant_data(lam)
-    pairings = [lam_minus[j - 1] - lam_minus[j] for j in range(1, n)]
     degrees = []
     if mode in ("D", "U"):
-        sig = v.inverse() if mode == "D" else maximal_sigma(lam)[0]
-        for j in range(1, n):
-            positive = int(sig(j) < sig(j + 1))     # sig alpha_j > 0
-            top = -pairings[j - 1] - (1 - positive if mode == "D" else positive)
+        # sorted by (lam_i, i) the positions spell v(lam)^{-1}, by (lam_i, -i)
+        # sigma_max: sig(j) = order[j-1] + 1 and lam_-[j-1] = lam[order[j-1]]
+        sign = 1 if mode == "D" else -1
+        order = sorted(range(n), key=lambda i: (lam[i], sign * i))
+        for prev, cur in zip(order, order[1:]):
+            positive = prev < cur       # sig alpha_j > 0
+            top = lam[cur] - lam[prev] - (positive != (mode == "D"))
             degrees.extend(range(1, top + 1))
         return HwAlgebraChar(degrees)
     if mode == "at_m":
@@ -399,12 +400,13 @@ def hw_algebra_char(lam, mode, m=None, word=None):
         if not 0 <= m <= word.length:
             raise ExactError(
                 f"m = {m} out of range for word of length {word.length}")
+        lam_minus = sorted(lam)
         betas = beta_sequence(word)[:m]
         for j in range(1, n):
             neg = [0] * n
             neg[j - 1], neg[j] = -1, 1
             cnt = sum(1 for b in betas if b.finite_part == tuple(neg))
-            top = -pairings[j - 1] - cnt
+            top = lam_minus[j] - lam_minus[j - 1] - cnt
             degrees.extend(range(1, top + 1))
         return HwAlgebraChar(degrees)
     raise ExactError(f"unknown mode {mode!r}")

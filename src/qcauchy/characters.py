@@ -6,7 +6,8 @@ Characters are carried as truncated series in the sl Laurent variables
 * kind 'D'   -- the t = 0 specialization E_lam(X; q, 0),
 * kind 'Uo'  -- the (q^{-1}, oo) specialization E_lam(Y; q^{-1}, oo),
 * kind 'A_D', 'A_U' -- Hilbert series of the highest-weight algebras,
-* kind 'T'   -- the product ch(A_D) * ch(D) * ch(Uo).
+* kind 'T'   -- the product ch(A_D) * ch(D) * ch(Uo), one Macdonald
+                summand (``identities._pair_product_series``).
 
 The function-space character of the Iwahori subgroup is the product
 
@@ -23,15 +24,9 @@ from .exact import ExactError
 from .macdonald import e_atom_table, e_t0_table, restrict_poly_terms
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
-from .identities import VerificationReport
-from .series import TruncatedSeries, VariableSet, mul_truncated
+from .identities import VerificationReport, _pair_product_series
+from .series import TruncatedSeries, VariableSet
 from .weights import antidominant_data
-
-
-def _require_cap(policy):
-    if policy.max_q_degree is None:
-        raise ExactError("character computations need a finite q-cap")
-    return policy.max_q_degree
 
 
 def _embed_terms(terms, nvars, offset, restrict):
@@ -54,7 +49,9 @@ def char_module(kind, lam, policy, lattice="sl"):
     """
     lam = tuple(int(e) for e in lam)
     n = len(lam)
-    cap = _require_cap(policy)
+    cap = policy.max_q_degree
+    if cap is None:
+        raise ExactError("character computations need a finite q-cap")
     if lattice == "sl":
         varset = VariableSet.sl(n)
         restrict = True
@@ -75,17 +72,21 @@ def char_module(kind, lam, policy, lattice="sl"):
     if kind in ("A_D", "A_U"):
         return TruncatedSeries.constant(varset, policy,
                                         algebra_series(kind[-1]))
-    if kind == "D":
-        terms = _embed_terms(e_t0_table(n, [lam], cap)[lam], nv, 0, restrict)
-        return TruncatedSeries(varset, policy, terms)
-    if kind == "Uo":
-        terms = _embed_terms(e_atom_table(n, [lam], cap)[lam], nv, varset.nx,
-                             restrict)
+    if kind in ("D", "Uo"):
+        table, offset = ((e_t0_table, 0) if kind == "D"
+                         else (e_atom_table, varset.nx))
+        terms = _embed_terms(table(n, [lam], cap)[lam], nv, offset, restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "T":
-        d = char_module("D", lam, policy, lattice)
-        u = char_module("Uo", lam, policy, lattice)
-        return mul_truncated(d, u).scale(algebra_series("D"))
+        # the blocks are disjoint: a product term is within the policy iff
+        # both factors are, so truncating the product truncates the factors
+        t0 = e_t0_table(n, [lam], cap)[lam]
+        atom = e_atom_table(n, [lam], cap)[lam]
+        if restrict:
+            t0, atom = restrict_poly_terms(t0), restrict_poly_terms(atom)
+        terms = {}
+        _pair_product_series(terms, t0, atom, algebra_series("D"))
+        return TruncatedSeries(varset, policy, terms)
     raise ExactError(f"unknown module kind {kind!r}")
 
 

@@ -1162,14 +1162,10 @@ def geometric_product(exponents, cap):
     return QSeries(cap, out)
 
 
-def pochhammer_qq_series(m, cap):
-    """(q; q)_m as a truncated series."""
-    return QSeries.from_qpoly(qq_pochhammer_poly(m), cap)
-
-
 def inv_pochhammer_qq(m, cap):
-    """1 / (q; q)_m truncated at cap."""
-    return pochhammer_qq_series(m, cap).inverse()
+    """1 / (q; q)_m truncated at cap: the product of 1 / (1 - q^d) for
+    d = 1 .. m."""
+    return geometric_product(range(1, m + 1), cap)
 
 
 def qseries_from_qtrational(f, cap):

@@ -40,11 +40,13 @@ centered residue, which is exact when every coefficient read has absolute
 value below 2^{B - 1}.  The width is B = bound.bit_length() + 2 for a
 bound on every coefficient of every intermediate value: on the product
 side the product of the factors' L1 masses (sum of |coefficient| over a
-factor), on the gl Macdonald side sum_lam L1(norm) L1(t = 0 table) L1(atom
-table), on the sl Macdonald side sum_lam max(L1(norm_a), L1(norm_h))
-L1(x hits) L1(y hits) over the window hits of the two tables.  An L1 mass
+factor), on a Macdonald side (``_packed_macdonald_sum``, one bound for gl
+and sl) sum_lam max_i L1(norm_i) L1(x table) L1(y table).  An L1 mass
 bounds every coefficient, and the mass of a product is at most the product
-of the masses, so |coefficient| <= bound < 2^{B - 2}.
+of the masses, so |coefficient| <= bound < 2^{B - 2}.  Every summand
+norm * E_lam(x) * E_lam(y) of a Macdonald sum, packed, exact (q, t) for
+gl_qt or QSeries for ch T (``characters``), is accumulated by the one
+kernel ``_pair_product_series``.
 """
 
 from __future__ import annotations
@@ -261,7 +263,8 @@ def lhs_series(variant, n, policy):
 # ---------------------------------------------------------------------------
 
 def _pair_product_series(out, xterms, yterms, norm):
-    """Add norm * E(x-part) * E(y-part) into the term dict ``out``."""
+    """Add norm * E(x-part) * E(y-part) into the term dict ``out``, keyed on
+    x-key + y-key, for any scalars that add and multiply."""
     for ex, cx in xterms.items():
         cxn = cx * norm
         for ey, cy in yterms.items():
@@ -270,37 +273,33 @@ def _pair_product_series(out, xterms, yterms, norm):
             out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
-def _packed_macdonald_sum(lambdas, norms, xtables, ytables, cap):
-    """sum over lam of norms[lam] * E(x) * E(y) from the tables
-    {lam: {exps: QSeries}}, on packed q-series: {x-exps + y-exps: QSeries}
-    at ``cap``, zero sums dropped.
+def _packed_macdonald_sum(summands, cap):
+    """The sums over ``summands``, a list of (norms, x-table, y-table) of
+    integer QSeries, of norms[i] * E(x) * E(y): one {x-key + y-key: QSeries}
+    at ``cap`` per norm position, zero sums dropped ([] for no summands).
 
-    Each table entry and each norm is packed once, and the products are
-    summed per key untruncated.  A key splits into one x- and one
-    y-exponent, so every slot of its sum is at most
-    sum_lam L1(norm) L1(x-table) L1(y-table) in absolute value, where the
-    L1 mass of a table sums |coefficient| over all its entries: that bound
-    fixes the slot width of ``PackedQ``."""
+    Each table entry and each norm is packed once, and every norm runs
+    ``_pair_product_series`` on the same packed tables, untruncated.  A key
+    splits into one x- and one y-key, so every slot of a sum is at most
+    sum max_i L1(norms[i]) L1(x-table) L1(y-table) over the summands, where
+    the L1 mass of a table sums |coefficient| over its entries: that bound
+    fixes the slot width of ``PackedQ``.  Each sum is unpacked once."""
     def mass(table):
         return sum(l1_mass(c.coeffs) for c in table.values())
-    packing = PackedQ(sum(l1_mass(norms[lam].coeffs) * mass(xtables[lam])
-                          * mass(ytables[lam]) for lam in lambdas), cap)
-    acc = {}
-    for lam in lambdas:
-        pnorm = packing.pack(norms[lam].coeffs)
-        ys = [(ey, packing.pack(cy.coeffs))
-              for ey, cy in ytables[lam].items()]
-        for ex, cx in xtables[lam].items():
-            px = packing.pack(cx.coeffs) * pnorm
-            for ey, py in ys:
-                key = ex + ey
-                acc[key] = acc.get(key, 0) + px * py
-    out = {}
-    for key, v in acc.items():
-        s = packing.unpack(v)
-        if not s.is_zero:
-            out[key] = s
-    return out
+    packing = PackedQ(sum(max(l1_mass(norm.coeffs) for norm in norms)
+                          * mass(xtable) * mass(ytable)
+                          for norms, xtable, ytable in summands), cap)
+    pack = packing.pack
+    sums = [{} for _ in summands[0][0]] if summands else []
+    for norms, xtable, ytable in summands:
+        xs = {e: pack(c.coeffs) for e, c in xtable.items()}
+        ys = {e: pack(c.coeffs) for e, c in ytable.items()}
+        for acc, norm in zip(sums, norms):
+            _pair_product_series(acc, xs, ys, pack(norm.coeffs))
+    unpacked = ({key: packing.unpack(v) for key, v in acc.items()}
+                for acc in sums)
+    return [{key: c for key, c in terms.items() if not c.is_zero}
+            for terms in unpacked]
 
 
 def _rhs_lambdas(variant, n, policy):
@@ -319,7 +318,7 @@ def rhs_series(variant, n, policy):
     variants sum on packed integers (``_packed_macdonald_sum``), with the
     slot width of sum_lam L1(norm) L1(t = 0 table) L1(atom table), which
     bounds every coefficient of every partial sum; ``gl_qt`` sums exact
-    (q, t) scalars."""
+    (q, t) scalars by the same kernel, ``_pair_product_series``."""
     lambdas = _rhs_lambdas(variant, n, policy)
     cap = policy.max_q_degree
     if variant == "gl_qt":
@@ -329,17 +328,14 @@ def rhs_series(variant, n, policy):
             xt = eng.terms_qtrational(lam)
             yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
             _pair_product_series(terms, xt, yt, norm_a_qt(lam))
-    elif variant in ("gl_t0", "gl_slform", "iwahori_char"):
-        terms = _packed_macdonald_sum(
-            lambdas, {lam: norm_a_q(lam, cap) for lam in lambdas},
-            e_t0_table(n, lambdas, cap), e_atom_table(n, lambdas, cap), cap)
-    elif variant == "classical_q0":
-        # the key polynomials E(x; 0, 0) and the Demazure atoms E(x; oo, oo)
-        # are the q^0 coefficients of the t = 0 and (q^{-1}, oo) tables
-        one = QSeries.one(0)
-        terms = _packed_macdonald_sum(
-            lambdas, {lam: one for lam in lambdas},
-            e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0), cap)
+    elif variant in ("gl_t0", "gl_slform", "iwahori_char", "classical_q0"):
+        # classical_q0 sums the key polynomials E(x; 0, 0) and the Demazure
+        # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
+        tcap = 0 if variant == "classical_q0" else cap
+        t0, atom = e_t0_table(n, lambdas, tcap), e_atom_table(n, lambdas, tcap)
+        terms, = _packed_macdonald_sum(
+            [((norm_a_q(lam, tcap),), t0[lam], atom[lam]) for lam in lambdas],
+            cap)
     else:
         raise ExactError(f"no Macdonald side for variant {variant!r}")
     return TruncatedSeries(VariableSet.gl(n), policy, terms, _checked=True)
@@ -543,10 +539,11 @@ def _sl_lhs_window(n, pairs, fibers, K):
 
 
 def _window_hits(table, reps, side):
-    """The (class, coefficient) of the monomials of a window-pruned table
-    whose min-zero class is in ``reps``; every coefficient read is checked
-    nonnegative."""
-    hits = []
+    """{class: coefficient} of the monomials of a window-pruned table whose
+    min-zero class is in ``reps``; every coefficient read is checked
+    nonnegative.  The monomials of one E_lam all have degree |lam|, so a
+    class e - min(e) names one monomial: no two hits share a class."""
+    hits = {}
     for e, c in table.items():
         if not c.is_nonnegative():
             raise InvariantError(
@@ -554,7 +551,7 @@ def _window_hits(table, reps, side):
         m = min(e)
         rep = tuple(x - m for x in e)
         if rep in reps:
-            hits.append((rep, c))
+            hits[rep] = c
     return hits
 
 
@@ -574,12 +571,14 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     kept although nothing adapts any more: the benchmark's tracer
     (``perfbench/spans.py``) looks the function up by it.
 
-    The window hits and both norms of each contributing lam are kept, and
-    the sum runs on packed integers (``PackedQ``): per class pair, each lam
-    adds one product hit(x) hit(y) norm, untruncated, so every slot of a
-    pair's sum is at most sum_lam max(L1(norm_a), L1(norm_h)) L1(x hits)
-    L1(y hits), the bound that fixes the slot width.  Each pair's sum is
-    unpacked once.
+    Each contributing lam is one summand of ``_packed_macdonald_sum``: both
+    norms and its window hits keyed on their classes, so a key of the sums
+    is rep_x + rep_y, split back into the class pair.  Every such pair is in
+    ``pairs`` (``sl_window_pairs(n, W)``), so nothing is filtered: a
+    monomial e of E_lam has |e| = |lam|, so its class e - min(e) 1 has
+    degree |lam| - n min(e), congruent to |lam| mod n on both sides, and
+    ``sl_window_pairs`` holds every pair of window classes whose degrees
+    agree mod n.
 
     Returns (series with the arm/leg norm, series with the
     highest-weight-algebra norm, lambda_count)."""
@@ -587,8 +586,7 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     y_reps = {b for _, b in pairs}
     x_window = max(map(sum, x_reps), default=0)
     y_window = max(map(sum, y_reps), default=0)
-    pair_set = set(pairs)
-    kept = []       # (x hits, y hits, norm_a, norm_h) of each contributor
+    kept = []       # ((norm_a, norm_h), x hits, y hits) of each contributor
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
     for lam in lambdas:
         norm_a = norm_a_q(lam, K)
@@ -602,33 +600,13 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         yhits = _window_hits(e_atom_table(n, [lam], K, y_window)[lam],
                              y_reps, "atom")
         if yhits:
-            kept.append((xhits, yhits, norm_a, norm_h))
+            kept.append(((norm_a, norm_h), xhits, yhits))
+    by_a, by_h = _packed_macdonald_sum(kept, K) or ({}, {})
 
-    def mass(hits):
-        return sum(l1_mass(c.coeffs) for _, c in hits)
-    packing = PackedQ(sum(max(l1_mass(na.coeffs), l1_mass(nh.coeffs))
-                          * mass(xhits) * mass(yhits)
-                          for xhits, yhits, na, nh in kept), K)
-    pack = packing.pack
-    acc_a = {}
-    acc_h = {}
-    for xhits, yhits, norm_a, norm_h in kept:
-        pa = pack(norm_a.coeffs)
-        ph = pack(norm_h.coeffs)
-        ys = [(brep, pack(cb.coeffs)) for brep, cb in yhits]
-        for arep, ca in xhits:
-            px = pack(ca.coeffs)
-            for brep, py in ys:
-                pair = (arep, brep)
-                if pair in pair_set:
-                    prod = px * py
-                    acc_a[pair] = acc_a.get(pair, 0) + prod * pa
-                    acc_h[pair] = acc_h.get(pair, 0) + prod * ph
-
-    def unpacked(acc):
-        return {pair: packing.unpack(v) for pair, v in acc.items()}
-    return (_sl_series(n, pairs, K, unpacked(acc_a)),
-            _sl_series(n, pairs, K, unpacked(acc_h)), len(lambdas))
+    def series(sums):
+        return _sl_series(n, pairs, K, {(key[:n], key[n:]): c
+                                        for key, c in sums.items()})
+    return series(by_a), series(by_h), len(lambdas)
 
 
 # ---------------------------------------------------------------------------

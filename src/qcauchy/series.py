@@ -202,16 +202,6 @@ class TruncatedSeries:
     def __mul__(self, other):
         return mul_truncated(self, other)
 
-    def scale(self, scalar):
-        if _is_zero_scalar(scalar):
-            return TruncatedSeries(self.varset, self.policy, {}, _checked=True)
-        out = {}
-        for exps, c in self.terms.items():
-            s = c * scalar
-            if not _is_zero_scalar(s):
-                out[exps] = s
-        return TruncatedSeries(self.varset, self.policy, out, _checked=True)
-
     def _compat(self, other):
         if self.varset != other.varset:
             raise ExactError("variable-set mismatch")

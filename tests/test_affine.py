@@ -202,6 +202,26 @@ class TestHwAlgebra:
         for lam in lams:
             assert maximal_sigma(lam) == maximal_sigma_by_walk(lam), lam
 
+    def test_one_sort_matches_permutations(self):
+        # the D/U degrees from one sort against the Permutation build:
+        # sig = v(lam)^{-1} (D) or sigma_max (U), n <= 5, entries -2..3
+        count = 0
+        for n in range(1, 6):
+            for lam in itertools.product(range(-2, 4), repeat=n):
+                lam_minus, v = antidominant_data(lam)
+                for mode in ("D", "U"):
+                    sig = v.inverse() if mode == "D" else maximal_sigma(lam)[0]
+                    degrees = []
+                    for j in range(1, n):
+                        positive = int(sig(j) < sig(j + 1))
+                        top = (lam_minus[j] - lam_minus[j - 1]
+                               - (1 - positive if mode == "D" else positive))
+                        degrees.extend(range(1, top + 1))
+                    assert hw_algebra_char(lam, mode) == \
+                        HwAlgebraChar(degrees), (lam, mode)
+                    count += 1
+        assert count == 18660
+
     def test_gl_lift(self):
         lam = (3, 1)
         base = hw_algebra_char(lam, "D").qseries(8)

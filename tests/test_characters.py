@@ -4,7 +4,7 @@ from qcauchy.characters import char_module, ch_weyl_ratio_check
 from qcauchy.affine import factorized_words
 from qcauchy.exact import ExactError, QSeries, inv_pochhammer_qq
 from qcauchy.identities import lhs_series
-from qcauchy.series import TruncationPolicy, first_difference, mul_truncated
+from qcauchy.series import TruncationPolicy, mul_truncated
 from qcauchy.weights import compositions_up_to
 
 
@@ -33,14 +33,17 @@ class TestCharModule:
         assert d.terms == {(1, 0, 0, 0): QSeries.one(6)}
 
     def test_factorization(self):
-        for lam in ((0, 1), (2, 0), (0, 2), (1, 0, 2)):
-            pol = TruncationPolicy(4, 4, 5)
-            t = char_module("T", lam, pol)
-            ad = char_module("A_D", lam, pol)
-            d = char_module("D", lam, pol)
-            u = char_module("Uo", lam, pol)
-            prod = mul_truncated(mul_truncated(ad, d), u)
-            assert first_difference(t, prod) is None, lam
+        # ch T, one Macdonald summand, against the truncated product of its
+        # three factors, in both lattices
+        pol = TruncationPolicy(4, 4, 5)
+        for n in (1, 2, 3):
+            for lam in compositions_up_to(n, 4):
+                for lattice in ("sl", "gl"):
+                    t = char_module("T", lam, pol, lattice)
+                    ad, d, u = (char_module(kind, lam, pol, lattice)
+                                for kind in ("A_D", "D", "Uo"))
+                    prod = mul_truncated(mul_truncated(ad, d), u)
+                    assert t == prod, (lam, lattice)
 
     def test_positivity(self):
         for lam in compositions_up_to(2, 4):

@@ -295,6 +295,14 @@ class TestQSeries:
         with pytest.raises(ExactError):
             geometric_product((2, 0), 3)
 
+    def test_inv_pochhammer_matches_inverse(self):
+        # the product of geometric series against the inverse of the
+        # expanded (q; q)_m
+        for m in range(15):
+            for cap in range(25):
+                want = QSeries.from_qpoly(qq_pochhammer_poly(m), cap).inverse()
+                assert inv_pochhammer_qq(m, cap) == want, (m, cap)
+
     def test_from_qtrational(self):
         f = QTRational(ONE, ONE - Q)
         assert qseries_from_qtrational(f, 4) == geometric_series(1, 4)

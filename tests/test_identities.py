@@ -3,16 +3,16 @@ import itertools
 import pytest
 
 from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
-from qcauchy.identities import (_kostant_xsums, _pair_product_series,
-                                _rhs_lambdas, _sl_lhs_window, lhs_series,
-                                project_to_sl, rhs_series, sl_certificate,
-                                sl_window_pairs, verify_identity,
-                                verify_sl2_appendix)
+from qcauchy.identities import (_kostant_xsums, _packed_macdonald_sum,
+                                _rhs_lambdas, _sl_lhs_window, _window_hits,
+                                lhs_series, project_to_sl, rhs_series,
+                                sl_certificate, sl_window_pairs,
+                                verify_identity, verify_sl2_appendix)
 from qcauchy.macdonald import e_atom_table, e_t0_table, norm_a_q
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series)
-from qcauchy.weights import compositions_up_to
+from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
 
 
 class TestLhs:
@@ -130,22 +130,25 @@ class TestRhs:
 
 def _rhs_by_qseries(variant, n, policy):
     """The Macdonald side summed on QSeries objects, norm * E(x) * E(y)
-    pair by pair: the accumulation the packed sum of rhs_series replaces,
-    kept as its oracle."""
+    pair by pair, inline: the accumulation the packed sum of rhs_series
+    replaces, kept as its oracle."""
     lambdas = _rhs_lambdas(variant, n, policy)
     K = policy.max_q_degree
     terms = {}
     if variant == "classical_q0":
-        keys, atoms = e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0)
-        for lam in lambdas:
-            _pair_product_series(terms,
-                                 {e: c[0] for e, c in keys[lam].items()},
-                                 {e: c[0] for e, c in atoms[lam].items()},
-                                 QSeries.one(K))
+        t0, atom = e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0)
+        norms = {lam: QSeries.one(K) for lam in lambdas}
+        t0 = {lam: {e: c[0] for e, c in t0[lam].items()} for lam in lambdas}
+        atom = {lam: {e: c[0] for e, c in atom[lam].items()}
+                for lam in lambdas}
     else:
         t0, atom = e_t0_table(n, lambdas, K), e_atom_table(n, lambdas, K)
-        for lam in lambdas:
-            _pair_product_series(terms, t0[lam], atom[lam], norm_a_q(lam, K))
+        norms = {lam: norm_a_q(lam, K) for lam in lambdas}
+    for lam in lambdas:
+        for ex, cx in t0[lam].items():
+            for ey, cy in atom[lam].items():
+                c = norms[lam] * cx * cy
+                terms[ex + ey] = terms[ex + ey] + c if ex + ey in terms else c
     return TruncatedSeries(VariableSet.gl(n), policy, terms)
 
 
@@ -289,6 +292,33 @@ class TestProjection:
         assert dx == dy
         # the diagonal fiber at the trivial class reaches at least k = 1
         assert kmax[((0, 0), (0, 0))] >= 1
+
+
+def test_packed_sum_of_no_summands():
+    # the sl side may keep no lambda; its sums are then empty, not an error
+    assert _packed_macdonald_sum([], 3) == []
+
+
+def test_window_hits_pair_up_in_window():
+    # the sl Macdonald side keys rep_x + rep_y without a filter: every (x
+    # class, y class) pair of one lam's window hits is a window pair, for
+    # every lam up to the certified box
+    K = 1
+    for n in range(1, 5):
+        for w in range(4):
+            pairs = sl_window_pairs(n, w)
+            pair_set = set(pairs)
+            reps = {a for a, _ in pairs}
+            _, Dx, Dy, _ = sl_certificate(n, pairs, K)
+            for lam in min_zero_compositions_up_to(n, min(Dx, Dy)):
+                xs = _window_hits(e_t0_table(n, [lam], K, w)[lam], reps, "t0")
+                if not xs:
+                    continue        # no pair; the atom table is not needed
+                ys = _window_hits(e_atom_table(n, [lam], K, w)[lam], reps,
+                                  "atom")
+                for a in xs:
+                    for b in ys:
+                        assert (a, b) in pair_set, (n, w, lam, a, b)
 
 
 @pytest.mark.parametrize("n, w, K", [(1, 3, 3), (2, 2, 3), (2, 3, 2),

@@ -18,7 +18,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # installs the tracer and runs a small gl-qt verification under it, which
 # also calls the gcd's after-hook: it reads the degrees of the gcd's result;
 # then a small sl verification, whose after-hooks read the certified box at
-# r[1] of sl_certificate and the summand count at r[2] of _sl_rhs_adaptive
+# r[1] of sl_certificate and the summand count at r[2] of _sl_rhs_adaptive,
+# and whose Macdonald sum opens identities.pair_product spans
 TRACED_VERIFY = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -35,11 +36,15 @@ argv = ["verify", "--identity", "sl", "--n", "2", "--max-deg", "2",
         "--max-q", "3"]
 with contextlib.redirect_stdout(io.StringIO()):
     sl_status = tracer.run_op(1, cli.run, argv)
+sl_snap = tracer.snapshot()
 sl_counts = {name: v - before.get(name, 0)
-             for name, v in tracer.snapshot()["counts"].items()}
+             for name, v in sl_snap["counts"].items()}
+sl_pair_spans = sum(1 for rec in sl_snap["spans"]
+                    if rec[spans.OP] == 1
+                    and rec[spans.NAME] == "identities.pair_product")
 print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
                   "exact.qtpoly_gcd.nontrivial" in snap["counts"],
-                  sl_status, sl_counts]))
+                  sl_status, sl_counts, sl_pair_spans]))
 """
 
 
@@ -49,8 +54,8 @@ def test_tracer_installs():
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, gcd_calls, hooked, sl_status, sl_counts = json.loads(
-        proc.stdout.splitlines()[-1])
+    status, gcd_calls, hooked, sl_status, sl_counts, sl_pair_spans = \
+        json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert gcd_calls > 0
     assert hooked
@@ -61,6 +66,8 @@ def test_tracer_installs():
     # the window-pruned tables still go through the wrapped table builders
     assert sl_counts["macdonald.T0Engine.batch.targets"] > 0
     assert sl_counts["macdonald.atom_terms.fillings"] > 0
+    # the packed sl Macdonald sum goes through the wrapped summand kernel
+    assert sl_pair_spans > 0
 
 
 def test_benchmark_self_tests():
