@@ -79,13 +79,18 @@ def char_module(kind, lam, policy, lattice="sl"):
         return TruncatedSeries(varset, policy, terms)
     if kind == "T":
         # the blocks are disjoint: a product term is within the policy iff
-        # both factors are, so truncating the product truncates the factors
+        # both factors are, so a factor whose block degree (the sum of
+        # |exponent|) is over its block's cap is dropped before multiplying
         t0 = e_t0_table(n, [lam], cap)[lam]
         atom = e_atom_table(n, [lam], cap)[lam]
         if restrict:
             t0, atom = restrict_poly_terms(t0), restrict_poly_terms(atom)
+        xs = {e: c for e, c in t0.items()
+              if sum(map(abs, e)) <= policy.max_x_degree}
+        ys = {e: c for e, c in atom.items()
+              if sum(map(abs, e)) <= policy.max_y_degree}
         terms = {}
-        _pair_product_series(terms, t0, atom, algebra_series("D"))
+        _pair_product_series(terms, xs, ys, algebra_series("D"))
         return TruncatedSeries(varset, policy, terms)
     raise ExactError(f"unknown module kind {kind!r}")
 

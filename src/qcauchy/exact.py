@@ -1140,12 +1140,7 @@ def l1_mass(coeffs):
 
 def geometric_series(exponent, cap):
     """1 / (1 - q^exponent) truncated at cap; exponent >= 1."""
-    if exponent < 1:
-        raise ExactError("geometric series needs exponent >= 1")
-    out = [0] * (cap + 1)
-    for k in range(0, cap + 1, exponent):
-        out[k] = 1
-    return QSeries(cap, out)
+    return geometric_product((exponent,), cap)
 
 
 def geometric_product(exponents, cap):

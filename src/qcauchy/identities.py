@@ -538,20 +538,20 @@ def _sl_lhs_window(n, pairs, fibers, K):
     return _sl_series(n, pairs, K, fibers)
 
 
-def _window_hits(table, reps, side):
-    """{class: coefficient} of the monomials of a window-pruned table whose
-    min-zero class is in ``reps``; every coefficient read is checked
-    nonnegative.  The monomials of one E_lam all have degree |lam|, so a
-    class e - min(e) names one monomial: no two hits share a class."""
+def _window_hits(table, side):
+    """{class: coefficient} of the monomials of a window-pruned table, every
+    coefficient checked nonnegative.  The monomials of one E_lam all have
+    degree |lam|, so a class e - min(e) names one monomial: no two hits
+    share a class.  A table built with the window W holds exactly the
+    monomials whose class has degree <= W, all of them window classes, so
+    no hit is filtered out."""
     hits = {}
     for e, c in table.items():
         if not c.is_nonnegative():
             raise InvariantError(
                 f"negative {side} coefficient; positivity broken")
         m = min(e)
-        rep = tuple(x - m for x in e)
-        if rep in reps:
-            hits[rep] = c
+        hits[tuple(x - m for x in e)] = c
     return hits
 
 
@@ -561,9 +561,9 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
 
     lam reaches the window class pair (a, b) through the monomials of
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
-    tables are built with the window's degree (``e_t0_table``,
-    ``e_atom_table``), so they hold only the monomials whose class can be a
-    window class, and a lam that cannot reach the window at all gets an
+    tables are built with the window's degree W (``e_t0_table``,
+    ``e_atom_table``), so they hold exactly the monomials whose class has
+    degree <= W, and a lam that cannot reach the window at all gets an
     empty table without running the column program.  They are built one
     lam at a time; the atom table is built only when the t = 0 table lands
     on a window x-class.  The norms of every lam, and every table
@@ -573,19 +573,18 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
 
     Each contributing lam is one summand of ``_packed_macdonald_sum``: both
     norms and its window hits keyed on their classes, so a key of the sums
-    is rep_x + rep_y, split back into the class pair.  Every such pair is in
-    ``pairs`` (``sl_window_pairs(n, W)``), so nothing is filtered: a
-    monomial e of E_lam has |e| = |lam|, so its class e - min(e) 1 has
-    degree |lam| - n min(e), congruent to |lam| mod n on both sides, and
+    is rep_x + rep_y, split back into the class pair.  Nothing is filtered
+    a second time: ``pairs`` (``sl_window_pairs(n, W)``) holds every
+    min-zero class of degree <= W on both sides, so every hit is a window
+    class, and every pair of one lam's hits is in ``pairs``: a monomial e
+    of E_lam has |e| = |lam|, so its class e - min(e) 1 has degree |lam| -
+    n min(e), congruent to |lam| mod n on both sides, and
     ``sl_window_pairs`` holds every pair of window classes whose degrees
     agree mod n.
 
     Returns (series with the arm/leg norm, series with the
     highest-weight-algebra norm, lambda_count)."""
-    x_reps = {a for a, _ in pairs}
-    y_reps = {b for _, b in pairs}
-    x_window = max(map(sum, x_reps), default=0)
-    y_window = max(map(sum, y_reps), default=0)
+    W = max((sum(a) for a, _ in pairs), default=0)
     kept = []       # ((norm_a, norm_h), x hits, y hits) of each contributor
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
     for lam in lambdas:
@@ -593,12 +592,10 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         norm_h = hw_algebra_char(lam, "D").qseries(K)
         if not norm_a.is_nonnegative() or not norm_h.is_nonnegative():
             raise InvariantError("negative norm coefficient; positivity broken")
-        xhits = _window_hits(e_t0_table(n, [lam], K, x_window)[lam],
-                             x_reps, "t0")
+        xhits = _window_hits(e_t0_table(n, [lam], K, W)[lam], "t0")
         if not xhits:
             continue
-        yhits = _window_hits(e_atom_table(n, [lam], K, y_window)[lam],
-                             y_reps, "atom")
+        yhits = _window_hits(e_atom_table(n, [lam], K, W)[lam], "atom")
         if yhits:
             kept.append(((norm_a, norm_h), xhits, yhits))
     by_a, by_h = _packed_macdonald_sum(kept, K) or ({}, {})

@@ -59,13 +59,8 @@ from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
                     QSeries, QTPoly, QTRational, gaussian_binomial,
                     geometric_product, invert_q, inv_pochhammer_qq, limit_t,
                     reduce_over_binomials)
-from .weights import Composition, arm_leg, diagram, restrict_weight
-
-
-def _as_tuple(lam):
-    if isinstance(lam, Composition):
-        return lam.entries
-    return tuple(int(e) for e in lam)
+from .weights import (_as_entries as _as_tuple, arm_leg, diagram,
+                      restrict_weight)
 
 
 def spectral_k(mu, i):
@@ -347,13 +342,17 @@ def _column_terms(columns, n, cap, rule, floor=0):
     neighbour.  The attack rules, the triples and the descents of column j
     only involve columns j and j - 1, so the fillings are counted column by
     column: the state is the last column filled (column 0 is the basement
-    1, ..., n), its value the number of partial fillings by q-exponent and
-    weight, {e: {weight: count}}, a weight packed as the digits of one
-    integer in base 2^bits, where 2^(bits - 1) exceeds the number of cells.
+    1, ..., n), its value the number of partial fillings by one integer
+    key.  A key holds the weight as its n low digits in base 2^bits, where
+    2^(bits - 1) exceeds the number of cells, and the q-exponent e as the
+    digit above them, at ``shift`` = bits * n.  A column adds its packed
+    0/1 weight and its gain (a sum of legs + 1) << shift to a key.
 
-    A column only adds to the q-exponent (its gain is a sum of legs + 1),
-    so a partial filling above ``cap`` has no completion below it:
-    dropping it leaves the result exact modulo q^{cap+1}.
+    A column only adds to the q-exponent, so a partial filling above
+    ``cap`` has no completion below it: dropping it leaves the result
+    exact modulo q^{cap+1}.  A key takes a gain iff it is below
+    (cap - gain + 1) << shift, and a state whose smallest e leaves no room
+    for a gain skips that column.
 
     The floor is pruned the same way.  It serves a window of degree W: the
     window classes are the min-zero w - min(w)*1 of degree <= W, and every
@@ -364,19 +363,21 @@ def _column_terms(columns, n, cap, rule, floor=0):
     left) < floor has no completion with every entry at least ``floor``,
     and is dropped.  After the last column the test is exact, so the
     result is the full table restricted to the weights with min(w) >=
-    floor.  With floor <= 0 nothing is tested, and a column is tested
-    only once floor exceeds the columns left after it.  The test reads
-    all digits at once: with the top bit of every digit set, subtracting
-    (floor - columns left) from each digit borrows from no other digit
-    (the digits are below 2^(bits - 1), and so is the floor, which is at
-    most ceil(|lam| / n)), and it clears a digit's top bit just where
-    that digit is below it."""
+    floor.  A column is tested only once floor exceeds the columns left
+    after it, so with floor <= 0 nothing is.  One digit test reads all
+    weight digits at once: with the top bit of every digit set,
+    subtracting (floor - columns left) from each digit borrows from no
+    other digit (the digits are below 2^(bits - 1), and so is the floor,
+    which is at most ceil(|lam| / n)), so it leaves e alone, and it clears
+    a digit's top bit just where that digit is below it.  A state whose
+    keys were all dropped is dropped too: the next column reads its
+    smallest e."""
     bits = sum(1 for _, d in columns for x in d if x >= 1).bit_length() + 1
-    base = 1 << bits
+    shift = bits * n
     ones = sum(1 << (bits * v) for v in range(n))
     top = ones << (bits - 1)
     packed = {}
-    states = {tuple(range(1, n + 1)): {0: {0: 1}}}
+    states = {tuple(range(1, n + 1)): {0: 1}}
     left = len(columns)
     for pattern, d in columns:
         left -= 1
@@ -385,7 +386,7 @@ def _column_terms(columns, n, cap, rule, floor=0):
         nxt = {}
         gains = {}
         for prev, counts in states.items():
-            room = cap - min(counts)
+            room = cap - (min(counts) >> shift)
             for col, rows in _transitions(pattern, prev, rule):
                 gain = gains.get(rows)
                 if gain is None:
@@ -396,44 +397,24 @@ def _column_terms(columns, n, cap, rule, floor=0):
                 if inc is None:
                     inc = packed[col] = sum(1 << (bits * (v - 1))
                                             for v in col if v)
+                step = inc + (gain << shift)
+                lim = (cap - gain + 1) << shift
                 acc = nxt.setdefault(col, {})
-                if not prune:
-                    for e, ws in counts.items():
-                        if e + gain <= cap:
-                            tgt = acc.setdefault(e + gain, {})
-                            for w, c in ws.items():
-                                w += inc
-                                tgt[w] = tgt.get(w, 0) + c
-                    continue
-                for e, ws in counts.items():
-                    if e + gain <= cap:
-                        tgt = acc.setdefault(e + gain, {})
-                        for w, c in ws.items():
-                            w += inc
-                            if ((w | top) - low) & top == top:
-                                tgt[w] = tgt.get(w, 0) + c
-        if prune:
-            # drop the emptied weight sets: the next column reads min(counts)
-            for col in list(nxt):
-                kept = {e: ws for e, ws in nxt[col].items() if ws}
-                if kept:
-                    nxt[col] = kept
-                else:
-                    del nxt[col]
-        states = nxt
+                for key, c in counts.items():
+                    if key < lim:
+                        key += step
+                        if not prune or ((key | top) - low) & top == top:
+                            acc[key] = acc.get(key, 0) + c
+        states = {col: counts for col, counts in nxt.items() if counts}
     by_weight = {}
+    mask = (1 << shift) - 1
     for counts in states.values():
-        for e, ws in counts.items():
-            for w, c in ws.items():
-                by_weight.setdefault(w, [0] * (cap + 1))[e] += c
-    out = {}
-    for w, cs in by_weight.items():
-        digits = []
-        for _ in range(n):
-            w, r = divmod(w, base)
-            digits.append(r)
-        out[tuple(digits)] = QSeries(cap, cs)
-    return out
+        for key, c in counts.items():
+            cs = by_weight.setdefault(key & mask, [0] * (cap + 1))
+            cs[key >> shift] += c
+    digit = (1 << bits) - 1
+    return {tuple((w >> (bits * v)) & digit for v in range(n)):
+            QSeries(cap, cs) for w, cs in by_weight.items()}
 
 
 def _window_floor(lam, n, window):

@@ -300,9 +300,10 @@ def test_packed_sum_of_no_summands():
 
 
 def test_window_hits_pair_up_in_window():
-    # the sl Macdonald side keys rep_x + rep_y without a filter: every (x
-    # class, y class) pair of one lam's window hits is a window pair, for
-    # every lam up to the certified box
+    # the sl Macdonald side keys rep_x + rep_y with no filter of its own:
+    # every class of one lam's window hits is a window class, and every (x
+    # class, y class) pair of them is a window pair, for every lam up to
+    # the certified box
     K = 1
     for n in range(1, 5):
         for w in range(4):
@@ -311,11 +312,11 @@ def test_window_hits_pair_up_in_window():
             reps = {a for a, _ in pairs}
             _, Dx, Dy, _ = sl_certificate(n, pairs, K)
             for lam in min_zero_compositions_up_to(n, min(Dx, Dy)):
-                xs = _window_hits(e_t0_table(n, [lam], K, w)[lam], reps, "t0")
+                xs = _window_hits(e_t0_table(n, [lam], K, w)[lam], "t0")
                 if not xs:
                     continue        # no pair; the atom table is not needed
-                ys = _window_hits(e_atom_table(n, [lam], K, w)[lam], reps,
-                                  "atom")
+                ys = _window_hits(e_atom_table(n, [lam], K, w)[lam], "atom")
+                assert set(xs) <= reps and set(ys) <= reps, (n, w, lam)
                 for a in xs:
                     for b in ys:
                         assert (a, b) in pair_set, (n, w, lam, a, b)

@@ -1,10 +1,13 @@
 """Tooling around the library: the benchmark's tracer (perfbench/spans.py)
 wraps qcauchy functions by name, so a renamed or removed function must fail
 here and not in every traced benchmark operation; the benchmark's own
-self-tests must pass; the demos must run; and the exact (q, t) query
-commands must not reach the general gcd."""
+self-tests must pass; every benchmark request must print its recorded
+bytes; the demos must run; and the exact (q, t) query commands must not
+reach the general gcd."""
 
 import glob
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -68,6 +71,27 @@ def test_tracer_installs():
     assert sl_counts["macdonald.atom_terms.fillings"] > 0
     # the packed sl Macdonald sum goes through the wrapped summand kernel
     assert sl_pair_spans > 0
+
+
+def test_benchmark_requests_match_expected_digests(capsys):
+    # every request the benchmark can generate, run in this process: its
+    # exit status and the sha256 of its stdout equal the recorded ones in
+    # perfbench/expected.json, so a change of any report's bytes fails here
+    from qcauchy import cli
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(ROOT, "perfbench", "expected.json")) as fh:
+        expected = json.load(fh)
+    capsys.readouterr()
+    for name in workloads.WORKLOADS:
+        for argv in workloads.universe(name):
+            status = cli.run(argv)
+            out = capsys.readouterr().out
+            got = {"status": status,
+                   "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            assert got == expected[workloads.key(argv)], argv
 
 
 def test_benchmark_self_tests():
