@@ -18,7 +18,7 @@ every degree is positive.
 
 from __future__ import annotations
 
-from .exact import ExactError, geometric_product, inv_pochhammer_qq
+from .exact import ExactError, geometric_product
 from .weights import Permutation, antidominant_data
 
 
@@ -418,5 +418,5 @@ def hw_algebra_char_gl(lam, mode, cap):
     In mode 'D' this is the alternative norm product
     1/(q; q)_{(lam_-)_1} prod_j 1/(q; q)_{top_j}, which equals a_lam(q)."""
     lam = tuple(int(e) for e in lam)
-    base = hw_algebra_char(lam, mode).qseries(cap)
-    return base * inv_pochhammer_qq(min(lam), cap)
+    return geometric_product(hw_algebra_char(lam, mode).generator_degrees
+                             + tuple(range(1, min(lam) + 1)), cap)

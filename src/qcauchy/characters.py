@@ -20,6 +20,8 @@ n, policy)`` in ``identities``.
 
 from __future__ import annotations
 
+import time
+
 from .exact import ExactError
 from .macdonald import e_atom_table, e_t0_table, restrict_poly_terms
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
@@ -102,7 +104,6 @@ def ch_weyl_ratio_check(lam, m, word):
     counts ``char_l`` for the supplied word.
 
     Returns a VerificationReport (variant 'weyl_ratio')."""
-    import time
     t0 = time.monotonic()
     lam = tuple(int(e) for e in lam)
     n = len(lam)

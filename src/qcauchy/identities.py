@@ -19,11 +19,12 @@ class pair, the solutions of the support system of the kernel once: it
 bounds the fiber index k, which fixes the certified gl box, and it sums the
 solutions' weights, which are the projected product side.  The system sees
 a beta matrix only through its margins (row and column sums), so the walk
-runs over margin classes, each weighing the sum over its matrices, and
-counts a class's solutions for every shift S at once.  The Macdonald side
-then sums every min-zero lam up to that box: E_lam(x) E_lam(y) has x- and
-y-degree |lam|, so these are all the summands that can reach a certified
-fiber.  Its tables are pruned to the window classes by the column program
+runs over margin classes, weighed by the gl product kernel
+``_packed_product`` on the monomials x_i y_j, and counts a class's
+solutions for every shift S at once.  The Macdonald side then sums every
+min-zero lam up to that box: E_lam(x) E_lam(y) has x- and y-degree |lam|,
+so these are all the summands that can reach a certified fiber.  Its
+tables are pruned to the window classes by the column program
 (``e_t0_table`` and ``e_atom_table`` with a window degree), which skips a
 lam that cannot reach the window at all.  Every summand has nonnegative
 coefficients, which is checked on every norm and on every table
@@ -184,17 +185,26 @@ def _packed_product(varset, policy, factors):
     return out
 
 
+def _q_binomial_coeffs(top, cap):
+    """The coefficient lists, k <= top at q-cap ``cap``, of the integer
+    factors in one monomial a that every packed product side reads:
+
+        1 / (a; q)_oo   = sum_k a^k / (q; q)_k,
+        1 / (q a; q)_oo = sum_k q^k a^k / (q; q)_k,
+        (a; q)_oo       = sum_k (-1)^k q^{k(k-1)/2} a^k / (q; q)_k."""
+    inv_poch = [inv_pochhammer_qq(k, cap) for k in range(top + 1)]
+    return (inv_poch, [c.shift(k) for k, c in enumerate(inv_poch)],
+            [c.shift(k * (k - 1) // 2) * (-1) ** k
+             for k, c in enumerate(inv_poch)])
+
+
 def lhs_series(variant, n, policy):
     r"""The product side of the named identity, as a truncated series.
 
     Every factor is a series in one monomial a = x_i y_j (or, for the
     determinant factor of gl_slform, a = x_1..x_n y_1..y_n), expanded in
-    closed form by the q-binomial theorem:
-
-        1 / (a; q)_oo           = sum_k a^k / (q; q)_k,
-        (a; q)_oo               = sum_k (-1)^k q^{k(k-1)/2} a^k / (q; q)_k,
-        (b a; q)_oo / (a; q)_oo = sum_k (b; q)_k a^k / (q; q)_k.
-
+    closed form by the q-binomial theorem (``_q_binomial_coeffs``; gl_qt
+    uses (b a; q)_oo / (a; q)_oo = sum_k (b; q)_k a^k / (q; q)_k).
     A factor in q a rather than a (the pairs i > j) has its k-th
     coefficient shifted by q^k.  ``iwahori_char`` names the gl_slform
     product: the character of the functions on the Iwahori matrix space.
@@ -230,12 +240,8 @@ def lhs_series(variant, n, policy):
             diag = upper = [QSeries.one(cap)] * (top + 1)
             lower = None    # no factor below the diagonal
         elif variant in ("gl_t0", "gl_slform", "iwahori_char"):
-            inv_poch = [inv_pochhammer_qq(k, cap) for k in range(top + 1)]
-            diag = upper = inv_poch
-            lower = [c.shift(k) for k, c in enumerate(inv_poch)]
-            if variant != "gl_t0":
-                det = [c.shift(k * (k - 1) // 2) * (-1) ** k
-                       for k, c in enumerate(inv_poch)]
+            upper, lower, det = _q_binomial_coeffs(top, cap)
+            diag, det = upper, (None if variant == "gl_t0" else det)
         else:
             raise ExactError(f"no product side for variant {variant!r}")
     factors = []
@@ -389,30 +395,6 @@ def _kostant_xsums(c, n):
     return sols
 
 
-def _beta_margins(n, K):
-    """The nonnegative n x n matrices with entry sum <= K, grouped by their
-    margins: a list of (row sums, column sums, weight), where the weight is
-    the sum over the class of prod_entries q^v / (q; q)_v at cap K."""
-    beta_w = [inv_pochhammer_qq(v, K).shift(v) for v in range(K + 1)]
-    cells = [(r, s) for r in range(n) for s in range(n)]
-    classes = {}
-
-    def rec(idx, left, rows, cols, w):
-        if idx == len(cells):
-            key = (tuple(rows), tuple(cols))
-            classes[key] = classes[key] + w if key in classes else w
-            return
-        r, s = cells[idx]
-        for v in range(left + 1):
-            rows[r] += v
-            cols[s] += v
-            rec(idx + 1, left - v, rows, cols, w * beta_w[v] if v else w)
-            rows[r] -= v
-            cols[s] -= v
-    rec(0, K, [0] * n, [0] * n, QSeries.one(K))
-    return [(rows, cols, w) for (rows, cols), w in classes.items()]
-
-
 def _sl_window_policy(pairs, K):
     """The truncation of the sl series on a window: twice its largest gl
     degree in both blocks, q-cap K."""
@@ -453,17 +435,28 @@ def sl_certificate(n, pairs, K):
 
     It also sums the solutions' coefficients in the gl_slform product,
     which are exactly the fiber sums project_to_sl would take over the full
-    box: a beta matrix weighs prod_entries q^v / (q; q)_v (summed over its
-    class by ``_beta_margins``), and S weighs (-1)^S q^{S(S+1)/2} / (q; q)_S.
+    box.  The system reads the product in the factorization
+
+        [sum_{min nu = 0} (xy)^nu] * prod_{i<j} 1 / (1 - x_i y_j)
+          * prod_{i,j} 1 / (q x_i y_j; q)_oo * (q x_1..x_n y_1..y_n; q)_oo,
+
+    with nu, m, beta and S the exponents of its four factors.  The class
+    weights are the coefficients of the third, keyed on (rows, cols), from
+    one ``_packed_product`` call on the n^2 monomials x_i y_j: a class of
+    entry sum s has q-valuation s and leading coefficient 1, so the policy
+    (K, K) drops exactly the classes that vanish modulo q^{K+1}.  S weighs
+    (-1)^S q^{S(S+1)/2} / (q; q)_S, the (a; q)_oo coefficient times q^S.
     The class weights are summed per S as integer coefficient lists, each
     multiplied by its S weight once per pair.
     Returns (kmax, Dx, Dy, fibers) with kmax keyed on the x-side and
     fibers[pair] that sum, for every pair with a solution."""
-    poch_w = [inv_pochhammer_qq(S, K).shift(S * (S + 1) // 2)
-              * (-1 if S % 2 else 1)
-              for S in range(K + 1) if S * (S + 1) // 2 <= K]
-    margins = [(rows, cols, sum(rows), w.coeffs)
-               for rows, cols, w in _beta_margins(n, K)]
+    _, cells, det = _q_binomial_coeffs(K, K)
+    poch_w = [c.shift(S) for S, c in enumerate(det) if S * (S + 1) // 2 <= K]
+    weights = _packed_product(VariableSet.gl(n), TruncationPolicy(K, K, K), [
+        (tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
+        for i in range(n) for j in range(n)])
+    margins = [(exps[:n], exps[n:], sum(exps[:n]), w.coeffs)
+               for exps, w in weights.items()]
     kostant = {}    # c -> the x-side sums of its Kostant solutions
     kmax = {pair: -1 for pair in pairs}
     fibers = {}

@@ -387,7 +387,8 @@ def _per_matrix_certificate(n, pairs, K):
 
 @pytest.mark.parametrize("n, w, K", list(itertools.product(
     (1, 2, 3), (1, 2, 3), range(5))) + list(itertools.product(
-    (1, 2), (1, 2, 3), (5, 6))))
+    (1, 2), (1, 2, 3), (5, 6))) + list(itertools.product(
+    (4,), (1, 2), range(3))))
 def test_margin_certificate_matches_per_matrix_walk(n, w, K):
     # grouping the beta matrices by margins, and counting each class's
     # solutions per S by bisection, changes no bound and no sum; at K = 6
