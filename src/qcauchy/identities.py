@@ -25,8 +25,10 @@ solutions for every shift S at once.  The Macdonald side then sums every
 min-zero lam up to that box: E_lam(x) E_lam(y) has x- and y-degree |lam|,
 so these are all the summands that can reach a certified fiber.  Its
 tables are pruned to the window classes by the column program
-(``e_t0_table`` and ``e_atom_table`` with a window degree), which skips a
-lam that cannot reach the window at all.  Every summand has nonnegative
+(``e_t0_table`` and ``e_atom_table`` with a window degree), and the two
+tables of one lam share the q-budget K (``_sl_budget_hits``): each is
+built only to the cap at which its terms can still meet a term of the
+other below q^{K+1}.  Every summand has nonnegative
 coefficients, which is checked on every norm and on every table
 coefficient that is read.  ``_sl_series`` turns the sums per class pair of
 either side into the sl series on the window.
@@ -60,8 +62,9 @@ from bisect import bisect_left
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
                     qq_pochhammer_poly)
-from .macdonald import (e_atom_table, e_t0_table, generic_engine, norm_a_q,
-                        norm_a_qt, sl2_closed_forms, restrict_poly_terms)
+from .macdonald import (_window_cost, _window_floor, e_atom_table,
+                        e_t0_table, generic_engine, norm_a_q, norm_a_qt,
+                        sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, mul_truncated, render_scalar)
@@ -548,32 +551,62 @@ def _window_hits(table, side):
     return hits
 
 
+def _sl_budget_hits(n, lam, K, W):
+    """(x hits, y hits) of lam's window-pruned tables E_lam(x; q, 0) and
+    E_lam(y; q^{-1}, oo), built under one q-budget K for both, or None when
+    lam adds nothing to the sums modulo q^{K+1}.
+
+    Every window monomial of the t = 0 table has q-valuation at least
+    c_x = ``_window_cost(lam, n, F, "t0")``, and every one of the atom
+    table at least c_y, its mirror.  A norm has no negative q-power, so an
+    x-term of degree above K - c_y meets only y-terms of degree >= c_y, and
+    their product vanishes modulo q^{K+1}.  So lam is skipped when c_x +
+    c_y > K, the t = 0 table is built at cap K - c_y, and the atom table at
+    cap K - e_x, e_x the least q-exponent among the t = 0 hits, by the same
+    argument with the roles swapped.  Every summand norm * E(x) * E(y) is
+    unchanged modulo q^{K+1}; coefficients above the lowered caps are not
+    computed, and every computed one is checked nonnegative."""
+    floor = _window_floor(lam, n, W)
+    cost_y = _window_cost(lam, n, floor, "atom")
+    if _window_cost(lam, n, floor, "t0") + cost_y > K:
+        return None
+    xhits = _window_hits(e_t0_table(n, [lam], K - cost_y, W)[lam], "t0")
+    if not xhits:
+        return None
+    low = min(c.valuation() for c in xhits.values())
+    yhits = _window_hits(e_atom_table(n, [lam], K - low, W)[lam], "atom")
+    return (xhits, yhits) if yhits else None
+
+
 def _sl_rhs_adaptive(n, pairs, K, bound):
     """The sl Macdonald side on the window: every min-zero lam with
     |lam| <= bound summed once, with both norms.
 
     lam reaches the window class pair (a, b) through the monomials of
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
-    tables are built with the window's degree W (``e_t0_table``,
-    ``e_atom_table``), so they hold exactly the monomials whose class has
-    degree <= W, and a lam that cannot reach the window at all gets an
-    empty table without running the column program.  They are built one
-    lam at a time; the atom table is built only when the t = 0 table lands
-    on a window x-class.  The norms of every lam, and every table
-    coefficient that enters the sum, are checked nonnegative.  The name is
-    kept although nothing adapts any more: the benchmark's tracer
-    (``perfbench/spans.py``) looks the function up by it.
+    tables are built one lam at a time with the window's degree W, so they
+    hold exactly the monomials whose class has degree <= W, and the two
+    tables of a lam share one q-budget K (``_sl_budget_hits``): the t = 0
+    table is built at K less the least q-valuation the atom table's window
+    monomials can have (``_window_cost``), the atom table at K less the
+    least q-exponent the t = 0 table hit, and a lam whose two costs exceed
+    K together is skipped without a column program.  The norms of every
+    lam, and every table coefficient that enters the sum, are checked
+    nonnegative.  The name is kept although nothing adapts any more: the
+    benchmark's tracer (``perfbench/spans.py``) looks the function up by
+    it.
 
     Each contributing lam is one summand of ``_packed_macdonald_sum``: both
     norms and its window hits keyed on their classes, so a key of the sums
-    is rep_x + rep_y, split back into the class pair.  Nothing is filtered
-    a second time: ``pairs`` (``sl_window_pairs(n, W)``) holds every
-    min-zero class of degree <= W on both sides, so every hit is a window
-    class, and every pair of one lam's hits is in ``pairs``: a monomial e
-    of E_lam has |e| = |lam|, so its class e - min(e) 1 has degree |lam| -
-    n min(e), congruent to |lam| mod n on both sides, and
-    ``sl_window_pairs`` holds every pair of window classes whose degrees
-    agree mod n.
+    is rep_x + rep_y, split back into the class pair.  The tables are
+    shorter than K + 1 coefficients where the budget lowered their caps;
+    their L1 masses still bound the slots.  Nothing is filtered a second
+    time: ``pairs`` (``sl_window_pairs(n, W)``) holds every min-zero class
+    of degree <= W on both sides, so every hit is a window class, and every
+    pair of one lam's hits is in ``pairs``: a monomial e of E_lam has
+    |e| = |lam|, so its class e - min(e) 1 has degree |lam| - n min(e),
+    congruent to |lam| mod n on both sides, and ``sl_window_pairs`` holds
+    every pair of window classes whose degrees agree mod n.
 
     Returns (series with the arm/leg norm, series with the
     highest-weight-algebra norm, lambda_count)."""
@@ -585,12 +618,9 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         norm_h = hw_algebra_char(lam, "D").qseries(K)
         if not norm_a.is_nonnegative() or not norm_h.is_nonnegative():
             raise InvariantError("negative norm coefficient; positivity broken")
-        xhits = _window_hits(e_t0_table(n, [lam], K, W)[lam], "t0")
-        if not xhits:
-            continue
-        yhits = _window_hits(e_atom_table(n, [lam], K, W)[lam], "atom")
-        if yhits:
-            kept.append(((norm_a, norm_h), xhits, yhits))
+        hits = _sl_budget_hits(n, lam, K, W)
+        if hits is not None:
+            kept.append(((norm_a, norm_h),) + hits)
     by_a, by_h = _packed_macdonald_sum(kept, K) or ({}, {})
 
     def series(sums):

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcauchy
 from qcauchy.cli import IDENTITY_NAMES, SPEC_NAMES, run
 
 
@@ -311,6 +315,17 @@ class TestDeterminism:
                 "--format", "json"]
         outs = {invoke(args)[1] for _ in range(3)}
         assert len(outs) == 1
+
+    def test_module_entry_point(self):
+        # python -m qcauchy runs the same entry point as run(), from a
+        # checkout where only the source directory is on the path
+        args = ["macdonald", "--n", "1", "--lambda", "1"]
+        src = os.path.dirname(os.path.dirname(qcauchy.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "qcauchy", *args],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout == invoke(args)[1]
 
 
 class TestJsonRoundTrip:

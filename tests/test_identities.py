@@ -1,12 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
 from qcauchy.identities import (_kostant_xsums, _packed_macdonald_sum,
-                                _rhs_lambdas, _sl_lhs_window, _window_hits,
-                                lhs_series, project_to_sl, rhs_series,
-                                sl_certificate, sl_window_pairs,
+                                _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
+                                _window_hits, lhs_series, project_to_sl,
+                                rhs_series, sl_certificate, sl_window_pairs,
                                 verify_identity, verify_sl2_appendix)
 from qcauchy.macdonald import e_atom_table, e_t0_table, norm_a_q
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
@@ -322,6 +323,66 @@ def test_window_hits_pair_up_in_window():
                         assert (a, b) in pair_set, (n, w, lam, a, b)
 
 
+def _summand(lam, K, hits):
+    """norm * E(x) * E(y) modulo q^{K+1} of lam's (x hits, y hits), {} for
+    None."""
+    if hits is None:
+        return {}
+    sums, = _packed_macdonald_sum([((norm_a_q(lam, K),),) + hits], K)
+    return sums
+
+
+def _full_cap_hits(n, lam, K, w):
+    # the oracle of the shared budget: both tables built at cap K
+    return (_window_hits(e_t0_table(n, [lam], K, w)[lam], "t0"),
+            _window_hits(e_atom_table(n, [lam], K, w)[lam], "atom"))
+
+
+# (n, W, K) of the exhaustive oracle: every point with n <= 2, and at
+# n = 3, 4 the points whose full-cap tables build in a fraction of a second
+# (n = 4, W = 3, K = 4 alone takes minutes); the property below samples
+# the rest of n <= 4, W <= 3, K <= 4
+BUDGET_POINTS = [(n, w, K) for n in range(1, 5) for w in range(4)
+                 for K in range(5) if n <= 2 or w + K <= 6 - n]
+# the largest certified box at n over W <= 3, K <= 4
+LARGEST_BOX = {1: 4, 2: 11, 3: 24, 4: 31}
+
+
+def test_shared_budget_keeps_every_summand():
+    # every min-zero lam up to the certified box: its summand under the
+    # shared q-budget equals the one of both tables at cap K, modulo
+    # q^{K+1}; the budget skips some lam whose tables both hit the window
+    skipped = 0
+    for n, w, K in BUDGET_POINTS:
+        _, box, _, _ = sl_certificate(n, sl_window_pairs(n, w), K)
+        for lam in sorted(min_zero_compositions_up_to(n, box)):
+            full = _full_cap_hits(n, lam, K, w)
+            shared = _sl_budget_hits(n, lam, K, w)
+            assert _summand(lam, K, shared) == _summand(lam, K, full), \
+                (n, w, K, lam)
+            skipped += shared is None and all(full)
+    assert skipped > 0
+
+
+@st.composite
+def _budget_cases(draw):
+    n = draw(st.integers(1, 4))
+    rem, parts = LARGEST_BOX[n], []
+    for _ in range(n):
+        parts.append(draw(st.integers(0, rem)))
+        rem -= parts[-1]
+    parts[draw(st.integers(0, n - 1))] = 0
+    return n, tuple(parts), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_budget_cases())
+def test_shared_budget_keeps_every_summand_property(case):
+    n, lam, w, K = case
+    assert _summand(lam, K, _sl_budget_hits(n, lam, K, w)) == \
+        _summand(lam, K, _full_cap_hits(n, lam, K, w)), case
+
+
 @pytest.mark.parametrize("n, w, K", [(1, 3, 3), (2, 2, 3), (2, 3, 2),
                                      (3, 1, 3), (3, 2, 1)])
 def test_sl_window_matches_full_box_projection(n, w, K):
@@ -400,7 +461,8 @@ def test_margin_certificate_matches_per_matrix_walk(n, w, K):
 
 
 @pytest.mark.parametrize("n, w, K, summands, box", [
-    (2, 2, 3, 17, 8), (3, 2, 1, 199, 11), (3, 2, 2, 316, 14)])
+    (2, 2, 3, 17, 8), (3, 2, 1, 199, 11), (3, 2, 2, 316, 14),
+    (4, 1, 2, 1665, 13), (3, 3, 4, 901, 24)])
 def test_sl_sums_every_lambda_up_to_the_box(n, w, K, summands, box):
     # the Macdonald side sums each min-zero lambda up to the certified box
     # once: the summand count is the number of such lambdas

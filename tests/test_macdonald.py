@@ -1,12 +1,15 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcauchy.macdonald as macdonald
 from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            geometric_series, invert_q, limit_t,
                            qseries_from_qtrational)
 from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
-                               MacdonaldPolynomial, _reaches_window,
+                               MacdonaldPolynomial, _columns, _window_cost,
                                _window_floor, atom_terms, e_atom_table,
                                e_t0_table, exact_cap, macdonald_E,
                                macdonald_E_fillings, norm_a_q, norm_a_qt,
@@ -218,26 +221,52 @@ def test_window_tables_property(case, window, cap):
         assert table(n, [lam], cap, window)[lam] == want, (lam, window, cap)
 
 
-def test_reachability_rejects_only_tables_without_window_weights():
-    # the oracle of the reachability test: a lam it rejects has no weight
-    # with min(w) >= the window floor in its full table; some are rejected
+def _column_program_runs(monkeypatch, table, n, lams, cap, window):
+    """The columns of every lam whose column program the table builder
+    would run, recorded without running it."""
+    ran = set()
+    with monkeypatch.context() as patch:
+        patch.setattr(macdonald, "_column_terms",
+                      lambda columns, *args: ran.add(columns) or {})
+        table(n, lams, cap, window)
+    return ran
+
+
+def test_window_cost_bounds_window_valuations(monkeypatch):
+    # the oracle of the window cost: in the full table every weight with
+    # min(w) >= the window floor has q-valuation at least the cost, and the
+    # lam whose column program the pruned tables skip at a cap are exactly
+    # those whose cost exceeds it; some are skipped
     rejected = cases = 0
     for n, size in ((2, 10), (3, 8), (4, 6)):
         lams = sorted(compositions_up_to(n, size))
+        columns = {lam: _columns(lam) for lam in lams}
         for cap in range(4):
             for table, rule in ((e_t0_table, "t0"), (e_atom_table, "atom")):
                 full = table(n, lams, cap)
                 for window in range(4):
+                    ran = _column_program_runs(monkeypatch, table, n, lams,
+                                               cap, window)
                     for lam in lams:
                         cases += 1
                         floor = _window_floor(lam, n, window)
-                        if _reaches_window(lam, n, cap, floor, rule):
-                            continue
-                        rejected += 1
-                        assert all(min(w) < floor for w in full[lam]), \
+                        cost = _window_cost(lam, n, floor, rule)
+                        assert all(c.valuation() >= cost
+                                   for w, c in full[lam].items()
+                                   if min(w) >= floor), \
                             (lam, cap, window, rule)
+                        assert (columns[lam] in ran) == (cost <= cap), \
+                            (lam, cap, window, rule)
+                        rejected += cost > cap
     assert cases == 14112
     assert rejected > 0
+    # among them: at n = 4 and window 1, |lam| = 3 needs min(w) >= 1, so
+    # |w| >= 4; no row count demands a raised cell, and only n F > |lam|
+    # rejects lam, at every cap
+    lam = (0, 1, 1, 1)
+    assert _window_floor(lam, 4, 1) == 1
+    assert [(4 - v) - sum(lam[v:]) for v in range(1, 4)] == [0, 0, 0]
+    assert _window_cost(lam, 4, 1, "t0") == math.inf
 
 
 def test_window_degree_must_be_nonnegative():
