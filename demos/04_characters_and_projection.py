@@ -37,11 +37,12 @@ def main():
     print("=== projecting to the sl weight lattice ===")
     n, wdeg, K = 2, 2, 3
     pairs = sl_window_pairs(n, wdeg)
-    kmax, dx, dy, _ = sl_certificate(n, pairs, K)
+    kmax, box_deg, _ = sl_certificate(n, pairs, K)
     print(f"window: class pairs reachable at gl-degree <= {wdeg} "
           f"({len(pairs)} pairs)")
-    print(f"certificate: fibers close inside the box Dx = {dx}, Dy = {dy}")
-    box = TruncationPolicy(dx, dy, K)
+    print(f"certificate: fibers close inside the box of degree D = {box_deg}"
+          " in both blocks")
+    box = TruncationPolicy(box_deg, box_deg, K)
     f = lhs_series("gl_slform", n, box)
     proj = project_to_sl(f, pairs, kmax, K)
     print("projected product side, sorted by class pair:")

@@ -23,15 +23,16 @@ runs over margin classes, weighed by the gl product kernel
 ``_packed_product`` on the monomials x_i y_j, and counts a class's
 solutions for every shift S at once.  The Macdonald side then sums every
 min-zero lam up to that box: E_lam(x) E_lam(y) has x- and y-degree |lam|,
-so these are all the summands that can reach a certified fiber.  Its
-tables are pruned to the window classes by the column program
-(``e_t0_table`` and ``e_atom_table`` with a window degree), and the two
-tables of one lam share the q-budget K (``_sl_budget_hits``): each is
-built only to the cap at which its terms can still meet a term of the
-other below q^{K+1}.  Every summand has nonnegative
-coefficients, which is checked on every norm and on every table
-coefficient that is read.  ``_sl_series`` turns the sums per class pair of
-either side into the sl series on the window.
+so these are all the summands that can reach a certified fiber.
+``_sl_budget_hits`` makes every decision about one lam: it turns the
+window degree W into the weight floor F = ceil((|lam| - W) / n) of the
+window classes, skips lam when its two tables cannot meet below q^{K+1},
+and builds the tables (``e_t0_table`` and ``e_atom_table`` with that
+floor), each only to the cap at which its terms can still meet a term of
+the other.  Every summand has nonnegative coefficients, which is checked
+on every norm and every table coefficient that enters a sum; the norms
+are computed only for the lam that are summed.  ``_sl_series`` turns the
+sums per class pair of either side into the sl series on the window.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 build both sides on packed integers (``PackedQ``, Kronecker substitution),
@@ -62,9 +63,9 @@ from bisect import bisect_left
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
                     qq_pochhammer_poly)
-from .macdonald import (_window_cost, _window_floor, e_atom_table,
-                        e_t0_table, generic_engine, norm_a_q, norm_a_qt,
-                        sl2_closed_forms, restrict_poly_terms)
+from .macdonald import (_window_cost, e_atom_table, e_t0_table,
+                        generic_engine, norm_a_q, norm_a_qt, sl2_closed_forms,
+                        restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, mul_truncated, render_scalar)
@@ -451,8 +452,10 @@ def sl_certificate(n, pairs, K):
     (-1)^S q^{S(S+1)/2} / (q; q)_S, the (a; q)_oo coefficient times q^S.
     The class weights are summed per S as integer coefficient lists, each
     multiplied by its S weight once per pair.
-    Returns (kmax, Dx, Dy, fibers) with kmax keyed on the x-side and
-    fibers[pair] that sum, for every pair with a solution."""
+    Returns (kmax, D, fibers) with kmax keyed on the x-side, D the degree
+    of the certified box in both blocks (the balance relation makes the x-
+    and y-side needs coincide), and fibers[pair] that sum, for every pair
+    with a solution."""
     _, cells, det = _q_binomial_coeffs(K, K)
     poch_w = [c.shift(S) for S, c in enumerate(det) if S * (S + 1) // 2 <= K]
     weights = _packed_product(VariableSet.gl(n), TruncationPolicy(K, K, K), [
@@ -495,10 +498,9 @@ def sl_certificate(n, pairs, K):
             if any(acc):    # iff a solution: class weights are >= 0, nonzero
                 term = pw * QSeries(K, acc)
                 fibers[pair] = fibers[pair] + term if pair in fibers else term
-    Dx = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
-             default=0)
-    Dy = Dx    # the balance relation makes the two box needs coincide
-    return kmax, Dx, Dy, fibers
+    D = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
+            default=0)
+    return kmax, D, fibers
 
 
 def project_to_sl(f, pairs, kmax, K):
@@ -535,12 +537,12 @@ def _sl_lhs_window(n, pairs, fibers, K):
 
 
 def _window_hits(table, side):
-    """{class: coefficient} of the monomials of a window-pruned table, every
+    """{class: coefficient} of the monomials of a floor-pruned table, every
     coefficient checked nonnegative.  The monomials of one E_lam all have
     degree |lam|, so a class e - min(e) names one monomial: no two hits
-    share a class.  A table built with the window W holds exactly the
-    monomials whose class has degree <= W, all of them window classes, so
-    no hit is filtered out."""
+    share a class.  A table built with the floor of the window W holds
+    exactly the monomials whose class has degree <= W, all of them window
+    classes, so no hit is filtered out."""
     hits = {}
     for e, c in table.items():
         if not c.is_nonnegative():
@@ -552,29 +554,35 @@ def _window_hits(table, side):
 
 
 def _sl_budget_hits(n, lam, K, W):
-    """(x hits, y hits) of lam's window-pruned tables E_lam(x; q, 0) and
-    E_lam(y; q^{-1}, oo), built under one q-budget K for both, or None when
-    lam adds nothing to the sums modulo q^{K+1}.
+    """(x hits, y hits) of lam's tables E_lam(x; q, 0) and E_lam(y; q^{-1},
+    oo) on the window of degree W, built under one q-budget K for both, or
+    None when lam adds nothing to the sums modulo q^{K+1}.  Every decision
+    about lam is made here.
 
-    Every window monomial of the t = 0 table has q-valuation at least
-    c_x = ``_window_cost(lam, n, F, "t0")``, and every one of the atom
-    table at least c_y, its mirror.  A norm has no negative q-power, so an
-    x-term of degree above K - c_y meets only y-terms of degree >= c_y, and
-    their product vanishes modulo q^{K+1}.  So lam is skipped when c_x +
-    c_y > K, the t = 0 table is built at cap K - c_y, and the atom table at
-    cap K - e_x, e_x the least q-exponent among the t = 0 hits, by the same
-    argument with the roles swapped.  Every summand norm * E(x) * E(y) is
+    The window classes are the min-zero w - min(w)*1 of degree <= W, and
+    every weight of either table has |w| = |lam|, so w is in a window class
+    iff min(w) >= F = ceil((|lam| - W) / n): both tables are built with
+    the floor F.  Every monomial with min(w) >= F of the t = 0 table has
+    q-valuation at least c_x = ``_window_cost(lam, n, F, "t0")``, and every
+    one of the atom table at least c_y, its mirror.  A norm has no negative
+    q-power, so an x-term of degree above K - c_y meets only y-terms of
+    degree >= c_y, and their product vanishes modulo q^{K+1}.  So lam is
+    skipped when c_x + c_y > K, and the t = 0 table is built at cap K - c_y.
+    With e_x the least q-exponent among its hits, the same argument with
+    the roles swapped builds the atom table at cap K - e_x; that cap is at
+    least c_y, as e_x <= K - c_y, so lam is skipped at this step only when
+    the t = 0 table has no hit.  Every summand norm * E(x) * E(y) is
     unchanged modulo q^{K+1}; coefficients above the lowered caps are not
     computed, and every computed one is checked nonnegative."""
-    floor = _window_floor(lam, n, W)
+    floor = -((W - sum(lam)) // n)
     cost_y = _window_cost(lam, n, floor, "atom")
     if _window_cost(lam, n, floor, "t0") + cost_y > K:
         return None
-    xhits = _window_hits(e_t0_table(n, [lam], K - cost_y, W)[lam], "t0")
+    xhits = _window_hits(e_t0_table(n, [lam], K - cost_y, floor)[lam], "t0")
     if not xhits:
         return None
     low = min(c.valuation() for c in xhits.values())
-    yhits = _window_hits(e_atom_table(n, [lam], K - low, W)[lam], "atom")
+    yhits = _window_hits(e_atom_table(n, [lam], K - low, floor)[lam], "atom")
     return (xhits, yhits) if yhits else None
 
 
@@ -583,20 +591,15 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     |lam| <= bound summed once, with both norms.
 
     lam reaches the window class pair (a, b) through the monomials of
-    E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
-    tables are built one lam at a time with the window's degree W, so they
-    hold exactly the monomials whose class has degree <= W, and the two
-    tables of a lam share one q-budget K (``_sl_budget_hits``): the t = 0
-    table is built at K less the least q-valuation the atom table's window
-    monomials can have (``_window_cost``), the atom table at K less the
-    least q-exponent the t = 0 table hit, and a lam whose two costs exceed
-    K together is skipped without a column program.  The norms of every
-    lam, and every table coefficient that enters the sum, are checked
-    nonnegative.  The name is kept although nothing adapts any more: the
-    benchmark's tracer (``perfbench/spans.py``) looks the function up by
-    it.
+    E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b;
+    ``_sl_budget_hits`` builds those of one lam, or skips lam.  The
+    positivity check covers what enters a sum: both norms of every lam
+    that is summed, and every table coefficient read, are checked
+    nonnegative.  The norms of a skipped lam are not computed.  The name is
+    kept although nothing adapts any more: the benchmark's tracer
+    (``perfbench/spans.py``) looks the function up by it.
 
-    Each contributing lam is one summand of ``_packed_macdonald_sum``: both
+    Each summed lam is one summand of ``_packed_macdonald_sum``: both
     norms and its window hits keyed on their classes, so a key of the sums
     is rep_x + rep_y, split back into the class pair.  The tables are
     shorter than K + 1 coefficients where the budget lowered their caps;
@@ -609,18 +612,19 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     every pair of window classes whose degrees agree mod n.
 
     Returns (series with the arm/leg norm, series with the
-    highest-weight-algebra norm, lambda_count)."""
+    highest-weight-algebra norm, lambda_count), lambda_count counting every
+    lam up to the bound, summed or skipped."""
     W = max((sum(a) for a, _ in pairs), default=0)
-    kept = []       # ((norm_a, norm_h), x hits, y hits) of each contributor
+    kept = []       # ((norm_a, norm_h), x hits, y hits) of each summed lam
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
     for lam in lambdas:
-        norm_a = norm_a_q(lam, K)
-        norm_h = hw_algebra_char(lam, "D").qseries(K)
-        if not norm_a.is_nonnegative() or not norm_h.is_nonnegative():
-            raise InvariantError("negative norm coefficient; positivity broken")
         hits = _sl_budget_hits(n, lam, K, W)
-        if hits is not None:
-            kept.append(((norm_a, norm_h),) + hits)
+        if hits is None:
+            continue
+        norms = norm_a_q(lam, K), hw_algebra_char(lam, "D").qseries(K)
+        if not all(norm.is_nonnegative() for norm in norms):
+            raise InvariantError("negative norm coefficient; positivity broken")
+        kept.append((norms,) + hits)
     by_a, by_h = _packed_macdonald_sum(kept, K) or ({}, {})
 
     def series(sums):
@@ -644,11 +648,11 @@ def verify_identity(variant, n, policy):
         w = min(policy.max_x_degree, policy.max_y_degree)
         K = policy.max_q_degree
         pairs = sl_window_pairs(n, w)
-        _, Dx, Dy, fibers = sl_certificate(n, pairs, K)
+        _, D, fibers = sl_certificate(n, pairs, K)
         policy_dict["window_degree"] = w
-        policy_dict["certified_box"] = [Dx, Dy]
+        policy_dict["certified_box"] = [D, D]
         p_lhs = _sl_lhs_window(n, pairs, fibers, K)
-        p_gl, p_sl, count = _sl_rhs_adaptive(n, pairs, K, min(Dx, Dy))
+        p_gl, p_sl, count = _sl_rhs_adaptive(n, pairs, K, D)
         diff = first_difference(p_lhs, p_gl)
         if diff is None:
             diff = first_difference(p_gl, p_sl)

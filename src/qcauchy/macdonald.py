@@ -36,20 +36,20 @@ the columns of the fillings formula, ``_column_terms``.  They serve the
 identities, the characters, the rank-one suite and the command line;
 ``specialize_E`` of the exact ``macdonald_E``, which comes from the
 intertwiner recursion and not from fillings, is kept as their test oracle.
-Given a ``window`` degree W, both tables keep only the monomials x^w whose
-min-zero class w - min(w)*1 has degree <= W, the ones the sl identity
-reads: the column program drops each partial filling that can no longer
-reach such a class, and the pruned table is the full table restricted to
-those monomials.  A window class needs min(w) >= F = ceil((|lam| - W) /
-n), and ``_window_cost`` bounds the q-valuation of every such monomial
+Given a ``floor`` F, both tables keep only the monomials x^w with min(w)
+>= F: the column program drops each partial filling that can no longer
+reach such a weight, and the pruned table is the full table restricted to
+those monomials.  The sl identity reads them with F = ceil((|lam| - W) /
+n), the monomials whose min-zero class w - min(w)*1 has degree <= W.
+``_window_cost`` bounds the q-valuation of every monomial with min(w) >= F
 from below.  At t = 0 a cell holds a value above its row's basement value
 only after an ascent in its row, and that ascent costs leg + 1, at least
 the number of cells it raises; so a filling of q-degree e raises at most e
 cells, while min(w) >= F forces some lam to raise a known number of them.
 The atom side is the mirror case, with descents and the cells they lower.
-A lam whose cost exceeds the cap gets an empty table without a column
-program.  The sl identity reads the cost of both sides: the two tables of
-one summand share its q-budget (see ``identities._sl_rhs_adaptive``).
+The builders run the column program for every lam they are given; the sl
+identity reads the cost of both sides to decide which lam to build and at
+which caps (see ``identities._sl_budget_hits``).
 """
 
 from __future__ import annotations
@@ -357,25 +357,26 @@ def _column_terms(columns, n, cap, rule, floor=0):
     (cap - gain + 1) << shift, and a state whose smallest e leaves no room
     for a gain skips that column.
 
-    The floor is pruned the same way.  It serves a window of degree W: the
-    window classes are the min-zero w - min(w)*1 of degree <= W, and every
-    weight of either table has |w| = |lam|, so w is in a window class iff
-    min(w) >= ceil((|lam| - W) / n), the floor ``_window_floor`` passes.
-    A column's entries are distinct, so each later column adds a 0/1
-    vector to the weight: a partial weight p with some p_v + (columns
-    left) < floor has no completion with every entry at least ``floor``,
-    and is dropped.  After the last column the test is exact, so the
-    result is the full table restricted to the weights with min(w) >=
-    floor.  A column is tested only once floor exceeds the columns left
-    after it, so with floor <= 0 nothing is.  One digit test reads all
-    weight digits at once: with the top bit of every digit set,
-    subtracting (floor - columns left) from each digit borrows from no
-    other digit (the digits are below 2^(bits - 1), and so is the floor,
-    which is at most ceil(|lam| / n)), so it leaves e alone, and it clears
-    a digit's top bit just where that digit is below it.  A state whose
-    keys were all dropped is dropped too: the next column reads its
+    The floor is pruned the same way.  Every weight has |w| = |lam|, so a
+    floor with n floor > |lam| leaves no weight, and the program is not
+    run; otherwise the floor is at most |lam| / n.  A column's entries are
+    distinct, so each later column adds a 0/1 vector to the weight: a
+    partial weight p with some p_v + (columns left) < floor has no
+    completion with every entry at least ``floor``, and is dropped.  After
+    the last column the test is exact, so the result is the full table
+    restricted to the weights with min(w) >= floor.  A column is tested
+    only once floor exceeds the columns left after it, so with floor <= 0
+    nothing is.  One digit test reads all weight digits at once: with the
+    top bit of every digit set, subtracting (floor - columns left) from
+    each digit borrows from no other digit (the digits are below
+    2^(bits - 1), and so is the floor), so it leaves e alone, and it
+    clears a digit's top bit just where that digit is below it.  A state
+    whose keys were all dropped is dropped too: the next column reads its
     smallest e."""
-    bits = sum(1 for _, d in columns for x in d if x >= 1).bit_length() + 1
+    cells = sum(1 for _, d in columns for x in d if x >= 1)
+    if n * floor > cells:
+        return {}
+    bits = cells.bit_length() + 1
     shift = bits * n
     ones = sum(1 << (bits * v) for v in range(n))
     top = ones << (bits - 1)
@@ -420,21 +421,12 @@ def _column_terms(columns, n, cap, rule, floor=0):
             QSeries(cap, cs) for w, cs in by_weight.items()}
 
 
-def _window_floor(lam, n, window):
-    """The floor of ``_column_terms`` for a window of degree ``window``:
-    ceil((|lam| - window) / n), or 0 (no bound) when ``window`` is None."""
-    if window is None:
-        return 0
-    if window < 0:
-        raise ExactError("a window degree is nonnegative")
-    return -((window - sum(lam)) // n)
-
-
 def _window_cost(lam, n, floor, rule):
     """A lower bound on the q-valuation of every coefficient of x^w with
     min(w) >= ``floor`` in the table of ``rule``, and ``math.inf`` when the
     table has no such weight.  A table at a cap below the cost is empty
-    once pruned to the floor, and its column program is not run.
+    once pruned to the floor; ``identities._sl_budget_hits`` reads the
+    cost so as not to build it.
 
     Rows and values are counted from 0 here, so row v's basement value is
     v.  At t = 0 the entries of a row do not increase along it until its
@@ -460,13 +452,12 @@ def _window_cost(lam, n, floor, rule):
 
 class T0Engine:
     """E_lam(x; q, 0) for batches of compositions, by the column program;
-    with a ``window``, only the monomials whose min-zero class has degree
-    at most ``window`` (see ``_column_terms``), and an empty table for a
-    lam whose ``_window_cost`` exceeds the cap."""
+    only the monomials x^w with min(w) >= ``floor`` are kept (see
+    ``_column_terms``)."""
 
-    def __init__(self, n, window=None):
+    def __init__(self, n, floor=0):
         self.n = n
-        self.window = window
+        self.floor = floor
 
     def plan(self, targets):
         """(patterns, columns): the distinct column patterns of the batch,
@@ -477,26 +468,16 @@ class T0Engine:
 
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
-        floors = {lam: _window_floor(lam, self.n, self.window)
-                  for lam in targets}
-        live = [lam for lam in targets
-                if _window_cost(lam, self.n, floors[lam], "t0") <= cap]
-        _, columns = self.plan(live)
+        _, columns = self.plan(targets)
         return {lam: _column_terms(columns[lam], self.n, cap, "t0",
-                                   floors[lam]) if lam in columns else {}
+                                   self.floor)
                 for lam in targets}
 
 
-def atom_terms(lam, n, cap, window=None):
-    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program; with a
-    ``window``, only the monomials whose min-zero class has degree at most
-    ``window``, and an empty table for a lam whose ``_window_cost``
-    exceeds the cap."""
-    lam = _as_tuple(lam)
-    floor = _window_floor(lam, n, window)
-    if _window_cost(lam, n, floor, "atom") > cap:
-        return {}
-    return _column_terms(_columns(lam), n, cap, "atom", floor)
+def atom_terms(lam, n, cap, floor=0):
+    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program; only
+    the monomials x^w with min(w) >= ``floor`` are kept."""
+    return _column_terms(_columns(_as_tuple(lam)), n, cap, "atom", floor)
 
 
 # ---------------------------------------------------------------------------
@@ -831,17 +812,16 @@ def _compositions(lams):
     return lams
 
 
-def e_t0_table(n, lams, cap, window=None):
-    """{lam: {exps: QSeries}} of t = 0 specializations; with a ``window``,
-    only the monomials whose min-zero class has degree <= ``window``."""
-    return T0Engine(n, window).batch(_compositions(lams), cap)
+def e_t0_table(n, lams, cap, floor=0):
+    """{lam: {exps: QSeries}} of t = 0 specializations; only the monomials
+    x^w with min(w) >= ``floor``."""
+    return T0Engine(n, floor).batch(_compositions(lams), cap)
 
 
-def e_atom_table(n, lams, cap, window=None):
-    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations; with a
-    ``window``, only the monomials whose min-zero class has degree <=
-    ``window``."""
-    return {lam: atom_terms(lam, n, cap, window=window)
+def e_atom_table(n, lams, cap, floor=0):
+    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations; only the
+    monomials x^w with min(w) >= ``floor``."""
+    return {lam: atom_terms(lam, n, cap, floor)
             for lam in _compositions(lams)}
 
 

@@ -1,15 +1,20 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
+import qcauchy.identities as identities
+import qcauchy.macdonald as macdonald
 from qcauchy.identities import (_kostant_xsums, _packed_macdonald_sum,
                                 _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
-                                _window_hits, lhs_series, project_to_sl,
-                                rhs_series, sl_certificate, sl_window_pairs,
-                                verify_identity, verify_sl2_appendix)
-from qcauchy.macdonald import e_atom_table, e_t0_table, norm_a_q
+                                _sl_rhs_adaptive, _window_hits, lhs_series,
+                                project_to_sl, rhs_series, sl_certificate,
+                                sl_window_pairs, verify_identity,
+                                verify_sl2_appendix)
+from qcauchy.macdonald import (_columns, _window_cost, e_atom_table,
+                               e_t0_table, norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series)
@@ -289,10 +294,15 @@ class TestProjection:
 
     def test_certificate_balance(self):
         pairs = sl_window_pairs(2, 2)
-        kmax, dx, dy, _ = sl_certificate(2, pairs, 3)
-        assert dx == dy
+        kmax, _, _ = sl_certificate(2, pairs, 3)
         # the diagonal fiber at the trivial class reaches at least k = 1
         assert kmax[((0, 0), (0, 0))] >= 1
+
+
+def window_floor(lam, n, window):
+    """The weight floor of the window classes of degree <= window among the
+    weights of |w| = |lam|: ceil((|lam| - window) / n)."""
+    return -((window - sum(lam)) // n)
 
 
 def test_packed_sum_of_no_summands():
@@ -311,12 +321,14 @@ def test_window_hits_pair_up_in_window():
             pairs = sl_window_pairs(n, w)
             pair_set = set(pairs)
             reps = {a for a, _ in pairs}
-            _, Dx, Dy, _ = sl_certificate(n, pairs, K)
-            for lam in min_zero_compositions_up_to(n, min(Dx, Dy)):
-                xs = _window_hits(e_t0_table(n, [lam], K, w)[lam], "t0")
+            _, box, _ = sl_certificate(n, pairs, K)
+            for lam in min_zero_compositions_up_to(n, box):
+                floor = window_floor(lam, n, w)
+                xs = _window_hits(e_t0_table(n, [lam], K, floor)[lam], "t0")
                 if not xs:
                     continue        # no pair; the atom table is not needed
-                ys = _window_hits(e_atom_table(n, [lam], K, w)[lam], "atom")
+                ys = _window_hits(e_atom_table(n, [lam], K, floor)[lam],
+                                  "atom")
                 assert set(xs) <= reps and set(ys) <= reps, (n, w, lam)
                 for a in xs:
                     for b in ys:
@@ -334,8 +346,9 @@ def _summand(lam, K, hits):
 
 def _full_cap_hits(n, lam, K, w):
     # the oracle of the shared budget: both tables built at cap K
-    return (_window_hits(e_t0_table(n, [lam], K, w)[lam], "t0"),
-            _window_hits(e_atom_table(n, [lam], K, w)[lam], "atom"))
+    floor = window_floor(lam, n, w)
+    return (_window_hits(e_t0_table(n, [lam], K, floor)[lam], "t0"),
+            _window_hits(e_atom_table(n, [lam], K, floor)[lam], "atom"))
 
 
 # (n, W, K) of the exhaustive oracle: every point with n <= 2, and at
@@ -354,7 +367,7 @@ def test_shared_budget_keeps_every_summand():
     # q^{K+1}; the budget skips some lam whose tables both hit the window
     skipped = 0
     for n, w, K in BUDGET_POINTS:
-        _, box, _, _ = sl_certificate(n, sl_window_pairs(n, w), K)
+        _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             full = _full_cap_hits(n, lam, K, w)
             shared = _sl_budget_hits(n, lam, K, w)
@@ -362,6 +375,64 @@ def test_shared_budget_keeps_every_summand():
                 (n, w, K, lam)
             skipped += shared is None and all(full)
     assert skipped > 0
+
+
+def test_budget_skips_run_no_column_program(monkeypatch):
+    # _sl_budget_hits runs the t = 0 column program of lam iff c_x + c_y <=
+    # K, and the atom program iff, in addition, e_x + c_y <= K, e_x the
+    # least q-exponent of the t = 0 table's hits (infinite without a hit);
+    # the t = 0 table's cap K - c_y bounds e_x, so the second condition
+    # fails only on an empty t = 0 table; the first skips some lam
+    runs = []
+    column_terms = macdonald._column_terms
+
+    def recorded(columns, n, cap, rule, floor):
+        table = column_terms(columns, n, cap, rule, floor)
+        runs.append((rule, columns, table))
+        return table
+    monkeypatch.setattr(macdonald, "_column_terms", recorded)
+    skipped = 0
+    for n, w, K in BUDGET_POINTS:
+        _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
+        for lam in sorted(min_zero_compositions_up_to(n, box)):
+            floor = window_floor(lam, n, w)
+            cost_x = _window_cost(lam, n, floor, "t0")
+            cost_y = _window_cost(lam, n, floor, "atom")
+            runs.clear()
+            _sl_budget_hits(n, lam, K, w)
+            assert all(columns == _columns(lam) for _, columns, _ in runs)
+            rules = [rule for rule, _, _ in runs]
+            case = (n, w, K, lam)
+            if cost_x + cost_y > K:
+                assert rules == [], case
+                skipped += 1
+                continue
+            assert rules[0] == "t0", case
+            low = min((c.valuation() for c in runs[0][2].values()),
+                      default=math.inf)
+            assert low == math.inf or low <= K - cost_y, case
+            want = ["t0", "atom"] if low + cost_y <= K else ["t0"]
+            assert rules == want, case
+    assert skipped > 0
+
+
+def test_norms_only_for_summed_lambda(monkeypatch):
+    # the sl Macdonald side computes (and checks) both norms of the lam it
+    # sums, and no other: at (3, 2, 2), 91 of the 316 lam up to the box
+    n, w, K = 3, 2, 2
+    pairs = sl_window_pairs(n, w)
+    _, box, _ = sl_certificate(n, pairs, K)
+    summed = sum(_sl_budget_hits(n, lam, K, w) is not None
+                 for lam in min_zero_compositions_up_to(n, box))
+    calls = {"norm_a_q": 0, "hw_algebra_char": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(identities, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(identities, name, counted)
+    _, _, count = _sl_rhs_adaptive(n, pairs, K, box)
+    assert (summed, count) == (91, 316)
+    assert calls == {"norm_a_q": summed, "hw_algebra_char": summed}
 
 
 @st.composite
@@ -389,8 +460,8 @@ def test_sl_window_matches_full_box_projection(n, w, K):
     # the certificate's fiber sums against those of the gl_slform product
     # over the whole certified box
     pairs = sl_window_pairs(n, w)
-    kmax, Dx, Dy, fibers = sl_certificate(n, pairs, K)
-    box = lhs_series("gl_slform", n, TruncationPolicy(Dx, Dy, K))
+    kmax, D, fibers = sl_certificate(n, pairs, K)
+    box = lhs_series("gl_slform", n, TruncationPolicy(D, D, K))
     want = project_to_sl(box, pairs, kmax, K)
     got = _sl_lhs_window(n, pairs, fibers, K)
     assert got.terms == want.terms
@@ -455,9 +526,7 @@ def test_margin_certificate_matches_per_matrix_walk(n, w, K):
     # solutions per S by bisection, changes no bound and no sum; at K = 6
     # the S of the support system reaches 3
     pairs = sl_window_pairs(n, w)
-    kmax, Dx, Dy, fibers = sl_certificate(n, pairs, K)
-    assert Dy == Dx
-    assert (kmax, Dx, fibers) == _per_matrix_certificate(n, pairs, K)
+    assert sl_certificate(n, pairs, K) == _per_matrix_certificate(n, pairs, K)
 
 
 @pytest.mark.parametrize("n, w, K, summands, box", [

@@ -3,18 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qcauchy.macdonald as macdonald
 from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            geometric_series, invert_q, limit_t,
                            qseries_from_qtrational)
 from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
-                               MacdonaldPolynomial, _columns, _window_cost,
-                               _window_floor, atom_terms, e_atom_table,
-                               e_t0_table, exact_cap, macdonald_E,
-                               macdonald_E_fillings, norm_a_q, norm_a_qt,
-                               recursion_parent, restrict_poly_terms,
-                               rs_polynomial, sl2_closed_forms, specialize_E)
+                               MacdonaldPolynomial, _window_cost, atom_terms,
+                               e_atom_table, e_t0_table, exact_cap,
+                               macdonald_E, macdonald_E_fillings, norm_a_q,
+                               norm_a_qt, recursion_parent,
+                               restrict_poly_terms, rs_polynomial,
+                               sl2_closed_forms, specialize_E)
 from qcauchy.weights import (arm_leg, compositions_up_to, diagram,
                              min_zero_compositions_up_to)
 
@@ -194,19 +193,31 @@ def _in_window(table, n, window):
     return {e: c for e, c in table.items() if sum(e) - n * min(e) <= window}
 
 
+def window_floor(lam, n, window):
+    """The weight floor of the window classes of degree <= window among the
+    weights of |w| = |lam|: ceil((|lam| - window) / n)."""
+    return -((window - sum(lam)) // n)
+
+
 def test_window_tables_match_restricted_tables():
-    # the oracle of the window pruning: the pruned table is the full table
-    # restricted to the window classes, for both rules
+    # the oracle of the floor pruning: the table built with the floor of a
+    # window is the full table restricted to the window classes, for both
+    # rules; a floor <= 0 keeps the full table, and a floor with n floor >
+    # |lam| keeps no weight
     for n, size in ((1, 6), (2, 6), (3, 6), (4, 5)):
         lams = sorted(compositions_up_to(n, size))
         for cap in (0, 2, 4):
             for table, _ in TABLES:
                 full = table(n, lams, cap)
-                for window in range(4):
-                    pruned = table(n, lams, cap, window)
-                    for lam in lams:
+                for lam in lams:
+                    for floor in (-1, 0):
+                        assert table(n, [lam], cap, floor)[lam] == full[lam]
+                    assert table(n, [lam], cap, sum(lam) // n + 1)[lam] == {}
+                    for window in range(4):
+                        pruned = table(n, [lam], cap,
+                                       window_floor(lam, n, window))[lam]
                         want = _in_window(full[lam], n, window)
-                        assert pruned[lam] == want, \
+                        assert pruned == want, \
                             (lam, cap, window, table.__name__)
 
 
@@ -216,46 +227,30 @@ def test_window_tables_match_restricted_tables():
        st.integers(0, 8), st.integers(0, 6))
 def test_window_tables_property(case, window, cap):
     n, lam = case
+    floor = window_floor(lam, n, window)
     for table, _ in TABLES:
         want = _in_window(table(n, [lam], cap)[lam], n, window)
-        assert table(n, [lam], cap, window)[lam] == want, (lam, window, cap)
+        assert table(n, [lam], cap, floor)[lam] == want, (lam, window, cap)
 
 
-def _column_program_runs(monkeypatch, table, n, lams, cap, window):
-    """The columns of every lam whose column program the table builder
-    would run, recorded without running it."""
-    ran = set()
-    with monkeypatch.context() as patch:
-        patch.setattr(macdonald, "_column_terms",
-                      lambda columns, *args: ran.add(columns) or {})
-        table(n, lams, cap, window)
-    return ran
-
-
-def test_window_cost_bounds_window_valuations(monkeypatch):
+def test_window_cost_bounds_window_valuations():
     # the oracle of the window cost: in the full table every weight with
-    # min(w) >= the window floor has q-valuation at least the cost, and the
-    # lam whose column program the pruned tables skip at a cap are exactly
-    # those whose cost exceeds it; some are skipped
+    # min(w) >= the window floor has q-valuation at least the cost; some
+    # costs exceed the cap
     rejected = cases = 0
     for n, size in ((2, 10), (3, 8), (4, 6)):
         lams = sorted(compositions_up_to(n, size))
-        columns = {lam: _columns(lam) for lam in lams}
         for cap in range(4):
             for table, rule in ((e_t0_table, "t0"), (e_atom_table, "atom")):
                 full = table(n, lams, cap)
                 for window in range(4):
-                    ran = _column_program_runs(monkeypatch, table, n, lams,
-                                               cap, window)
                     for lam in lams:
                         cases += 1
-                        floor = _window_floor(lam, n, window)
+                        floor = window_floor(lam, n, window)
                         cost = _window_cost(lam, n, floor, rule)
                         assert all(c.valuation() >= cost
                                    for w, c in full[lam].items()
                                    if min(w) >= floor), \
-                            (lam, cap, window, rule)
-                        assert (columns[lam] in ran) == (cost <= cap), \
                             (lam, cap, window, rule)
                         rejected += cost > cap
     assert cases == 14112
@@ -264,15 +259,9 @@ def test_window_cost_bounds_window_valuations(monkeypatch):
     # |w| >= 4; no row count demands a raised cell, and only n F > |lam|
     # rejects lam, at every cap
     lam = (0, 1, 1, 1)
-    assert _window_floor(lam, 4, 1) == 1
+    assert window_floor(lam, 4, 1) == 1
     assert [(4 - v) - sum(lam[v:]) for v in range(1, 4)] == [0, 0, 0]
     assert _window_cost(lam, 4, 1, "t0") == math.inf
-
-
-def test_window_degree_must_be_nonnegative():
-    for table, _ in TABLES:
-        with pytest.raises(ExactError):
-            table(2, [(1, 0)], 2, -1)
 
 
 class TestNorms:
