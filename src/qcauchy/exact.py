@@ -1098,9 +1098,11 @@ class PackedQ:
     the image of the truncated exact result.  Unpacking takes centered
     residues slot by slot, which inverts that image on every coefficient
     list with |c_k| < 2^{B - 1}.  ``bound`` is a caller's bound on the
-    absolute value of every coefficient to be unpacked; B is
-    ``bound.bit_length() + 2``, so |c_k| <= bound < 2^{B - 2}, a margin of
-    one bit over what the centered residue needs.
+    absolute value of every coefficient to be unpacked or compared, not on
+    intermediate values; B is ``bound.bit_length() + 2``, so |c_k| <=
+    bound < 2^{B - 2}.  That bit of margin makes comparison exact: the
+    difference of two such lists has |c_k| < 2^{B - 1}, so they are equal
+    iff their masked values are.
     """
 
     __slots__ = ("width", "cap", "mask", "bias")

@@ -38,16 +38,13 @@ The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 build both sides on packed integers (``PackedQ``, Kronecker substitution),
 and so does the sl Macdonald side: a truncated q-series with integer
 coefficients is one int with B bits per coefficient, a product of series
-one integer product.  Packed arithmetic is taken modulo 2^{B (cap + 1)},
-the image of truncation at q^cap, and unpacking reads each slot as a
-centered residue, which is exact when every coefficient read has absolute
-value below 2^{B - 1}.  The width is B = bound.bit_length() + 2 for a
-bound on every coefficient of every intermediate value: on the product
-side the product of the factors' L1 masses (sum of |coefficient| over a
-factor), on a Macdonald side (``_packed_macdonald_sum``, one bound for gl
-and sl) sum_lam max_i L1(norm_i) L1(x table) L1(y table).  An L1 mass
-bounds every coefficient, and the mass of a product is at most the product
-of the masses, so |coefficient| <= bound < 2^{B - 2}.  Every summand
+one integer product.  Packed arithmetic is a ring homomorphism onto the
+integers modulo 2^{B (cap + 1)} that kills q^{cap + 1}, so intermediate
+values need no bound; B = bound.bit_length() + 2 for a bound on every
+coefficient unpacked or compared, from L1 masses (sum of |coefficient|):
+``_product_bound`` on the product side, ``_macdonald_bound`` on a Macdonald
+side (gl and sl).  ``verify_identity`` packs both gl sides at the larger
+bound, compares masked ints and unpacks only the witness.  Every summand
 norm * E_lam(x) * E_lam(y) of a Macdonald sum, packed, exact (q, t) for
 gl_qt or QSeries for ch T (``characters``), is accumulated by the one
 kernel ``_pair_product_series``.
@@ -56,7 +53,6 @@ kernel ``_pair_product_series``.
 from __future__ import annotations
 
 import json
-import math
 import time
 from bisect import bisect_left
 
@@ -68,7 +64,8 @@ from .macdonald import (_window_cost, e_atom_table, e_t0_table,
                         restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
-                     first_difference, mul_truncated, render_scalar)
+                     first_difference, monomial_key, mul_truncated,
+                     render_scalar)
 from .weights import (compositions_up_to, min_zero_compositions_up_to,
                       restrict_weight)
 
@@ -117,14 +114,11 @@ class VerificationReport:
 
 
 def _mk_report(variant, n, policy_dict, diff, lam_count, t_start):
-    if diff is None:
-        return VerificationReport(variant, n, policy_dict, "pass", None,
-                                  lam_count, time.monotonic() - t_start)
-    exps, lc, rc = diff
-    witness = {"monomial": list(exps),
-               "lhs": render_scalar(lc) if lc is not None else "0",
-               "rhs": render_scalar(rc) if rc is not None else "0"}
-    return VerificationReport(variant, n, policy_dict, "fail", witness,
+    witness = {"monomial": list(diff[0]), **{
+        side: "0" if c is None else render_scalar(c)
+        for side, c in zip(("lhs", "rhs"), diff[1:])}} if diff else None
+    return VerificationReport(variant, n, policy_dict,
+                              "fail" if witness else "pass", witness,
                               lam_count, time.monotonic() - t_start)
 
 
@@ -132,25 +126,33 @@ def _mk_report(variant, n, policy_dict, diff, lam_count, t_start):
 # left-hand sides
 # ---------------------------------------------------------------------------
 
-def _factor_series(varset, policy, mono, coeffs):
-    """sum_k coeffs[k] * mono^k, within the policy."""
-    return TruncatedSeries(varset, policy,
-                           {tuple(k * e for e in mono): c
-                            for k, c in enumerate(coeffs)})
+def _product_bound(varset, policy, factors):
+    """A bound on every coefficient of ``_packed_product``'s output: the
+    largest of [z^d] prod_f sum_k L1(cs_f[k]) z^{k g_f}, d <= G, where G is
+    the smaller policy degree and g_f >= 1 the degree of mono_f in that
+    block.  A monomial of degree d there has the coefficient sum_{(k_f)}
+    prod_f cs_f[k_f] over sum_f k_f g_f = d; by the triangle inequality and
+    L1(a b) <= L1(a) L1(b) its L1 mass is at most [z^d]."""
+    side = int(policy.max_x_degree > policy.max_y_degree)
+    top = min(policy.max_x_degree, policy.max_y_degree)
+    graded = [1] + [0] * top
+    for mono, cs in factors:
+        g = varset.block_degrees(mono)[side]
+        masses = [l1_mass(c.coeffs) for c in cs[: top // g + 1]]
+        graded = [sum(masses[k] * graded[d - k * g]
+                      for k in range(min(d // g + 1, len(masses))))
+                  for d in range(top + 1)]
+    return max(graded)
 
 
-def _packed_product(varset, policy, factors):
+def _packed_product(varset, policy, factors, packing):
     """The product of the factors sum_k cs[k] mono^k, given as (mono, cs)
-    with integer QSeries cs[k], on packed q-series: {exps: QSeries}.
+    with integer QSeries cs[k], on packed q-series: {exps: masked int},
+    zero coefficients dropped.
 
     Each step multiplies every term e by the powers of one factor's
-    monomial that keep e within the policy.  The coefficients of the
-    product, at every step and before truncation, are bounded by the
-    product of the factors' L1 masses (the mass of a factor is the sum of
-    |coefficient| over all its coefficients), which fixes the slot width
-    of ``PackedQ``."""
-    bound = math.prod(sum(l1_mass(c.coeffs) for c in cs) for _, cs in factors)
-    packing = PackedQ(bound, policy.max_q_degree)
+    monomial that keep e within the policy.  ``packing`` needs a bound on
+    the output coefficients only (``_product_bound``)."""
     mask = packing.mask
     dmax_x, dmax_y = policy.max_x_degree, policy.max_y_degree
     # a monomial is keyed on the integer with base-b digits (x-degree,
@@ -179,13 +181,13 @@ def _packed_product(varset, policy, factors):
         terms = new
     out = {}
     for key, v in terms.items():
-        s = packing.unpack(v)
-        if not s.is_zero:
+        v &= mask
+        if v:
             digits = []
             for _ in range(2 + varset.size):
                 key, d = divmod(key, b)
                 digits.append(d)
-            out[tuple(digits[2:])] = s
+            out[tuple(digits[2:])] = v
     return out
 
 
@@ -202,8 +204,8 @@ def _q_binomial_coeffs(top, cap):
              for k, c in enumerate(inv_poch)])
 
 
-def lhs_series(variant, n, policy):
-    r"""The product side of the named identity, as a truncated series.
+def _product_factors(variant, n, policy):
+    r"""The factors (mono, cs) of the product side of the named identity.
 
     Every factor is a series in one monomial a = x_i y_j (or, for the
     determinant factor of gl_slform, a = x_1..x_n y_1..y_n), expanded in
@@ -211,14 +213,7 @@ def lhs_series(variant, n, policy):
     uses (b a; q)_oo / (a; q)_oo = sum_k (b; q)_k a^k / (q; q)_k).
     A factor in q a rather than a (the pairs i > j) has its k-th
     coefficient shifted by q^k.  ``iwahori_char`` names the gl_slform
-    product: the character of the functions on the Iwahori matrix space.
-
-    The q-series variants multiply on packed integers (``PackedQ``) with
-    the slot width of the product of the factors' L1 masses: that product
-    bounds every coefficient of every partial product, so each slot holds
-    its coefficient exactly (see ``_packed_product``).  ``gl_qt`` keeps
-    exact (q, t) scalars and ``mul_truncated``."""
-    varset = VariableSet.gl(n)
+    product: the character of the functions on the Iwahori matrix space."""
     top = min(policy.max_x_degree, policy.max_y_degree)
     cap = policy.max_q_degree
     det = None
@@ -257,14 +252,26 @@ def lhs_series(variant, n, policy):
                     (tuple(int(k in (i, n + j)) for k in range(2 * n)), cs))
     if det is not None:
         factors.append(((1,) * (2 * n), det))
+    return factors
+
+
+def lhs_series(variant, n, policy):
+    """The product side of the named identity, as a truncated series: the
+    ``_product_factors`` multiplied by ``_packed_product`` and unpacked, or
+    for ``gl_qt`` on exact (q, t) scalars by ``mul_truncated``."""
+    varset = VariableSet.gl(n)
+    factors = _product_factors(variant, n, policy)
     if variant != "gl_qt":
-        return TruncatedSeries(varset, policy,
-                               _packed_product(varset, policy, factors),
-                               _checked=True)
+        packing = PackedQ(_product_bound(varset, policy, factors),
+                          policy.max_q_degree)
+        return TruncatedSeries(varset, policy, {
+            e: packing.unpack(v) for e, v in
+            _packed_product(varset, policy, factors, packing).items()},
+            _checked=True)
     result = TruncatedSeries.constant(varset, policy, QTRational.one())
-    for mono, cs in factors:
-        result = mul_truncated(result,
-                               _factor_series(varset, policy, mono, cs))
+    for mono, cs in factors:    # sum_k cs[k] mono^k, within the policy
+        result = mul_truncated(result, TruncatedSeries(varset, policy, {
+            tuple(k * e for e in mono): c for k, c in enumerate(cs)}))
     return result
 
 
@@ -283,33 +290,35 @@ def _pair_product_series(out, xterms, yterms, norm):
             out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
-def _packed_macdonald_sum(summands, cap):
-    """The sums over ``summands``, a list of (norms, x-table, y-table) of
-    integer QSeries, of norms[i] * E(x) * E(y): one {x-key + y-key: QSeries}
-    at ``cap`` per norm position, zero sums dropped ([] for no summands).
-
-    Each table entry and each norm is packed once, and every norm runs
-    ``_pair_product_series`` on the same packed tables, untruncated.  A key
-    splits into one x- and one y-key, so every slot of a sum is at most
-    sum max_i L1(norms[i]) L1(x-table) L1(y-table) over the summands, where
-    the L1 mass of a table sums |coefficient| over its entries: that bound
-    fixes the slot width of ``PackedQ``.  Each sum is unpacked once."""
+def _macdonald_bound(summands):
+    """A bound on every coefficient of ``_packed_macdonald_sum``'s sums:
+    sum max_i L1(norms[i]) L1(x-table) L1(y-table) over the summands, the
+    L1 mass of a table summing |coefficient| over its entries.  A key
+    splits into one x- and one y-key, so no slot of a sum exceeds it."""
     def mass(table):
         return sum(l1_mass(c.coeffs) for c in table.values())
-    packing = PackedQ(sum(max(l1_mass(norm.coeffs) for norm in norms)
-                          * mass(xtable) * mass(ytable)
-                          for norms, xtable, ytable in summands), cap)
-    pack = packing.pack
+    return sum(max(l1_mass(norm.coeffs) for norm in norms)
+               * mass(xtable) * mass(ytable)
+               for norms, xtable, ytable in summands)
+
+
+def _packed_macdonald_sum(summands, packing):
+    """The sums over ``summands``, a list of (norms, x-table, y-table) of
+    integer QSeries, of norms[i] * E(x) * E(y): one {x-key + y-key: masked
+    int} per norm position, zero sums dropped ([] for no summands).
+
+    Each table entry and each norm is packed once, and every norm runs
+    ``_pair_product_series`` on the same packed tables, untruncated;
+    ``packing`` needs a bound on the sums (``_macdonald_bound``)."""
+    pack, mask = packing.pack, packing.mask
     sums = [{} for _ in summands[0][0]] if summands else []
     for norms, xtable, ytable in summands:
         xs = {e: pack(c.coeffs) for e, c in xtable.items()}
         ys = {e: pack(c.coeffs) for e, c in ytable.items()}
         for acc, norm in zip(sums, norms):
             _pair_product_series(acc, xs, ys, pack(norm.coeffs))
-    unpacked = ({key: packing.unpack(v) for key, v in acc.items()}
-                for acc in sums)
-    return [{key: c for key, c in terms.items() if not c.is_zero}
-            for terms in unpacked]
+    return [{key: m for key, v in acc.items() if (m := v & mask)}
+            for acc in sums]
 
 
 def _rhs_lambdas(variant, n, policy):
@@ -319,33 +328,38 @@ def _rhs_lambdas(variant, n, policy):
     return sorted(compositions_up_to(n, bound))
 
 
+def _macdonald_summands(variant, n, policy):
+    """The summands ((norm,), t = 0 table, atom table) of a q-series gl
+    variant's Macdonald side, one per composition of ``_rhs_lambdas``."""
+    lambdas = _rhs_lambdas(variant, n, policy)
+    # classical_q0 sums the key polynomials E(x; 0, 0) and the Demazure
+    # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
+    tcap = 0 if variant == "classical_q0" else policy.max_q_degree
+    t0, atom = e_t0_table(n, lambdas, tcap), e_atom_table(n, lambdas, tcap)
+    return [((norm_a_q(lam, tcap),), t0[lam], atom[lam]) for lam in lambdas]
+
+
 def rhs_series(variant, n, policy):
     """The Macdonald-polynomial side: sum over compositions of
     norm * E(x) * E(y) at the variant's parameter points.
 
     E_lam has degree |lam| <= min(Dx, Dy), so every summand lies within the
     policy; the terms of all summands go into one dict.  The q-series
-    variants sum on packed integers (``_packed_macdonald_sum``), with the
-    slot width of sum_lam L1(norm) L1(t = 0 table) L1(atom table), which
-    bounds every coefficient of every partial sum; ``gl_qt`` sums exact
-    (q, t) scalars by the same kernel, ``_pair_product_series``."""
-    lambdas = _rhs_lambdas(variant, n, policy)
-    cap = policy.max_q_degree
+    variants sum ``_macdonald_summands`` by ``_packed_macdonald_sum`` and
+    unpack; ``gl_qt`` sums exact (q, t) scalars by the same kernel,
+    ``_pair_product_series``."""
     if variant == "gl_qt":
         terms = {}
         eng = generic_engine(n)
-        for lam in lambdas:
+        for lam in _rhs_lambdas(variant, n, policy):
             xt = eng.terms_qtrational(lam)
             yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
             _pair_product_series(terms, xt, yt, norm_a_qt(lam))
     elif variant in ("gl_t0", "gl_slform", "iwahori_char", "classical_q0"):
-        # classical_q0 sums the key polynomials E(x; 0, 0) and the Demazure
-        # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
-        tcap = 0 if variant == "classical_q0" else cap
-        t0, atom = e_t0_table(n, lambdas, tcap), e_atom_table(n, lambdas, tcap)
-        terms, = _packed_macdonald_sum(
-            [((norm_a_q(lam, tcap),), t0[lam], atom[lam]) for lam in lambdas],
-            cap)
+        summands = _macdonald_summands(variant, n, policy)
+        packing = PackedQ(_macdonald_bound(summands), policy.max_q_degree)
+        sums, = _packed_macdonald_sum(summands, packing)
+        terms = {e: packing.unpack(v) for e, v in sums.items()}
     else:
         raise ExactError(f"no Macdonald side for variant {variant!r}")
     return TruncatedSeries(VariableSet.gl(n), policy, terms, _checked=True)
@@ -458,11 +472,13 @@ def sl_certificate(n, pairs, K):
     with a solution."""
     _, cells, det = _q_binomial_coeffs(K, K)
     poch_w = [c.shift(S) for S, c in enumerate(det) if S * (S + 1) // 2 <= K]
-    weights = _packed_product(VariableSet.gl(n), TruncationPolicy(K, K, K), [
-        (tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
-        for i in range(n) for j in range(n)])
-    margins = [(exps[:n], exps[n:], sum(exps[:n]), w.coeffs)
-               for exps, w in weights.items()]
+    varset, policy = VariableSet.gl(n), TruncationPolicy(K, K, K)
+    factors = [(tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
+               for i in range(n) for j in range(n)]
+    packing = PackedQ(_product_bound(varset, policy, factors), K)
+    margins = [(exps[:n], exps[n:], sum(exps[:n]), packing.unpack(w).coeffs)
+               for exps, w in
+               _packed_product(varset, policy, factors, packing).items()]
     kostant = {}    # c -> the x-side sums of its Kostant solutions
     kmax = {pair: -1 for pair in pairs}
     fibers = {}
@@ -625,11 +641,12 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         if not all(norm.is_nonnegative() for norm in norms):
             raise InvariantError("negative norm coefficient; positivity broken")
         kept.append((norms,) + hits)
-    by_a, by_h = _packed_macdonald_sum(kept, K) or ({}, {})
+    packing = PackedQ(_macdonald_bound(kept), K)
+    by_a, by_h = _packed_macdonald_sum(kept, packing) or ({}, {})
 
     def series(sums):
-        return _sl_series(n, pairs, K, {(key[:n], key[n:]): c
-                                        for key, c in sums.items()})
+        return _sl_series(n, pairs, K, {(key[:n], key[n:]): packing.unpack(v)
+                                        for key, v in sums.items()})
     return series(by_a), series(by_h), len(lambdas)
 
 
@@ -638,7 +655,12 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
 # ---------------------------------------------------------------------------
 
 def verify_identity(variant, n, policy):
-    """Build both sides of the named identity and compare exactly."""
+    """Build both sides of the named identity and compare exactly.
+
+    The q-series gl variants pack both sides with one ``PackedQ``, at the
+    larger of ``_product_bound`` and ``_macdonald_bound``, and compare the
+    masked ints; only the first differing monomial (``monomial_key`` order,
+    as in ``first_difference``) is unpacked, and an absent side reads 0."""
     t_start = time.monotonic()
     policy_dict = {"max_x_degree": policy.max_x_degree,
                    "max_y_degree": policy.max_y_degree,
@@ -663,11 +685,25 @@ def verify_identity(variant, n, policy):
             (-policy.max_x_degree, policy.max_x_degree),
             policy.max_q_degree)
 
-    lhs = lhs_series(variant, n, policy)
-    rhs = rhs_series(variant, n, policy)
-    diff = first_difference(lhs, rhs)
-    return _mk_report(variant, n, policy_dict, diff,
-                      len(_rhs_lambdas(variant, n, policy)), t_start)
+    if variant == "gl_qt":
+        diff = first_difference(lhs_series(variant, n, policy),
+                                rhs_series(variant, n, policy))
+        return _mk_report(variant, n, policy_dict, diff,
+                          len(_rhs_lambdas(variant, n, policy)), t_start)
+    varset = VariableSet.gl(n)
+    factors = _product_factors(variant, n, policy)
+    summands = _macdonald_summands(variant, n, policy)
+    packing = PackedQ(max(_product_bound(varset, policy, factors),
+                          _macdonald_bound(summands)), policy.max_q_degree)
+    lhs = _packed_product(varset, policy, factors, packing)
+    rhs, = _packed_macdonald_sum(summands, packing)
+    diff = [e for e, v in lhs.items() if rhs.get(e) != v]
+    diff += [e for e in rhs if e not in lhs]
+    if diff:
+        exps = min(diff, key=lambda e: monomial_key(varset, e))
+        diff = (exps,) + tuple(packing.unpack(side[exps]) if exps in side
+                               else None for side in (lhs, rhs))
+    return _mk_report(variant, n, policy_dict, diff, len(summands), t_start)
 
 
 def _nonzero_series(terms, K):

@@ -346,6 +346,27 @@ class TestPackedQ:
         assert packing.width == bound.bit_length() + 2
         assert packing.unpack(packing.pack(c)) == QSeries(cap, c)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 2 ** 70), st.data())
+    def test_masked_ints_compare_like_series(self, cap, bound, data):
+        # two lists with |c| <= bound and mixed signs (past the cap too)
+        # are equal as series iff their masked packed ints are equal; b is
+        # often a with one coefficient moved, to the opposite edge or by 1
+        coeff = st.one_of(st.sampled_from([bound, -bound, 0]),
+                          st.integers(-bound, bound))
+        a = data.draw(st.lists(coeff, max_size=cap + 3))
+        b = list(a)
+        if b and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(b) - 1))
+            b[i] = data.draw(st.one_of(st.sampled_from([-b[i], b[i] - 1]),
+                                       coeff))
+            b[i] = max(-bound, min(bound, b[i]))
+        elif data.draw(st.booleans()):
+            b = data.draw(st.lists(coeff, max_size=cap + 3))
+        packing = PackedQ(bound, cap)
+        masked = [packing.pack(c) & packing.mask for c in (a, b)]
+        assert (masked[0] == masked[1]) == (QSeries(cap, a) == QSeries(cap, b))
+
     def test_non_integer_coefficient_rejected(self):
         packing = PackedQ(4, 2)
         with pytest.raises(ExactError):

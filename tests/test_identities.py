@@ -1,14 +1,18 @@
+import functools
 import itertools
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcauchy.exact import ExactError, QSeries, QTRational, inv_pochhammer_qq
+from qcauchy.exact import (ExactError, PackedQ, QSeries, QTRational,
+                           inv_pochhammer_qq, l1_mass)
 import qcauchy.identities as identities
 import qcauchy.macdonald as macdonald
-from qcauchy.identities import (_kostant_xsums, _packed_macdonald_sum,
-                                _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
+from qcauchy.identities import (_kostant_xsums, _macdonald_bound,
+                                _packed_macdonald_sum, _product_bound,
+                                _product_factors, _rhs_lambdas,
+                                _sl_budget_hits, _sl_lhs_window,
                                 _sl_rhs_adaptive, _window_hits, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
@@ -17,7 +21,7 @@ from qcauchy.macdonald import (_columns, _window_cost, e_atom_table,
                                e_t0_table, norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
-                            pochhammer_series)
+                            pochhammer_series, render_scalar)
 from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
 
 
@@ -87,6 +91,12 @@ def _lhs_by_pochhammer(variant, n, policy):
     return result
 
 
+@functools.lru_cache(maxsize=None)
+def _lhs_oracle(variant, n, dx, dy, K):
+    # the q-series oracle points are shared by three tests below
+    return _lhs_by_pochhammer(variant, n, TruncationPolicy(dx, dy, K))
+
+
 @pytest.mark.parametrize("variant", ["gl_t0", "gl_slform", "iwahori_char",
                                      "classical_q0"])
 @pytest.mark.parametrize("n, dmax", [(1, 4), (2, 4), (3, 3)])
@@ -96,7 +106,7 @@ def test_closed_form_factors_match_pochhammer_products(variant, n, dmax):
             for K in range(5):
                 pol = TruncationPolicy(dx, dy, K)
                 assert lhs_series(variant, n, pol) == \
-                    _lhs_by_pochhammer(variant, n, pol), (dx, dy, K)
+                    _lhs_oracle(variant, n, dx, dy, K), (dx, dy, K)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -134,22 +144,22 @@ class TestRhs:
         assert s.terms == expected
 
 
-def _rhs_by_qseries(variant, n, policy):
+def _rhs_by_qseries(variant, n, policy, norm=norm_a_q):
     """The Macdonald side summed on QSeries objects, norm * E(x) * E(y)
     pair by pair, inline: the accumulation the packed sum of rhs_series
-    replaces, kept as its oracle."""
+    replaces, kept as its oracle.  ``norm`` is the norm a_lam(q) at a cap."""
     lambdas = _rhs_lambdas(variant, n, policy)
     K = policy.max_q_degree
     terms = {}
     if variant == "classical_q0":
         t0, atom = e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0)
-        norms = {lam: QSeries.one(K) for lam in lambdas}
+        norms = {lam: QSeries(K, norm(lam, 0).coeffs) for lam in lambdas}
         t0 = {lam: {e: c[0] for e, c in t0[lam].items()} for lam in lambdas}
         atom = {lam: {e: c[0] for e, c in atom[lam].items()}
                 for lam in lambdas}
     else:
         t0, atom = e_t0_table(n, lambdas, K), e_atom_table(n, lambdas, K)
-        norms = {lam: norm_a_q(lam, K) for lam in lambdas}
+        norms = {lam: norm(lam, K) for lam in lambdas}
     for lam in lambdas:
         for ex, cx in t0[lam].items():
             for ey, cy in atom[lam].items():
@@ -166,6 +176,119 @@ def test_packed_rhs_matches_qseries_sum(variant, n, dmax):
             pol = TruncationPolicy(D, D, K)
             assert rhs_series(variant, n, pol) == \
                 _rhs_by_qseries(variant, n, pol), (D, K)
+
+
+Q_VARIANTS = ["gl_t0", "gl_slform", "iwahori_char", "classical_q0"]
+
+
+def _old_product_bound(factors):
+    # the product of the factors' L1 masses, over every degree
+    return math.prod(sum(l1_mass(c.coeffs) for c in cs) for _, cs in factors)
+
+
+@pytest.mark.parametrize("variant", Q_VARIANTS)
+def test_graded_product_bound(variant):
+    # the degree-graded bound holds every coefficient of the product side
+    # (the signed determinant factor of gl_slform and iwahori_char
+    # included, also with Dx != Dy), and never exceeds the ungraded one
+    for n in (1, 2, 3):
+        for dx in range(5):
+            for dy in range(5):
+                for K in range(5):
+                    pol = TruncationPolicy(dx, dy, K)
+                    factors = _product_factors(variant, n, pol)
+                    bound = _product_bound(VariableSet.gl(n), pol, factors)
+                    lhs = _lhs_oracle(variant, n, dx, dy, K)
+                    assert all(abs(c) <= bound for s in lhs.terms.values()
+                               for c in s.coeffs), (n, dx, dy, K)
+                    assert bound <= _old_product_bound(factors)
+
+
+def test_graded_width_at_gl_t0_box():
+    # the benchmark's gl-t0 point: 30-bit slots on the product side, where
+    # the ungraded bound gave 68
+    pol = TruncationPolicy(6, 6, 8)
+    factors = _product_factors("gl_t0", 3, pol)
+    bound = _product_bound(VariableSet.gl(3), pol, factors)
+    assert PackedQ(bound, 8).width == 30
+    assert PackedQ(_old_product_bound(factors), 8).width == 68
+
+
+def _norm_plus_one(lam, cap):
+    return norm_a_q(lam, cap) + QSeries.one(cap)
+
+
+def _norm_zero_at_one(lam, cap):
+    # no summand of |lam| = 1: the degree-1 monomials stay on the product
+    # side only
+    return QSeries.zero(cap) if sum(lam) == 1 else norm_a_q(lam, cap)
+
+
+def _off_degree_one(exps):
+    return sum(exps[: len(exps) // 2]) != 1
+
+
+# (norm, product-side monomials kept): passing; both witness values
+# nonzero; the Macdonald value absent; the product value absent
+PERTURBATIONS = [(norm_a_q, None), (_norm_plus_one, None),
+                 (_norm_zero_at_one, None), (norm_a_q, _off_degree_one)]
+
+
+@pytest.mark.parametrize("variant", Q_VARIANTS)
+def test_packed_verdict_matches_oracles(variant, monkeypatch):
+    # verify_identity compares the two sides packed and unpacks only the
+    # witness: outcome and witness equal those of first_difference on the
+    # oracle sides, under each perturbation; an absent value renders "0"
+    packed_product = identities._packed_product
+    seen = set()
+    for n in (1, 2, 3):
+        for D in range(4):
+            for K in range(5):
+                pol = TruncationPolicy(D, D, K)
+                lhs = _lhs_oracle(variant, n, D, D, K)
+                for norm, keep in PERTURBATIONS:
+                    keep = keep or (lambda exps: True)
+                    monkeypatch.setattr(identities, "norm_a_q", norm)
+                    monkeypatch.setattr(
+                        identities, "_packed_product",
+                        lambda *args, keep=keep: {
+                            e: v for e, v in packed_product(*args).items()
+                            if keep(e)})
+                    got = verify_identity(variant, n, pol)
+                    diff = first_difference(
+                        TruncatedSeries(lhs.varset, pol, {
+                            e: c for e, c in lhs.terms.items() if keep(e)}),
+                        _rhs_by_qseries(variant, n, pol, norm))
+                    want = None if diff is None else {
+                        "monomial": list(diff[0]),
+                        **{side: "0" if c is None else render_scalar(c)
+                           for side, c in zip(("lhs", "rhs"), diff[1:])}}
+                    case = (n, D, K, norm.__name__, keep.__name__)
+                    assert got.outcome == ("pass" if diff is None
+                                           else "fail"), case
+                    assert got.witness == want, case
+                    if want is not None:
+                        seen.add((want["lhs"] == "0", want["rhs"] == "0"))
+    assert seen == {(False, False), (False, True), (True, False)}
+
+
+@pytest.mark.parametrize("variant", Q_VARIANTS)
+def test_verify_unpacks_only_the_witness(variant, monkeypatch):
+    # at the benchmark's point no output monomial is unpacked on a pass,
+    # and only the witness's two values on a failure
+    calls = []
+    unpack = PackedQ.unpack
+
+    def counted(self, value):
+        calls.append(value)
+        return unpack(self, value)
+    monkeypatch.setattr(PackedQ, "unpack", counted)
+    pol = TruncationPolicy(6, 6, 8)
+    assert verify_identity(variant, 3, pol).passed
+    assert calls == []
+    monkeypatch.setattr(identities, "norm_a_q", _norm_plus_one)
+    assert not verify_identity(variant, 3, pol).passed
+    assert len(calls) == 2
 
 
 class TestVerify:
@@ -307,7 +430,7 @@ def window_floor(lam, n, window):
 
 def test_packed_sum_of_no_summands():
     # the sl side may keep no lambda; its sums are then empty, not an error
-    assert _packed_macdonald_sum([], 3) == []
+    assert _packed_macdonald_sum([], PackedQ(0, 3)) == []
 
 
 def test_window_hits_pair_up_in_window():
@@ -340,8 +463,10 @@ def _summand(lam, K, hits):
     None."""
     if hits is None:
         return {}
-    sums, = _packed_macdonald_sum([((norm_a_q(lam, K),),) + hits], K)
-    return sums
+    summands = [((norm_a_q(lam, K),),) + hits]
+    packing = PackedQ(_macdonald_bound(summands), K)
+    sums, = _packed_macdonald_sum(summands, packing)
+    return {key: packing.unpack(v) for key, v in sums.items()}
 
 
 def _full_cap_hits(n, lam, K, w):
@@ -414,6 +539,24 @@ def test_budget_skips_run_no_column_program(monkeypatch):
             want = ["t0", "atom"] if low + cost_y <= K else ["t0"]
             assert rules == want, case
     assert skipped > 0
+
+
+def test_budget_skips_lambda_without_t0_hit(monkeypatch):
+    # no lam with c_x + c_y <= K has an empty floor-pruned t = 0 table
+    # below cap K - c_y at n <= 4, W <= 4, K <= 5, nor at n = 5 with W <= 1,
+    # K <= 5 or W = 2, K <= 3 (searched), so the branch is driven
+    # directly: an empty t = 0 table skips lam, and no atom table is built
+    n, lam, K, w = 2, (1, 0), 2, 1
+    floor = window_floor(lam, n, w)
+    assert (_window_cost(lam, n, floor, "t0")
+            + _window_cost(lam, n, floor, "atom")) <= K
+
+    def no_atom(*args):
+        raise AssertionError("atom table built without a t = 0 hit")
+    monkeypatch.setattr(identities, "e_t0_table",
+                        lambda n, lams, cap, floor: {lam: {} for lam in lams})
+    monkeypatch.setattr(identities, "e_atom_table", no_atom)
+    assert _sl_budget_hits(n, lam, K, w) is None
 
 
 def test_norms_only_for_summed_lambda(monkeypatch):
