@@ -21,8 +21,11 @@ for the order q < t), so structural equality decides mathematical equality.
 A fraction over binomials 1 - q^a t^d, the denominators of Macdonald
 coefficients and norms, is brought to that form by integer trial division
 by the binomials' cyclotomic factors (``reduce_over_binomials``); other
-fractions by the general gcd (``normalize_qt``).  Both end in the one
-exact (q, t) division, ``_divide_exact``, by a lex-monic divisor.
+fractions by the general gcd (``normalize_qt``).  A sum or a product of
+two canonical fractions takes only the gcds that can be nontrivial
+(Henrici): of the two denominators, and of each numerator with the other
+denominator.  All end in the one exact (q, t) division, ``_divide_exact``,
+by a lex-monic divisor.
 """
 
 from __future__ import annotations
@@ -675,8 +678,16 @@ class QTRational:
             return other
         if other.is_zero:
             return self
-        num = self.num * other.den + other.num * self.den
-        return QTRational(num, self.den * other.den)
+        # Henrici: with g = gcd(b, d), a/b + c/d = (a d' + c b') / (b' d' g)
+        # for b = b' g, d = d' g; a d' + c b' is prime to b' d', so only
+        # gcd(a d' + c b', g) is left to cancel
+        g = qtpoly_gcd(self.den, other.den)
+        b, d = _cancel(self.den, g), _cancel(other.den, g)
+        num = self.num * d + other.num * b
+        if num.is_zero:
+            return QTRational.zero()
+        h = qtpoly_gcd(num, g)
+        return _unit_normalized(_cancel(num, h), b * d * _cancel(g, h))
 
     __radd__ = __add__
 
@@ -693,7 +704,11 @@ class QTRational:
         other = _coerce_qtr(other)
         if self.is_zero or other.is_zero:
             return QTRational.zero()
-        return QTRational(self.num * other.num, self.den * other.den)
+        # Henrici: each numerator can share factors only with the other
+        # denominator
+        g, h = qtpoly_gcd(self.num, other.den), qtpoly_gcd(other.num, self.den)
+        return _unit_normalized(_cancel(self.num, g) * _cancel(other.num, h),
+                                _cancel(self.den, h) * _cancel(other.den, g))
 
     __rmul__ = __mul__
 
@@ -764,10 +779,15 @@ def normalize_qt(num, den):
     if num.is_zero:
         return QTRational(QTPoly.zero(), QTPoly.one(), _normalized=True)
     g = qtpoly_gcd(num, den)
+    return _unit_normalized(_cancel(num, g), _cancel(den, g))
+
+
+def _cancel(p, g):
+    """p / g for a lex-monic gcd g of p and another QTPoly (p itself when g
+    is a constant)."""
     if g.tdegree() > 0 or g.qdegree() > 0:
-        num = _divide_exact(num, g)
-        den = _divide_exact(den, g)
-    return _unit_normalized(num, den)
+        return _divide_exact(p, g)
+    return p
 
 
 def _unit_normalized(num, den):

@@ -66,8 +66,8 @@ from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, monomial_key, mul_truncated,
                      render_scalar)
-from .weights import (compositions_up_to, min_zero_compositions_up_to,
-                      restrict_weight)
+from .weights import (compositions_of_size, compositions_up_to,
+                      min_zero_compositions_up_to, restrict_weight)
 
 VARIANTS = ("gl_qt", "gl_t0", "gl_slform", "sl_projected", "classical_q0",
             "iwahori_char", "sl2_appendix")
@@ -381,35 +381,29 @@ def sl_window_pairs(n, max_deg):
     return pairs
 
 
-def _kostant_xsums(c, n):
+def _kostant_xsums(c):
     """The x-side sums (sum_j m_{ij})_i of the nonnegative solutions {m_{ij}}
-    of sum m_{ij} (e_i - e_j) = c, i < j, one list per solution.
+    of sum m_{ij} (e_i - e_j) = c, i < j, one tuple per solution; c sums to 0.
 
-    Each unit of m_{ij} consumes j - i units of the weighted height
-    -sum k c_k, which bounds the search."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    Row i's equation says its sum is c_i plus its column sum, what the rows
+    above put into column i.  So the walk fills m row by row: row i passes
+    that sum on to columns i + 1, ..., n - 1 in every way, and a branch ends
+    where a row's sum would be negative.  The last row's sum is sum(c) = 0,
+    so every leaf is a solution."""
+    n = len(c)
     sols = []
-    mx = [0] * n
 
-    def rec(idx, rem):
-        height = -sum(k * rem[k] for k in range(n))
-        if height < 0:
+    def rows(i, cols, xsums):
+        if i == n - 1:
+            sols.append(xsums + (0,))
             return
-        if idx == len(pairs):
-            if all(x == 0 for x in rem):
-                sols.append(list(mx))
+        s = c[i] + cols[0]
+        if s < 0:
             return
-        i, j = pairs[idx]
-        for v in range(height // (j - i) + 1):
-            rem[i] -= v
-            rem[j] += v
-            mx[i] += v
-            rec(idx + 1, rem)
-            rem[i] += v
-            rem[j] -= v
-            mx[i] -= v
+        for part in compositions_of_size(n - 1 - i, s):
+            rows(i + 1, tuple(map(int.__add__, cols[1:], part)), xsums + (s,))
 
-    rec(0, list(c))
+    rows(0, (0,) * n, ())
     return sols
 
 
@@ -446,10 +440,11 @@ def sl_certificate(n, pairs, K):
     c = a - b + (|b| - |a|)/n * 1 - rows + cols, and k = t + S with t the
     largest entry of m's x-side sums + rows - a.  Both see beta only
     through its margins (rows, cols), so the walk runs, per pair, over the
-    margin classes: it forms c and looks up its Kostant solutions once,
-    sorts their t, and then counts for each S within the q-budget the
-    solutions with k >= 0 and k >= (|b| - |a|)/n, that is t >= max(0,
-    (|b| - |a|)/n) - S, by bisection; the largest k is the last t + S.
+    margin classes: it forms c and looks up its Kostant solutions once
+    (``_kostant_xsums``, which fills m row by row), sorts their t, and
+    then counts for each S within the q-budget the solutions with k >= 0
+    and k >= (|b| - |a|)/n, that is t >= max(0, (|b| - |a|)/n) - S, by
+    bisection; the largest k is the last t + S.
 
     It also sums the solutions' coefficients in the gl_slform product,
     which are exactly the fiber sums project_to_sl would take over the full
@@ -496,7 +491,7 @@ def sl_certificate(n, pairs, K):
                       for i in range(n))
             sums = kostant.get(c)
             if sums is None:
-                sums = kostant[c] = _kostant_xsums(c, n)
+                sums = kostant[c] = _kostant_xsums(c)
             if not sums:
                 continue
             shift = [rows[i] - a[i] for i in range(n)]

@@ -255,7 +255,7 @@ def generic_engine(n):
 # the t = 0 and (q^{-1}, oo) tables: a dynamic program over columns
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=None)
 def _columns(lam):
     """Columns j = 1, ..., max(lam) of dg(lam) as (pattern, d).
 
@@ -263,8 +263,9 @@ def _columns(lam):
     d_i >= 1 (and d_i is then that cell's leg + 1), and a cell or basement
     entry in column j - 1 when d_i >= 0.  The pattern is the order type of
     d, densely ranked with -1 and 0 kept as they are; the filling rules
-    only compare these values.  The last lam's columns are kept: the sl
-    Macdonald side reads both tables of one lam in turn."""
+    only compare these values.  Cached: a Macdonald side reads the t = 0
+    table and the atom table of each lam, in turn (sl) or in two passes
+    (gl)."""
     out = []
     for j in range(1, max(lam, default=0) + 1):
         d = tuple(max(e - j + 1, -1) for e in lam)
@@ -600,9 +601,6 @@ class MacdonaldPolynomial:
     def total_degree_check(self):
         d = sum(self.lam)
         return all(sum(e) == d for e in self.terms)
-
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps))
 
     def __eq__(self, other):
         return (isinstance(other, MacdonaldPolynomial)

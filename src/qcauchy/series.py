@@ -175,9 +175,6 @@ class TruncatedSeries:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps))
-
     def __add__(self, other):
         self._compat(other)
         out = dict(self.terms)

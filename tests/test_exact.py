@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcauchy.exact import (DivergentLimitError, ExactError, PackedQ, QPoly,
                            QSeries, QTPoly, QTRational, ZeroDenominatorError,
@@ -160,12 +160,36 @@ def qtrationals():
         if not nd[1].is_zero else QTRational.from_qtpoly(nd[0]))
 
 
+# a draw whose a * b + a * c took 20-30 s while sums and products reduced
+# the whole cross products by the general gcd: degree-12 products with a
+# gcd of degree 3
+_SLOW_A = QTRational(_build_poly([(0, 0, 3), (3, 1, 2), (3, 3, -3)]),
+                     _build_poly([(0, 0, 1), (3, 1, 2), (1, 3, 3), (3, 3, 3)]))
+_SLOW_B = QTRational(_build_poly([(2, 0, -2), (1, 1, 1), (0, 2, 3),
+                                  (3, 3, 2)]),
+                     _build_poly([(2, 0, -1), (0, 1, -1), (2, 3, 2)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(qtrationals(), qtrationals(), qtrationals())
+@example(_SLOW_A, _SLOW_B, _SLOW_A)
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
+
+
+@settings(max_examples=60, deadline=None)
+@given(qtrationals(), qtrationals())
+def test_sum_and_product_match_reduced_cross_forms(x, y):
+    # the sum and the product cancel gcds factor by factor; the canonical
+    # form is unique, so they give the same object, rendered the same, as
+    # reducing the cross products by one gcd
+    for got, want in [
+            (x + y, QTRational(x.num * y.den + y.num * x.den, x.den * y.den)),
+            (x * y, QTRational(x.num * y.num, x.den * y.den))]:
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,9 +10,9 @@ from qcauchy.exact import (ExactError, PackedQ, QSeries, QTRational,
 import qcauchy.identities as identities
 import qcauchy.macdonald as macdonald
 from qcauchy.identities import (_kostant_xsums, _macdonald_bound,
-                                _packed_macdonald_sum, _product_bound,
-                                _product_factors, _rhs_lambdas,
-                                _sl_budget_hits, _sl_lhs_window,
+                                _macdonald_summands, _packed_macdonald_sum,
+                                _product_bound, _product_factors,
+                                _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
                                 _sl_rhs_adaptive, _window_hits, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
@@ -212,6 +212,14 @@ def test_graded_width_at_gl_t0_box():
     bound = _product_bound(VariableSet.gl(3), pol, factors)
     assert PackedQ(bound, 8).width == 30
     assert PackedQ(_old_product_bound(factors), 8).width == 68
+
+
+def test_gl_side_computes_each_lambdas_columns_once():
+    # a gl side builds every t = 0 table, then every atom table: the columns
+    # of each lam are computed once for both passes
+    macdonald._columns.cache_clear()
+    summands = _macdonald_summands("gl_t0", 3, TruncationPolicy(3, 3, 4))
+    assert macdonald._columns.cache_info().misses == len(summands) == 20
 
 
 def _norm_plus_one(lam, cap):
@@ -622,6 +630,64 @@ def _matrices(cells, budget):
             yield (v,) + rest
 
 
+def _kostant_by_roots(c, n):
+    """The x-side sums of the nonnegative solutions of
+    sum m_{ij} (e_i - e_j) = c, i < j, by a search over the positive roots
+    one at a time: each unit of m_{ij} consumes j - i units of the weighted
+    height -sum k c_k, which bounds the search, and a leaf is kept when it
+    leaves nothing of c."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    sols = []
+    mx = [0] * n
+
+    def rec(idx, rem):
+        height = -sum(k * rem[k] for k in range(n))
+        if height < 0:
+            return
+        if idx == len(pairs):
+            if all(x == 0 for x in rem):
+                sols.append(tuple(mx))
+            return
+        i, j = pairs[idx]
+        for v in range(height // (j - i) + 1):
+            rem[i] -= v
+            rem[j] += v
+            mx[i] += v
+            rec(idx + 1, rem)
+            rem[i] += v
+            rem[j] -= v
+            mx[i] -= v
+
+    rec(0, list(c))
+    return sols
+
+
+@pytest.mark.parametrize("n, r", [(1, 6), (2, 6), (3, 6), (4, 3), (5, 1)])
+def test_row_walk_matches_root_search(n, r):
+    # every c with sum 0 and |c_i| <= r: the same x-side sums, as multisets
+    for c in itertools.product(range(-r, r + 1), repeat=n):
+        if sum(c) == 0:
+            assert (sorted(_kostant_xsums(c))
+                    == sorted(_kostant_by_roots(c, n))), c
+
+
+@pytest.mark.parametrize("n, w, K", [(3, 2, 2), (4, 1, 2), (5, 1, 1)])
+def test_row_walk_matches_root_search_on_certificate(n, w, K, monkeypatch):
+    # every c the certificate forms at these points, some beyond the boxes
+    # of test_row_walk_matches_root_search
+    seen = []
+
+    def spy(c):
+        seen.append(c)
+        return _kostant_xsums(c)
+
+    monkeypatch.setattr(identities, "_kostant_xsums", spy)
+    sl_certificate(n, sl_window_pairs(n, w), K)
+    assert seen
+    for c in seen:
+        assert sorted(_kostant_xsums(c)) == sorted(_kostant_by_roots(c, n)), c
+
+
 def _per_matrix_certificate(n, pairs, K):
     """The certificate's (kmax, Dx, fibers) by a walk over every beta
     matrix on its own: the row and column sums, the Kostant right-hand side
@@ -647,7 +713,7 @@ def _per_matrix_certificate(n, pairs, K):
                 c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
                           for i in range(n))
                 if c not in kostant:
-                    kostant[c] = _kostant_xsums(c, n)
+                    kostant[c] = _kostant_by_roots(c, n)
                 for mx in kostant[c]:
                     k = max(mx[i] + rows[i] + S - a[i] for i in range(n))
                     if k >= 0 and k >= off:
@@ -663,7 +729,7 @@ def _per_matrix_certificate(n, pairs, K):
 @pytest.mark.parametrize("n, w, K", list(itertools.product(
     (1, 2, 3), (1, 2, 3), range(5))) + list(itertools.product(
     (1, 2), (1, 2, 3), (5, 6))) + list(itertools.product(
-    (4,), (1, 2), range(3))))
+    (4,), (1, 2), range(3))) + [(5, 1, 0), (5, 1, 1)])
 def test_margin_certificate_matches_per_matrix_walk(n, w, K):
     # grouping the beta matrices by margins, and counting each class's
     # solutions per S by bisection, changes no bound and no sum; at K = 6
