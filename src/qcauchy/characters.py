@@ -7,7 +7,8 @@ Characters are carried as truncated series in the sl Laurent variables
 * kind 'Uo'  -- the (q^{-1}, oo) specialization E_lam(Y; q^{-1}, oo),
 * kind 'A_D', 'A_U' -- Hilbert series of the highest-weight algebras,
 * kind 'T'   -- the product ch(A_D) * ch(D) * ch(Uo), one Macdonald
-                summand (``identities._pair_product_series``).
+                summand with the A_D series as its norm, summed on
+                ``PackedQ`` integers by ``identities._packed_macdonald_sum``.
 
 The function-space character of the Iwahori subgroup is the product
 
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import time
 
-from .exact import ExactError
+from .exact import ExactError, PackedQ
 from .macdonald import e_atom_table, e_t0_table, restrict_poly_terms
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
-from .identities import VerificationReport, _pair_product_series
+from .identities import (VerificationReport, _macdonald_bound,
+                         _packed_macdonald_sum)
 from .series import TruncatedSeries, VariableSet
 from .weights import antidominant_data
 
@@ -82,7 +84,9 @@ def char_module(kind, lam, policy, lattice="sl"):
     if kind == "T":
         # the blocks are disjoint: a product term is within the policy iff
         # both factors are, so a factor whose block degree (the sum of
-        # |exponent|) is over its block's cap is dropped before multiplying
+        # |exponent|) is over its block's cap is dropped before multiplying;
+        # every key of the sum is then an in-policy x-key joined to an
+        # in-policy y-key, and the kernel drops the zero sums
         t0 = e_t0_table(n, [lam], cap)[lam]
         atom = e_atom_table(n, [lam], cap)[lam]
         if restrict:
@@ -91,9 +95,11 @@ def char_module(kind, lam, policy, lattice="sl"):
               if sum(map(abs, e)) <= policy.max_x_degree}
         ys = {e: c for e, c in atom.items()
               if sum(map(abs, e)) <= policy.max_y_degree}
-        terms = {}
-        _pair_product_series(terms, xs, ys, algebra_series("D"))
-        return TruncatedSeries(varset, policy, terms)
+        summand = ((algebra_series("D"),), xs, ys)
+        packing = PackedQ(_macdonald_bound([summand]), cap)
+        sums, = _packed_macdonald_sum([summand], packing)
+        return TruncatedSeries(varset, policy, {
+            e: packing.unpack(v) for e, v in sums.items()}, _checked=True)
     raise ExactError(f"unknown module kind {kind!r}")
 
 

@@ -33,7 +33,8 @@ import sys
 from fractions import Fraction
 
 from .affine import hw_algebra_char_gl
-from .exact import ExactError, InvariantError, QPoly, QSeries, QTRational
+from .exact import (ExactError, InvariantError, QPoly, QSeries, QTRational,
+                    q_text)
 from .identities import verify_identity, verify_sl2_appendix
 from .macdonald import (e_atom_table, e_t0_table, exact_cap, macdonald_E,
                         norm_a_q, norm_a_qt, specialize_E)
@@ -97,8 +98,7 @@ def _scalar_text(c):
         s = str(c)
         return s if c.degree() <= 0 else f"({s})"
     if isinstance(c, QSeries):
-        body = str(QPoly(c.coeffs)) if c.coeffs else "0"
-        return f"({body} + O(q^{c.cap + 1}))"
+        return f"({q_text(c.coeffs)} + O(q^{c.cap + 1}))"
     if isinstance(c, QTRational):
         return repr(c)
     return json.dumps(render_scalar(c), sort_keys=True)

@@ -289,18 +289,22 @@ class QPoly:
         return f"QPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}q" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts).replace("+ -", "- ")
+        return q_text(self.coeffs)
+
+
+def q_text(coeffs):
+    """Text of sum_i coeffs[i] q^i, zero coefficients skipped ("0" if all
+    are zero): the rendering of a QPoly and of a QSeries' coefficients."""
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+            parts.append(f"{head}q" + (f"^{i}" if i > 1 else ""))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _gcd_int(a, b):

@@ -43,11 +43,13 @@ integers modulo 2^{B (cap + 1)} that kills q^{cap + 1}, so intermediate
 values need no bound; B = bound.bit_length() + 2 for a bound on every
 coefficient unpacked or compared, from L1 masses (sum of |coefficient|):
 ``_product_bound`` on the product side, ``_macdonald_bound`` on a Macdonald
-side (gl and sl).  ``verify_identity`` packs both gl sides at the larger
-bound, compares masked ints and unpacks only the witness.  Every summand
-norm * E_lam(x) * E_lam(y) of a Macdonald sum, packed, exact (q, t) for
-gl_qt or QSeries for ch T (``characters``), is accumulated by the one
-kernel ``_pair_product_series``.
+side (gl and sl) and on ch T (``characters``), the one summand
+A_D * E_lam(x) * E_lam(y), which ``_packed_macdonald_sum`` sums too.
+``verify_identity`` packs both gl sides at the larger bound, compares
+masked ints and unpacks only the witness.  Every summand
+norm * E_lam(x) * E_lam(y) of a Macdonald sum is accumulated by the one
+kernel ``_pair_product_series``, which sees only packed ints and gl_qt's
+exact (q, t) scalars.
 """
 
 from __future__ import annotations

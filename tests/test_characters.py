@@ -33,17 +33,28 @@ class TestCharModule:
         assert d.terms == {(1, 0, 0, 0): QSeries.one(6)}
 
     def test_factorization(self):
-        # ch T, one Macdonald summand, against the truncated product of its
-        # three factors, in both lattices
-        pol = TruncationPolicy(4, 4, 5)
-        for n in (1, 2, 3):
-            for lam in compositions_up_to(n, 4):
-                for lattice in ("sl", "gl"):
-                    t = char_module("T", lam, pol, lattice)
-                    ad, d, u = (char_module(kind, lam, pol, lattice)
-                                for kind in ("A_D", "D", "Uo"))
-                    prod = mul_truncated(mul_truncated(ad, d), u)
-                    assert t == prod, (lam, lattice)
+        # ch T, one Macdonald summand summed on packed ints, against the
+        # truncated product of its three factors, in both lattices; the
+        # packing takes its slot width from the bound and its mask from the
+        # q-cap, so the policies vary both: unequal block caps, and a q-cap
+        # of 0.  With a block cap of 2, a lam with |lam| > 2 has no gl term
+        # of that block, and its block filter leaves that side empty.
+        for caps in ((4, 4, 5), (2, 4, 5), (4, 2, 3), (4, 4, 0)):
+            pol = TruncationPolicy(*caps)
+            for n in (1, 2, 3):
+                for lam in compositions_up_to(n, 4):
+                    for lattice in ("sl", "gl"):
+                        t = char_module("T", lam, pol, lattice)
+                        ad, d, u = (char_module(kind, lam, pol, lattice)
+                                    for kind in ("A_D", "D", "Uo"))
+                        prod = mul_truncated(mul_truncated(ad, d), u)
+                        assert t == prod, (caps, lam, lattice)
+                        assert t.is_zero == (d.is_zero or u.is_zero), \
+                            (caps, lam, lattice)
+        for caps, side in (((2, 4, 5), "D"), ((4, 2, 3), "Uo")):
+            pol = TruncationPolicy(*caps)
+            assert char_module(side, (0, 1, 2), pol, "gl").is_zero
+            assert char_module("T", (0, 1, 2), pol, "gl").is_zero
 
     def test_positivity(self):
         for lam in compositions_up_to(2, 4):

@@ -8,7 +8,7 @@ from qcauchy.exact import (DivergentLimitError, ExactError, PackedQ, QPoly,
                            gaussian_binomial, geometric_product,
                            geometric_series, invert_q,
                            inv_pochhammer_qq, l1_mass, limit_t, normalize_qt,
-                           qq_pochhammer_poly, qseries_from_qtrational,
+                           q_text, qq_pochhammer_poly, qseries_from_qtrational,
                            qtpoly_gcd, reduce_over_binomials, _divide_exact)
 
 ONE = QTPoly.one()
@@ -330,6 +330,42 @@ class TestQSeries:
     def test_from_qtrational(self):
         f = QTRational(ONE, ONE - Q)
         assert qseries_from_qtrational(f, 4) == geometric_series(1, 4)
+
+
+def _signed_terms_text(coeffs):
+    """The q-text as QPoly.__str__ printed it before ``q_text`` was shared
+    with QSeries, built sign by sign: the first term keeps its sign, every
+    later one is joined by " + " or " - " and printed by magnitude."""
+    text = ""
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if not text:
+            sep, c = ("-", -c) if c < 0 and i > 0 else ("", c)
+        else:
+            sep, c = (" - ", -c) if c < 0 else (" + ", c)
+        if i == 0:
+            body = str(c)
+        else:
+            body = ("" if c == 1 else f"{c}*") + "q" + (f"^{i}" if i > 1 else "")
+        text += sep + body
+    return text or "0"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40),
+                          st.fractions(max_denominator=6)), max_size=8),
+       st.booleans(), st.integers(0, 3))
+@example([0, 1, -1, 0, -7, 3], False, 0)
+@example([], False, 0)
+def test_q_text_matches_qpoly_text(coeffs, lead_zero, slack):
+    # the coefficient tuple of a QSeries (trailing zeros dropped, leading
+    # zeros kept) renders as the QPoly of the same coefficients did
+    coeffs = [0] * lead_zero + coeffs
+    s = QSeries(len(coeffs) + slack, coeffs)
+    want = _signed_terms_text(s.coeffs)
+    assert q_text(s.coeffs) == want
+    assert str(QPoly(s.coeffs)) == want
 
 
 def _coeff_lists(data, cap, m):

@@ -22,7 +22,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # also calls the gcd's after-hook: it reads the degrees of the gcd's result;
 # then a small sl verification, whose after-hooks read the certified box at
 # r[1] of sl_certificate and the summand count at r[2] of _sl_rhs_adaptive,
-# and whose Macdonald sum opens identities.pair_product spans
+# and whose Macdonald sum opens identities.pair_product spans; then a ch T
+# request, whose one summand goes through the same wrapped kernel
 TRACED_VERIFY = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -42,12 +43,18 @@ with contextlib.redirect_stdout(io.StringIO()):
 sl_snap = tracer.snapshot()
 sl_counts = {name: v - before.get(name, 0)
              for name, v in sl_snap["counts"].items()}
-sl_pair_spans = sum(1 for rec in sl_snap["spans"]
-                    if rec[spans.OP] == 1
-                    and rec[spans.NAME] == "identities.pair_product")
+argv = ["char", "--kind", "T", "--n", "3", "--lambda", "0,1,2",
+        "--max-deg", "3", "--max-q", "6"]
+with contextlib.redirect_stdout(io.StringIO()):
+    char_status = tracer.run_op(2, cli.run, argv)
+char_snap = tracer.snapshot()
+pair_spans = [sum(1 for rec in char_snap["spans"]
+                  if rec[spans.OP] == op
+                  and rec[spans.NAME] == "identities.pair_product")
+              for op in (1, 2)]
 print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
                   "exact.qtpoly_gcd.nontrivial" in snap["counts"],
-                  sl_status, sl_counts, sl_pair_spans]))
+                  sl_status, sl_counts, char_status] + pair_spans))
 """
 
 
@@ -57,8 +64,8 @@ def test_tracer_installs():
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    status, gcd_calls, hooked, sl_status, sl_counts, sl_pair_spans = \
-        json.loads(proc.stdout.splitlines()[-1])
+    (status, gcd_calls, hooked, sl_status, sl_counts, char_status,
+     sl_pair_spans, char_pair_spans) = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert gcd_calls > 0
     assert hooked
@@ -71,6 +78,9 @@ def test_tracer_installs():
     assert sl_counts["macdonald.atom_terms.fillings"] > 0
     # the packed sl Macdonald sum goes through the wrapped summand kernel
     assert sl_pair_spans > 0
+    # and so does ch T, from characters, through the identities namespace
+    assert char_status == 0
+    assert char_pair_spans > 0
 
 
 def test_benchmark_requests_match_expected_digests(capsys):
