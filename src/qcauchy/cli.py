@@ -6,31 +6,38 @@ Subcommands:
               [--spec qt|t0|qinv-tinf|q0|qinf-tinf|qt-inv] [--max-q K]
     norm      --n N --lambda a,b,...  [--qt | --alt] [--max-q K]
     char      --kind D|Uo|T|A-D|A-U --n N --lambda ... --max-deg D --max-q K
+              [--lattice sl|gl]
     verify    --identity gl-qt|gl-t0|gl-slform|sl|classical-q0|iwahori-char|
-              sl2-appendix --n N --max-deg D --max-q K [--jobs J]
-    appendix  --range L --max-q K
+              sl2-appendix --n N --max-deg D [--max-q K] [--jobs J]
+    appendix  [--range L] [--max-q K]
 
-Exit status 0 on pass/success, 1 on verification failure, 2 on usage error
-(a malformed or out-of-range option, or flags that do not go together:
---max-q with a macdonald spec other than t0 or qinv-tinf, norm --qt with
---max-q or --alt), 3 on a broken internal invariant (failed positivity, a
-window beyond its certified bound, a non-monic E) or on a request that
-exhausts the interpreter (``RecursionError``, ``MemoryError``).  Errors
-print one ``error:`` or ``internal error:`` line to stderr.  Output is
-deterministic; timing goes to stderr.  ``macdonald --spec t0`` and
-``qinv-tinf`` read the t = 0 and (q^{-1}, oo) tables at a cap where they
-are exact polynomials, ``q0`` and ``qinf-tinf`` their q^0 coefficients.
-``verify --jobs`` is accepted for compatibility (it must be at least 1) and
-has no effect: every identity runs in one thread.
+Every verb takes [--format text|json].  An option is named in full or by a
+unique prefix (--lam for --lambda), its value follows it or is joined to it
+by = (--n=3), and the last one given wins.  -h or --help prints this.
+
+Exit status 0 on pass/success or help, 1 on verification failure, 2 on
+usage error (a malformed or out-of-range option, or flags that do not go
+together: --max-q with a macdonald spec other than t0 or qinv-tinf, norm
+--qt with --max-q or --alt), 3 on a broken internal invariant (failed
+positivity, a window beyond its certified bound, a non-monic E) or on a
+request that exhausts the interpreter (``RecursionError``,
+``MemoryError``).  Errors print one ``error:`` or ``internal error:`` line
+to stderr.  Output is deterministic; timing goes to stderr.
+``macdonald --spec t0`` and ``qinv-tinf`` read the t = 0 and (q^{-1}, oo)
+tables at a cap where they are exact polynomials, ``q0`` and ``qinf-tinf``
+their q^0 coefficients.  ``verify --jobs`` is accepted for compatibility
+(it must be at least 1) and has no effect: every identity runs in one
+thread.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .affine import hw_algebra_char_gl
 from .exact import (ExactError, InvariantError, QPoly, QSeries, QTRational,
@@ -58,15 +65,6 @@ class UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are one ``error:`` line: it raises
-    UsageError where argparse would print its usage and exit.  A message
-    quotes arguments as given, so their line breaks are escaped."""
-
-    def error(self, message):
-        raise UsageError(message.replace("\n", "\\n"))
-
-
 def _parse_lambda(text, n):
     try:
         lam = tuple(int(x) for x in text.split(","))
@@ -77,18 +75,6 @@ def _parse_lambda(text, n):
     if any(e < 0 for e in lam):
         raise UsageError("lambda entries must be nonnegative")
     return lam
-
-
-# least admissible value of each numeric option
-_LEAST = {"n": 1, "max_deg": 0, "max_q": 0, "range": 0, "jobs": 1}
-
-
-def _check_ranges(args):
-    for name, least in _LEAST.items():
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            raise UsageError(f"{flag} must be at least {least}, got {value}")
 
 
 def _scalar_text(c):
@@ -212,78 +198,164 @@ def _emit_report(report, fmt):
     return 0 if report.passed else 1
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser():
-    """The argument parser, built on first use and kept for the process."""
-    p = _Parser(
-        prog="qcauchy",
-        description="Exact computations with nonsymmetric Macdonald "
-                    "polynomials and q-Cauchy identity verification")
-    sub = p.add_subparsers(dest="verb", required=True)
+# An option of a verb: its flag, the attribute it sets, its kind (int, str,
+# a tuple of choices, or None for a flag that sets True), its default, the
+# least value of an int option, and whether it must be given.
+Option = namedtuple("Option", "flag dest kind default least required",
+                    defaults=(None, None, False))
+_N = Option("--n", "n", int, least=1, required=True)
+_LAMBDA = Option("--lambda", "lam", str, required=True)
+_FORMAT = Option("--format", "format", ("text", "json"), "text")
+_MAX_DEG = Option("--max-deg", "max_deg", int, least=0, required=True)
+_MAX_Q = Option("--max-q", "max_q", int, least=0)
 
-    def common(sp, need_lambda=False):
-        sp.add_argument("--n", type=int, required=True)
-        if need_lambda:
-            sp.add_argument("--lambda", dest="lam", required=True,
-                            help="comma-separated composition, e.g. 0,2")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+# each verb's command and options; errors list options in this order
+VERBS = {
+    "macdonald": (cmd_macdonald, (
+        _N, _LAMBDA, _FORMAT,
+        Option("--spec", "spec", tuple(sorted(SPEC_NAMES)), "qt"), _MAX_Q)),
+    "norm": (cmd_norm, (_N, _LAMBDA, _FORMAT, Option("--qt", "qt", None, False),
+                        Option("--alt", "alt", None, False), _MAX_Q)),
+    "char": (cmd_char, (
+        _N, _LAMBDA, _FORMAT,
+        Option("--kind", "kind", ("D", "Uo", "T", "A-D", "A-U"), required=True),
+        _MAX_DEG, _MAX_Q._replace(required=True),
+        Option("--lattice", "lattice", ("sl", "gl"), "sl"))),
+    "verify": (cmd_verify, (
+        _N, _FORMAT, Option("--identity", "identity",
+                            tuple(sorted(IDENTITY_NAMES)), required=True),
+        _MAX_DEG, _MAX_Q, Option("--jobs", "jobs", int, 1, 1))),
+    "appendix": (cmd_appendix, (Option("--range", "range", int, 6, 0),
+                                _MAX_Q._replace(default=12), _FORMAT)),
+}
+_HELP_FLAG = Option("-h/--help", "help", None)
+_HELP = {"-h": _HELP_FLAG, "--help": _HELP_FLAG}
+_FLAGS = {verb: {**_HELP, **{o.flag: o for o in options}}
+          for verb, (_, options) in VERBS.items()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    sp = sub.add_parser("macdonald", help="print E_lambda")
-    common(sp, need_lambda=True)
-    sp.add_argument("--spec", choices=sorted(SPEC_NAMES), default="qt")
-    sp.add_argument("--max-q", type=int, default=None)
-    sp.set_defaults(func=cmd_macdonald)
 
-    sp = sub.add_parser("norm", help="print the norm factor a_lambda")
-    common(sp, need_lambda=True)
-    sp.add_argument("--qt", action="store_true",
-                    help="the exact (q, t) norm instead of the q-series")
-    sp.add_argument("--alt", action="store_true",
-                    help="use the alternative product formula")
-    sp.add_argument("--max-q", type=int, default=None)
-    sp.set_defaults(func=cmd_norm)
+def _lookup(token, flags):
+    """How ``token`` reads against ``flags``: None for a value,
+    else the flag (None if unknown) and the value joined to it (None if
+    none).  A flag may be shortened to a unique prefix."""
+    if token in flags:
+        return token, None
+    if token[:1] != "-" or len(token) == 1:
+        return None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flag, value
+    if token[1] == "-":
+        hits = [(f, value if eq else None) for f in flags if f.startswith(flag)]
+    else:           # -h takes the rest of the token as its value
+        hits = [(f, token[2:]) for f in flags if f == token[:2]]
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {token} could match "
+                         + ", ".join(f for f, _ in hits))
+    if hits:
+        return hits[0]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
 
-    sp = sub.add_parser("char", help="print a module character")
-    common(sp, need_lambda=True)
-    sp.add_argument("--kind", choices=("D", "Uo", "T", "A-D", "A-U"),
-                    required=True)
-    sp.add_argument("--max-deg", type=int, required=True)
-    sp.add_argument("--max-q", type=int, required=True)
-    sp.add_argument("--lattice", choices=("sl", "gl"), default="sl")
-    sp.set_defaults(func=cmd_char)
 
-    sp = sub.add_parser("verify", help="run an identity verification")
-    common(sp)
-    sp.add_argument("--identity", choices=sorted(IDENTITY_NAMES),
-                    required=True)
-    sp.add_argument("--max-deg", type=int, required=True)
-    sp.add_argument("--max-q", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="accepted for compatibility; has no effect")
-    sp.set_defaults(func=cmd_verify)
+def _take(tokens, flags, values, unknown):
+    """Set ``values`` from ``tokens`` left to right, and collect the tokens
+    no flag takes in ``unknown``; return True if one asks for help.  Every
+    token is read, and an ambiguous one rejected, before any is taken."""
+    hits = [_lookup(token, flags) for token in tokens]
+    j = 0
+    while j < len(tokens):
+        flag, text = hits[j] or (None, None)
+        option = flags.get(flag)
+        j += 1
+        if option is None:
+            unknown.append(tokens[j - 1])
+        elif option.kind is None:           # help, or a flag that sets True
+            if flag == "-h" and text:       # -hh is -h -h
+                text = text.lstrip("h") or None
+            if text is not None:
+                raise UsageError(f"argument {option.flag}: ignored explicit "
+                                 f"argument {text!r}")
+            if option is _HELP_FLAG:
+                return True
+            values[option.dest] = True
+        else:
+            if text is None:
+                if j == len(tokens) or hits[j] is not None:
+                    raise UsageError(f"argument {flag}: expected one argument")
+                text, j = tokens[j], j + 1
+            if option.kind is int:
+                try:
+                    text = int(text)
+                except ValueError:
+                    raise UsageError(
+                        f"argument {flag}: invalid int value: {text!r}")
+            elif option.kind is not str and text not in option.kind:
+                raise UsageError(
+                    f"argument {flag}: invalid choice: {text!r} (choose from "
+                    + ", ".join(map(repr, option.kind)) + ")")
+            values[option.dest] = text
+    return False
 
-    sp = sub.add_parser("appendix", help="run the rank-one closed-form suite")
-    sp.add_argument("--range", type=int, default=6,
-                    help="check sl_2 weights in [-range, range]")
-    sp.add_argument("--max-q", type=int, default=12)
-    sp.add_argument("--format", choices=("text", "json"), default="text")
-    sp.set_defaults(func=cmd_appendix)
-    return p
+
+def parse_args(argv):
+    """The verb and option values of a command line, or None if it asks
+    for help.  A bad command line raises UsageError for the first of: an
+    ambiguous prefix, the leftmost bad value, missing options, unknown
+    arguments, an int below its least value.  The last occurrence of an
+    option wins; ``--`` ends the options."""
+    argv = list(argv)
+    top = 0         # the verb's index: options before it are help or unknown
+    while top < len(argv) and argv[top] != "--" and _lookup(argv[top], _HELP):
+        top += 1
+    unknown = []
+    if _take(argv[:top], _HELP, {}, unknown):
+        return None
+    if argv[top:] in ([], ["--"]):
+        raise UsageError("the following arguments are required: verb")
+    verb, rest = argv[top], argv[top + 1:]
+    if verb not in VERBS:
+        raise UsageError(f"argument verb: invalid choice: {verb!r} (choose "
+                         "from " + ", ".join(map(repr, VERBS)) + ")")
+    options = VERBS[verb][1]
+    end = rest.index("--") if "--" in rest else len(rest)
+    values = {o.dest: o.default for o in options}
+    if _take(rest[:end], _FLAGS[verb], values, unknown):
+        return None
+    unknown += rest[end:]
+    missing = [o.flag for o in options if o.required and values[o.dest] is None]
+    if missing:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(missing))
+    if unknown:
+        raise UsageError("unrecognized arguments: " + " ".join(unknown))
+    # in table order, except that appendix checks --max-q before --range
+    for o in sorted(options, key=lambda o: o.dest == "range"):
+        value = values[o.dest]
+        if o.least is not None and value is not None and value < o.least:
+            raise UsageError(f"{o.flag} must be at least {o.least}, "
+                             f"got {value}")
+    return SimpleNamespace(verb=verb, **values)
 
 
 def run(argv):
-    """Entry point returning the exit status (0 pass, 1 fail, 2 usage,
-    3 broken invariant or exhausted interpreter)."""
+    """Entry point returning the exit status (0 pass or help, 1 fail,
+    2 usage, 3 broken invariant or exhausted interpreter)."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as ex:    # --help printed the help text
-        return 2 if ex.code not in (0, None) else 0
+        args = parse_args(argv)
     except UsageError as ex:
-        print(f"error: {ex}", file=sys.stderr)
+        # a message quotes arguments as given: their line breaks are escaped
+        print("error: " + str(ex).replace("\n", "\\n"), file=sys.stderr)
         return 2
+    if args is None:        # the synopsis at the head of this docstring
+        if __doc__:         # python -OO strips docstrings
+            print(__doc__[__doc__.index("Subcommands:"):
+                          __doc__.index("\n\nExit status")])
+        return 0
     try:
-        _check_ranges(args)
-        return args.func(args)
+        return VERBS[args.verb][0](args)
     except InvariantError as ex:
         print(f"internal error: {ex}", file=sys.stderr)
         return 3

@@ -1160,7 +1160,12 @@ class PackedQ:
         for _ in range(self.cap + 1):
             out.append((value & slot) - half)
             value >>= width
-        return QSeries(self.cap, out)
+        while out and not out[-1]:
+            out.pop()
+        # the slots are ints, so the series needs none of __init__'s checks
+        series = QSeries.__new__(QSeries)
+        series.cap, series.coeffs = self.cap, tuple(out)
+        return series
 
 
 def l1_mass(coeffs):

@@ -1,15 +1,25 @@
+import argparse
+import functools
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qcauchy
-from qcauchy.cli import IDENTITY_NAMES, SPEC_NAMES, run
+import qcauchy.cli as cli
+from qcauchy.cli import (IDENTITY_NAMES, SPEC_NAMES, UsageError, cmd_appendix,
+                         cmd_char, cmd_macdonald, cmd_norm, cmd_verify,
+                         parse_args, run)
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def invoke(argv):
@@ -17,6 +27,120 @@ def invoke(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = run(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+# The argparse command line that cli.parse_args replaced, kept as its
+# oracle: the parser and the range check after it, as they were.
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one ``error:`` line: it raises
+    UsageError where argparse would print its usage and exit.  A message
+    quotes arguments as given, so their line breaks are escaped."""
+
+    def error(self, message):
+        raise UsageError(message.replace("\n", "\\n"))
+
+
+# least admissible value of each numeric option
+_LEAST = {"n": 1, "max_deg": 0, "max_q": 0, "range": 0, "jobs": 1}
+
+
+def _check_ranges(args):
+    for name, least in _LEAST.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser():
+    """The argument parser, built on first use and kept for the process."""
+    p = _Parser(
+        prog="qcauchy",
+        description="Exact computations with nonsymmetric Macdonald "
+                    "polynomials and q-Cauchy identity verification")
+    sub = p.add_subparsers(dest="verb", required=True)
+
+    def common(sp, need_lambda=False):
+        sp.add_argument("--n", type=int, required=True)
+        if need_lambda:
+            sp.add_argument("--lambda", dest="lam", required=True,
+                            help="comma-separated composition, e.g. 0,2")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
+
+    sp = sub.add_parser("macdonald", help="print E_lambda")
+    common(sp, need_lambda=True)
+    sp.add_argument("--spec", choices=sorted(SPEC_NAMES), default="qt")
+    sp.add_argument("--max-q", type=int, default=None)
+    sp.set_defaults(func=cmd_macdonald)
+
+    sp = sub.add_parser("norm", help="print the norm factor a_lambda")
+    common(sp, need_lambda=True)
+    sp.add_argument("--qt", action="store_true",
+                    help="the exact (q, t) norm instead of the q-series")
+    sp.add_argument("--alt", action="store_true",
+                    help="use the alternative product formula")
+    sp.add_argument("--max-q", type=int, default=None)
+    sp.set_defaults(func=cmd_norm)
+
+    sp = sub.add_parser("char", help="print a module character")
+    common(sp, need_lambda=True)
+    sp.add_argument("--kind", choices=("D", "Uo", "T", "A-D", "A-U"),
+                    required=True)
+    sp.add_argument("--max-deg", type=int, required=True)
+    sp.add_argument("--max-q", type=int, required=True)
+    sp.add_argument("--lattice", choices=("sl", "gl"), default="sl")
+    sp.set_defaults(func=cmd_char)
+
+    sp = sub.add_parser("verify", help="run an identity verification")
+    common(sp)
+    sp.add_argument("--identity", choices=sorted(IDENTITY_NAMES),
+                    required=True)
+    sp.add_argument("--max-deg", type=int, required=True)
+    sp.add_argument("--max-q", type=int, default=None)
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
+    sp.set_defaults(func=cmd_verify)
+
+    sp = sub.add_parser("appendix", help="run the rank-one closed-form suite")
+    sp.add_argument("--range", type=int, default=6,
+                    help="check sl_2 weights in [-range, range]")
+    sp.add_argument("--max-q", type=int, default=12)
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.set_defaults(func=cmd_appendix)
+    return p
+
+
+def oracle_parse(argv):
+    """The namespace argparse gives ``argv`` after the range check, or
+    None where argparse printed its help; a bad command line raises the
+    UsageError the parser raised."""
+    try:
+        with redirect_stdout(io.StringIO()):
+            args = build_parser().parse_args(argv)
+    except SystemExit as ex:
+        assert ex.code == 0, argv
+        return None
+    _check_ranges(args)
+    del args.func
+    return args
+
+
+def outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: the option values with the verb,
+    "help", or the error line run prints."""
+    try:
+        args = parse(argv)
+    except UsageError as ex:
+        return "error: " + str(ex).replace("\n", "\\n")
+    return "help" if args is None else vars(args)
+
+
+def oracle_invoke(argv):
+    """invoke(argv) with the oracle in place of cli.parse_args."""
+    with mock.patch.object(cli, "parse_args", oracle_parse):
+        return invoke(argv)
 
 
 class TestVerify:
@@ -248,9 +372,10 @@ _NINE_IN_TEN = st.sampled_from((True,) * 9 + (False,))
 def _argvs(draw):
     """A command line: every verb and flag, n <= 3, degrees and caps <= 3
     and below their least admissible values, well-formed and malformed
-    lambdas, a flag sometimes left out and an unknown one sometimes added.
-    Valid values are drawn more often than invalid ones, so that most
-    examples get past the usage checks."""
+    lambdas, a flag sometimes left out, given twice, shortened to a prefix
+    or joined to its value by =, and an unknown one or a -- sometimes
+    added.  Valid values and forms are drawn more often than invalid ones,
+    so that most examples get past the usage checks."""
     verb = draw(st.sampled_from(["macdonald", "norm", "char", "verify",
                                  "appendix"]))
     n = draw(st.sampled_from((1, 2, 3) * 3 + (0, -1)))
@@ -281,25 +406,119 @@ def _argvs(draw):
         "verify": [("--max-q", num), ("--jobs", num)],
         "appendix": [("--range", num), ("--max-q", num)],
     }[verb] + [("--format", st.sampled_from(("text", "json") * 3 + ("xml",)))]
+    given = [option for flags, present in ((required, _NINE_IN_TEN),
+                                           (optional, st.booleans()))
+             for option in flags if draw(present)]
+    if given and not draw(_NINE_IN_TEN):
+        given.append(draw(st.sampled_from(given)))
     argv = [verb]
-    for flags, present in ((required, _NINE_IN_TEN),
-                           (optional, st.booleans())):
-        for flag, values in flags:
-            if draw(present):
-                argv += [flag] if values is None else [flag, draw(values)]
+    for flag, values in given:
+        if not draw(_NINE_IN_TEN):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        if values is None:
+            argv.append(flag)
+        elif draw(_NINE_IN_TEN):
+            argv += [flag, draw(values)]
+        else:
+            argv.append(f"{flag}={draw(values)}")
     if not draw(_NINE_IN_TEN):
         argv.append(draw(st.sampled_from(["--bogus", "--bo\ngus"])))
+    if not draw(_NINE_IN_TEN):
+        argv.insert(draw(st.integers(1, len(argv))), "--")
     return argv
 
 
 @settings(max_examples=150, deadline=5000)
 @given(_argvs())
 def test_cli_fuzz(argv):
-    code, _, err = invoke(argv)
+    code, out, err = invoke(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err, argv
     if code in (2, 3):
         assert err.count("\n") == 1, (argv, err)
+    # the same exit status and stdout as with the argparse command line
+    assert oracle_invoke(argv)[:2] == (code, out), argv
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argvs())
+def test_parse_matches_oracle(argv):
+    assert outcome(parse_args, argv) == outcome(oracle_parse, argv)
+
+
+# command lines at the edges of the grammar: no verb, an unknown one, a
+# lone - and --, unknown and ambiguous options, prefixes, values that look
+# like options, help anywhere, a line break in an argument
+EDGE_ARGVS = [
+    [], ["nope"], ["-x"], ["--"], ["-"], ["--max"], ["--lam"], ["-1"],
+    ["--", "verify"], ["-x", "appendix", "--bogus"], ["--bogus", "nope"],
+    ["char", "--max", "3"], ["verify", "--max=3"], ["char", "--l", "sl"],
+    ["macdonald", "--n", "2", "--lambda", "0,2", "--max", "3"],
+    ["norm", "--n", "2", "--lam", "0,2", "--q"],
+    ["macdonald", "--n=2", "--lam=0,2", "--spec=t0", "--f=json"],
+    ["macdonald", "--n", "2", "--n", "3", "--lambda", "0,2,1"],
+    ["verify", "--identity", "gl-t0", "--n", "2", "--max-deg", "2",
+     "--max-q", "-1"],
+    ["verify", "--n", "-1", "--bogus"], ["verify", "--n", "--n"],
+    ["verify", "--n"], ["verify", "--n", "-x"], ["verify", "--n", "-1.5"],
+    ["verify", "--n", "1 2"], ["verify", "--n=", "--max=1"],
+    ["norm", "--n", "2", "--lambda", "0,2", "--qt=1"],
+    ["norm", "--n", "2", "--lambda", "0,2", "--alt="],
+    ["appendix", "--bo\ngus"], ["appendix", "--bo\ngus", "--max\nq"],
+    ["appendix", "--range", "1", "--", "--range", "2"],
+    ["appendix", "--range", "--"], ["appendix", "--", "x"],
+    ["appendix", "--range", "-1", "--max-q", "-1"], ["appendix", "--=1"],
+    ["--=1"], ["verify", "--=x", "--n", "x"],
+    ["appendix", "-x y", "--range", "٣", "--format", "jso"],
+    ["-h"], ["--help"], ["--he"], ["-hh"], ["-hx"], ["-h=h"], ["--help="],
+    ["-x", "-h"], ["verify", "-h"], ["verify", "--identity", "nope", "-h"],
+    ["verify", "-h", "--identity", "nope"], ["verify", "--bogus", "--h"],
+    ["verify", "--max", "-h"], ["char", "--n", "-h"], ["appendix", "-hhx"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=repr)
+def test_edges_match_oracle(argv):
+    assert outcome(parse_args, argv) == outcome(oracle_parse, argv)
+    assert oracle_invoke(argv) == invoke(argv)
+
+
+def test_benchmark_requests_parse_as_before():
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        for argv in workloads.universe(name):
+            assert outcome(parse_args, argv) == outcome(oracle_parse, argv)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify", "--identity", "gl-t0", "--n=--", "--max-deg", "1"],
+     "error: argument --n: invalid int value: '--'\n"),
+    (["macdonald", "--n", "1", "--lambda=--"],
+     "error: malformed lambda '--'\n"),
+    (["macdonald", "--n", "1", "--lambda", "1", "--format=--"],
+     "error: argument --format: invalid choice: '--' (choose from 'text', "
+     "'json')\n"),
+])
+def test_joined_dash_dash_is_a_value(argv, err):
+    # argparse dropped a joined -- and stored [] for the option, which
+    # --n, --lambda, --spec and --identity then failed on with a traceback
+    assert invoke(argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["-x", "--he"], ["verify", "-h"],
+    ["char", "--n", "2", "--help", "--bogus"], ["norm", "--bogus", "-hh", "--max-q=x"]],
+    ids=repr)
+def test_help_prints_the_synopsis(argv):
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("Subcommands:\n") and "-h or --help" in out
+    for verb, (_, options) in cli.VERBS.items():
+        assert f"    {verb} " in out
+        assert all(o.flag in out for o in options)
 
 
 class TestDeterminism:

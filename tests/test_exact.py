@@ -399,12 +399,18 @@ class TestPackedQ:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2 ** 70), st.data())
     def test_round_trip_at_the_bound(self, cap, bound, data):
-        # every coefficient at most the bound, the edge of the slot width
-        c = data.draw(st.lists(st.sampled_from([bound, -bound]),
+        # every coefficient at most the bound, the edge of the slot width;
+        # zero and negative slots too, and zeros at the top, which unpack
+        # strips itself: equality compares the coefficient tuples
+        c = data.draw(st.lists(st.sampled_from([bound, -bound, 0]),
                                max_size=cap + 1))
         packing = PackedQ(bound, cap)
         assert packing.width == bound.bit_length() + 2
-        assert packing.unpack(packing.pack(c)) == QSeries(cap, c)
+        for coeffs in (c, c + [0] * (cap + 1 - len(c)), [0] * (cap + 1),
+                       [-bound] * cap + [0]):
+            got = packing.unpack(packing.pack(coeffs))
+            assert got == QSeries(cap, coeffs)
+            assert all(type(x) is int for x in got.coeffs)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2 ** 70), st.data())

@@ -83,6 +83,31 @@ def test_tracer_installs():
     assert char_pair_spans > 0
 
 
+# imports the command line and runs one small verification through it
+NO_ARGPARSE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from qcauchy import cli
+argv = ["verify", "--identity", "gl-t0", "--n", "1", "--max-deg", "1",
+        "--max-q", "1"]
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    status = cli.run(argv)
+print(status, "argparse" in sys.modules)
+"""
+
+
+def test_cli_leaves_argparse_unimported():
+    # every benchmark operation is a fresh interpreter, which would pay for
+    # importing argparse (gettext with it) and building a parser; this runs
+    # in a subprocess because pytest imports argparse itself
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_ARGPARSE, os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_benchmark_requests_match_expected_digests(capsys):
     # every request the benchmark can generate, run in this process: its
     # exit status and the sha256 of its stdout equal the recorded ones in
