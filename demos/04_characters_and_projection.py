@@ -24,7 +24,7 @@ def main():
                                        char_module("D", lam, pol)),
                          char_module("Uo", lam, pol))
     print("ch T == ch A_D * ch D * ch Uo:",
-          first_difference(t, prod) is None, "\n")
+          first_difference(t.varset, t.terms, prod.terms) is None, "\n")
 
     print("=== the Iwahori function-space character (n = 2) ===")
     iw = lhs_series("iwahori_char", 2, pol)

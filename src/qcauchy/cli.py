@@ -21,8 +21,9 @@ together: --max-q with a macdonald spec other than t0 or qinv-tinf, norm
 --qt with --max-q or --alt), 3 on a broken internal invariant (failed
 positivity, a window beyond its certified bound, a non-monic E) or on a
 request that exhausts the interpreter (``RecursionError``,
-``MemoryError``).  Errors print one ``error:`` or ``internal error:`` line
-to stderr.  Output is deterministic; timing goes to stderr.
+``MemoryError``), 141 (128 + SIGPIPE) when the reader closes stdout
+before the output is written.  Errors print one ``error:`` or ``internal
+error:`` line to stderr.  Output is deterministic; timing goes to stderr.
 ``macdonald --spec t0`` and ``qinv-tinf`` read the t = 0 and (q^{-1}, oo)
 tables at a cap where they are exact polynomials, ``q0`` and ``qinf-tinf``
 their q^0 coefficients.  ``verify --jobs`` is accepted for compatibility
@@ -33,6 +34,7 @@ thread.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from collections import namedtuple
@@ -370,7 +372,14 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 r"""The identity verification engine.
 
-Each variant names one numerical identity; both sides are built as truncated
-series and compared exactly (subtract and report the first nonzero monomial
-in canonical order as the failure witness):
+Each variant names one numerical identity; both sides are built as maps
+{monomial: coefficient} and compared exactly by ``first_difference``, whose
+first differing monomial in canonical order is the failure witness:
 
 * ``gl_qt``        -- the full (q, t) Cauchy kernel expansion,
 * ``gl_t0``        -- its t = 0 specialization over all compositions,
@@ -31,8 +31,9 @@ and builds the tables (``e_t0_table`` and ``e_atom_table`` with that
 floor), each only to the cap at which its terms can still meet a term of
 the other.  Every summand has nonnegative coefficients, which is checked
 on every norm and every table coefficient that enters a sum; the norms
-are computed only for the lam that are summed.  ``_sl_series`` turns the
-sums per class pair of either side into the sl series on the window.
+are computed only for the lam that are summed.  ``_sl_lhs_window`` and
+``_sl_rhs_adaptive`` key the sums per class pair of either side on their sl
+classes, zero sums dropped.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 build both sides on packed integers (``PackedQ``, Kronecker substitution),
@@ -66,8 +67,7 @@ from .macdonald import (_window_cost, e_atom_table, e_t0_table,
                         restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
-                     first_difference, monomial_key, mul_truncated,
-                     render_scalar)
+                     first_difference, mul_truncated, render_scalar)
 from .weights import (compositions_of_size, compositions_up_to,
                       min_zero_compositions_up_to, restrict_weight)
 
@@ -409,23 +409,6 @@ def _kostant_xsums(c):
     return sols
 
 
-def _sl_window_policy(pairs, K):
-    """The truncation of the sl series on a window: twice its largest gl
-    degree in both blocks, q-cap K."""
-    wdeg = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
-    return TruncationPolicy(2 * wdeg, 2 * wdeg, K)
-
-
-def _sl_series(n, pairs, K, by_pair):
-    """The sl series on the window of ``pairs`` from {class pair: QSeries}:
-    each pair keyed on its sl class, zero sums dropped.  restrict_weight is
-    injective on min-zero representatives, so no two pairs share a key."""
-    terms = {restrict_weight(a) + restrict_weight(b): c
-             for (a, b), c in by_pair.items() if not c.is_zero}
-    return TruncatedSeries(VariableSet.sl(n), _sl_window_policy(pairs, K),
-                           terms, _checked=True)
-
-
 def sl_certificate(n, pairs, K):
     """Per class pair, the largest fiber index k of any potential kernel
     contributor x^{a + k 1} y^{b + k 1} q^{<= K}, from the support system
@@ -517,7 +500,9 @@ def sl_certificate(n, pairs, K):
 
 
 def project_to_sl(f, pairs, kmax, K):
-    """Fiber sums of a gl series over the window class pairs.
+    """Fiber sums of a gl series over the window class pairs, keyed on sl
+    classes, zero sums dropped, truncated at twice the window's largest gl
+    degree and q-cap K: the test oracle of ``_sl_lhs_window``.
 
     Each pair is two min-zero class representatives (two pairs keyed on one
     sl class would overwrite each other); raises ExactError otherwise.
@@ -540,13 +525,21 @@ def project_to_sl(f, pairs, kmax, K):
             if c is not None:
                 prev = by_pair.get((a, b))
                 by_pair[(a, b)] = c if prev is None else prev + c
-    return _sl_series(n, pairs, K, by_pair)
+    wdeg = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
+    return TruncatedSeries(VariableSet.sl(n),
+                           TruncationPolicy(2 * wdeg, 2 * wdeg, K), {
+                               restrict_weight(a) + restrict_weight(b): c
+                               for (a, b), c in by_pair.items()
+                               if not c.is_zero}, _checked=True)
 
 
-def _sl_lhs_window(n, pairs, fibers, K):
-    """Projected gl_slform product side: the fiber sums of
-    ``sl_certificate`` keyed on their sl classes."""
-    return _sl_series(n, pairs, K, fibers)
+def _sl_lhs_window(fibers):
+    """Projected gl_slform product side: {sl class: QSeries} from the fiber
+    sums {class pair: QSeries} of ``sl_certificate``, zero sums dropped.
+    restrict_weight is injective on min-zero representatives, so no two
+    pairs share a key."""
+    return {restrict_weight(a) + restrict_weight(b): c
+            for (a, b), c in fibers.items() if not c.is_zero}
 
 
 def _window_hits(table, side):
@@ -624,9 +617,10 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     congruent to |lam| mod n on both sides, and ``sl_window_pairs`` holds
     every pair of window classes whose degrees agree mod n.
 
-    Returns (series with the arm/leg norm, series with the
-    highest-weight-algebra norm, lambda_count), lambda_count counting every
-    lam up to the bound, summed or skipped."""
+    Returns (sums with the arm/leg norm, sums with the
+    highest-weight-algebra norm, lambda_count), each sum {sl class: nonzero
+    QSeries} as in ``_sl_lhs_window``, lambda_count counting every lam up
+    to the bound, summed or skipped."""
     W = max((sum(a) for a, _ in pairs), default=0)
     kept = []       # ((norm_a, norm_h), x hits, y hits) of each summed lam
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
@@ -641,10 +635,10 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     packing = PackedQ(_macdonald_bound(kept), K)
     by_a, by_h = _packed_macdonald_sum(kept, packing) or ({}, {})
 
-    def series(sums):
-        return _sl_series(n, pairs, K, {(key[:n], key[n:]): packing.unpack(v)
-                                        for key, v in sums.items()})
-    return series(by_a), series(by_h), len(lambdas)
+    def classes(sums):
+        return {restrict_weight(key[:n]) + restrict_weight(key[n:]):
+                packing.unpack(v) for key, v in sums.items()}
+    return classes(by_a), classes(by_h), len(lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +646,14 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
 # ---------------------------------------------------------------------------
 
 def verify_identity(variant, n, policy):
-    """Build both sides of the named identity and compare exactly.
+    """Build both sides of the named identity and compare their term maps
+    by ``first_difference``; an absent witness value reads 0.
 
-    The q-series gl variants pack both sides with one ``PackedQ``, at the
-    larger of ``_product_bound`` and ``_macdonald_bound``, and compare the
-    masked ints; only the first differing monomial (``monomial_key`` order,
-    as in ``first_difference``) is unpacked, and an absent side reads 0."""
+    sl_projected compares ``_sl_lhs_window`` with the arm/leg-norm sums of
+    ``_sl_rhs_adaptive``, then those with its other sums.  The q-series gl
+    variants pack both sides with one ``PackedQ``, at the larger of
+    ``_product_bound`` and ``_macdonald_bound``, and compare the masked
+    ints; only the witness's two values are unpacked."""
     t_start = time.monotonic()
     policy_dict = {"max_x_degree": policy.max_x_degree,
                    "max_y_degree": policy.max_y_degree,
@@ -670,11 +666,12 @@ def verify_identity(variant, n, policy):
         _, D, fibers = sl_certificate(n, pairs, K)
         policy_dict["window_degree"] = w
         policy_dict["certified_box"] = [D, D]
-        p_lhs = _sl_lhs_window(n, pairs, fibers, K)
+        varset = VariableSet.sl(n)
+        p_lhs = _sl_lhs_window(fibers)
         p_gl, p_sl, count = _sl_rhs_adaptive(n, pairs, K, D)
-        diff = first_difference(p_lhs, p_gl)
+        diff = first_difference(varset, p_lhs, p_gl)
         if diff is None:
-            diff = first_difference(p_gl, p_sl)
+            diff = first_difference(varset, p_gl, p_sl)
         return _mk_report(variant, n, policy_dict, diff, count, t_start)
 
     if variant == "sl2_appendix":
@@ -682,24 +679,24 @@ def verify_identity(variant, n, policy):
             (-policy.max_x_degree, policy.max_x_degree),
             policy.max_q_degree)
 
+    varset = VariableSet.gl(n)
     if variant == "gl_qt":
-        diff = first_difference(lhs_series(variant, n, policy),
-                                rhs_series(variant, n, policy))
+        lhs = lhs_series(variant, n, policy)
+        rhs = rhs_series(variant, n, policy)
+        lhs._compat(rhs)
+        diff = first_difference(varset, lhs.terms, rhs.terms)
         return _mk_report(variant, n, policy_dict, diff,
                           len(_rhs_lambdas(variant, n, policy)), t_start)
-    varset = VariableSet.gl(n)
     factors = _product_factors(variant, n, policy)
     summands = _macdonald_summands(variant, n, policy)
     packing = PackedQ(max(_product_bound(varset, policy, factors),
                           _macdonald_bound(summands)), policy.max_q_degree)
     lhs = _packed_product(varset, policy, factors, packing)
     rhs, = _packed_macdonald_sum(summands, packing)
-    diff = [e for e, v in lhs.items() if rhs.get(e) != v]
-    diff += [e for e in rhs if e not in lhs]
+    diff = first_difference(varset, lhs, rhs)
     if diff:
-        exps = min(diff, key=lambda e: monomial_key(varset, e))
-        diff = (exps,) + tuple(packing.unpack(side[exps]) if exps in side
-                               else None for side in (lhs, rhs))
+        diff = diff[:1] + tuple(None if v is None else packing.unpack(v)
+                                for v in diff[1:])
     return _mk_report(variant, n, policy_dict, diff, len(summands), t_start)
 
 

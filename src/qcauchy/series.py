@@ -440,19 +440,20 @@ def series_records(f):
             for exps, c in f.sorted_items()]
 
 
-def first_difference(f, g):
-    """First monomial (canonical order) where f and g differ, or None.
+def first_difference(varset, f, g):
+    """First monomial (``monomial_key`` order on ``varset``) where the term
+    maps f and g differ, or None.
 
-    A monomial present on one side only differs unless its scalar is zero.
-    Only the differing monomials are ordered.  Returns (exps, coeff_f,
-    coeff_g)."""
-    f._compat(g)
-    ft, gt = f.terms, g.terms
-    diff = [e for e, c in ft.items()
-            if (c != gt[e] if e in gt else not _is_zero_scalar(c))]
-    diff += [e for e, c in gt.items()
-             if e not in ft and not _is_zero_scalar(c)]
+    f and g map exponent tuples to scalars that compare by ``!=``: masked
+    packed ints, ``QSeries`` or ``QTRational``.  A monomial present on one
+    side only differs unless its scalar is zero.  Only the differing
+    monomials are ordered.  Returns (exps, f value or None, g value or
+    None)."""
+    diff = [e for e, c in f.items()
+            if (c != g[e] if e in g else not _is_zero_scalar(c))]
+    diff += [e for e, c in g.items()
+             if e not in f and not _is_zero_scalar(c)]
     if not diff:
         return None
-    exps = min(diff, key=lambda e: monomial_key(f.varset, e))
-    return exps, ft.get(exps), gt.get(exps)
+    exps = min(diff, key=lambda e: monomial_key(varset, e))
+    return exps, f.get(exps), g.get(exps)

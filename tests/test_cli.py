@@ -547,6 +547,27 @@ class TestDeterminism:
         assert proc.stdout == invoke(args)[1]
 
 
+@pytest.mark.parametrize("args", [
+    ["--help"], ["norm", "--n", "1", "--lambda", "30", "--qt"],
+    ["verify", "--identity", "gl-t0", "--n", "1", "--max-deg", "2",
+     "--max-q", "2"]])
+def test_closed_stdout_exits_141(args):
+    # stdout is a pipe whose read end is already closed: no traceback, and
+    # status 128 + SIGPIPE rather than 1, the status of a failed check
+    src = os.path.dirname(os.path.dirname(qcauchy.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qcauchy", *args],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 class TestJsonRoundTrip:
     def test_verify_json(self):
         code, out, _ = invoke(["verify", "--identity", "classical-q0",

@@ -9,6 +9,7 @@ from qcauchy.exact import (ExactError, PackedQ, QSeries, QTRational,
                            inv_pochhammer_qq, l1_mass)
 import qcauchy.identities as identities
 import qcauchy.macdonald as macdonald
+from qcauchy.affine import hw_algebra_char
 from qcauchy.identities import (_kostant_xsums, _macdonald_bound,
                                 _macdonald_summands, _packed_macdonald_sum,
                                 _product_bound, _product_factors,
@@ -22,7 +23,9 @@ from qcauchy.macdonald import (_columns, _window_cost, e_atom_table,
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series, render_scalar)
-from qcauchy.weights import compositions_up_to, min_zero_compositions_up_to
+from qcauchy.weights import (compositions_up_to, min_zero_compositions_up_to,
+                             restrict_weight)
+from test_series import _first_difference_by_sort
 
 
 class TestLhs:
@@ -52,7 +55,7 @@ class TestLhs:
         plain = lhs_series("gl_t0", 2, pol)
         koszul = lhs_series("gl_slform", 2, pol)
         # they differ exactly in the determinant letters
-        d = first_difference(plain, koszul)
+        d = first_difference(plain.varset, plain.terms, koszul.terms)
         assert d is not None and sum(d[0]) == 4
 
 
@@ -236,6 +239,15 @@ def _off_degree_one(exps):
     return sum(exps[: len(exps) // 2]) != 1
 
 
+def _witness(diff):
+    """The report's witness of a first difference; an absent value renders
+    "0"."""
+    return None if diff is None else {
+        "monomial": list(diff[0]),
+        **{side: "0" if c is None else render_scalar(c)
+           for side, c in zip(("lhs", "rhs"), diff[1:])}}
+
+
 # (norm, product-side monomials kept): passing; both witness values
 # nonzero; the Macdonald value absent; the product value absent
 PERTURBATIONS = [(norm_a_q, None), (_norm_plus_one, None),
@@ -264,13 +276,10 @@ def test_packed_verdict_matches_oracles(variant, monkeypatch):
                             if keep(e)})
                     got = verify_identity(variant, n, pol)
                     diff = first_difference(
-                        TruncatedSeries(lhs.varset, pol, {
-                            e: c for e, c in lhs.terms.items() if keep(e)}),
-                        _rhs_by_qseries(variant, n, pol, norm))
-                    want = None if diff is None else {
-                        "monomial": list(diff[0]),
-                        **{side: "0" if c is None else render_scalar(c)
-                           for side, c in zip(("lhs", "rhs"), diff[1:])}}
+                        lhs.varset,
+                        {e: c for e, c in lhs.terms.items() if keep(e)},
+                        _rhs_by_qseries(variant, n, pol, norm).terms)
+                    want = _witness(diff)
                     case = (n, D, K, norm.__name__, keep.__name__)
                     assert got.outcome == ("pass" if diff is None
                                            else "fail"), case
@@ -326,10 +335,8 @@ class TestVerify:
         small = TruncationPolicy(2, 2, 3)
         lhs_b = lhs_series("gl_t0", 2, big)
         rhs_b = rhs_series("gl_t0", 2, big)
-        assert first_difference(lhs_b.retruncate(small),
-                                rhs_b.retruncate(small)) is None
-        lhs_s = lhs_series("gl_t0", 2, small)
-        assert first_difference(lhs_b.retruncate(small), lhs_s) is None
+        assert lhs_b.retruncate(small) == rhs_b.retruncate(small)
+        assert lhs_b.retruncate(small) == lhs_series("gl_t0", 2, small)
 
     def test_slform_matches_t0_after_resummation(self):
         # the Koszul-factored sum over min-zero compositions equals the full
@@ -357,7 +364,7 @@ class TestVerify:
         bad = dict(lhs.terms)
         bad[(1, 1)] = bad[(1, 1)] + QSeries.one(3)
         lhs2 = TruncatedSeries(lhs.varset, pol, bad)
-        d = first_difference(lhs, lhs2)
+        d = first_difference(lhs.varset, lhs.terms, lhs2.terms)
         assert d is not None and d[0] == (1, 1)
 
 
@@ -614,9 +621,74 @@ def test_sl_window_matches_full_box_projection(n, w, K):
     kmax, D, fibers = sl_certificate(n, pairs, K)
     box = lhs_series("gl_slform", n, TruncationPolicy(D, D, K))
     want = project_to_sl(box, pairs, kmax, K)
-    got = _sl_lhs_window(n, pairs, fibers, K)
-    assert got.terms == want.terms
-    assert got.policy == want.policy
+    assert _sl_lhs_window(fibers) == want.terms
+
+
+class _CharPlusQ:
+    """A highest-weight-algebra character whose q-series gains q."""
+
+    def __init__(self, char):
+        self.char = char
+
+    def qseries(self, cap):
+        return self.char.qseries(cap) + QSeries(cap, (0, 1))
+
+
+def _hw_plus_q(lam, mode):
+    return _CharPlusQ(hw_algebra_char(lam, mode))
+
+
+def _sl_macdonald_by_qseries(n, w, K, box, norms):
+    """The sl Macdonald sums, one per norm (a function of lam and cap), on
+    QSeries objects: every min-zero lam up to the box, both tables at cap
+    K, every pair of their window hits that is a window pair, keyed on sl
+    classes, zero sums dropped.  The oracle of _sl_rhs_adaptive's budget,
+    skips and packed sums."""
+    pair_set = set(sl_window_pairs(n, w))
+    sums = [{} for _ in norms]
+    for lam in min_zero_compositions_up_to(n, box):
+        xs, ys = _full_cap_hits(n, lam, K, w)
+        for acc, norm in zip(sums, norms):
+            a_lam = norm(lam, K)
+            for a, cx in xs.items():
+                for b, cy in ys.items():
+                    if (a, b) in pair_set:
+                        c = a_lam * cx * cy
+                        acc[a, b] = acc[a, b] + c if (a, b) in acc else c
+    return [{restrict_weight(a) + restrict_weight(b): c
+             for (a, b), c in acc.items() if not c.is_zero} for acc in sums]
+
+
+# injected into the identities namespace: none, a norm + 1, a character + q
+SL_FAULTS = [{}, {"norm_a_q": _norm_plus_one},
+             {"hw_algebra_char": _hw_plus_q}]
+
+
+@pytest.mark.parametrize("n, w, K", [(1, 2, 4), (1, 3, 3), (2, 1, 2),
+                                     (2, 2, 3), (2, 3, 4), (3, 1, 2),
+                                     (3, 2, 1), (3, 2, 2)])
+def test_sl_verdict_matches_oracles(n, w, K, monkeypatch):
+    # verify sl, passing and under each injected fault: outcome and witness
+    # equal those of the sorted walk over project_to_sl on the whole
+    # certified gl_slform box and the QSeries Macdonald sums
+    pairs = sl_window_pairs(n, w)
+    kmax, D, _ = sl_certificate(n, pairs, K)
+    lhs = project_to_sl(lhs_series("gl_slform", n, TruncationPolicy(D, D, K)),
+                        pairs, kmax, K)
+    for fault in SL_FAULTS:
+        norm = fault.get("norm_a_q", norm_a_q)
+        char = fault.get("hw_algebra_char", hw_algebra_char)
+        gl, sl = _sl_macdonald_by_qseries(
+            n, w, K, D, (norm, lambda lam, cap: char(lam, "D").qseries(cap)))
+        diff = (_first_difference_by_sort(lhs.varset, lhs.terms, gl)
+                or _first_difference_by_sort(lhs.varset, gl, sl))
+        with monkeypatch.context() as patch:
+            for name, fn in fault.items():
+                patch.setattr(identities, name, fn)
+            got = verify_identity("sl_projected", n, TruncationPolicy(w, w, K))
+        case = (n, w, K, sorted(fault))
+        assert got.outcome == ("fail" if fault else "pass"), case
+        assert got.witness == _witness(diff), case
 
 
 def _matrices(cells, budget):
@@ -778,4 +850,4 @@ def test_slform_rhs_is_resummed_t0_rhs():
     tower = TruncatedSeries(
         VariableSet.gl(n), pol,
         {(m,) * (2 * n): inv_pochhammer_qq(m, 5) for m in range(5)})
-    assert first_difference(full, mul_truncated(reduced, tower)) is None
+    assert full == mul_truncated(reduced, tower)

@@ -171,7 +171,7 @@ def test_qbinomial_theorem():
                           {(m, 0): inv_pochhammer_qq(m, 5) for m in range(5)})
     rhs = inverse_truncated(
         pochhammer_series(QSeries.one(5), (1, 0), None, GL1, pol))
-    assert first_difference(lhs, rhs) is None
+    assert first_difference(GL1, lhs.terms, rhs.terms) is None
 
 
 def test_policy_mismatch_rejected():
@@ -206,13 +206,12 @@ def test_serialization_deterministic():
     assert recs[1]["coeff"] == {"cap": 2, "coeffs": ["0", "-3"]}
 
 
-def _first_difference_by_sort(f, g):
-    """The oracle of first_difference: walk every key of both sides in
+def _first_difference_by_sort(varset, f, g):
+    """The oracle of first_difference: walk every key of both term maps in
     canonical order.  A key on one side only differs unless its scalar is
     zero."""
-    for exps in sorted(set(f.terms) | set(g.terms),
-                       key=lambda e: monomial_key(f.varset, e)):
-        cf, cg = f.terms.get(exps), g.terms.get(exps)
+    for exps in sorted(set(f) | set(g), key=lambda e: monomial_key(varset, e)):
+        cf, cg = f.get(exps), g.get(exps)
         if cf is not None and cg is not None:
             if cf != cg:
                 return exps, cf, cg
@@ -221,7 +220,6 @@ def _first_difference_by_sort(f, g):
     return None
 
 
-DIFF_POLICY = TruncationPolicy(3, 3, 2)
 DIFF_EXPS = st.tuples(*[st.integers(0, 1)] * 4)
 DIFF_SCALARS = st.one_of(
     st.integers(-2, 2),
@@ -245,9 +243,6 @@ def test_first_difference_matches_sorted_walk(terms, changed, dropped,
         other.pop(e, None)
     for e, z in zeros.items():
         other.setdefault(e, z)
-    f = TruncatedSeries(GL2, DIFF_POLICY, terms, _checked=True)
-    g = TruncatedSeries(GL2, DIFF_POLICY, other, _checked=True)
-    if swap:
-        f, g = g, f
-    assert first_difference(f, g) == _first_difference_by_sort(f, g)
-    assert first_difference(f, f) is None
+    f, g = (other, terms) if swap else (terms, other)
+    assert first_difference(GL2, f, g) == _first_difference_by_sort(GL2, f, g)
+    assert first_difference(GL2, f, f) is None

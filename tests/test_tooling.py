@@ -2,9 +2,10 @@
 wraps qcauchy functions by name, so a renamed or removed function must fail
 here and not in every traced benchmark operation; the benchmark's own
 self-tests must pass; every benchmark request must print its recorded
-bytes; the demos must run; and the exact (q, t) query commands must not
-reach the general gcd."""
+bytes; the demos must run; the exact (q, t) query commands must not
+reach the general gcd; and no module keeps an import it does not use."""
 
+import ast
 import glob
 import hashlib
 import importlib.util
@@ -23,7 +24,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # then a small sl verification, whose after-hooks read the certified box at
 # r[1] of sl_certificate and the summand count at r[2] of _sl_rhs_adaptive,
 # and whose Macdonald sum opens identities.pair_product spans; then a ch T
-# request, whose one summand goes through the same wrapped kernel
+# request, whose one summand goes through the same wrapped kernel; then a
+# small gl-t0 verification.  Both verifications compare their sides in an
+# identities.compare span.
 TRACED_VERIFY = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -48,13 +51,20 @@ argv = ["char", "--kind", "T", "--n", "3", "--lambda", "0,1,2",
 with contextlib.redirect_stdout(io.StringIO()):
     char_status = tracer.run_op(2, cli.run, argv)
 char_snap = tracer.snapshot()
-pair_spans = [sum(1 for rec in char_snap["spans"]
-                  if rec[spans.OP] == op
-                  and rec[spans.NAME] == "identities.pair_product")
-              for op in (1, 2)]
+argv = ["verify", "--identity", "gl-t0", "--n", "2", "--max-deg", "2",
+        "--max-q", "2"]
+with contextlib.redirect_stdout(io.StringIO()):
+    t0_status = tracer.run_op(3, cli.run, argv)
+last = tracer.snapshot()["spans"]
+
+def count(name, op):
+    return sum(1 for rec in last if rec[spans.OP] == op
+               and rec[spans.NAME] == name)
 print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
                   "exact.qtpoly_gcd.nontrivial" in snap["counts"],
-                  sl_status, sl_counts, char_status] + pair_spans))
+                  sl_status, sl_counts, char_status, t0_status]
+                 + [count("identities.pair_product", op) for op in (1, 2)]
+                 + [count("identities.compare", op) for op in (1, 3)]))
 """
 
 
@@ -64,8 +74,9 @@ def test_tracer_installs():
          os.path.join(ROOT, "src")],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    (status, gcd_calls, hooked, sl_status, sl_counts, char_status,
-     sl_pair_spans, char_pair_spans) = json.loads(proc.stdout.splitlines()[-1])
+    (status, gcd_calls, hooked, sl_status, sl_counts, char_status, t0_status,
+     sl_pair_spans, char_pair_spans, sl_compares, t0_compares) = json.loads(
+        proc.stdout.splitlines()[-1])
     assert status == 0
     assert gcd_calls > 0
     assert hooked
@@ -81,6 +92,11 @@ def test_tracer_installs():
     # and so does ch T, from characters, through the identities namespace
     assert char_status == 0
     assert char_pair_spans > 0
+    # each verification compares its two sides through the wrapped
+    # first_difference
+    assert t0_status == 0
+    assert sl_compares > 0
+    assert t0_compares > 0
 
 
 # imports the command line and runs one small verification through it
@@ -106,6 +122,31 @@ def test_cli_leaves_argparse_unimported():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
+
+
+def _unused_imports(path):
+    """The names a module imports at module level and never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("module", sorted(
+    os.path.basename(p) for p in glob.glob(
+        os.path.join(ROOT, "src", "qcauchy", "*.py"))
+    if not p.endswith("__init__.py")))
+def test_no_unused_imports(module):
+    # __init__.py imports to re-export, so it is left out
+    path = os.path.join(ROOT, "src", "qcauchy", module)
+    assert _unused_imports(path) == []
 
 
 def test_benchmark_requests_match_expected_digests(capsys):
