@@ -5,6 +5,8 @@ the combinatorial fillings path, and all five specializations (t = 0,
 (q^{-1}, oo), full (q, t)-inversion, and the two classical corners).
 """
 
+import signal
+
 from qcauchy import macdonald_E, macdonald_E_fillings, specialize_E
 
 
@@ -46,4 +48,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # a reader that closes the pipe early ends the demo, with no traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

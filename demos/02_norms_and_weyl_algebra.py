@@ -9,6 +9,8 @@ the extended affine Weyl group: ``hw_algebra_char_gl`` computes both at
 once.  This script computes all three and shows the word machinery.
 """
 
+import signal
+
 from qcauchy import (beta_sequence, factorized_words, hw_algebra_char,
                      hw_algebra_char_gl, limit_t, norm_a_q, norm_a_qt,
                      qseries_from_qtrational, translation_reduced_word)
@@ -56,4 +58,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # a reader that closes the pipe early ends the demo, with no traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

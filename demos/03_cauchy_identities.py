@@ -1,9 +1,12 @@
 """Verify the q-Cauchy identities at desk scale.
 
-Each verification builds both sides as truncated series with exact
-coefficients and subtracts them; a failure would name the first mismatching
-monomial.  The runs here are smaller cousins of the acceptance suite.
+Each verification builds both sides as maps {monomial: coefficient} with
+exact coefficients and compares them by ``first_difference``; a failure
+would name the first mismatching monomial.  The runs here are smaller
+cousins of the acceptance suite.
 """
+
+import signal
 
 from qcauchy import TruncationPolicy, verify_identity, verify_sl2_appendix
 
@@ -39,4 +42,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # a reader that closes the pipe early ends the demo, with no traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

@@ -5,6 +5,8 @@ function-space character, and a hand-run of the fiber projection with its
 certificate.
 """
 
+import signal
+
 from qcauchy import TruncationPolicy, char_module
 from qcauchy.identities import (lhs_series, project_to_sl, sl_certificate,
                                 sl_window_pairs)
@@ -51,4 +53,6 @@ def main():
 
 
 if __name__ == "__main__":
+    # a reader that closes the pipe early ends the demo, with no traceback
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

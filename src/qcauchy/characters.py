@@ -79,7 +79,7 @@ def char_module(kind, lam, policy, lattice="sl"):
     if kind in ("D", "Uo"):
         table, offset = ((e_t0_table, 0) if kind == "D"
                          else (e_atom_table, varset.nx))
-        terms = _embed_terms(table(n, [lam], cap)[lam], nv, offset, restrict)
+        terms = _embed_terms(table([lam], cap)[lam], nv, offset, restrict)
         return TruncatedSeries(varset, policy, terms)
     if kind == "T":
         # the blocks are disjoint: a product term is within the policy iff
@@ -87,8 +87,8 @@ def char_module(kind, lam, policy, lattice="sl"):
         # |exponent|) is over its block's cap is dropped before multiplying;
         # every key of the sum is then an in-policy x-key joined to an
         # in-policy y-key, and the kernel drops the zero sums
-        t0 = e_t0_table(n, [lam], cap)[lam]
-        atom = e_atom_table(n, [lam], cap)[lam]
+        t0 = e_t0_table([lam], cap)[lam]
+        atom = e_atom_table([lam], cap)[lam]
         if restrict:
             t0, atom = restrict_poly_terms(t0), restrict_poly_terms(atom)
         xs = {e: c for e, c in t0.items()

@@ -42,6 +42,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .affine import hw_algebra_char_gl
+from .characters import char_module
 from .exact import (ExactError, InvariantError, QPoly, QSeries, QTRational,
                     q_text)
 from .identities import verify_identity, verify_sl2_appendix
@@ -124,9 +125,9 @@ def cmd_macdonald(args):
     else:
         table = e_t0_table if mode in ("t0", "q0_t0") else e_atom_table
         if mode in ("q0_t0", "qinf_tinf"):
-            terms = {e: c[0] for e, c in table(args.n, [lam], 0)[lam].items()}
+            terms = {e: c[0] for e, c in table([lam], 0)[lam].items()}
         else:
-            series = table(args.n, [lam], exact_cap(lam))[lam]
+            series = table([lam], exact_cap(lam))[lam]
             terms = {e: QPoly(c.coeffs) for e, c in series.items()}
             if args.max_q is not None:
                 terms = {e: QSeries.from_qpoly(c, args.max_q)
@@ -158,7 +159,6 @@ def cmd_norm(args):
 
 
 def cmd_char(args):
-    from .characters import char_module
     lam = _parse_lambda(args.lam, args.n)
     kind = args.kind.replace("-", "_")
     policy = TruncationPolicy(args.max_deg, args.max_deg, args.max_q)

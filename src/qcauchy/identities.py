@@ -21,9 +21,11 @@ solutions' weights, which are the projected product side.  The system sees
 a beta matrix only through its margins (row and column sums), so the walk
 runs over margin classes, weighed by the gl product kernel
 ``_packed_product`` on the monomials x_i y_j, and counts a class's
-solutions for every shift S at once.  The Macdonald side then sums every
-min-zero lam up to that box: E_lam(x) E_lam(y) has x- and y-degree |lam|,
-so these are all the summands that can reach a certified fiber.
+solutions for every shift S at once.  That kernel is given only monomials
+of equal x- and y-degree, so it keys a term on one degree and its
+exponents.  The Macdonald side then sums every min-zero lam up to that
+box: E_lam(x) E_lam(y) has x- and y-degree |lam|, so these are all the
+summands that can reach a certified fiber.
 ``_sl_budget_hits`` makes every decision about one lam: it turns the
 window degree W into the weight floor F = ceil((|lam| - W) / n) of the
 window classes, skips lam when its two tables cannot meet below q^{K+1},
@@ -31,9 +33,10 @@ and builds the tables (``e_t0_table`` and ``e_atom_table`` with that
 floor), each only to the cap at which its terms can still meet a term of
 the other.  Every summand has nonnegative coefficients, which is checked
 on every norm and every table coefficient that enters a sum; the norms
-are computed only for the lam that are summed.  ``_sl_lhs_window`` and
-``_sl_rhs_adaptive`` key the sums per class pair of either side on their sl
-classes, zero sums dropped.
+are computed only for the lam that are summed.  ``_window_hits`` keys each
+table monomial e on its sl class ``restrict_weight(e)``, so the packed
+sums of ``_sl_rhs_adaptive`` come out keyed on sl class pairs, as
+``_sl_lhs_window`` keys the fiber sums; both drop zero sums.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 build both sides on packed integers (``PackedQ``, Kronecker substitution),
@@ -70,10 +73,6 @@ from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, mul_truncated, render_scalar)
 from .weights import (compositions_of_size, compositions_up_to,
                       min_zero_compositions_up_to, restrict_weight)
-
-VARIANTS = ("gl_qt", "gl_t0", "gl_slform", "sl_projected", "classical_q0",
-            "iwahori_char", "sl2_appendix")
-
 
 class VerificationReport:
     """The outcome of one identity check: ``witness`` names the first
@@ -131,15 +130,14 @@ def _mk_report(variant, n, policy_dict, diff, lam_count, t_start):
 def _product_bound(varset, policy, factors):
     """A bound on every coefficient of ``_packed_product``'s output: the
     largest of [z^d] prod_f sum_k L1(cs_f[k]) z^{k g_f}, d <= G, where G is
-    the smaller policy degree and g_f >= 1 the degree of mono_f in that
-    block.  A monomial of degree d there has the coefficient sum_{(k_f)}
+    the smaller policy degree and g_f >= 1 the degree of mono_f, equal in
+    both blocks.  A monomial of degree d has the coefficient sum_{(k_f)}
     prod_f cs_f[k_f] over sum_f k_f g_f = d; by the triangle inequality and
     L1(a b) <= L1(a) L1(b) its L1 mass is at most [z^d]."""
-    side = int(policy.max_x_degree > policy.max_y_degree)
     top = min(policy.max_x_degree, policy.max_y_degree)
     graded = [1] + [0] * top
     for mono, cs in factors:
-        g = varset.block_degrees(mono)[side]
+        g = varset.block_degrees(mono)[0]
         masses = [l1_mass(c.coeffs) for c in cs[: top // g + 1]]
         graded = [sum(masses[k] * graded[d - k * g]
                       for k in range(min(d // g + 1, len(masses))))
@@ -152,30 +150,32 @@ def _packed_product(varset, policy, factors, packing):
     with integer QSeries cs[k], on packed q-series: {exps: masked int},
     zero coefficients dropped.
 
-    Each step multiplies every term e by the powers of one factor's
-    monomial that keep e within the policy.  ``packing`` needs a bound on
-    the output coefficients only (``_product_bound``)."""
+    Every mono has equal x- and y-degree, as x_i y_j and x_1..x_n y_1..y_n
+    do, so every term has too, and the policy bounds both by one degree,
+    top = min(Dx, Dy).  Each step multiplies every term e by the powers of
+    one factor's monomial that keep e within it.  ``packing`` needs a
+    bound on the output coefficients only (``_product_bound``)."""
     mask = packing.mask
-    dmax_x, dmax_y = policy.max_x_degree, policy.max_y_degree
-    # a monomial is keyed on the integer with base-b digits (x-degree,
-    # y-degree, exponents): a product of monomials is a sum of keys, and
-    # the degrees are the two low digits.  No digit reaches b.
-    b = max(dmax_x, dmax_y) + 1
+    top = min(policy.max_x_degree, policy.max_y_degree)
+    # a monomial is keyed on the integer with base-b digits (degree,
+    # exponents): a product of monomials is a sum of keys, and the degree
+    # is the low digit.  No digit reaches b.
+    b = top + 1
 
     def encode(exps):
         key = 0
-        for d in reversed(varset.block_degrees(exps) + exps):
+        for d in reversed((varset.block_degrees(exps)[0],) + exps):
             key = key * b + d
         return key
 
     terms = {0: 1}
     for mono, cs in factors:
-        mx, my = varset.block_degrees(mono)
+        g = varset.block_degrees(mono)[0]
         step = encode(mono)
         packed = [packing.pack(c.coeffs) for c in cs]
         new = {}
         for key, v in terms.items():
-            room = min((dmax_x - key % b) // mx, (dmax_y - key // b % b) // my)
+            room = (top - key % b) // g
             for p in packed[: room + 1]:
                 if p:
                     new[key] = new.get(key, 0) + (v * p & mask)
@@ -185,11 +185,8 @@ def _packed_product(varset, policy, factors, packing):
     for key, v in terms.items():
         v &= mask
         if v:
-            digits = []
-            for _ in range(2 + varset.size):
-                key, d = divmod(key, b)
-                digits.append(d)
-            out[tuple(digits[2:])] = v
+            key //= b       # past the degree digit
+            out[tuple(key // b ** i % b for i in range(varset.size))] = v
     return out
 
 
@@ -337,7 +334,7 @@ def _macdonald_summands(variant, n, policy):
     # classical_q0 sums the key polynomials E(x; 0, 0) and the Demazure
     # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
     tcap = 0 if variant == "classical_q0" else policy.max_q_degree
-    t0, atom = e_t0_table(n, lambdas, tcap), e_atom_table(n, lambdas, tcap)
+    t0, atom = e_t0_table(lambdas, tcap), e_atom_table(lambdas, tcap)
     return [((norm_a_q(lam, tcap),), t0[lam], atom[lam]) for lam in lambdas]
 
 
@@ -543,33 +540,33 @@ def _sl_lhs_window(fibers):
 
 
 def _window_hits(table, side):
-    """{class: coefficient} of the monomials of a floor-pruned table, every
-    coefficient checked nonnegative.  The monomials of one E_lam all have
-    degree |lam|, so a class e - min(e) names one monomial: no two hits
-    share a class.  A table built with the floor of the window W holds
-    exactly the monomials whose class has degree <= W, all of them window
-    classes, so no hit is filtered out."""
+    """{sl class: coefficient} of the monomials of a floor-pruned table,
+    every coefficient checked nonnegative.  A monomial e is keyed on
+    ``restrict_weight(e)``, the class of e - min(e) 1; the monomials of one
+    E_lam all have degree |lam|, on which restrict_weight is injective, so
+    no two hits share a class.  A table built with the floor of the window
+    W holds exactly the monomials whose class has degree <= W, all of them
+    window classes, so no hit is filtered out."""
     hits = {}
     for e, c in table.items():
         if not c.is_nonnegative():
             raise InvariantError(
                 f"negative {side} coefficient; positivity broken")
-        m = min(e)
-        hits[tuple(x - m for x in e)] = c
+        hits[restrict_weight(e)] = c
     return hits
 
 
-def _sl_budget_hits(n, lam, K, W):
+def _sl_budget_hits(lam, K, W):
     """(x hits, y hits) of lam's tables E_lam(x; q, 0) and E_lam(y; q^{-1},
     oo) on the window of degree W, built under one q-budget K for both, or
     None when lam adds nothing to the sums modulo q^{K+1}.  Every decision
-    about lam is made here.
+    about lam is made here; the rank n is len(lam).
 
     The window classes are the min-zero w - min(w)*1 of degree <= W, and
     every weight of either table has |w| = |lam|, so w is in a window class
     iff min(w) >= F = ceil((|lam| - W) / n): both tables are built with
     the floor F.  Every monomial with min(w) >= F of the t = 0 table has
-    q-valuation at least c_x = ``_window_cost(lam, n, F, "t0")``, and every
+    q-valuation at least c_x = ``_window_cost(lam, F, "t0")``, and every
     one of the atom table at least c_y, its mirror.  A norm has no negative
     q-power, so an x-term of degree above K - c_y meets only y-terms of
     degree >= c_y, and their product vanishes modulo q^{K+1}.  So lam is
@@ -580,15 +577,15 @@ def _sl_budget_hits(n, lam, K, W):
     the t = 0 table has no hit.  Every summand norm * E(x) * E(y) is
     unchanged modulo q^{K+1}; coefficients above the lowered caps are not
     computed, and every computed one is checked nonnegative."""
-    floor = -((W - sum(lam)) // n)
-    cost_y = _window_cost(lam, n, floor, "atom")
-    if _window_cost(lam, n, floor, "t0") + cost_y > K:
+    floor = -((W - sum(lam)) // len(lam))
+    cost_y = _window_cost(lam, floor, "atom")
+    if _window_cost(lam, floor, "t0") + cost_y > K:
         return None
-    xhits = _window_hits(e_t0_table(n, [lam], K - cost_y, floor)[lam], "t0")
+    xhits = _window_hits(e_t0_table([lam], K - cost_y, floor)[lam], "t0")
     if not xhits:
         return None
     low = min(c.valuation() for c in xhits.values())
-    yhits = _window_hits(e_atom_table(n, [lam], K - low, floor)[lam], "atom")
+    yhits = _window_hits(e_atom_table([lam], K - low, floor)[lam], "atom")
     return (xhits, yhits) if yhits else None
 
 
@@ -606,16 +603,17 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     (``perfbench/spans.py``) looks the function up by it.
 
     Each summed lam is one summand of ``_packed_macdonald_sum``: both
-    norms and its window hits keyed on their classes, so a key of the sums
-    is rep_x + rep_y, split back into the class pair.  The tables are
-    shorter than K + 1 coefficients where the budget lowered their caps;
-    their L1 masses still bound the slots.  Nothing is filtered a second
-    time: ``pairs`` (``sl_window_pairs(n, W)``) holds every min-zero class
-    of degree <= W on both sides, so every hit is a window class, and every
-    pair of one lam's hits is in ``pairs``: a monomial e of E_lam has
-    |e| = |lam|, so its class e - min(e) 1 has degree |lam| - n min(e),
-    congruent to |lam| mod n on both sides, and ``sl_window_pairs`` holds
-    every pair of window classes whose degrees agree mod n.
+    norms and its window hits, keyed on their sl classes, so a key of the
+    sums is the sl class pair, and the sums are only unpacked.  The tables
+    are shorter than K + 1 coefficients where the budget lowered their
+    caps; their L1 masses still bound the slots.  Nothing is filtered a
+    second time: ``pairs`` (``sl_window_pairs(n, W)``) holds every
+    min-zero class of degree <= W on both sides, so every hit is a window
+    class, and every pair of one lam's hits is in ``pairs``: a monomial e
+    of E_lam has |e| = |lam|, so its class e - min(e) 1 has degree
+    |lam| - n min(e), congruent to |lam| mod n on both sides, and
+    ``sl_window_pairs`` holds every pair of window classes whose degrees
+    agree mod n.
 
     Returns (sums with the arm/leg norm, sums with the
     highest-weight-algebra norm, lambda_count), each sum {sl class: nonzero
@@ -625,7 +623,7 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     kept = []       # ((norm_a, norm_h), x hits, y hits) of each summed lam
     lambdas = sorted(min_zero_compositions_up_to(n, bound))
     for lam in lambdas:
-        hits = _sl_budget_hits(n, lam, K, W)
+        hits = _sl_budget_hits(lam, K, W)
         if hits is None:
             continue
         norms = norm_a_q(lam, K), hw_algebra_char(lam, "D").qseries(K)
@@ -633,12 +631,9 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
             raise InvariantError("negative norm coefficient; positivity broken")
         kept.append((norms,) + hits)
     packing = PackedQ(_macdonald_bound(kept), K)
-    by_a, by_h = _packed_macdonald_sum(kept, packing) or ({}, {})
-
-    def classes(sums):
-        return {restrict_weight(key[:n]) + restrict_weight(key[n:]):
-                packing.unpack(v) for key, v in sums.items()}
-    return classes(by_a), classes(by_h), len(lambdas)
+    by_a, by_h = ({key: packing.unpack(v) for key, v in sums.items()}
+                  for sums in _packed_macdonald_sum(kept, packing) or ({}, {}))
+    return by_a, by_h, len(lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -712,8 +707,8 @@ def verify_sl2_appendix(lam_range, K):
     t_start = time.monotonic()
     lo, hi = lam_range
     lams = [(w, 0) if w > 0 else (0, -w) for w in range(lo, hi + 1)]
-    t0 = e_t0_table(2, lams, K)
-    atom = e_atom_table(2, lams, K)
+    t0 = e_t0_table(lams, K)
+    atom = e_atom_table(lams, K)
     count = 0
     witness = None
     for w, lam in zip(range(lo, hi + 1), lams):

@@ -47,9 +47,11 @@ only after an ascent in its row, and that ascent costs leg + 1, at least
 the number of cells it raises; so a filling of q-degree e raises at most e
 cells, while min(w) >= F forces some lam to raise a known number of them.
 The atom side is the mirror case, with descents and the cells they lower.
-The builders run the column program for every lam they are given; the sl
-identity reads the cost of both sides to decide which lam to build and at
-which caps (see ``identities._sl_budget_hits``).
+The builders, the cost and the engine read the rank n of lam as len(lam)
+(only ``_column_terms`` is told n: lam = 0 has no columns), so one batch
+may mix ranks.  The builders run the column program for every lam they
+are given; the sl identity reads the cost of both sides to decide which
+lam to build and at which caps (see ``identities._sl_budget_hits``).
 """
 
 from __future__ import annotations
@@ -422,12 +424,12 @@ def _column_terms(columns, n, cap, rule, floor=0):
             QSeries(cap, cs) for w, cs in by_weight.items()}
 
 
-def _window_cost(lam, n, floor, rule):
+def _window_cost(lam, floor, rule):
     """A lower bound on the q-valuation of every coefficient of x^w with
-    min(w) >= ``floor`` in the table of ``rule``, and ``math.inf`` when the
-    table has no such weight.  A table at a cap below the cost is empty
-    once pruned to the floor; ``identities._sl_budget_hits`` reads the
-    cost so as not to build it.
+    min(w) >= ``floor`` in the table of ``rule`` (in n = len(lam)
+    variables), and ``math.inf`` when the table has no such weight.  A
+    table at a cap below the cost is empty once pruned to the floor;
+    ``identities._sl_budget_hits`` reads the cost so as not to build it.
 
     Rows and values are counted from 0 here, so row v's basement value is
     v.  At t = 0 the entries of a row do not increase along it until its
@@ -448,16 +450,15 @@ def _window_cost(lam, n, floor, rule):
     for m, cells in enumerate(reversed(lam) if rule == "t0" else lam, 1):
         held += cells
         cost = max(cost, m * floor - held)
-    return math.inf if n * floor > held else cost
+    return math.inf if len(lam) * floor > held else cost
 
 
 class T0Engine:
-    """E_lam(x; q, 0) for batches of compositions, by the column program;
-    only the monomials x^w with min(w) >= ``floor`` are kept (see
-    ``_column_terms``)."""
+    """E_lam(x; q, 0) for batches of compositions, each in len(lam)
+    variables, by the column program; only the monomials x^w with min(w)
+    >= ``floor`` are kept (see ``_column_terms``)."""
 
-    def __init__(self, n, floor=0):
-        self.n = n
+    def __init__(self, floor=0):
         self.floor = floor
 
     def plan(self, targets):
@@ -470,15 +471,17 @@ class T0Engine:
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
         _, columns = self.plan(targets)
-        return {lam: _column_terms(columns[lam], self.n, cap, "t0",
+        return {lam: _column_terms(columns[lam], len(lam), cap, "t0",
                                    self.floor)
                 for lam in targets}
 
 
-def atom_terms(lam, n, cap, floor=0):
-    """E_lam(x; q^{-1}, oo) modulo q^{cap+1}, by the column program; only
-    the monomials x^w with min(w) >= ``floor`` are kept."""
-    return _column_terms(_columns(_as_tuple(lam)), n, cap, "atom", floor)
+def atom_terms(lam, cap, floor=0):
+    """E_lam(x; q^{-1}, oo) modulo q^{cap+1} in len(lam) variables, by the
+    column program; only the monomials x^w with min(w) >= ``floor`` are
+    kept."""
+    lam = _as_tuple(lam)
+    return _column_terms(_columns(lam), len(lam), cap, "atom", floor)
 
 
 # ---------------------------------------------------------------------------
@@ -810,17 +813,16 @@ def _compositions(lams):
     return lams
 
 
-def e_t0_table(n, lams, cap, floor=0):
-    """{lam: {exps: QSeries}} of t = 0 specializations; only the monomials
-    x^w with min(w) >= ``floor``."""
-    return T0Engine(n, floor).batch(_compositions(lams), cap)
+def e_t0_table(lams, cap, floor=0):
+    """{lam: {exps: QSeries}} of t = 0 specializations, each in len(lam)
+    variables; only the monomials x^w with min(w) >= ``floor``."""
+    return T0Engine(floor).batch(_compositions(lams), cap)
 
 
-def e_atom_table(n, lams, cap, floor=0):
-    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations; only the
-    monomials x^w with min(w) >= ``floor``."""
-    return {lam: atom_terms(lam, n, cap, floor)
-            for lam in _compositions(lams)}
+def e_atom_table(lams, cap, floor=0):
+    """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, each in
+    len(lam) variables; only the monomials x^w with min(w) >= ``floor``."""
+    return {lam: atom_terms(lam, cap, floor) for lam in _compositions(lams)}
 
 
 def restrict_poly_terms(terms):

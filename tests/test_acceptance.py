@@ -166,7 +166,7 @@ def test_ac11_property_suites():
         cf_t0, cf_atom, _ = sl2_closed_forms(w, 12)
         got_t0, got_atom = (
             {e[0]: QPoly(c.coeffs) for e, c in restrict_poly_terms(
-                table(2, [lam], exact_cap(lam))[lam]).items()}
+                table([lam], exact_cap(lam))[lam]).items()}
             for table in (e_t0_table, e_atom_table))
         ok = ok and got_t0 == cf_t0 and got_atom == cf_atom
     report_line("AC11 positivity/homogeneity/stability/restriction suites",

@@ -155,13 +155,13 @@ def _rhs_by_qseries(variant, n, policy, norm=norm_a_q):
     K = policy.max_q_degree
     terms = {}
     if variant == "classical_q0":
-        t0, atom = e_t0_table(n, lambdas, 0), e_atom_table(n, lambdas, 0)
+        t0, atom = e_t0_table(lambdas, 0), e_atom_table(lambdas, 0)
         norms = {lam: QSeries(K, norm(lam, 0).coeffs) for lam in lambdas}
         t0 = {lam: {e: c[0] for e, c in t0[lam].items()} for lam in lambdas}
         atom = {lam: {e: c[0] for e, c in atom[lam].items()}
                 for lam in lambdas}
     else:
-        t0, atom = e_t0_table(n, lambdas, K), e_atom_table(n, lambdas, K)
+        t0, atom = e_t0_table(lambdas, K), e_atom_table(lambdas, K)
         norms = {lam: norm(lam, K) for lam in lambdas}
     for lam in lambdas:
         for ex, cx in t0[lam].items():
@@ -449,23 +449,24 @@ def test_packed_sum_of_no_summands():
 
 
 def test_window_hits_pair_up_in_window():
-    # the sl Macdonald side keys rep_x + rep_y with no filter of its own:
-    # every class of one lam's window hits is a window class, and every (x
-    # class, y class) pair of them is a window pair, for every lam up to
-    # the certified box
+    # the sl Macdonald side keys its sums on the sl class pairs of the hits
+    # with no filter of its own: every class of one lam's window hits is a
+    # window class, and every (x class, y class) pair of them is a window
+    # pair, for every lam up to the certified box
     K = 1
     for n in range(1, 5):
         for w in range(4):
             pairs = sl_window_pairs(n, w)
-            pair_set = set(pairs)
-            reps = {a for a, _ in pairs}
+            pair_set = {(restrict_weight(a), restrict_weight(b))
+                        for a, b in pairs}
+            reps = {a for a, _ in pair_set}
             _, box, _ = sl_certificate(n, pairs, K)
             for lam in min_zero_compositions_up_to(n, box):
                 floor = window_floor(lam, n, w)
-                xs = _window_hits(e_t0_table(n, [lam], K, floor)[lam], "t0")
+                xs = _window_hits(e_t0_table([lam], K, floor)[lam], "t0")
                 if not xs:
                     continue        # no pair; the atom table is not needed
-                ys = _window_hits(e_atom_table(n, [lam], K, floor)[lam],
+                ys = _window_hits(e_atom_table([lam], K, floor)[lam],
                                   "atom")
                 assert set(xs) <= reps and set(ys) <= reps, (n, w, lam)
                 for a in xs:
@@ -487,8 +488,8 @@ def _summand(lam, K, hits):
 def _full_cap_hits(n, lam, K, w):
     # the oracle of the shared budget: both tables built at cap K
     floor = window_floor(lam, n, w)
-    return (_window_hits(e_t0_table(n, [lam], K, floor)[lam], "t0"),
-            _window_hits(e_atom_table(n, [lam], K, floor)[lam], "atom"))
+    return (_window_hits(e_t0_table([lam], K, floor)[lam], "t0"),
+            _window_hits(e_atom_table([lam], K, floor)[lam], "atom"))
 
 
 # (n, W, K) of the exhaustive oracle: every point with n <= 2, and at
@@ -510,7 +511,7 @@ def test_shared_budget_keeps_every_summand():
         _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             full = _full_cap_hits(n, lam, K, w)
-            shared = _sl_budget_hits(n, lam, K, w)
+            shared = _sl_budget_hits(lam, K, w)
             assert _summand(lam, K, shared) == _summand(lam, K, full), \
                 (n, w, K, lam)
             skipped += shared is None and all(full)
@@ -536,10 +537,10 @@ def test_budget_skips_run_no_column_program(monkeypatch):
         _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             floor = window_floor(lam, n, w)
-            cost_x = _window_cost(lam, n, floor, "t0")
-            cost_y = _window_cost(lam, n, floor, "atom")
+            cost_x = _window_cost(lam, floor, "t0")
+            cost_y = _window_cost(lam, floor, "atom")
             runs.clear()
-            _sl_budget_hits(n, lam, K, w)
+            _sl_budget_hits(lam, K, w)
             assert all(columns == _columns(lam) for _, columns, _ in runs)
             rules = [rule for rule, _, _ in runs]
             case = (n, w, K, lam)
@@ -563,15 +564,15 @@ def test_budget_skips_lambda_without_t0_hit(monkeypatch):
     # directly: an empty t = 0 table skips lam, and no atom table is built
     n, lam, K, w = 2, (1, 0), 2, 1
     floor = window_floor(lam, n, w)
-    assert (_window_cost(lam, n, floor, "t0")
-            + _window_cost(lam, n, floor, "atom")) <= K
+    assert (_window_cost(lam, floor, "t0")
+            + _window_cost(lam, floor, "atom")) <= K
 
     def no_atom(*args):
         raise AssertionError("atom table built without a t = 0 hit")
     monkeypatch.setattr(identities, "e_t0_table",
-                        lambda n, lams, cap, floor: {lam: {} for lam in lams})
+                        lambda lams, cap, floor: {lam: {} for lam in lams})
     monkeypatch.setattr(identities, "e_atom_table", no_atom)
-    assert _sl_budget_hits(n, lam, K, w) is None
+    assert _sl_budget_hits(lam, K, w) is None
 
 
 def test_norms_only_for_summed_lambda(monkeypatch):
@@ -580,7 +581,7 @@ def test_norms_only_for_summed_lambda(monkeypatch):
     n, w, K = 3, 2, 2
     pairs = sl_window_pairs(n, w)
     _, box, _ = sl_certificate(n, pairs, K)
-    summed = sum(_sl_budget_hits(n, lam, K, w) is not None
+    summed = sum(_sl_budget_hits(lam, K, w) is not None
                  for lam in min_zero_compositions_up_to(n, box))
     calls = {"norm_a_q": 0, "hw_algebra_char": 0}
     for name in calls:
@@ -608,7 +609,7 @@ def _budget_cases(draw):
 @given(_budget_cases())
 def test_shared_budget_keeps_every_summand_property(case):
     n, lam, w, K = case
-    assert _summand(lam, K, _sl_budget_hits(n, lam, K, w)) == \
+    assert _summand(lam, K, _sl_budget_hits(lam, K, w)) == \
         _summand(lam, K, _full_cap_hits(n, lam, K, w)), case
 
 
@@ -644,7 +645,8 @@ def _sl_macdonald_by_qseries(n, w, K, box, norms):
     K, every pair of their window hits that is a window pair, keyed on sl
     classes, zero sums dropped.  The oracle of _sl_rhs_adaptive's budget,
     skips and packed sums."""
-    pair_set = set(sl_window_pairs(n, w))
+    pair_set = {(restrict_weight(a), restrict_weight(b))
+                for a, b in sl_window_pairs(n, w)}
     sums = [{} for _ in norms]
     for lam in min_zero_compositions_up_to(n, box):
         xs, ys = _full_cap_hits(n, lam, K, w)
@@ -655,8 +657,8 @@ def _sl_macdonald_by_qseries(n, w, K, box, norms):
                     if (a, b) in pair_set:
                         c = a_lam * cx * cy
                         acc[a, b] = acc[a, b] + c if (a, b) in acc else c
-    return [{restrict_weight(a) + restrict_weight(b): c
-             for (a, b), c in acc.items() if not c.is_zero} for acc in sums]
+    return [{a + b: c for (a, b), c in acc.items() if not c.is_zero}
+            for acc in sums]
 
 
 # injected into the identities namespace: none, a norm + 1, a character + q

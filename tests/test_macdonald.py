@@ -154,7 +154,7 @@ class TestSpecializations:
                 E = macdonald_E(lam, n)
                 cap = exact_cap(lam)
                 for table, mode in TABLES:
-                    got = table(n, [lam], cap)[lam]
+                    got = table([lam], cap)[lam]
                     assert {e: QPoly(c.coeffs) for e, c in got.items()} == \
                         specialize_E(E, mode).terms, (lam, mode)
 
@@ -165,11 +165,11 @@ class TestSpecializations:
             for lam in compositions_up_to(n, 5):
                 top = exact_cap(lam)
                 for table, _ in TABLES:
-                    exact = table(n, [lam], top)[lam]
+                    exact = table([lam], top)[lam]
                     for cap in range(top + 1):
                         want = {e: c.truncate(cap) for e, c in exact.items()}
                         want = {e: c for e, c in want.items() if not c.is_zero}
-                        assert table(n, [lam], cap)[lam] == want, (lam, cap)
+                        assert table([lam], cap)[lam] == want, (lam, cap)
 
 
 SMALL_COMPOSITIONS = [(n, lam) for n in (1, 2, 3)
@@ -185,7 +185,7 @@ def test_tables_match_specialize_property(case, cap):
         want = {e: QSeries.from_qpoly(c, cap)
                 for e, c in specialize_E(E, mode).terms.items()}
         want = {e: c for e, c in want.items() if not c.is_zero}
-        assert table(n, [lam], cap)[lam] == want, (lam, cap, mode)
+        assert table([lam], cap)[lam] == want, (lam, cap, mode)
 
 
 def _in_window(table, n, window):
@@ -208,13 +208,13 @@ def test_window_tables_match_restricted_tables():
         lams = sorted(compositions_up_to(n, size))
         for cap in (0, 2, 4):
             for table, _ in TABLES:
-                full = table(n, lams, cap)
+                full = table(lams, cap)
                 for lam in lams:
                     for floor in (-1, 0):
-                        assert table(n, [lam], cap, floor)[lam] == full[lam]
-                    assert table(n, [lam], cap, sum(lam) // n + 1)[lam] == {}
+                        assert table([lam], cap, floor)[lam] == full[lam]
+                    assert table([lam], cap, sum(lam) // n + 1)[lam] == {}
                     for window in range(4):
-                        pruned = table(n, [lam], cap,
+                        pruned = table([lam], cap,
                                        window_floor(lam, n, window))[lam]
                         want = _in_window(full[lam], n, window)
                         assert pruned == want, \
@@ -229,8 +229,8 @@ def test_window_tables_property(case, window, cap):
     n, lam = case
     floor = window_floor(lam, n, window)
     for table, _ in TABLES:
-        want = _in_window(table(n, [lam], cap)[lam], n, window)
-        assert table(n, [lam], cap, floor)[lam] == want, (lam, window, cap)
+        want = _in_window(table([lam], cap)[lam], n, window)
+        assert table([lam], cap, floor)[lam] == want, (lam, window, cap)
 
 
 def test_window_cost_bounds_window_valuations():
@@ -242,12 +242,12 @@ def test_window_cost_bounds_window_valuations():
         lams = sorted(compositions_up_to(n, size))
         for cap in range(4):
             for table, rule in ((e_t0_table, "t0"), (e_atom_table, "atom")):
-                full = table(n, lams, cap)
+                full = table(lams, cap)
                 for window in range(4):
                     for lam in lams:
                         cases += 1
                         floor = window_floor(lam, n, window)
-                        cost = _window_cost(lam, n, floor, rule)
+                        cost = _window_cost(lam, floor, rule)
                         assert all(c.valuation() >= cost
                                    for w, c in full[lam].items()
                                    if min(w) >= floor), \
@@ -261,7 +261,21 @@ def test_window_cost_bounds_window_valuations():
     lam = (0, 1, 1, 1)
     assert window_floor(lam, 4, 1) == 1
     assert [(4 - v) - sum(lam[v:]) for v in range(1, 4)] == [0, 0, 0]
-    assert _window_cost(lam, 4, 1, "t0") == math.inf
+    assert _window_cost(lam, 1, "t0") == math.inf
+
+
+def test_tables_read_rank_from_each_lambda():
+    # one batch mixing ranks 2 and 3 (the zero compositions included, which
+    # have no columns): every lam's table has len(lam)-entry weights and
+    # equals the table of lam built alone
+    lams = [(1, 2), (0, 1, 2), (0, 0), (2, 0), (1, 0, 1), (0, 0, 0)]
+    for table, _ in TABLES:
+        for cap in (0, 3):
+            batch = table(lams, cap)
+            for lam in lams:
+                assert batch[lam] and all(len(w) == len(lam)
+                                          for w in batch[lam]), (lam, cap)
+                assert batch[lam] == table([lam], cap)[lam], (lam, cap)
 
 
 class TestNorms:
@@ -321,7 +335,7 @@ def rank_one_tables(lam):
     restricted to sl_2: two {X-exponent: QPoly} maps."""
     cap = exact_cap(lam)
     return tuple({e[0]: QPoly(c.coeffs) for e, c in
-                  restrict_poly_terms(table(2, [lam], cap)[lam]).items()}
+                  restrict_poly_terms(table([lam], cap)[lam]).items()}
                  for table in (e_t0_table, e_atom_table))
 
 
@@ -377,8 +391,8 @@ def test_classical_tables_match_corner_specializations(n):
     # classical_q0 identity uses, are the key polynomials E(x; 0, 0) and
     # the Demazure atoms E(x; oo, oo)
     lams = list(compositions_up_to(n, 4))
-    t0 = e_t0_table(n, lams, 0)
-    atom = e_atom_table(n, lams, 0)
+    t0 = e_t0_table(lams, 0)
+    atom = e_atom_table(lams, 0)
     for lam in lams:
         E = macdonald_E(lam, n)
         assert {e: c[0] for e, c in t0[lam].items()} == \

@@ -3,14 +3,17 @@ wraps qcauchy functions by name, so a renamed or removed function must fail
 here and not in every traced benchmark operation; the benchmark's own
 self-tests must pass; every benchmark request must print its recorded
 bytes; the demos must run; the exact (q, t) query commands must not
-reach the general gcd; and no module keeps an import it does not use."""
+reach the general gcd; no module keeps an import it does not use; and
+every top-level name of a module is read somewhere."""
 
 import ast
+import functools
 import glob
 import hashlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -139,14 +142,85 @@ def _unused_imports(path):
     return sorted(imported - read)
 
 
-@pytest.mark.parametrize("module", sorted(
-    os.path.basename(p) for p in glob.glob(
-        os.path.join(ROOT, "src", "qcauchy", "*.py"))
-    if not p.endswith("__init__.py")))
+# the modules of the package but __init__.py, which imports to re-export
+SOURCES = sorted(os.path.basename(p) for p in glob.glob(
+    os.path.join(ROOT, "src", "qcauchy", "*.py"))
+    if not p.endswith("__init__.py"))
+
+
+@pytest.mark.parametrize("module", SOURCES)
 def test_no_unused_imports(module):
-    # __init__.py imports to re-export, so it is left out
     path = os.path.join(ROOT, "src", "qcauchy", module)
     assert _unused_imports(path) == []
+
+
+def _module_names(tree):
+    """{name: (first line, last line)} of a module's top-level functions,
+    classes and assigned constants."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names[node.name] = (node.lineno, node.end_lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names[leaf.id] = (node.lineno, node.end_lineno)
+    return names
+
+
+def _name_reads(tree, exports):
+    """(name, line) of every read in a module: a loaded name, an attribute,
+    a component of a dotted string (the tracer looks functions up by such
+    strings), or, with ``exports``, a name the module imports (the package
+    ``__init__`` re-exports the public API)."""
+    for node in ast.walk(tree):
+        if exports and isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+READ_FROM = ("src/qcauchy", "tests", "demos", "perfbench", "perfbench/tests")
+
+
+@functools.lru_cache(maxsize=None)
+def _reads():
+    """{name: {(path, line), ...}} over every Python file the program, its
+    tests, demos and benchmark read names from."""
+    reads = {}
+    for folder in READ_FROM:
+        for path in glob.glob(os.path.join(ROOT, folder, "*.py")):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            exports = path == os.path.join(ROOT, "src", "qcauchy",
+                                           "__init__.py")
+            for name, line in _name_reads(tree, exports):
+                reads.setdefault(name, set()).add((path, line))
+    return reads
+
+
+@pytest.mark.parametrize("module", SOURCES)
+def test_no_unreferenced_names(module):
+    # every top-level function, class and constant of a module is read
+    # somewhere outside its own definition: in the program, its tests, the
+    # demos or the benchmark
+    path = os.path.join(ROOT, "src", "qcauchy", module)
+    with open(path) as fh:
+        names = _module_names(ast.parse(fh.read(), path))
+    unread = [name for name, (first, last) in sorted(names.items())
+              if not any(where != path or not first <= line <= last
+                         for where, line in _reads().get(name, ()))]
+    assert unread == []
 
 
 def test_benchmark_requests_match_expected_digests(capsys):
@@ -189,6 +263,18 @@ def test_demos_run(demo):
         [sys.executable, os.path.join(DEMOS, demo)],
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # stdout a pipe whose read end is already closed: the demo dies of
+    # SIGPIPE, as a shell tool does, and prints no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, os.path.join(DEMOS, demo)], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE, proc.stderr
     assert "Traceback" not in proc.stderr
 
 
