@@ -8,7 +8,8 @@ Characters are carried as truncated series in the sl Laurent variables
 * kind 'A_D', 'A_U' -- Hilbert series of the highest-weight algebras,
 * kind 'T'   -- the product ch(A_D) * ch(D) * ch(Uo), one Macdonald
                 summand with the A_D series as its norm, summed on
-                ``PackedQ`` integers by ``identities._packed_macdonald_sum``.
+                ``PackedQ`` integers by ``identities._packed_macdonald_sum``
+                from tables packed by the column program.
 
 The function-space character of the Iwahori subgroup is the product
 
@@ -24,7 +25,8 @@ from __future__ import annotations
 import time
 
 from .exact import ExactError, PackedQ
-from .macdonald import e_atom_table, e_t0_table, restrict_poly_terms
+from .macdonald import (_columns, _exponents, _fillings_bound, e_atom_table,
+                        e_t0_table, packed_tables, restrict_poly_terms)
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
 from .identities import (VerificationReport, _macdonald_bound,
@@ -87,17 +89,23 @@ def char_module(kind, lam, policy, lattice="sl"):
         # |exponent|) is over its block's cap is dropped before multiplying;
         # every key of the sum is then an in-policy x-key joined to an
         # in-policy y-key, and the kernel drops the zero sums
-        t0 = e_t0_table([lam], cap)[lam]
-        atom = e_atom_table([lam], cap)[lam]
+        # the slot width is fixed first, from lam's columns; the tables
+        # then come packed at it from the column program
+        norms = (algebra_series("D"),)
+        fills = _fillings_bound(_columns(lam), n)
+        packing = PackedQ(_macdonald_bound([(norms, fills, fills)]), cap)
+        bits = sum(lam).bit_length() + 1
+        t0, atom = ({_exponents(code, n, bits): v
+                     for code, v in packed_tables(
+                         [lam], cap, rule, packing.width, bits)[lam].items()}
+                    for rule in ("t0", "atom"))
         if restrict:
             t0, atom = restrict_poly_terms(t0), restrict_poly_terms(atom)
         xs = {e: c for e, c in t0.items()
               if sum(map(abs, e)) <= policy.max_x_degree}
         ys = {e: c for e, c in atom.items()
               if sum(map(abs, e)) <= policy.max_y_degree}
-        summand = ((algebra_series("D"),), xs, ys)
-        packing = PackedQ(_macdonald_bound([summand]), cap)
-        sums, = _packed_macdonald_sum([summand], packing)
+        sums, = _packed_macdonald_sum([(norms, xs, ys)], packing)
         return TruncatedSeries(varset, policy, {
             e: packing.unpack(v) for e, v in sums.items()}, _checked=True)
     raise ExactError(f"unknown module kind {kind!r}")

@@ -119,9 +119,9 @@ def cmd_macdonald(args):
     if args.max_q is not None and mode not in ("t0", "qinv_tinf"):
         raise UsageError(f"--spec {args.spec} is exact; drop --max-q")
     if mode == "generic":
-        terms = macdonald_E(lam, args.n).terms
+        terms = macdonald_E(lam).terms
     elif mode == "qt_inv":
-        terms = specialize_E(macdonald_E(lam, args.n), mode).terms
+        terms = specialize_E(macdonald_E(lam), mode).terms
     else:
         table = e_t0_table if mode in ("t0", "q0_t0") else e_atom_table
         if mode in ("q0_t0", "qinf_tinf"):

@@ -47,13 +47,19 @@ integers modulo 2^{B (cap + 1)} that kills q^{cap + 1}, so intermediate
 values need no bound; B = bound.bit_length() + 2 for a bound on every
 coefficient unpacked or compared, from L1 masses (sum of |coefficient|):
 ``_product_bound`` on the product side, ``_macdonald_bound`` on a Macdonald
-side (gl and sl) and on ch T (``characters``), the one summand
-A_D * E_lam(x) * E_lam(y), which ``_packed_macdonald_sum`` sums too.
-``verify_identity`` packs both gl sides at the larger bound, compares
-masked ints and unpacks only the witness.  Every summand
-norm * E_lam(x) * E_lam(y) of a Macdonald sum is accumulated by the one
-kernel ``_pair_product_series``, which sees only packed ints and gl_qt's
-exact (q, t) scalars.
+side and on ch T (``characters``), the one summand A_D * E_lam(x) *
+E_lam(y), which ``_packed_macdonald_sum`` sums too.  The sl side reads the
+masses of its tables.  The gl sides and ch T read a bound off lam's
+columns, F(lam) (``macdonald._fillings_bound``), so they fix B before any
+table is built, and take their tables packed at B straight from the
+column program.  A gl monomial x^a y^b is one integer code, the 2n
+exponents as digits (``_code_bits``), on both sides: the product side
+drops a degree digit with one shift, and the Macdonald side adds an
+x-code to a shifted y-code.  ``verify_identity`` compares masked ints on
+these codes, and decodes a code to its exponents, and unpacks a value,
+only for the witness.  Every summand norm * E_lam(x) * E_lam(y) of a
+Macdonald sum is accumulated by the one kernel ``_pair_product_series``,
+which sees only packed ints and gl_qt's exact (q, t) scalars.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ from bisect import bisect_left
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
                     qq_pochhammer_poly)
-from .macdonald import (_window_cost, e_atom_table, e_t0_table,
-                        generic_engine, norm_a_q, norm_a_qt, sl2_closed_forms,
+from .macdonald import (_columns, _exponents, _fillings_bound, _window_cost,
+                        e_atom_table, e_t0_table, generic_engine, norm_a_q,
+                        norm_a_qt, packed_tables, sl2_closed_forms,
                         restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
@@ -145,10 +152,19 @@ def _product_bound(varset, policy, factors):
     return max(graded)
 
 
+def _code_bits(policy):
+    """The digit width of the integer monomial codes of the q-series gl
+    sides (see ``macdonald._exponents``): 2^(bits - 1) exceeds top =
+    min(Dx, Dy), which bounds every exponent and degree of a term, and |lam|
+    for every summand, as the column program needs."""
+    return min(policy.max_x_degree, policy.max_y_degree).bit_length() + 1
+
+
 def _packed_product(varset, policy, factors, packing):
     """The product of the factors sum_k cs[k] mono^k, given as (mono, cs)
-    with integer QSeries cs[k], on packed q-series: {exps: masked int},
-    zero coefficients dropped.
+    with integer QSeries cs[k], on packed q-series: {monomial code: masked
+    int}, zero coefficients dropped, the code of x^a y^b holding the 2n
+    exponents a, b as digits of ``_code_bits`` bits, the lowest first.
 
     Every mono has equal x- and y-degree, as x_i y_j and x_1..x_n y_1..y_n
     do, so every term has too, and the policy bounds both by one degree,
@@ -157,15 +173,16 @@ def _packed_product(varset, policy, factors, packing):
     bound on the output coefficients only (``_product_bound``)."""
     mask = packing.mask
     top = min(policy.max_x_degree, policy.max_y_degree)
-    # a monomial is keyed on the integer with base-b digits (degree,
-    # exponents): a product of monomials is a sum of keys, and the degree
-    # is the low digit.  No digit reaches b.
-    b = top + 1
+    # while multiplying, a monomial's key holds its degree as a digit below
+    # the exponents: a product of monomials is a sum of keys, and no digit
+    # reaches 2^bits.  One shift drops the degree digit at the end.
+    bits = _code_bits(policy)
+    digit = (1 << bits) - 1
 
     def encode(exps):
         key = 0
         for d in reversed((varset.block_degrees(exps)[0],) + exps):
-            key = key * b + d
+            key = (key << bits) + d
         return key
 
     terms = {0: 1}
@@ -175,19 +192,13 @@ def _packed_product(varset, policy, factors, packing):
         packed = [packing.pack(c.coeffs) for c in cs]
         new = {}
         for key, v in terms.items():
-            room = (top - key % b) // g
+            room = (top - (key & digit)) // g
             for p in packed[: room + 1]:
                 if p:
                     new[key] = new.get(key, 0) + (v * p & mask)
                 key += step
         terms = new
-    out = {}
-    for key, v in terms.items():
-        v &= mask
-        if v:
-            key //= b       # past the degree digit
-            out[tuple(key // b ** i % b for i in range(varset.size))] = v
-    return out
+    return {key >> bits: m for key, v in terms.items() if (m := v & mask)}
 
 
 def _q_binomial_coeffs(top, cap):
@@ -263,8 +274,10 @@ def lhs_series(variant, n, policy):
     if variant != "gl_qt":
         packing = PackedQ(_product_bound(varset, policy, factors),
                           policy.max_q_degree)
+        bits = _code_bits(policy)
         return TruncatedSeries(varset, policy, {
-            e: packing.unpack(v) for e, v in
+            _exponents(code, varset.size, bits): packing.unpack(v)
+            for code, v in
             _packed_product(varset, policy, factors, packing).items()},
             _checked=True)
     result = TruncatedSeries.constant(varset, policy, QTRational.one())
@@ -289,31 +302,41 @@ def _pair_product_series(out, xterms, yterms, norm):
             out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
+def _table_mass(table):
+    """The L1 mass of a table of integer QSeries: the sum of |coefficient|
+    over its entries."""
+    return sum(l1_mass(c.coeffs) for c in table.values())
+
+
 def _macdonald_bound(summands):
     """A bound on every coefficient of ``_packed_macdonald_sum``'s sums:
-    sum max_i L1(norms[i]) L1(x-table) L1(y-table) over the summands, the
-    L1 mass of a table summing |coefficient| over its entries.  A key
-    splits into one x- and one y-key, so no slot of a sum exceeds it."""
-    def mass(table):
-        return sum(l1_mass(c.coeffs) for c in table.values())
-    return sum(max(l1_mass(norm.coeffs) for norm in norms)
-               * mass(xtable) * mass(ytable)
-               for norms, xtable, ytable in summands)
+    sum max_i L1(norms[i]) X Y over the summands (norms, X, Y), X and Y
+    bounds on the L1 masses of the x- and y-table.  A key splits into one
+    x- and one y-key, so no slot of a sum exceeds it.  The sl side reads
+    the masses of its tables (``_table_mass``); a caller that fixes the
+    width before building any table reads the bound F(lam) of
+    ``macdonald._fillings_bound`` off lam's columns, for both tables."""
+    return sum(max(l1_mass(norm.coeffs) for norm in norms) * xmass * ymass
+               for norms, xmass, ymass in summands)
+
+
+def _pack_table(table, packing):
+    """{key: packed int} of a table of integer QSeries."""
+    return {e: packing.pack(c.coeffs) for e, c in table.items()}
 
 
 def _packed_macdonald_sum(summands, packing):
-    """The sums over ``summands``, a list of (norms, x-table, y-table) of
-    integer QSeries, of norms[i] * E(x) * E(y): one {x-key + y-key: masked
-    int} per norm position, zero sums dropped ([] for no summands).
+    """The sums over ``summands``, a list of (norms, x-table, y-table) with
+    integer QSeries norms and tables of packed ints, of norms[i] * E(x) *
+    E(y): one {x-key + y-key: masked int} per norm position, zero sums
+    dropped ([] for no summands).
 
-    Each table entry and each norm is packed once, and every norm runs
-    ``_pair_product_series`` on the same packed tables, untruncated;
-    ``packing`` needs a bound on the sums (``_macdonald_bound``)."""
+    Each norm is packed once, and every norm runs ``_pair_product_series``
+    on the same packed tables, untruncated; ``packing`` needs a bound on
+    the sums (``_macdonald_bound``)."""
     pack, mask = packing.pack, packing.mask
     sums = [{} for _ in summands[0][0]] if summands else []
-    for norms, xtable, ytable in summands:
-        xs = {e: pack(c.coeffs) for e, c in xtable.items()}
-        ys = {e: pack(c.coeffs) for e, c in ytable.items()}
+    for norms, xs, ys in summands:
         for acc, norm in zip(sums, norms):
             _pair_product_series(acc, xs, ys, pack(norm.coeffs))
     return [{key: m for key, v in acc.items() if (m := v & mask)}
@@ -327,15 +350,35 @@ def _rhs_lambdas(variant, n, policy):
     return sorted(compositions_up_to(n, bound))
 
 
-def _macdonald_summands(variant, n, policy):
-    """The summands ((norm,), t = 0 table, atom table) of a q-series gl
-    variant's Macdonald side, one per composition of ``_rhs_lambdas``."""
+def _macdonald_side(variant, n, policy, bound=0):
+    """(packing, sums, summand count) of a q-series gl variant's Macdonald
+    side, one summand (norm,) * E(x) * E(y) per composition of
+    ``_rhs_lambdas``: sums maps the monomial codes of ``_packed_product``
+    to masked ints, zero sums dropped.
+
+    The ``PackedQ`` is fixed before any table is built, at the larger of
+    ``bound`` and ``_macdonald_bound`` with the masses F(lam) of
+    ``_fillings_bound``, read off lam's columns.  The tables then come
+    from the column program packed at its width (``packed_tables``),
+    keyed on codes of ``_code_bits`` bits, the y-tables' shifted past the
+    n x-digits, so that x-key + y-key is the code of x^a y^b.  The norms
+    are the only values packed here."""
     lambdas = _rhs_lambdas(variant, n, policy)
     # classical_q0 sums the key polynomials E(x; 0, 0) and the Demazure
     # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
     tcap = 0 if variant == "classical_q0" else policy.max_q_degree
-    t0, atom = e_t0_table(lambdas, tcap), e_atom_table(lambdas, tcap)
-    return [((norm_a_q(lam, tcap),), t0[lam], atom[lam]) for lam in lambdas]
+    norms = [(norm_a_q(lam, tcap),) for lam in lambdas]
+    fills = [_fillings_bound(_columns(lam), n) for lam in lambdas]
+    packing = PackedQ(max(bound, _macdonald_bound(zip(norms, fills, fills))),
+                      policy.max_q_degree)
+    bits = _code_bits(policy)
+    t0, atom = (packed_tables(lambdas, tcap, rule, packing.width, bits)
+                for rule in ("t0", "atom"))
+    shift = bits * n
+    sums, = _packed_macdonald_sum([
+        (norm, t0[lam], {code << shift: v for code, v in atom[lam].items()})
+        for norm, lam in zip(norms, lambdas)], packing)
+    return packing, sums, len(lambdas)
 
 
 def rhs_series(variant, n, policy):
@@ -344,9 +387,8 @@ def rhs_series(variant, n, policy):
 
     E_lam has degree |lam| <= min(Dx, Dy), so every summand lies within the
     policy; the terms of all summands go into one dict.  The q-series
-    variants sum ``_macdonald_summands`` by ``_packed_macdonald_sum`` and
-    unpack; ``gl_qt`` sums exact (q, t) scalars by the same kernel,
-    ``_pair_product_series``."""
+    variants sum on packed ints (``_macdonald_side``) and unpack; ``gl_qt``
+    sums exact (q, t) scalars by the same kernel, ``_pair_product_series``."""
     if variant == "gl_qt":
         terms = {}
         eng = generic_engine(n)
@@ -355,10 +397,10 @@ def rhs_series(variant, n, policy):
             yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
             _pair_product_series(terms, xt, yt, norm_a_qt(lam))
     elif variant in ("gl_t0", "gl_slform", "iwahori_char", "classical_q0"):
-        summands = _macdonald_summands(variant, n, policy)
-        packing = PackedQ(_macdonald_bound(summands), policy.max_q_degree)
-        sums, = _packed_macdonald_sum(summands, packing)
-        terms = {e: packing.unpack(v) for e, v in sums.items()}
+        packing, sums, _ = _macdonald_side(variant, n, policy)
+        bits = _code_bits(policy)
+        terms = {_exponents(code, 2 * n, bits): packing.unpack(v)
+                 for code, v in sums.items()}
     else:
         raise ExactError(f"no Macdonald side for variant {variant!r}")
     return TruncatedSeries(VariableSet.gl(n), policy, terms, _checked=True)
@@ -453,9 +495,12 @@ def sl_certificate(n, pairs, K):
     factors = [(tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
                for i in range(n) for j in range(n)]
     packing = PackedQ(_product_bound(varset, policy, factors), K)
-    margins = [(exps[:n], exps[n:], sum(exps[:n]), packing.unpack(w).coeffs)
-               for exps, w in
-               _packed_product(varset, policy, factors, packing).items()]
+    bits = _code_bits(policy)
+    margins = []
+    for code, w in _packed_product(varset, policy, factors, packing).items():
+        exps = _exponents(code, 2 * n, bits)
+        margins.append((exps[:n], exps[n:], sum(exps[:n]),
+                        packing.unpack(w).coeffs))
     kostant = {}    # c -> the x-side sums of its Kostant solutions
     kmax = {pair: -1 for pair in pairs}
     fibers = {}
@@ -603,17 +648,17 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     (``perfbench/spans.py``) looks the function up by it.
 
     Each summed lam is one summand of ``_packed_macdonald_sum``: both
-    norms and its window hits, keyed on their sl classes, so a key of the
-    sums is the sl class pair, and the sums are only unpacked.  The tables
-    are shorter than K + 1 coefficients where the budget lowered their
-    caps; their L1 masses still bound the slots.  Nothing is filtered a
-    second time: ``pairs`` (``sl_window_pairs(n, W)``) holds every
-    min-zero class of degree <= W on both sides, so every hit is a window
-    class, and every pair of one lam's hits is in ``pairs``: a monomial e
-    of E_lam has |e| = |lam|, so its class e - min(e) 1 has degree
-    |lam| - n min(e), congruent to |lam| mod n on both sides, and
-    ``sl_window_pairs`` holds every pair of window classes whose degrees
-    agree mod n.
+    norms and its window hits, keyed on their sl classes and packed, so a
+    key of the sums is the sl class pair, and the sums are only unpacked.
+    The tables are shorter than K + 1 coefficients where the budget
+    lowered their caps; their L1 masses (``_table_mass``) still bound the
+    slots.  Nothing is filtered a second time: ``pairs``
+    (``sl_window_pairs(n, W)``) holds every min-zero class of degree <= W
+    on both sides, so every hit is a window class, and every pair of one
+    lam's hits is in ``pairs``: a monomial e of E_lam has |e| = |lam|, so
+    its class e - min(e) 1 has degree |lam| - n min(e), congruent to |lam|
+    mod n on both sides, and ``sl_window_pairs`` holds every pair of window
+    classes whose degrees agree mod n.
 
     Returns (sums with the arm/leg norm, sums with the
     highest-weight-algebra norm, lambda_count), each sum {sl class: nonzero
@@ -630,9 +675,14 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
         if not all(norm.is_nonnegative() for norm in norms):
             raise InvariantError("negative norm coefficient; positivity broken")
         kept.append((norms,) + hits)
-    packing = PackedQ(_macdonald_bound(kept), K)
+    packing = PackedQ(_macdonald_bound(
+        (norms, _table_mass(xs), _table_mass(ys))
+        for norms, xs, ys in kept), K)
+    summands = [(norms, _pack_table(xs, packing), _pack_table(ys, packing))
+                for norms, xs, ys in kept]
     by_a, by_h = ({key: packing.unpack(v) for key, v in sums.items()}
-                  for sums in _packed_macdonald_sum(kept, packing) or ({}, {}))
+                  for sums in _packed_macdonald_sum(summands, packing)
+                  or ({}, {}))
     return by_a, by_h, len(lambdas)
 
 
@@ -646,9 +696,12 @@ def verify_identity(variant, n, policy):
 
     sl_projected compares ``_sl_lhs_window`` with the arm/leg-norm sums of
     ``_sl_rhs_adaptive``, then those with its other sums.  The q-series gl
-    variants pack both sides with one ``PackedQ``, at the larger of
-    ``_product_bound`` and ``_macdonald_bound``, and compare the masked
-    ints; only the witness's two values are unpacked."""
+    variants pack both sides with one ``PackedQ``, fixed by
+    ``_macdonald_side`` before any table is built at the larger of
+    ``_product_bound`` and its own bound, and compare the masked ints on
+    the integer monomial codes; ``first_difference`` decodes a code only
+    where the sides differ, and only the witness's two values are
+    unpacked."""
     t_start = time.monotonic()
     policy_dict = {"max_x_degree": policy.max_x_degree,
                    "max_y_degree": policy.max_y_degree,
@@ -683,16 +736,16 @@ def verify_identity(variant, n, policy):
         return _mk_report(variant, n, policy_dict, diff,
                           len(_rhs_lambdas(variant, n, policy)), t_start)
     factors = _product_factors(variant, n, policy)
-    summands = _macdonald_summands(variant, n, policy)
-    packing = PackedQ(max(_product_bound(varset, policy, factors),
-                          _macdonald_bound(summands)), policy.max_q_degree)
+    packing, rhs, count = _macdonald_side(
+        variant, n, policy, _product_bound(varset, policy, factors))
     lhs = _packed_product(varset, policy, factors, packing)
-    rhs, = _packed_macdonald_sum(summands, packing)
-    diff = first_difference(varset, lhs, rhs)
+    bits = _code_bits(policy)
+    diff = first_difference(
+        varset, lhs, rhs, lambda code: _exponents(code, varset.size, bits))
     if diff:
         diff = diff[:1] + tuple(None if v is None else packing.unpack(v)
                                 for v in diff[1:])
-    return _mk_report(variant, n, policy_dict, diff, len(summands), t_start)
+    return _mk_report(variant, n, policy_dict, diff, count, t_start)
 
 
 def _nonzero_series(terms, K):

@@ -30,12 +30,16 @@ arithmetic; reduced QTRational coefficients are produced on demand, by
 trial division over the binomials' cyclotomic factors.
 
 The t = 0 and (q^{-1}, infinity) specializations, and their q^0 corners,
-have one production path each: ``e_t0_table`` (``T0Engine``) and
-``e_atom_table`` (``atom_terms``), two rules of one dynamic program over
-the columns of the fillings formula, ``_column_terms``.  They serve the
-identities, the characters, the rank-one suite and the command line;
-``specialize_E`` of the exact ``macdonald_E``, which comes from the
-intertwiner recursion and not from fillings, is kept as their test oracle.
+have one production path: two rules of one dynamic program over the
+columns of the fillings formula, ``_packed_column_terms``, which counts on
+packed q-series, one per weight.  ``e_t0_table`` (``T0Engine``) and
+``e_atom_table`` (``atom_terms``) unpack its counts into QSeries once, at
+the end (``_column_terms``), for the sl identity, the characters, the
+rank-one suite and the command line; ``packed_tables`` hands them on
+packed to the gl identities and ch T, at a slot width the caller fixed
+from ``_fillings_bound``.  ``specialize_E`` of the exact ``macdonald_E``,
+which comes from the intertwiner recursion and not from fillings, is kept
+as their test oracle.
 Given a ``floor`` F, both tables keep only the monomials x^w with min(w)
 >= F: the column program drops each partial filling that can no longer
 reach such a weight, and the pruned table is the full table restricted to
@@ -48,7 +52,7 @@ the number of cells it raises; so a filling of q-degree e raises at most e
 cells, while min(w) >= F forces some lam to raise a known number of them.
 The atom side is the mirror case, with descents and the cells they lower.
 The builders, the cost and the engine read the rank n of lam as len(lam)
-(only ``_column_terms`` is told n: lam = 0 has no columns), so one batch
+(only the column program is told n: lam = 0 has no columns), so one batch
 may mix ranks.  The builders run the column program for every lam they
 are given; the sl identity reads the cost of both sides to decide which
 lam to build and at which caps (see ``identities._sl_budget_hits``).
@@ -60,8 +64,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import (DivergentLimitError, ExactError, InvariantError, QPoly,
-                    QSeries, QTPoly, QTRational, gaussian_binomial,
+from .exact import (DivergentLimitError, ExactError, InvariantError, PackedQ,
+                    QPoly, QTPoly, QTRational, gaussian_binomial,
                     geometric_product, invert_q, inv_pochhammer_qq, limit_t,
                     reduce_over_binomials)
 from .weights import (_as_entries as _as_tuple, arm_leg, diagram,
@@ -288,7 +292,11 @@ def _transitions(pattern, prev, rule):
     0 <= d_k < d_i.  When its entry v differs from its left neighbour,
     rule ``"t0"`` allows no cyclically increasing triple (v, partner, left)
     and gains when v > left; rule ``"atom"`` needs every such triple
-    cyclically increasing and gains when v < left."""
+    cyclically increasing and gains when v < left.  The triple compares
+    the ints 4 v + 1, 4 partner + 2 and 4 left + 3, which order as the
+    pairs (value, slot) of ``filling_statistics`` do: ties go by slot.
+    The partners, and the entries a cell may not take, are kept as bit
+    sets, so that one mask tests every partner of a candidate v."""
     n = len(pattern)
     rows = [i for i in range(n) if pattern[i] >= 1]
     col = [0] * n
@@ -301,24 +309,34 @@ def _transitions(pattern, prev, rule):
             return
         i = rows[idx]
         left = prev[i]
-        banned = {col[k] for k in rows[:idx]}
-        banned.update(prev[k] for k in range(i + 1, n) if pattern[k] >= 0)
-        partners = ([col[k] for k in rows[:idx] if pattern[k] <= pattern[i]]
-                    + [prev[k] for k in range(i + 1, n)
-                       if 0 <= pattern[k] < pattern[i]])
+        banned = 0      # bit v set for each entry v the cell may not take
+        partners = 0    # bit 4 p + 2 set for each partner entry p
+        for k in rows[:idx]:
+            banned |= 1 << col[k]
+            if pattern[k] <= pattern[i]:
+                partners |= 1 << 4 * col[k] + 2
+        for k in range(i + 1, n):
+            if pattern[k] >= 0:
+                banned |= 1 << prev[k]
+                if pattern[k] < pattern[i]:
+                    partners |= 1 << 4 * prev[k] + 2
+        c = 4 * left + 3
         for v in range(1, n + 1):
-            if v in banned:
+            if banned >> v & 1:
                 continue
             gain = False
             if v != left:
-                cyclic = [_cyclically_increasing((v, 1), (p, 2), (left, 3))
-                          for p in partners]
+                # the bits b with (4 v + 1, b, c) cyclically increasing: those
+                # strictly between when 4 v + 1 < c, else those outside
+                a = 4 * v + 1
+                cyclic = ((1 << c) - (2 << a) if a < c
+                          else ~((2 << a) - (1 << c)))
                 if rule == "t0":
-                    if any(cyclic):
+                    if partners & cyclic:
                         continue
                     gain = v > left
                 else:
-                    if not all(cyclic):
+                    if partners & ~cyclic:
                         continue
                     gain = v < left
             col[i] = v
@@ -331,6 +349,101 @@ def _transitions(pattern, prev, rule):
 
     rec(0)
     return tuple(out)
+
+
+def _cell_counts(columns):
+    """The number of cells of each column: its entries d_i >= 1, the others
+    being 0 or -1."""
+    return [len(d) - d.count(0) - d.count(-1) for _, d in columns]
+
+
+def _fillings_bound(columns, n):
+    """F = prod over the columns of n! / (n - r)!, r the column's number
+    of cells: the number of fillings with distinct entries 1..n in every
+    column.  Both tables count some of these fillings, each once, so F
+    bounds the L1 mass of every table of these columns, at every cap and
+    floor."""
+    return math.prod(math.perm(n, r) for r in _cell_counts(columns))
+
+
+def _exponents(code, n, bits):
+    """The exponent tuple of an integer monomial code: its n digits in base
+    2^bits, the lowest first."""
+    digit = (1 << bits) - 1
+    return tuple([code >> shift & digit for shift in range(0, bits * n, bits)])
+
+
+def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
+    """The column program of ``_column_terms`` on packed q-series: {weight
+    code: int}, each count series c_0 + c_1 q + ... packed as sum_e c_e
+    2^(width e), the weight w as the code sum_v w_v 2^(bits v) (see
+    ``_exponents``), zero series dropped.  The caller picks width and
+    bits: every count must stay below 2^width (``_fillings_bound`` bounds
+    them), 2^(bits - 1) must exceed the number of cells, |lam|, and n floor
+    must not exceed it.
+
+    A state maps each weight code of its partial fillings to one packed
+    series.  A column adds its 0/1 weight to the code and multiplies the
+    series by q^gain, a shift by width * gain, gain the sum of the legs + 1
+    of its gaining rows.  Every count is nonnegative and below 2^width, so
+    no slot carries into the next and the shift is exact; the mask of the
+    low width * (cap + 1) bits then drops the counts above q^cap, which no
+    later column brings back.  A gain above the cap leaves nothing, and a
+    column that gains nothing leaves every series as it is.
+
+    The floor test reads all weight digits at once: with the top bit of
+    every digit set, subtracting (floor - columns left) from each digit
+    borrows from no other digit (the digits are below 2^(bits - 1), and so
+    is the floor), and it clears a digit's top bit just where that digit
+    is below it."""
+    ones = sum(1 << (bits * v) for v in range(n))
+    top = ones << (bits - 1)
+    mask = (1 << width * (cap + 1)) - 1
+    packed = {}
+    states = {tuple(range(1, n + 1)): {0: 1}}
+    left = len(columns)
+    for pattern, d in columns:
+        left -= 1
+        prune = floor > left
+        need = (floor - left) * ones
+        nxt = {}
+        gains = {}
+        for prev, counts in states.items():
+            for col, rows in _transitions(pattern, prev, rule):
+                gain = gains.get(rows)
+                if gain is None:
+                    gain = gains[rows] = sum(d[i] for i in rows)
+                if gain > cap:
+                    continue
+                inc = packed.get(col)
+                if inc is None:
+                    inc = packed[col] = sum(1 << (bits * (v - 1))
+                                            for v in col if v)
+                acc = nxt.setdefault(col, {})
+                get = acc.get
+                if gain:
+                    shift = width * gain
+                    for code, series in counts.items():
+                        series = series << shift & mask
+                        if series:
+                            code += inc
+                            if not prune or ((code | top) - need) & top == top:
+                                acc[code] = get(code, 0) + series
+                elif prune:
+                    for code, series in counts.items():
+                        code += inc
+                        if ((code | top) - need) & top == top:
+                            acc[code] = get(code, 0) + series
+                else:
+                    for code, series in counts.items():
+                        code += inc
+                        acc[code] = get(code, 0) + series
+        states = {col: counts for col, counts in nxt.items() if counts}
+    out = {}
+    for counts in states.values():
+        for code, series in counts.items():
+            out[code] = out.get(code, 0) + series
+    return out
 
 
 def _column_terms(columns, n, cap, rule, floor=0):
@@ -347,18 +460,15 @@ def _column_terms(columns, n, cap, rule, floor=0):
     gives q to the sum of leg + 1 over the cells below their left
     neighbour.  The attack rules, the triples and the descents of column j
     only involve columns j and j - 1, so the fillings are counted column by
-    column: the state is the last column filled (column 0 is the basement
-    1, ..., n), its value the number of partial fillings by one integer
-    key.  A key holds the weight as its n low digits in base 2^bits, where
-    2^(bits - 1) exceeds the number of cells, and the q-exponent e as the
-    digit above them, at ``shift`` = bits * n.  A column adds its packed
-    0/1 weight and its gain (a sum of legs + 1) << shift to a key.
+    column (``_packed_column_terms``): the state is the last column filled
+    (column 0 is the basement 1, ..., n), its value the number of partial
+    fillings per weight, one packed q-series each.  The series are
+    unpacked once, at the end, with slots wide enough for
+    ``_fillings_bound``.
 
     A column only adds to the q-exponent, so a partial filling above
     ``cap`` has no completion below it: dropping it leaves the result
-    exact modulo q^{cap+1}.  A key takes a gain iff it is below
-    (cap - gain + 1) << shift, and a state whose smallest e leaves no room
-    for a gain skips that column.
+    exact modulo q^{cap+1}.
 
     The floor is pruned the same way.  Every weight has |w| = |lam|, so a
     floor with n floor > |lam| leaves no weight, and the program is not
@@ -369,59 +479,16 @@ def _column_terms(columns, n, cap, rule, floor=0):
     the last column the test is exact, so the result is the full table
     restricted to the weights with min(w) >= floor.  A column is tested
     only once floor exceeds the columns left after it, so with floor <= 0
-    nothing is.  One digit test reads all weight digits at once: with the
-    top bit of every digit set, subtracting (floor - columns left) from
-    each digit borrows from no other digit (the digits are below
-    2^(bits - 1), and so is the floor), so it leaves e alone, and it
-    clears a digit's top bit just where that digit is below it.  A state
-    whose keys were all dropped is dropped too: the next column reads its
-    smallest e."""
-    cells = sum(1 for _, d in columns for x in d if x >= 1)
+    nothing is.  A state whose partial fillings were all dropped is
+    dropped too."""
+    cells = sum(_cell_counts(columns))
     if n * floor > cells:
         return {}
     bits = cells.bit_length() + 1
-    shift = bits * n
-    ones = sum(1 << (bits * v) for v in range(n))
-    top = ones << (bits - 1)
-    packed = {}
-    states = {tuple(range(1, n + 1)): {0: 1}}
-    left = len(columns)
-    for pattern, d in columns:
-        left -= 1
-        prune = floor > left
-        low = (floor - left) * ones
-        nxt = {}
-        gains = {}
-        for prev, counts in states.items():
-            room = cap - (min(counts) >> shift)
-            for col, rows in _transitions(pattern, prev, rule):
-                gain = gains.get(rows)
-                if gain is None:
-                    gain = gains[rows] = sum(d[i] for i in rows)
-                if gain > room:
-                    continue
-                inc = packed.get(col)
-                if inc is None:
-                    inc = packed[col] = sum(1 << (bits * (v - 1))
-                                            for v in col if v)
-                step = inc + (gain << shift)
-                lim = (cap - gain + 1) << shift
-                acc = nxt.setdefault(col, {})
-                for key, c in counts.items():
-                    if key < lim:
-                        key += step
-                        if not prune or ((key | top) - low) & top == top:
-                            acc[key] = acc.get(key, 0) + c
-        states = {col: counts for col, counts in nxt.items() if counts}
-    by_weight = {}
-    mask = (1 << shift) - 1
-    for counts in states.values():
-        for key, c in counts.items():
-            cs = by_weight.setdefault(key & mask, [0] * (cap + 1))
-            cs[key >> shift] += c
-    digit = (1 << bits) - 1
-    return {tuple((w >> (bits * v)) & digit for v in range(n)):
-            QSeries(cap, cs) for w, cs in by_weight.items()}
+    packing = PackedQ(_fillings_bound(columns, n), cap)
+    return {_exponents(code, n, bits): packing.unpack(series)
+            for code, series in _packed_column_terms(
+                columns, n, cap, rule, floor, packing.width, bits).items()}
 
 
 def _window_cost(lam, floor, rule):
@@ -614,21 +681,21 @@ class MacdonaldPolynomial:
         return f"MacdonaldPolynomial(lam={self.lam}, tag={self.tag}, {len(self.terms)} terms)"
 
 
-def macdonald_E(lam, n=None):
-    """E_lam(x; q, t) with exact rational-function coefficients."""
+def macdonald_E(lam):
+    """E_lam(x; q, t) in len(lam) variables, with exact rational-function
+    coefficients."""
     lam = _as_tuple(lam)
-    if n is None:
-        n = len(lam)
-    eng = generic_engine(n)
-    return MacdonaldPolynomial(n, lam, eng.terms_qtrational(lam), "generic")
+    n = len(lam)
+    return MacdonaldPolynomial(n, lam, generic_engine(n).terms_qtrational(lam),
+                               "generic")
 
 
-def macdonald_E_fillings(lam, n=None):
-    """E_lam(x; q, t) summed over non-attacking fillings (the independent
-    second path; equals macdonald_E coefficient by coefficient).  It
-    reduces through ``QTRational(num, den)``, the general gcd, and so is
-    also the test oracle of ``reduce_over_binomials``, the trial division
-    behind ``macdonald_E``.
+def macdonald_E_fillings(lam):
+    """E_lam(x; q, t) in len(lam) variables, summed over non-attacking
+    fillings (the independent second path; equals macdonald_E coefficient
+    by coefficient).  It reduces through ``QTRational(num, den)``, the
+    general gcd, and so is also the test oracle of
+    ``reduce_over_binomials``, the trial division behind ``macdonald_E``.
 
     A filling weighs q^maj t^coinv prod (1 - t) / (1 - q^{leg+1} t^{arm+1})
     over its factor cells.  Over the common denominator
@@ -637,8 +704,6 @@ def macdonald_E_fillings(lam, n=None):
     cell factors of the other cells; the numerators are summed per weight
     and each sum is reduced once."""
     lam = _as_tuple(lam)
-    if n is None:
-        n = len(lam)
     cells = {}    # cell -> (q, t) exponents of its factor in D_lam
     den = QTPoly.one()
     for cell in diagram(lam):
@@ -654,7 +719,7 @@ def macdonald_E_fillings(lam, n=None):
             num = num.mul_one_minus_qt(*((0, 1) if cell in factor else qt))
         acc.setdefault(weight, QTPoly()).add_inplace(num)
     terms = {w: QTRational(c, den) for w, c in acc.items() if not c.is_zero}
-    return MacdonaldPolynomial(n, lam, terms, "generic")
+    return MacdonaldPolynomial(len(lam), lam, terms, "generic")
 
 
 def specialize_E(E, mode):
@@ -823,6 +888,16 @@ def e_atom_table(lams, cap, floor=0):
     """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, each in
     len(lam) variables; only the monomials x^w with min(w) >= ``floor``."""
     return {lam: atom_terms(lam, cap, floor) for lam in _compositions(lams)}
+
+
+def packed_tables(lams, cap, rule, width, bits):
+    """{lam: {weight code: int}}: the t = 0 (rule ``"t0"``) or (q^{-1},
+    oo) (rule ``"atom"``) table of each composition at ``cap``, every
+    weight kept, as it leaves the column program (``_packed_column_terms``,
+    which says what width and bits must satisfy)."""
+    return {lam: _packed_column_terms(_columns(lam), len(lam), cap, rule, 0,
+                                      width, bits)
+            for lam in _compositions(lams)}
 
 
 def restrict_poly_terms(terms):

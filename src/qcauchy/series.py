@@ -440,14 +440,15 @@ def series_records(f):
             for exps, c in f.sorted_items()]
 
 
-def first_difference(varset, f, g):
+def first_difference(varset, f, g, decode=None):
     """First monomial (``monomial_key`` order on ``varset``) where the term
     maps f and g differ, or None.
 
-    f and g map exponent tuples to scalars that compare by ``!=``: masked
-    packed ints, ``QSeries`` or ``QTRational``.  A monomial present on one
-    side only differs unless its scalar is zero.  Only the differing
-    monomials are ordered.  Returns (exps, f value or None, g value or
+    f and g map exponent tuples, or keys that ``decode`` turns into
+    exponent tuples, to scalars that compare by ``!=``: masked packed ints,
+    ``QSeries`` or ``QTRational``.  A monomial present on one side only
+    differs unless its scalar is zero.  Only the differing monomials are
+    decoded and ordered.  Returns (exps, f value or None, g value or
     None)."""
     diff = [e for e, c in f.items()
             if (c != g[e] if e in g else not _is_zero_scalar(c))]
@@ -455,5 +456,6 @@ def first_difference(varset, f, g):
              if e not in f and not _is_zero_scalar(c)]
     if not diff:
         return None
-    exps = min(diff, key=lambda e: monomial_key(varset, e))
-    return exps, f.get(exps), g.get(exps)
+    decode = decode or (lambda e: e)
+    key = min(diff, key=lambda e: monomial_key(varset, decode(e)))
+    return decode(key), f.get(key), g.get(key)

@@ -5,8 +5,6 @@ import io
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-import pytest
-
 from qcauchy.affine import (factorized_words, hw_algebra_char,
                             hw_algebra_char_gl)
 from qcauchy.cli import run as cli_run
@@ -19,7 +17,7 @@ from qcauchy.macdonald import (e_atom_table, e_t0_table, exact_cap,
                                sl2_closed_forms, specialize_E)
 from qcauchy.series import TruncationPolicy
 from qcauchy.weights import (compositions_up_to, min_zero_compositions_up_to,
-                             restrict_weight, sl_representative)
+                             sl_representative)
 
 
 def report_line(name, ok, elapsed):
@@ -125,8 +123,8 @@ def test_ac09_two_path_agreement():
     ok = True
     for n in (1, 2, 3):
         for lam in compositions_up_to(n, 5):
-            a = macdonald_E(lam, n)
-            b = macdonald_E_fillings(lam, n)
+            a = macdonald_E(lam)
+            b = macdonald_E_fillings(lam)
             ok = ok and a.terms == b.terms
     report_line("AC9 two-path Macdonald agreement (|lam|<=5, n<=3)",
                 ok, time.monotonic() - t0)
@@ -143,7 +141,7 @@ def test_ac11_property_suites():
     ok = True
     for n in (1, 2, 3):
         for lam in compositions_up_to(n, 5):
-            E = macdonald_E(lam, n)
+            E = macdonald_E(lam)
             ok = ok and E.total_degree_check()
             for mode in ("t0", "qinv_tinf"):
                 S = specialize_E(E, mode)
@@ -153,9 +151,9 @@ def test_ac11_property_suites():
     # stability under adding multiples of (1,...,1)
     for n in (2, 3):
         for lam in compositions_up_to(n, 4):
-            E = macdonald_E(lam, n)
+            E = macdonald_E(lam)
             for m in (1, 2):
-                shifted = macdonald_E(tuple(e + m for e in lam), n)
+                shifted = macdonald_E(tuple(e + m for e in lam))
                 ok = ok and shifted.terms == {
                     tuple(e + m for e in exps): c
                     for exps, c in E.terms.items()}

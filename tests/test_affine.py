@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from qcauchy.affine import (AffineCoroot, AffinePerm, HwAlgebraChar,
-                            ReducedWord, beta_sequence, char_l,
+from qcauchy.affine import (AffinePerm, HwAlgebraChar, ReducedWord,
+                            beta_sequence, char_l,
                             expected_translation_length, factorized_words,
                             hw_algebra_char, hw_algebra_char_gl,
                             maximal_sigma, translation_reduced_word)

@@ -1,15 +1,18 @@
 """The golden report corpus: every command line of ``golden_reports.json``,
-run in this process, passing or with one named fault injected into the
-``identities`` namespace, must exit with its recorded status and print
-stdout with its recorded sha256.
+run in this process, passing or with one named fault injected, must exit
+with its recorded status and print stdout with its recorded sha256.  A
+fault replaces one function of the program in every qcauchy module that
+binds it.
 
 The corpus holds the byte lists a change is checked against: the sl
 identity, the q-series gl variants and gl-qt at points up to a few seconds
 each, every ``macdonald`` spec, ``norm`` flag set and ``char`` kind on both
 lattices for n <= 3, |lam| <= 4, and the rank-one appendix, in both output
-formats.  Tier-1 runs the rows marked tier1 (a few seconds); the whole
-corpus (about 40 s) runs from the command line, against the ``src`` beside
-this ``tests`` folder:
+formats.  The faults are a norm + 1 or + q, and one wrong table entry: the
+columns of lam = (0, 1, 2) with one cell's leg + 1 too large, which both
+tables of lam are built from.  Tier-1 runs the rows marked tier1 (a few
+seconds); the whole corpus (about 40 s) runs from the command line,
+against the ``src`` beside this ``tests`` folder:
 
     python tests/test_golden.py             # check every row
     python tests/test_golden.py --record    # rewrite every digest
@@ -36,6 +39,7 @@ if __name__ == "__main__":
     sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 import qcauchy.identities as identities     # noqa: E402
+import qcauchy.macdonald as macdonald       # noqa: E402
 from qcauchy import cli                     # noqa: E402
 from qcauchy.exact import QSeries, QTRational     # noqa: E402
 from qcauchy.weights import compositions_up_to    # noqa: E402
@@ -57,11 +61,24 @@ def _qt_norm_plus_one(norm_a_qt):
     return lambda lam: norm_a_qt(lam) + QTRational.one()
 
 
-# fault name -> (the identities attribute it replaces, its corruption)
+def _leg_plus_one(columns):
+    # one table entry wrong: the cell (3, 2) of lam = (0, 1, 2), alone in its
+    # column, gains leg + 1 = 2 where it should gain 1, in both tables
+    def corrupted(lam):
+        cols = columns(lam)
+        if lam != (0, 1, 2):
+            return cols
+        pattern, d = cols[-1]
+        return cols[:-1] + ((pattern, d[:-1] + (d[-1] + 1,)),)
+    return corrupted
+
+
+# fault name -> (the function it replaces, its corruption)
 FAULTS = {
     "norm_a_q+1": ("norm_a_q", _norm_plus_one),
     "hw_algebra_char+q": ("hw_algebra_char", _char_plus_q),
     "norm_a_qt+1": ("norm_a_qt", _qt_norm_plus_one),
+    "leg(0,1,2)+1": ("_columns", _leg_plus_one),
 }
 
 
@@ -72,8 +89,12 @@ def run_entry(argv, fault):
     with contextlib.ExitStack() as stack:
         if fault is not None:
             name, corrupt = FAULTS[fault]
-            stack.enter_context(mock.patch.object(
-                identities, name, corrupt(getattr(identities, name))))
+            orig = getattr(identities, name, None) or getattr(macdonald, name)
+            bad = corrupt(orig)
+            for module in [m for key, m in sys.modules.items()
+                           if key.split(".")[0] == "qcauchy"]:
+                if getattr(module, name, None) is orig:
+                    stack.enter_context(mock.patch.object(module, name, bad))
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         status = cli.run(argv.split())
@@ -98,17 +119,24 @@ def corpus_runs():
     rows = []
     for fmt in ("text", "json"):
         tail = f" --format {fmt}"
+        # the table fault rides on the n = 3 tier1 points, but for
+        # classical-q0: its tables, at cap 0, keep no filling that gains
         for n, w, K in SL_POINTS:
             argv = f"verify --identity sl --n {n} --max-deg {w} --max-q {K}"
-            for fault in (None, "norm_a_q+1", "hw_algebra_char+q"):
-                rows.append((argv + tail, fault, (n, w, K) in SL_TIER1))
+            tier1 = (n, w, K) in SL_TIER1
+            faults = [None, "norm_a_q+1", "hw_algebra_char+q"]
+            faults += ["leg(0,1,2)+1"] * (tier1 and n == 3)
+            rows.extend((argv + tail, fault, tier1) for fault in faults)
         for identity in ("gl-t0", "gl-slform", "iwahori-char",
                          "classical-q0"):
             for n, D, K in GL_POINTS:
                 argv = (f"verify --identity {identity} --n {n} --max-deg {D}"
                         f" --max-q {K}")
-                for fault in (None, "norm_a_q+1"):
-                    rows.append((argv + tail, fault, (n, D, K) in GL_TIER1))
+                tier1 = (n, D, K) in GL_TIER1
+                faults = [None, "norm_a_q+1"]
+                faults += ["leg(0,1,2)+1"] * (tier1 and n == 3
+                                             and identity != "classical-q0")
+                rows.extend((argv + tail, fault, tier1) for fault in faults)
         for n, D in QT_POINTS:
             argv = f"verify --identity gl-qt --n {n} --max-deg {D}"
             for fault in (None, "norm_a_qt+1"):

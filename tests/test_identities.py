@@ -10,16 +10,17 @@ from qcauchy.exact import (ExactError, PackedQ, QSeries, QTRational,
 import qcauchy.identities as identities
 import qcauchy.macdonald as macdonald
 from qcauchy.affine import hw_algebra_char
-from qcauchy.identities import (_kostant_xsums, _macdonald_bound,
-                                _macdonald_summands, _packed_macdonald_sum,
-                                _product_bound, _product_factors,
+from qcauchy.identities import (_code_bits, _kostant_xsums, _macdonald_bound,
+                                _macdonald_side, _pack_table,
+                                _packed_macdonald_sum, _product_bound,
+                                _product_factors, _table_mass,
                                 _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
                                 _sl_rhs_adaptive, _window_hits, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
                                 verify_sl2_appendix)
-from qcauchy.macdonald import (_columns, _window_cost, e_atom_table,
-                               e_t0_table, norm_a_q)
+from qcauchy.macdonald import (_columns, _exponents, _window_cost,
+                               e_atom_table, e_t0_table, norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series, render_scalar)
@@ -209,20 +210,22 @@ def test_graded_product_bound(variant):
 
 def test_graded_width_at_gl_t0_box():
     # the benchmark's gl-t0 point: 30-bit slots on the product side, where
-    # the ungraded bound gave 68
+    # the ungraded bound gave 68; the shared slot, which the Macdonald side
+    # fixes from the columns before building any table, is 31 bits
     pol = TruncationPolicy(6, 6, 8)
     factors = _product_factors("gl_t0", 3, pol)
     bound = _product_bound(VariableSet.gl(3), pol, factors)
     assert PackedQ(bound, 8).width == 30
     assert PackedQ(_old_product_bound(factors), 8).width == 68
+    assert _macdonald_side("gl_t0", 3, pol, bound)[0].width == 31
 
 
 def test_gl_side_computes_each_lambdas_columns_once():
     # a gl side builds every t = 0 table, then every atom table: the columns
     # of each lam are computed once for both passes
     macdonald._columns.cache_clear()
-    summands = _macdonald_summands("gl_t0", 3, TruncationPolicy(3, 3, 4))
-    assert macdonald._columns.cache_info().misses == len(summands) == 20
+    _, _, count = _macdonald_side("gl_t0", 3, TruncationPolicy(3, 3, 4))
+    assert macdonald._columns.cache_info().misses == count == 20
 
 
 def _norm_plus_one(lam, cap):
@@ -271,9 +274,11 @@ def test_packed_verdict_matches_oracles(variant, monkeypatch):
                     monkeypatch.setattr(identities, "norm_a_q", norm)
                     monkeypatch.setattr(
                         identities, "_packed_product",
-                        lambda *args, keep=keep: {
-                            e: v for e, v in packed_product(*args).items()
-                            if keep(e)})
+                        lambda varset, policy, *args, keep=keep: {
+                            e: v for e, v in
+                            packed_product(varset, policy, *args).items()
+                            if keep(_exponents(e, varset.size,
+                                            _code_bits(policy)))})
                     got = verify_identity(variant, n, pol)
                     diff = first_difference(
                         lhs.varset,
@@ -479,9 +484,11 @@ def _summand(lam, K, hits):
     None."""
     if hits is None:
         return {}
-    summands = [((norm_a_q(lam, K),),) + hits]
-    packing = PackedQ(_macdonald_bound(summands), K)
-    sums, = _packed_macdonald_sum(summands, packing)
+    norms, (xs, ys) = (norm_a_q(lam, K),), hits
+    packing = PackedQ(_macdonald_bound(
+        [(norms, _table_mass(xs), _table_mass(ys))]), K)
+    sums, = _packed_macdonald_sum(
+        [(norms, _pack_table(xs, packing), _pack_table(ys, packing))], packing)
     return {key: packing.unpack(v) for key, v in sums.items()}
 
 

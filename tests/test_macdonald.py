@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -7,15 +8,16 @@ from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
 from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
                            geometric_series, invert_q, limit_t,
                            qseries_from_qtrational)
+import qcauchy.macdonald as macdonald
 from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
-                               MacdonaldPolynomial, _window_cost, atom_terms,
-                               e_atom_table, e_t0_table, exact_cap,
-                               macdonald_E, macdonald_E_fillings, norm_a_q,
-                               norm_a_qt, recursion_parent,
+                               _column_terms, _columns,
+                               _cyclically_increasing, _fillings_bound,
+                               _window_cost, e_atom_table, e_t0_table,
+                               exact_cap, macdonald_E, macdonald_E_fillings,
+                               norm_a_q, norm_a_qt, recursion_parent,
                                restrict_poly_terms, rs_polynomial,
                                sl2_closed_forms, specialize_E)
-from qcauchy.weights import (arm_leg, compositions_up_to, diagram,
-                             min_zero_compositions_up_to)
+from qcauchy.weights import arm_leg, compositions_up_to, diagram
 
 ONE = QTPoly.one()
 Q = QTPoly.q()
@@ -47,7 +49,7 @@ class TestConstruction:
     def test_homogeneous(self):
         for n in (2, 3):
             for lam in compositions_up_to(n, 4):
-                assert macdonald_E(lam, n).total_degree_check()
+                assert macdonald_E(lam).total_degree_check()
 
     def test_negative_entry_rejected(self):
         # the recursion from (-1, 0) never reaches the zero composition
@@ -57,10 +59,10 @@ class TestConstruction:
     def test_stability(self):
         for n in (2, 3):
             for lam in compositions_up_to(n, 3):
-                E = macdonald_E(lam, n)
+                E = macdonald_E(lam)
                 for m in (1, 2):
                     shifted = tuple(e + m for e in lam)
-                    Es = macdonald_E(shifted, n)
+                    Es = macdonald_E(shifted)
                     expected = {tuple(e + m for e in exps): c
                                 for exps, c in E.terms.items()}
                     assert Es.terms == expected, (lam, m)
@@ -103,8 +105,8 @@ class TestTwoPath:
         # here a moderate slice
         for n in (1, 2, 3):
             for lam in compositions_up_to(n, 4 if n == 3 else 5):
-                a = macdonald_E(lam, n)
-                b = macdonald_E_fillings(lam, n)
+                a = macdonald_E(lam)
+                b = macdonald_E_fillings(lam)
                 assert a.terms == b.terms, (n, lam)
 
     def test_fillings_specialization_example(self):
@@ -131,7 +133,7 @@ class TestSpecializations:
     def test_positivity(self):
         for n in (2, 3):
             for lam in compositions_up_to(n, 4):
-                E = macdonald_E(lam, n)
+                E = macdonald_E(lam)
                 for mode in ("t0", "qinv_tinf"):
                     S = specialize_E(E, mode)
                     for c in S.terms.values():
@@ -151,7 +153,7 @@ class TestSpecializations:
         # specialize_E reads off the generic E
         for n, size in ((1, 5), (2, 5), (3, 5), (4, 4)):
             for lam in compositions_up_to(n, size):
-                E = macdonald_E(lam, n)
+                E = macdonald_E(lam)
                 cap = exact_cap(lam)
                 for table, mode in TABLES:
                     got = table([lam], cap)[lam]
@@ -180,7 +182,7 @@ SMALL_COMPOSITIONS = [(n, lam) for n in (1, 2, 3)
 @given(st.sampled_from(SMALL_COMPOSITIONS), st.integers(0, 21))
 def test_tables_match_specialize_property(case, cap):
     n, lam = case
-    E = macdonald_E(lam, n)
+    E = macdonald_E(lam)
     for table, mode in TABLES:
         want = {e: QSeries.from_qpoly(c, cap)
                 for e, c in specialize_E(E, mode).terms.items()}
@@ -276,6 +278,163 @@ def test_tables_read_rank_from_each_lambda():
                 assert batch[lam] and all(len(w) == len(lam)
                                           for w in batch[lam]), (lam, cap)
                 assert batch[lam] == table([lam], cap)[lam], (lam, cap)
+
+
+@functools.lru_cache(maxsize=None)
+def _transitions_by_tuples(pattern, prev, rule):
+    """The enumeration ``_transitions`` replaced, kept as its oracle: every
+    triple compared as the (value, slot) pairs of ``filling_statistics``."""
+    n = len(pattern)
+    rows = [i for i in range(n) if pattern[i] >= 1]
+    col = [0] * n
+    gains = []
+    out = []
+
+    def rec(idx):
+        if idx == len(rows):
+            out.append((tuple(col), tuple(gains)))
+            return
+        i = rows[idx]
+        left = prev[i]
+        banned = {col[k] for k in rows[:idx]}
+        banned.update(prev[k] for k in range(i + 1, n) if pattern[k] >= 0)
+        partners = ([col[k] for k in rows[:idx] if pattern[k] <= pattern[i]]
+                    + [prev[k] for k in range(i + 1, n)
+                       if 0 <= pattern[k] < pattern[i]])
+        for v in range(1, n + 1):
+            if v in banned:
+                continue
+            gain = False
+            if v != left:
+                cyclic = [_cyclically_increasing((v, 1), (p, 2), (left, 3))
+                          for p in partners]
+                if rule == "t0":
+                    if any(cyclic):
+                        continue
+                    gain = v > left
+                else:
+                    if not all(cyclic):
+                        continue
+                    gain = v < left
+            col[i] = v
+            if gain:
+                gains.append(i)
+            rec(idx + 1)
+            if gain:
+                gains.pop()
+        col[i] = 0
+
+    rec(0)
+    return tuple(out)
+
+
+def _column_terms_by_key(columns, n, cap, rule, floor=0):
+    """The column program on one integer key per (weight, q-exponent), which
+    the packed program of ``_column_terms`` replaced, kept as its oracle.
+
+    A key holds the weight as its n low digits in base 2^bits, where
+    2^(bits - 1) exceeds the number of cells, and the q-exponent e as the
+    digit above them, at ``shift`` = bits * n.  A column adds its packed
+    0/1 weight and its gain << shift to a key; a key takes a gain iff it is
+    below (cap - gain + 1) << shift, and a state whose smallest e leaves
+    no room for a gain skips that column.  The floor test is the packed
+    program's, on the weight digits (the borrow-free subtraction leaves e
+    alone)."""
+    cells = sum(1 for _, d in columns for x in d if x >= 1)
+    if n * floor > cells:
+        return {}
+    bits = cells.bit_length() + 1
+    shift = bits * n
+    ones = sum(1 << (bits * v) for v in range(n))
+    top = ones << (bits - 1)
+    packed = {}
+    states = {tuple(range(1, n + 1)): {0: 1}}
+    left = len(columns)
+    for pattern, d in columns:
+        left -= 1
+        prune = floor > left
+        low = (floor - left) * ones
+        nxt = {}
+        for prev, counts in states.items():
+            room = cap - (min(counts) >> shift)
+            for col, rows in _transitions_by_tuples(pattern, prev, rule):
+                gain = sum(d[i] for i in rows)
+                if gain > room:
+                    continue
+                inc = packed.get(col)
+                if inc is None:
+                    inc = packed[col] = sum(1 << (bits * (v - 1))
+                                            for v in col if v)
+                step = inc + (gain << shift)
+                lim = (cap - gain + 1) << shift
+                acc = nxt.setdefault(col, {})
+                for key, c in counts.items():
+                    if key < lim:
+                        key += step
+                        if not prune or ((key | top) - low) & top == top:
+                            acc[key] = acc.get(key, 0) + c
+        states = {col: counts for col, counts in nxt.items() if counts}
+    by_weight = {}
+    mask = (1 << shift) - 1
+    for counts in states.values():
+        for key, c in counts.items():
+            cs = by_weight.setdefault(key & mask, [0] * (cap + 1))
+            cs[key >> shift] += c
+    digit = (1 << bits) - 1
+    return {tuple((w >> (bits * v)) & digit for v in range(n)):
+            QSeries(cap, cs) for w, cs in by_weight.items()}
+
+
+# the oracle range of the column program: n <= 4 with |lam| <= 6 and n = 5
+# with |lam| <= 3, at caps 0-9 and floors 0-2, under both rules
+ORACLE_LAMS = [lam for n in range(1, 6)
+               for lam in sorted(compositions_up_to(n, 6 if n <= 4 else 3))]
+ORACLE_CASES = [(lam, cap, rule, floor) for lam in ORACLE_LAMS
+                for cap in range(10) for rule in ("t0", "atom")
+                for floor in range(3)]
+
+
+def test_packed_program_matches_per_key_program():
+    # the packed column program, unpacked by _column_terms, against the
+    # per-(weight, q-exponent) program over the whole oracle range
+    assert len(ORACLE_CASES) == 23100
+    for lam, cap, rule, floor in ORACLE_CASES:
+        columns = _columns(lam)
+        assert _column_terms(columns, len(lam), cap, rule, floor) == \
+            _column_terms_by_key(columns, len(lam), cap, rule, floor), \
+            (lam, cap, rule, floor)
+
+
+def test_fillings_bound_holds_every_table():
+    # F(lam) bounds the L1 mass of every table over the oracle range, which
+    # makes the slot width fixed from the columns sound
+    for lam, cap, rule, floor in ORACLE_CASES:
+        columns = _columns(lam)
+        mass = sum(sum(c.coeffs) for c in _column_terms(
+            columns, len(lam), cap, rule, floor).values())
+        assert mass <= _fillings_bound(columns, len(lam)), \
+            (lam, cap, rule, floor)
+
+
+def test_transitions_match_tuple_enumeration(monkeypatch):
+    # every (pattern, prev, rule) the column program reaches at n <= 4,
+    # |lam| <= 6 and at n = 5, |lam| <= 4, at the exact cap and floor 0,
+    # where no transition is skipped: the integer triples give the tuple
+    # enumeration's output
+    reached = set()
+    transitions = macdonald._transitions
+
+    def recorded(*args):
+        reached.add(args)
+        return transitions(*args)
+    monkeypatch.setattr(macdonald, "_transitions", recorded)
+    for n in range(1, 6):
+        for lam in compositions_up_to(n, 6 if n <= 4 else 4):
+            for rule in ("t0", "atom"):
+                _column_terms(_columns(lam), n, exact_cap(lam), rule)
+    assert len(reached) > 1000
+    for args in reached:
+        assert transitions(*args) == _transitions_by_tuples(*args), args
 
 
 class TestNorms:
@@ -381,7 +540,7 @@ def test_restriction_compatibility():
 def test_monic_normalization():
     for n in (2, 3):
         for lam in compositions_up_to(n, 4):
-            E = macdonald_E(lam, n)
+            E = macdonald_E(lam)
             assert E.terms[tuple(lam)] == QTRational.one()
 
 
@@ -394,7 +553,7 @@ def test_classical_tables_match_corner_specializations(n):
     t0 = e_t0_table(lams, 0)
     atom = e_atom_table(lams, 0)
     for lam in lams:
-        E = macdonald_E(lam, n)
+        E = macdonald_E(lam)
         assert {e: c[0] for e, c in t0[lam].items()} == \
             specialize_E(E, "q0_t0").terms
         assert {e: c[0] for e, c in atom[lam].items()} == \

@@ -3,8 +3,8 @@ wraps qcauchy functions by name, so a renamed or removed function must fail
 here and not in every traced benchmark operation; the benchmark's own
 self-tests must pass; every benchmark request must print its recorded
 bytes; the demos must run; the exact (q, t) query commands must not
-reach the general gcd; no module keeps an import it does not use; and
-every top-level name of a module is read somewhere."""
+reach the general gcd; no module, test or demo keeps an import it does
+not use; and every top-level name of a module is read somewhere."""
 
 import ast
 import functools
@@ -148,10 +148,17 @@ SOURCES = sorted(os.path.basename(p) for p in glob.glob(
     if not p.endswith("__init__.py"))
 
 
-@pytest.mark.parametrize("module", SOURCES)
-def test_no_unused_imports(module):
-    path = os.path.join(ROOT, "src", "qcauchy", module)
-    assert _unused_imports(path) == []
+# the package's modules by file name, then the tests and demos by their
+# path in the repository
+IMPORTERS = ([os.path.join("src", "qcauchy", m) for m in SOURCES]
+             + sorted(os.path.relpath(p, ROOT) for folder in ("tests", "demos")
+                      for p in glob.glob(os.path.join(ROOT, folder, "*.py"))))
+
+
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.removeprefix(
+    os.path.join("src", "qcauchy", "")))
+def test_no_unused_imports(path):
+    assert _unused_imports(os.path.join(ROOT, path)) == []
 
 
 def _module_names(tree):
