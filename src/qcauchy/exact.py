@@ -18,10 +18,12 @@ All arithmetic is exact; there is no floating point anywhere.  A
 ``QTRational`` is kept in a canonical reduced form (gcd-free, content
 normalized, denominator's lexicographically-leading coefficient equal to 1
 for the order q < t), so structural equality decides mathematical equality.
-A fraction over binomials 1 - q^a t^d, the denominators of Macdonald
-coefficients and norms, is brought to that form by integer trial division
-by the binomials' cyclotomic factors (``reduce_over_binomials``); other
-fractions by the general gcd (``normalize_qt``).  A sum or a product of
+A fraction over binomials 1 - q^a t^d, the denominator of a Macdonald
+coefficient, is brought to that form by integer trial division by the
+binomials' cyclotomic factors (``reduce_over_binomials``); a ratio of two
+products of binomials, a norm, by cancelling those factors by count
+(``binomial_ratio``); other fractions by the general gcd
+(``normalize_qt``).  A sum or a product of
 two canonical fractions takes only the gcds that can be nontrivial
 (Henrici): of the two denominators, and of each numerator with the other
 denominator.  All end in the one exact (q, t) division, ``_divide_exact``,
@@ -372,12 +374,10 @@ class QTPoly:
 
     ``m`` maps (q_exp, t_exp) to a nonzero coefficient: an int, or a
     Fraction where it is not integral.  The constructor trusts ``m`` to be
-    in that form.  The Macdonald recursion builds its integer numerators
-    in place (``add_inplace``), Laurent in q (``mul_qpow``); every other
-    QTPoly, in particular the numerator and denominator of a QTRational,
-    is a polynomial that nothing changes after it is built.  The t-rows
-    (``tcoeff``, ``tcoeffs``) are QPoly views built on demand, for
-    rendering and for the general gcd.
+    in that form.  Only ``add_inplace`` changes a QTPoly, one that its
+    caller has just built; the numerator and denominator of a QTRational
+    never change.  The t-rows (``tcoeff``, ``tcoeffs``) are QPoly views
+    built on demand, for rendering and for the general gcd.
     """
 
     __slots__ = ("m",)
@@ -425,9 +425,6 @@ class QTPoly:
 
     def qdegree(self):
         return max((i for i, _ in self.m), default=-1)
-
-    def qval(self):
-        return min((i for i, _ in self.m), default=0)
 
     def tvaluation(self):
         if self.is_zero:
@@ -484,15 +481,6 @@ class QTPoly:
     def scale(self, c):
         c = _coeff(c)
         return QTPoly(_clean({k: v * c for k, v in self.m.items()}))
-
-    def mul_qpow(self, k):
-        """Multiply by q^k, k of either sign."""
-        if k == 0:
-            return self
-        return QTPoly({(i + k, j): v for (i, j), v in self.m.items()})
-
-    def mul_t(self):
-        return QTPoly({(i, j + 1): v for (i, j), v in self.m.items()})
 
     def mul_one_minus_qt(self, a, d):
         """Multiply by 1 - q^a t^d."""
@@ -856,11 +844,10 @@ def _divide_exact(num, divisor):
     return QTPoly(quo)
 
 
-def reduce_over_binomials(num, binomials):
-    """The canonical QTRational of num / prod (1 - q^a t^d).
-
-    ``num`` is a sparse integer polynomial {(q_exp, t_exp): int} with
-    nonnegative exponents; ``binomials`` lists the pairs (a, d), a, d >= 0.
+def _binomial_factors(binomials):
+    """The cyclotomic factors of prod (1 - q^a t^d) over the pairs (a, d),
+    a, d >= 0, as a Counter of (k, alpha, beta), one for each factor
+    Phi_k(q^alpha t^beta).
 
     With g = gcd(a, d) and u = q^{a/g} t^{d/g},
 
@@ -868,13 +855,8 @@ def reduce_over_binomials(num, binomials):
 
     and each Phi_k(q^alpha t^beta) with gcd(alpha, beta) = 1 is irreducible
     over Q: a unimodular change of variables of the Laurent ring maps it to
-    Phi_k(u).  Factors of different (k, alpha, beta) are not associate, so
-    dividing num by each factor, as often as it occurs and as long as it
-    divides, leaves a numerator coprime to the factors kept.  That is the
-    gcd-free form; every division is exact and in integers, because each
-    Phi_k is monic.  The kept factors multiply out to a denominator with
-    lex-leading coefficient 1, and the signs of the binomials go to the
-    numerator: the canonical form of ``QTRational``, with no general gcd.
+    Phi_k(u).  Factors of different (k, alpha, beta) are not associate.
+    Each is lex-monic, as Phi_k is monic.
 
     A binomial (0, 0) is 1 - 1 = 0 and raises ZeroDenominatorError."""
     factors = Counter()
@@ -884,16 +866,37 @@ def reduce_over_binomials(num, binomials):
         if a == 0 and d == 0:
             raise ZeroDenominatorError("binomial 1 - q^0 t^0 is zero")
         g = math.gcd(a, d)
-        for k in range(1, g + 1):
-            if g % k == 0:
-                factors[(k, a // g, d // g)] += 1
+        factors.update((k, a // g, d // g) for k in range(1, g + 1)
+                       if g % k == 0)
+    return factors
+
+
+def _phi(k, alpha, beta):
+    """Phi_k(q^alpha t^beta) as a QTPoly."""
+    return QTPoly({(alpha * e, beta * e): c
+                   for e, c in enumerate(_cyclotomic(k)) if c})
+
+
+def reduce_over_binomials(num, binomials):
+    """The canonical QTRational of num / prod (1 - q^a t^d).
+
+    ``num`` is a sparse integer polynomial {(q_exp, t_exp): int} with
+    nonnegative exponents; ``binomials`` lists the pairs (a, d), a, d >= 0.
+
+    Dividing num by each cyclotomic factor of the binomials
+    (``_binomial_factors``), as often as it occurs and as long as it
+    divides, leaves a numerator coprime to the factors kept.  That is the
+    gcd-free form; every division is exact and in integers, because each
+    Phi_k is monic.  The kept factors multiply out to a denominator with
+    lex-leading coefficient 1, and the signs of the binomials go to the
+    numerator: the canonical form of ``QTRational``, with no general gcd."""
+    factors = _binomial_factors(binomials)
     num = QTPoly({m: c for m, c in num.items() if c})
     if num.is_zero:
         return QTRational.zero()
     den = QTPoly.one()
     for (k, alpha, beta), count in factors.items():
-        phi = QTPoly({(alpha * e, beta * e): c
-                      for e, c in enumerate(_cyclotomic(k)) if c})
+        phi = _phi(k, alpha, beta)
         while count:
             quo = _divide_exact(num, phi)
             if quo is None:
@@ -905,6 +908,46 @@ def reduce_over_binomials(num, binomials):
     if len(binomials) % 2:
         num = -num
     return QTRational(num, den, _normalized=True)
+
+
+def _expand(factors):
+    """The product of the factors Phi_k(q^alpha t^beta) of a Counter
+    {(k, alpha, beta): count}.  Where every factor of a binomial is there,
+    prod_{k | g} Phi_k(u) = -(1 - u^g) multiplies in by one shift and
+    subtraction (``mul_one_minus_qt``), largest g first; the factors left
+    multiply in as they are."""
+    product, negate = QTPoly.one(), False
+    for k, alpha, beta in sorted(factors, reverse=True):
+        group = [(j, alpha, beta) for j in range(1, k + 1) if k % j == 0]
+        times = min(factors[f] for f in group)
+        for f in group:
+            factors[f] -= times
+        for _ in range(times):
+            product = product.mul_one_minus_qt(alpha * k, beta * k)
+        negate ^= times % 2
+    for factor, count in factors.items():
+        for _ in range(count):
+            product = product * _phi(*factor)
+    return -product if negate else product
+
+
+def binomial_ratio(top, bottom):
+    """The canonical QTRational of prod (1 - q^a t^d) over the pairs
+    ``top`` divided by the same product over ``bottom``.
+
+    Both products split into their cyclotomic factors
+    (``_binomial_factors``); a factor on both sides cancels, count against
+    count, and each side multiplies out what is left (``_expand``), with
+    no division.  The factors left on the two sides are distinct
+    irreducibles, so the fraction is gcd-free, and a product of lex-monic
+    factors is lex-monic.  Each binomial is -prod Phi_k, so the numerator
+    takes the sign (-1)^(number of binomials)."""
+    count = _binomial_factors(top)
+    count.subtract(_binomial_factors(bottom))
+    num = _expand(+count)
+    if (len(top) + len(bottom)) % 2:
+        num = -num
+    return QTRational(num, _expand(-count), _normalized=True)
 
 
 def limit_t(f, direction):

@@ -393,7 +393,7 @@ def rhs_series(variant, n, policy):
         terms = {}
         eng = generic_engine(n)
         for lam in _rhs_lambdas(variant, n, policy):
-            xt = eng.terms_qtrational(lam)
+            xt = eng.get(lam)
             yt = {e: invert_q(c, invert_t=True) for e, c in xt.items()}
             _pair_product_series(terms, xt, yt, norm_a_qt(lam))
     elif variant in ("gl_t0", "gl_slform", "iwahori_char", "classical_q0"):

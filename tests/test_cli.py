@@ -337,15 +337,27 @@ def test_algebra_character_outputs(argv, expected):
 
 
 class TestInterpreterLimits:
-    @pytest.mark.parametrize("spec", ["qt", "qt-inv"])
-    def test_deep_composition(self, spec, monkeypatch):
-        # the recursion chain of (1500) is 1500 steps, beyond the
-        # interpreter's default recursion limit; a fresh engine walks all
+    @pytest.mark.parametrize("spec, lam", [
+        pytest.param("qt", "1500", id="qt"),
+        pytest.param("qt-inv", "1500", id="qt-inv"),
+        pytest.param("qt", "300,300", id="qt-300,300"),
+        pytest.param("qt-inv", "300,300", id="qt-inv-300,300"),
+        pytest.param("qt", "40,40,40", id="qt-40,40,40"),
+        pytest.param("qt-inv", "40,40,40", id="qt-inv-40,40,40")])
+    def test_deep_composition(self, spec, lam, monkeypatch):
+        # 1500, 300 and 40 columns (more than the interpreter's default
+        # recursion limit) of 1500, 600 and 120 cells.  No filling makes a
+        # cell differ from its left neighbour, so E_lam is x^lam and no
+        # cell's binomial enters the numerators; numerators over the full
+        # D_lam, a product of that many binomials, would blow up.  A fresh
+        # engine computes each.
         import qcauchy.macdonald as macdonald
         monkeypatch.setattr(macdonald, "_GENERIC", {})
-        code, out, err = invoke(["macdonald", "--n", "1", "--lambda", "1500",
-                                 "--spec", spec])
-        assert (code, out, err) == (0, "((1)) x1^1500\n", "")
+        entries = lam.split(",")
+        code, out, err = invoke(["macdonald", "--n", str(len(entries)),
+                                 "--lambda", lam, "--spec", spec])
+        mono = "*".join(f"x{i}^{e}" for i, e in enumerate(entries, 1))
+        assert (code, out, err) == (0, f"((1)) {mono}\n", "")
 
     @pytest.mark.parametrize("exc", [
         RecursionError("maximum recursion depth exceeded"), MemoryError()],

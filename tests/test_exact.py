@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qcauchy.exact import (DivergentLimitError, ExactError, PackedQ, QPoly,
                            QSeries, QTPoly, QTRational, ZeroDenominatorError,
-                           gaussian_binomial, geometric_product,
+                           binomial_ratio, gaussian_binomial, geometric_product,
                            geometric_series, invert_q,
                            inv_pochhammer_qq, l1_mass, limit_t, normalize_qt,
                            q_text, qq_pochhammer_poly, qseries_from_qtrational,
@@ -263,6 +263,25 @@ class TestReduceOverBinomials:
                 == QTRational(ONE, ONE - Q))
         assert (reduce_over_binomials({(0, 1): 1}, [(0, 1), (1, 1)])
                 == QTRational(T, (ONE - T) * (ONE - Q * T)))
+
+    def test_binomial_ratio(self):
+        # the cyclotomic factors of the two products cancel by count and
+        # the rest multiplies out, a factor regrouped into its binomial
+        # where all of that binomial's factors are left, against the gcd
+        # path on the expanded products
+        for top, bottom in (([], [(1, 0)]), ([(1, 0)], []),
+                            ([(2, 2)], [(1, 1)]), ([(1, 1)], [(2, 2), (4, 0)]),
+                            ([(6, 0), (2, 1)], [(4, 2), (3, 0), (1, 1)]),
+                            ([(6, 3), (6, 3)], [(2, 1), (0, 1)])):
+            num, den = ONE, ONE
+            for a, d in top:
+                num = num * QTPoly.one_minus_qt(a, d)
+            for a, d in bottom:
+                den = den * QTPoly.one_minus_qt(a, d)
+            assert binomial_ratio(top, bottom) == QTRational(num, den), \
+                (top, bottom)
+        with pytest.raises(ZeroDenominatorError):
+            binomial_ratio([], [(0, 0)])
 
     def test_invalid_binomials(self):
         for num in ({(0, 0): 1}, {}):

@@ -14,13 +14,16 @@ tables of lam are built from.  Tier-1 runs the rows marked tier1 (a few
 seconds); the whole corpus (about 40 s) runs from the command line,
 against the ``src`` beside this ``tests`` folder:
 
-    python tests/test_golden.py             # check every row
-    python tests/test_golden.py --record    # rewrite every digest
+    python tests/test_golden.py                 # check every row
+    python tests/test_golden.py --record        # rewrite every digest
+    python tests/test_golden.py --against TREE  # compare with another tree
 
 ``--record`` rewrites the file from the code as it stands, so it belongs
-only to a change whose purpose is to alter report bytes.  To take the
-digests of another tree (a parent commit, say), copy this script into that
-tree's ``tests`` folder, record there, and copy the corpus back.
+only to a change whose purpose is to alter report bytes.  ``--against``
+runs every row twice, under the ``src`` of TREE (a checkout of a parent
+commit, say) in a subprocess and under this tree, and compares exit
+status and stdout; for each mismatch it prints the first differing stdout
+line of both.
 """
 
 import contextlib
@@ -28,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 from types import SimpleNamespace
 from unittest import mock
@@ -36,7 +40,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "golden_reports.json")
 
 if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
+    # --emit SRC: the subprocess of --against, on the qcauchy of SRC
+    sys.path.insert(0, sys.argv[2] if sys.argv[1:2] == ["--emit"]
+                    else os.path.join(os.path.dirname(HERE), "src"))
 
 import qcauchy.identities as identities     # noqa: E402
 import qcauchy.macdonald as macdonald       # noqa: E402
@@ -85,6 +91,13 @@ FAULTS = {
 def run_entry(argv, fault):
     """(exit status, stdout sha256) of one in-process command line, with
     the named fault (or none) injected."""
+    status, out = run_report(argv, fault)
+    return status, hashlib.sha256(out.encode()).hexdigest()
+
+
+def run_report(argv, fault):
+    """(exit status, stdout) of one in-process command line, with the
+    named fault (or none) injected."""
     out = io.StringIO()
     with contextlib.ExitStack() as stack:
         if fault is not None:
@@ -98,7 +111,7 @@ def run_entry(argv, fault):
         stack.enter_context(contextlib.redirect_stdout(out))
         stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         status = cli.run(argv.split())
-    return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return status, out.getvalue()
 
 
 # (n, W, K) of verify sl, (n, D, K) of the q-series gl variants, (n, D) of
@@ -181,12 +194,67 @@ def test_corpus_faults_fail():
     assert {fault for _, fault, _, _, _ in rows} == {None, *FAULTS}
 
 
+def test_first_line_difference():
+    # what --against prints for a mismatch
+    assert first_line_difference("a\nb\n", "a\nb\n") is None
+    assert first_line_difference("a\nb\n", "a\nc\n") == (2, "b", "c")
+    assert first_line_difference("a\n", "a\nb\n") == (2, None, "b")
+
+
 def test_tier1_reports_match_corpus():
     rows = [row for row in load_corpus() if row[2]]
     assert _mismatches(rows) == []
 
 
+def first_line_difference(a, b):
+    """(line number from 1, line of a, line of b) of the first line where
+    two reports differ, a missing line read as None; None if equal."""
+    a, b = a.splitlines(), b.splitlines()
+    for k in range(max(len(a), len(b))):
+        x = a[k] if k < len(a) else None
+        y = b[k] if k < len(b) else None
+        if x != y:
+            return k + 1, x, y
+    return None
+
+
+def against(tree):
+    """Run every corpus row under the ``src`` of ``tree`` and under this
+    tree; print each mismatch with its first differing line."""
+    child = subprocess.Popen(
+        [sys.executable, os.path.abspath(__file__), "--emit",
+         os.path.join(os.path.abspath(tree), "src")],
+        stdout=subprocess.PIPE, text=True)
+    rows = load_corpus()
+    bad = 0
+    with child:
+        for (argv, fault, *_), line in zip(rows, child.stdout):
+            theirs = tuple(json.loads(line))
+            ours = run_report(argv, fault)
+            if theirs == ours:
+                continue
+            bad += 1
+            print(f"MISMATCH {argv} [{fault}]: exit {theirs[0]} there, "
+                  f"{ours[0]} here")
+            diff = first_line_difference(theirs[1], ours[1])
+            if diff is not None:
+                k, x, y = diff
+                print(f"  line {k} there: {x!r}")
+                print(f"  line {k} here:  {y!r}")
+    if child.returncode:
+        print(f"the run under {tree} failed ({child.returncode})")
+        return 1
+    print(f"{len(rows) - bad} of {len(rows)} runs match {tree}")
+    return 1 if bad else 0
+
+
 def main(args):
+    if args[:1] == ["--emit"]:
+        for argv, fault, *_ in load_corpus():
+            print(json.dumps(run_report(argv, fault)), flush=True)
+        return 0
+    if len(args) == 2 and args[0] == "--against":
+        return against(args[1])
     if args == ["--record"]:
         rows = [[argv, fault, tier1, *run_entry(argv, fault)]
                 for argv, fault, tier1 in corpus_runs()]

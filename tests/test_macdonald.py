@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
-from qcauchy.exact import (ExactError, QPoly, QSeries, QTPoly, QTRational,
-                           geometric_series, invert_q, limit_t,
-                           qseries_from_qtrational)
+from qcauchy.exact import (ExactError, InvariantError, QPoly, QSeries,
+                           QTPoly, QTRational, geometric_series, invert_q,
+                           limit_t, qseries_from_qtrational,
+                           reduce_over_binomials)
 import qcauchy.macdonald as macdonald
-from qcauchy.macdonald import (FactoredE, GenericMacdonaldEngine,
-                               _column_terms, _columns,
+from qcauchy.macdonald import (_column_terms, _columns,
                                _cyclically_increasing, _fillings_bound,
                                _window_cost, e_atom_table, e_t0_table,
                                exact_cap, macdonald_E, macdonald_E_fillings,
-                               norm_a_q, norm_a_qt, recursion_parent,
-                               restrict_poly_terms, rs_polynomial,
-                               sl2_closed_forms, specialize_E)
+                               norm_a_q, norm_a_qt, restrict_poly_terms,
+                               rs_polynomial, sl2_closed_forms, specialize_E)
 from qcauchy.weights import arm_leg, compositions_up_to, diagram
 
 ONE = QTPoly.one()
@@ -68,35 +67,44 @@ class TestConstruction:
                     assert Es.terms == expected, (lam, m)
 
 
-def _get_by_recursion(eng, lam, memo):
-    """E_lam by one call per step of the recursion_parent chain: the walk
-    GenericMacdonaldEngine.get replaced, kept as its oracle."""
-    if lam not in memo:
-        parent, step = recursion_parent(lam)
-        if parent is None:
-            memo[lam] = FactoredE(eng.n, lam, {(0,) * eng.n: QTPoly.one()}, ())
-        elif step[0] == "PHI":
-            memo[lam] = eng._phi_step(_get_by_recursion(eng, parent, memo),
-                                      lam)
-        else:
-            memo[lam] = eng._t_step(_get_by_recursion(eng, parent, memo), lam,
-                                    step)
-    return memo[lam]
+@functools.lru_cache(maxsize=None)
+def _fillings_E(lam):
+    """The fillings oracle, which shares no ``_columns`` or ``_transitions``
+    with the column program it checks; cached, as several tests read the
+    same lam."""
+    return macdonald_E_fillings(lam)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_engine_walk_matches_recursion(n):
-    # largest first, so that get builds whole chains and memoizes every
-    # composition on them, then reads the rest from the chains' ends
-    eng = GenericMacdonaldEngine(n)
-    lams = sorted(compositions_up_to(n, 6), key=sum, reverse=True)
-    for lam in lams:
-        eng.get(lam)
-    memo = {}
-    for lam, fe in eng.memo.items():
-        want = _get_by_recursion(eng, lam, memo)
-        assert (fe.terms, fe.den) == (want.terms, want.den), lam
-    assert set(lams) <= set(eng.memo)
+@functools.lru_cache(maxsize=None)
+def _oracle_specialized(lam, mode):
+    return specialize_E(_fillings_E(lam), mode).terms
+
+
+def test_macdonald_E_matches_fillings_n4():
+    # the generic column program against the filling-by-filling oracle,
+    # exhaustively at n = 4 (TestTwoPath covers n <= 3)
+    for lam in compositions_up_to(4, 4):
+        assert macdonald_E(lam).terms == _fillings_E(lam).terms, lam
+
+
+def test_engine_returns_a_copy():
+    # a caller that changes the map it got leaves the memo as it was
+    terms = macdonald_E((0, 1)).terms
+    terms.clear()
+    assert macdonald_E((0, 1)).terms == macdonald_E_fillings((0, 1)).terms
+
+
+def test_engine_checks_monicity(monkeypatch):
+    # a numerator that breaks the convention at x^lam is an internal error
+    program = macdonald._generic_column_terms
+
+    def doubled(lam):
+        nums, binomials = program(lam)
+        return {w: {k: 2 * c for k, c in num.items()}
+                for w, num in nums.items()}, binomials
+    monkeypatch.setattr(macdonald, "_generic_column_terms", doubled)
+    with pytest.raises(InvariantError):
+        macdonald.GenericMacdonaldEngine(2).get((0, 1))
 
 
 class TestTwoPath:
@@ -153,12 +161,11 @@ class TestSpecializations:
         # specialize_E reads off the generic E
         for n, size in ((1, 5), (2, 5), (3, 5), (4, 4)):
             for lam in compositions_up_to(n, size):
-                E = macdonald_E(lam)
                 cap = exact_cap(lam)
                 for table, mode in TABLES:
                     got = table([lam], cap)[lam]
                     assert {e: QPoly(c.coeffs) for e, c in got.items()} == \
-                        specialize_E(E, mode).terms, (lam, mode)
+                        _oracle_specialized(lam, mode), (lam, mode)
 
     def test_tables_truncate_exactly(self):
         # dropping the partial fillings above the cap is exact: the table
@@ -182,10 +189,9 @@ SMALL_COMPOSITIONS = [(n, lam) for n in (1, 2, 3)
 @given(st.sampled_from(SMALL_COMPOSITIONS), st.integers(0, 21))
 def test_tables_match_specialize_property(case, cap):
     n, lam = case
-    E = macdonald_E(lam)
     for table, mode in TABLES:
         want = {e: QSeries.from_qpoly(c, cap)
-                for e, c in specialize_E(E, mode).terms.items()}
+                for e, c in _oracle_specialized(lam, mode).items()}
         want = {e: c for e, c in want.items() if not c.is_zero}
         assert table([lam], cap)[lam] == want, (lam, cap, mode)
 
@@ -450,6 +456,20 @@ class TestNorms:
             (ONE - QTPoly.term(1, 2, 1)) * (ONE - Q))
         assert b == expected
         assert norm_a_qt((0,) * 3) == QTRational.one()
+
+    def test_norms_match_trial_division(self):
+        # norm_a_qt cancels cyclotomic factors by count; the path it
+        # replaced multiplied the numerator binomials out and reduced them
+        # over the denominator binomials by trial division
+        for n in range(1, 5):
+            for lam in compositions_up_to(n, 6):
+                num, den = QTPoly.one(), []
+                for cell in diagram(lam):
+                    arm, leg = arm_leg(lam, cell)
+                    num = num.mul_one_minus_qt(leg + 1, arm + 1)
+                    den.append((leg + 1, arm))
+                assert norm_a_qt(lam) == reduce_over_binomials(num.m, den), \
+                    lam
 
     def test_q_series_examples(self):
         # 1/((1-q)(1-q^2)) and 1/(1-q)
