@@ -205,6 +205,34 @@ class TestInvariantErrors:
         assert err == ("internal error: negative norm coefficient; "
                        "positivity broken\n")
 
+    def test_negative_table_coefficient_exits_three(self, monkeypatch):
+        # the first series without a constant term that the column program
+        # returns loses 1, which makes its q^0 coefficient -1; the sl side
+        # reads every coefficient of its tables, so the run breaks an
+        # invariant.  Every qcauchy module that binds the program sees the
+        # wrapper.
+        import qcauchy.macdonald as macdonald
+        program = macdonald._packed_column_terms
+        corrupted = []
+
+        def wrapped(columns, n, cap, rule, floor, width, bits):
+            out = program(columns, n, cap, rule, floor, width, bits)
+            for code, series in out.items():
+                if not corrupted and series and not series & (1 << width) - 1:
+                    out[code] = series - 1
+                    corrupted.append(code)
+            return out
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "qcauchy"
+                    and getattr(module, "_packed_column_terms", None)
+                    is program):
+                monkeypatch.setattr(module, "_packed_column_terms", wrapped)
+        code, out, err = invoke(["verify", "--identity", "sl", "--n", "3",
+                                 "--max-deg", "2", "--max-q", "2"])
+        assert corrupted
+        assert code == 3 and out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+
 
 class TestSlMismatch:
     # the witness is pinned in full (monomial and both rendered sides), so

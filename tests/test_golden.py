@@ -8,9 +8,10 @@ The corpus holds the byte lists a change is checked against: the sl
 identity, the q-series gl variants and gl-qt at points up to a few seconds
 each, every ``macdonald`` spec, ``norm`` flag set and ``char`` kind on both
 lattices for n <= 3, |lam| <= 4, and the rank-one appendix, in both output
-formats.  The faults are a norm + 1 or + q, and one wrong table entry: the
+formats.  The faults are a norm + 1 or + q; one wrong table entry, the
 columns of lam = (0, 1, 2) with one cell's leg + 1 too large, which both
-tables of lam are built from.  Tier-1 runs the rows marked tier1 (a few
+tables of lam are built from; and a window cost of the sl side one too
+large where it is finite, for the t = 0 or the atom rule.  Tier-1 runs the rows marked tier1 (a few
 seconds); the whole corpus (about 40 s) runs from the command line,
 against the ``src`` beside this ``tests`` folder:
 
@@ -30,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,12 +81,26 @@ def _leg_plus_one(columns):
     return corrupted
 
 
+def _cost_plus_one(rule):
+    # the window cost of one rule one too large where it is finite: the sl
+    # side may skip a lam whose summand counts, and with rule "atom" it
+    # builds the t = 0 table one q-power short
+    def corrupt(window_cost):
+        def raised(lam, floor, which):
+            cost = window_cost(lam, floor, which)
+            return cost + 1 if which == rule and cost != math.inf else cost
+        return raised
+    return corrupt
+
+
 # fault name -> (the function it replaces, its corruption)
 FAULTS = {
     "norm_a_q+1": ("norm_a_q", _norm_plus_one),
     "hw_algebra_char+q": ("hw_algebra_char", _char_plus_q),
     "norm_a_qt+1": ("norm_a_qt", _qt_norm_plus_one),
     "leg(0,1,2)+1": ("_columns", _leg_plus_one),
+    "window_cost(t0)+1": ("_window_cost", _cost_plus_one("t0")),
+    "window_cost(atom)+1": ("_window_cost", _cost_plus_one("atom")),
 }
 
 
@@ -139,6 +155,10 @@ def corpus_runs():
             tier1 = (n, w, K) in SL_TIER1
             faults = [None, "norm_a_q+1", "hw_algebra_char+q"]
             faults += ["leg(0,1,2)+1"] * (tier1 and n == 3)
+            # at n = 1 a table is one monomial with coefficient 1, which no
+            # budget cuts
+            faults += ["window_cost(t0)+1",
+                       "window_cost(atom)+1"] * (tier1 and n >= 2)
             rows.extend((argv + tail, fault, tier1) for fault in faults)
         for identity in ("gl-t0", "gl-slform", "iwahori-char",
                          "classical-q0"):
