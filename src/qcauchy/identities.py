@@ -71,10 +71,10 @@ from bisect import bisect_left
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
                     qq_pochhammer_poly)
-from .macdonald import (_columns, _exponents, _fillings_bound, _window_cost,
-                        e_atom_table, e_t0_table, generic_engine, norm_a_q,
-                        norm_a_qt, packed_tables, sl2_closed_forms,
-                        restrict_poly_terms)
+from .macdonald import (_columns, _exponents, _fillings_bound,
+                        _packed_column_terms, _window_cost, e_atom_table,
+                        e_t0_table, generic_engine, norm_a_q, norm_a_qt,
+                        packed_tables, sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, mul_truncated, render_scalar)
@@ -302,27 +302,15 @@ def _pair_product_series(out, xterms, yterms, norm):
             out[key] = cxn * cy if prev is None else prev + cxn * cy
 
 
-def _table_mass(table):
-    """The L1 mass of a table of integer QSeries: the sum of |coefficient|
-    over its entries."""
-    return sum(l1_mass(c.coeffs) for c in table.values())
-
-
 def _macdonald_bound(summands):
     """A bound on every coefficient of ``_packed_macdonald_sum``'s sums:
-    sum max_i L1(norms[i]) X Y over the summands (norms, X, Y), X and Y
-    bounds on the L1 masses of the x- and y-table.  A key splits into one
-    x- and one y-key, so no slot of a sum exceeds it.  The sl side reads
-    the masses of its tables (``_table_mass``); a caller that fixes the
-    width before building any table reads the bound F(lam) of
-    ``macdonald._fillings_bound`` off lam's columns, for both tables."""
-    return sum(max(l1_mass(norm.coeffs) for norm in norms) * xmass * ymass
-               for norms, xmass, ymass in summands)
-
-
-def _pack_table(table, packing):
-    """{key: packed int} of a table of integer QSeries."""
-    return {e: packing.pack(c.coeffs) for e, c in table.items()}
+    sum max_i L1(norms[i]) F^2 over the summands (norms, F), F = F(lam) of
+    ``macdonald._fillings_bound``, which bounds the L1 mass of both of
+    lam's tables at every cap and floor.  A key splits into one x- and one
+    y-key, so no slot of a sum exceeds it.  F is read off lam's columns, so
+    every caller fixes its width before it builds any table."""
+    return sum(max(l1_mass(norm.coeffs) for norm in norms) * fills * fills
+               for norms, fills in summands)
 
 
 def _packed_macdonald_sum(summands, packing):
@@ -369,7 +357,7 @@ def _macdonald_side(variant, n, policy, bound=0):
     tcap = 0 if variant == "classical_q0" else policy.max_q_degree
     norms = [(norm_a_q(lam, tcap),) for lam in lambdas]
     fills = [_fillings_bound(_columns(lam), n) for lam in lambdas]
-    packing = PackedQ(max(bound, _macdonald_bound(zip(norms, fills, fills))),
+    packing = PackedQ(max(bound, _macdonald_bound(zip(norms, fills))),
                       policy.max_q_degree)
     bits = _code_bits(policy)
     t0, atom = (packed_tables(lambdas, tcap, rule, packing.width, bits)
@@ -575,37 +563,68 @@ def project_to_sl(f, pairs, kmax, K):
                                if not c.is_zero}, _checked=True)
 
 
-def _sl_lhs_window(fibers):
-    """Projected gl_slform product side: {sl class: QSeries} from the fiber
-    sums {class pair: QSeries} of ``sl_certificate``, zero sums dropped.
-    restrict_weight is injective on min-zero representatives, so no two
-    pairs share a key."""
-    return {restrict_weight(a) + restrict_weight(b): c
-            for (a, b), c in fibers.items() if not c.is_zero}
+def _sl_lhs_window(fibers, packing, bits):
+    """Projected gl_slform product side: {class-pair code: masked int} from
+    the fiber sums {class pair: QSeries} of ``sl_certificate``, packed by
+    ``packing``, zero sums dropped.  The pair (a, b) of min-zero
+    representatives is keyed as ``_sl_rhs_adaptive`` keys its sums: the
+    2n entries of a and b as digits of ``bits`` bits, the lowest first.
+    Distinct pairs have distinct codes, so no two share a key."""
+    out = {}
+    for (a, b), c in fibers.items():
+        value = packing.pack(c.coeffs) & packing.mask
+        if value:
+            out[sum(e << bits * i for i, e in enumerate(a + b))] = value
+    return out
 
 
-def _window_hits(table, side):
-    """{sl class: coefficient} of the monomials of a floor-pruned table,
-    every coefficient checked nonnegative.  A monomial e is keyed on
-    ``restrict_weight(e)``, the class of e - min(e) 1; the monomials of one
-    E_lam all have degree |lam|, on which restrict_weight is injective, so
-    no two hits share a class.  A table built with the floor of the window
-    W holds exactly the monomials whose class has degree <= W, all of them
-    window classes, so no hit is filtered out."""
+def _window_hits(lam, cap, rule, floor, packing, bits, shift=0):
+    """{class code << shift: packed series} of lam's table of ``rule`` at
+    ``cap``, pruned to ``floor`` by the column program at the slot width of
+    ``packing`` and the code width ``bits``, every coefficient checked
+    nonnegative.
+
+    A weight w is keyed on the code of its sl class, the min-zero w - min(w)
+    1: its weight code minus min(w) times the code of (1, ..., 1).  The
+    weights of one E_lam all have degree |lam|, on which that class is
+    injective, so no two hits share a key.  A table built with the floor of
+    the window W holds exactly the weights whose class has degree <= W, all
+    of them window classes, so no hit is filtered out.  Every count is
+    below 2^(width - 2) (``_macdonald_bound`` bounds F(lam)), so the top bit
+    of every slot is clear, and a negative coefficient sets the top bit of
+    the lowest negative slot: one ``& packing.bias`` checks a series."""
+    n = len(lam)
+    ones = sum(1 << bits * v for v in range(n))
     hits = {}
-    for e, c in table.items():
-        if not c.is_nonnegative():
+    for code, v in _packed_column_terms(_columns(lam), n, cap, rule, floor,
+                                        packing.width, bits).items():
+        if v & packing.bias:
             raise InvariantError(
-                f"negative {side} coefficient; positivity broken")
-        hits[restrict_weight(e)] = c
+                f"negative {rule} coefficient; positivity broken")
+        hits[code - min(_exponents(code, n, bits)) * ones << shift] = v
     return hits
 
 
-def _sl_budget_hits(lam, K, W):
+def _sl_budget(lam, K, W):
+    """The cost test of lam on the window of degree W under the q-budget K:
+    (F, c_y), or None when c_x + c_y > K skips lam (see
+    ``_sl_budget_hits``)."""
+    floor = -((W - sum(lam)) // len(lam))
+    cost_y = _window_cost(lam, floor, "atom")
+    if _window_cost(lam, floor, "t0") + cost_y > K:
+        return None
+    return floor, cost_y
+
+
+def _sl_budget_hits(lam, K, W, packing, bits):
     """(x hits, y hits) of lam's tables E_lam(x; q, 0) and E_lam(y; q^{-1},
     oo) on the window of degree W, built under one q-budget K for both, or
     None when lam adds nothing to the sums modulo q^{K+1}.  Every decision
-    about lam is made here; the rank n is len(lam).
+    about lam is made here, from its cost test (``_sl_budget``); the rank n
+    is len(lam).  The tables come packed from the column program at the
+    slot width of ``packing`` and the code width ``bits``, keyed on class
+    codes (``_window_hits``), the y hits' shifted past n digits, so that an
+    x key plus a y key is the code of the class pair.
 
     The window classes are the min-zero w - min(w)*1 of degree <= W, and
     every weight of either table has |w| = |lam|, so w is in a window class
@@ -616,43 +635,47 @@ def _sl_budget_hits(lam, K, W):
     q-power, so an x-term of degree above K - c_y meets only y-terms of
     degree >= c_y, and their product vanishes modulo q^{K+1}.  So lam is
     skipped when c_x + c_y > K, and the t = 0 table is built at cap K - c_y.
-    With e_x the least q-exponent among its hits, the same argument with
-    the roles swapped builds the atom table at cap K - e_x; that cap is at
-    least c_y, as e_x <= K - c_y, so lam is skipped at this step only when
-    the t = 0 table has no hit.  Every summand norm * E(x) * E(y) is
-    unchanged modulo q^{K+1}; coefficients above the lowered caps are not
-    computed, and every computed one is checked nonnegative."""
-    floor = -((W - sum(lam)) // len(lam))
-    cost_y = _window_cost(lam, floor, "atom")
-    if _window_cost(lam, floor, "t0") + cost_y > K:
+    With e_x the least q-exponent among its hits, read off the lowest set
+    bit of its packed series, the same argument with the roles swapped
+    builds the atom table at cap K - e_x; that cap is at least c_y, as e_x
+    <= K - c_y, so lam is skipped at this step only when the t = 0 table
+    has no hit.  Every summand norm * E(x) * E(y) is unchanged modulo
+    q^{K+1}; coefficients above the lowered caps are not computed, and
+    every computed one is checked nonnegative."""
+    budget = _sl_budget(lam, K, W)
+    if budget is None:
         return None
-    xhits = _window_hits(e_t0_table([lam], K - cost_y, floor)[lam], "t0")
+    floor, cost_y = budget
+    xhits = _window_hits(lam, K - cost_y, "t0", floor, packing, bits)
     if not xhits:
         return None
-    low = min(c.valuation() for c in xhits.values())
-    yhits = _window_hits(e_atom_table([lam], K - low, floor)[lam], "atom")
+    low = (min(v & -v for v in xhits.values()).bit_length() - 1
+           ) // packing.width
+    yhits = _window_hits(lam, K - low, "atom", floor, packing, bits,
+                         bits * len(lam))
     return (xhits, yhits) if yhits else None
 
 
-def _sl_rhs_adaptive(n, pairs, K, bound):
+def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     """The sl Macdonald side on the window: every min-zero lam with
-    |lam| <= bound summed once, with both norms.
+    |lam| <= box summed once, with both norms, on packed ints.
 
     lam reaches the window class pair (a, b) through the monomials of
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b;
-    ``_sl_budget_hits`` builds those of one lam, or skips lam.  The
-    positivity check covers what enters a sum: both norms of every lam
-    that is summed, and every table coefficient read, are checked
-    nonnegative.  The norms of a skipped lam are not computed.  The name is
-    kept although nothing adapts any more: the benchmark's tracer
-    (``perfbench/spans.py``) looks the function up by it.
+    ``_sl_budget_hits`` builds those of one lam, or skips lam.  Both norms
+    of every lam that passes the cost test (``_sl_budget``) are computed
+    and checked nonnegative right after it, and so is every table
+    coefficient read.  The name is kept although nothing adapts any more:
+    the benchmark's tracer (``perfbench/spans.py``) looks the function up
+    by it.
 
-    Each summed lam is one summand of ``_packed_macdonald_sum``: both
-    norms and its window hits, keyed on their sl classes and packed, so a
-    key of the sums is the sl class pair, and the sums are only unpacked.
-    The tables are shorter than K + 1 coefficients where the budget
-    lowered their caps; their L1 masses (``_table_mass``) still bound the
-    slots.  Nothing is filtered a second time: ``pairs``
+    The ``PackedQ`` is fixed before any table is built, at the larger of
+    ``bound`` and ``_macdonald_bound`` over the norms and F(lam) of every
+    lam that passes the cost test; codes have ``bits`` bits, 2^(bits - 1)
+    > box >= |lam|.  Each summed lam is one summand of
+    ``_packed_macdonald_sum``: both norms and its window hits, keyed on
+    class codes, so a key of the sums is the code of a class pair, as in
+    ``_sl_lhs_window``.  Nothing is filtered a second time: ``pairs``
     (``sl_window_pairs(n, W)``) holds every min-zero class of degree <= W
     on both sides, so every hit is a window class, and every pair of one
     lam's hits is in ``pairs``: a monomial e of E_lam has |e| = |lam|, so
@@ -661,29 +684,27 @@ def _sl_rhs_adaptive(n, pairs, K, bound):
     classes whose degrees agree mod n.
 
     Returns (sums with the arm/leg norm, sums with the
-    highest-weight-algebra norm, lambda_count), each sum {sl class: nonzero
-    QSeries} as in ``_sl_lhs_window``, lambda_count counting every lam up
-    to the bound, summed or skipped."""
+    highest-weight-algebra norm, lambda_count, packing, bits), each sum
+    {class-pair code: nonzero masked int}, lambda_count counting every lam
+    up to the box, summed or skipped."""
     W = max((sum(a) for a, _ in pairs), default=0)
-    kept = []       # ((norm_a, norm_h), x hits, y hits) of each summed lam
-    lambdas = sorted(min_zero_compositions_up_to(n, bound))
+    kept = []       # (lam, (norm_a, norm_h)) of each lam the cost test keeps
+    lambdas = sorted(min_zero_compositions_up_to(n, box))
     for lam in lambdas:
-        hits = _sl_budget_hits(lam, K, W)
-        if hits is None:
+        if _sl_budget(lam, K, W) is None:
             continue
         norms = norm_a_q(lam, K), hw_algebra_char(lam, "D").qseries(K)
         if not all(norm.is_nonnegative() for norm in norms):
             raise InvariantError("negative norm coefficient; positivity broken")
-        kept.append((norms,) + hits)
-    packing = PackedQ(_macdonald_bound(
-        (norms, _table_mass(xs), _table_mass(ys))
-        for norms, xs, ys in kept), K)
-    summands = [(norms, _pack_table(xs, packing), _pack_table(ys, packing))
-                for norms, xs, ys in kept]
-    by_a, by_h = ({key: packing.unpack(v) for key, v in sums.items()}
-                  for sums in _packed_macdonald_sum(summands, packing)
-                  or ({}, {}))
-    return by_a, by_h, len(lambdas)
+        kept.append((lam, norms))
+    packing = PackedQ(max(bound, _macdonald_bound(
+        (norms, _fillings_bound(_columns(lam), n)) for lam, norms in kept)),
+        K)
+    bits = box.bit_length() + 1
+    summands = [(norms,) + hits for lam, norms in kept
+                if (hits := _sl_budget_hits(lam, K, W, packing, bits))]
+    by_a, by_h = _packed_macdonald_sum(summands, packing) or ({}, {})
+    return by_a, by_h, len(lambdas), packing, bits
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +716,15 @@ def verify_identity(variant, n, policy):
     by ``first_difference``; an absent witness value reads 0.
 
     sl_projected compares ``_sl_lhs_window`` with the arm/leg-norm sums of
-    ``_sl_rhs_adaptive``, then those with its other sums.  The q-series gl
-    variants pack both sides with one ``PackedQ``, fixed by
+    ``_sl_rhs_adaptive``, then those with its other sums, all on one
+    ``PackedQ``, fixed by ``_sl_rhs_adaptive`` before any table is built at
+    the larger of the fibers' largest |coefficient| and its own bound.  The
+    q-series gl variants pack both sides with one ``PackedQ``, fixed by
     ``_macdonald_side`` before any table is built at the larger of
-    ``_product_bound`` and its own bound, and compare the masked ints on
-    the integer monomial codes; ``first_difference`` decodes a code only
-    where the sides differ, and only the witness's two values are
-    unpacked."""
+    ``_product_bound`` and its own bound.  Both compare the masked ints on
+    the integer codes of their monomials (sl class pairs, or gl exponents);
+    ``first_difference`` decodes a code only where the sides differ, and
+    only the witness's two values are unpacked."""
     t_start = time.monotonic()
     policy_dict = {"max_x_degree": policy.max_x_degree,
                    "max_y_degree": policy.max_y_degree,
@@ -714,34 +737,39 @@ def verify_identity(variant, n, policy):
         _, D, fibers = sl_certificate(n, pairs, K)
         policy_dict["window_degree"] = w
         policy_dict["certified_box"] = [D, D]
-        varset = VariableSet.sl(n)
-        p_lhs = _sl_lhs_window(fibers)
-        p_gl, p_sl, count = _sl_rhs_adaptive(n, pairs, K, D)
-        diff = first_difference(varset, p_lhs, p_gl)
-        if diff is None:
-            diff = first_difference(varset, p_gl, p_sl)
-        return _mk_report(variant, n, policy_dict, diff, count, t_start)
+        p_gl, p_sl, count, packing, bits = _sl_rhs_adaptive(
+            n, pairs, K, D, max((abs(c) for fiber in fibers.values()
+                                 for c in fiber.coeffs), default=0))
+        p_lhs = _sl_lhs_window(fibers, packing, bits)
 
-    if variant == "sl2_appendix":
+        def decode(code):
+            exps = _exponents(code, 2 * n, bits)
+            return restrict_weight(exps[:n]) + restrict_weight(exps[n:])
+        varset = VariableSet.sl(n)
+        diff = (first_difference(varset, p_lhs, p_gl, decode)
+                or first_difference(varset, p_gl, p_sl, decode))
+    elif variant == "sl2_appendix":
         return verify_sl2_appendix(
             (-policy.max_x_degree, policy.max_x_degree),
             policy.max_q_degree)
-
-    varset = VariableSet.gl(n)
-    if variant == "gl_qt":
+    elif variant == "gl_qt":
+        varset = VariableSet.gl(n)
         lhs = lhs_series(variant, n, policy)
         rhs = rhs_series(variant, n, policy)
         lhs._compat(rhs)
         diff = first_difference(varset, lhs.terms, rhs.terms)
         return _mk_report(variant, n, policy_dict, diff,
                           len(_rhs_lambdas(variant, n, policy)), t_start)
-    factors = _product_factors(variant, n, policy)
-    packing, rhs, count = _macdonald_side(
-        variant, n, policy, _product_bound(varset, policy, factors))
-    lhs = _packed_product(varset, policy, factors, packing)
-    bits = _code_bits(policy)
-    diff = first_difference(
-        varset, lhs, rhs, lambda code: _exponents(code, varset.size, bits))
+    else:
+        varset = VariableSet.gl(n)
+        factors = _product_factors(variant, n, policy)
+        packing, rhs, count = _macdonald_side(
+            variant, n, policy, _product_bound(varset, policy, factors))
+        lhs = _packed_product(varset, policy, factors, packing)
+        bits = _code_bits(policy)
+        diff = first_difference(
+            varset, lhs, rhs,
+            lambda code: _exponents(code, varset.size, bits))
     if diff:
         diff = diff[:1] + tuple(None if v is None else packing.unpack(v)
                                 for v in diff[1:])

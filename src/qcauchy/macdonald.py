@@ -25,31 +25,31 @@ with a rule for each:
   specializations, and their q^0 corners.  ``_packed_column_terms``
   counts on packed q-series, one per weight.  ``e_t0_table``
   (``T0Engine``) and ``e_atom_table`` (``atom_terms``) unpack its counts
-  into QSeries once, at the end (``_column_terms``), for the sl identity,
-  the characters, the rank-one suite and the command line;
-  ``packed_tables`` hands them on packed to the gl identities and ch T, at
-  a slot width the caller fixed from ``_fillings_bound``.
+  into QSeries once, at the end (``_column_terms``), for the characters,
+  the rank-one suite and the command line; ``packed_tables`` hands them on
+  packed to the gl identities and ch T, and the sl identity calls the
+  program itself, each at a slot width the caller fixed from
+  ``_fillings_bound``.
 
 ``macdonald_E_fillings`` sums the same formula filling by filling and
 reduces through the general gcd; it is the test oracle of every table
 (``specialize_E`` of it for the specializations).
-Given a ``floor`` F, the t = 0 and atom tables keep only the monomials x^w
-with min(w) >= F: the column program drops each partial filling that can
-no longer reach such a weight, and the pruned table is the full table
-restricted to those monomials.  The sl identity reads them with F =
-ceil((|lam| - W) / n), the monomials whose min-zero class w - min(w)*1 has
-degree <= W.  ``_window_cost`` bounds the q-valuation of every monomial
-with min(w) >= F from below.  At t = 0 a cell holds a value above its
-row's basement value only after an ascent in its row, and that ascent
-costs leg + 1, at least the number of cells it raises; so a filling of
-q-degree e raises at most e cells, while min(w) >= F forces some lam to
-raise a known number of them.  The atom side is the mirror case, with
-descents and the cells they lower.  The builders, the cost and the engine
-read the rank n of lam as len(lam) (only the column program is told n:
-lam = 0 has no columns), so one batch may mix ranks.  The builders run the
-column program for every lam they are given; the sl identity reads the
-cost of both sides to decide which lam to build and at which caps (see
-``identities._sl_budget_hits``).
+Given a ``floor`` F, the packed program keeps only the monomials x^w with
+min(w) >= F: it drops each partial filling that can no longer reach such
+a weight, and the pruned table is the full table restricted to those
+monomials.  The sl identity builds its tables with F = ceil((|lam| - W) /
+n), the monomials whose min-zero class w - min(w)*1 has degree <= W.
+``_window_cost`` bounds the q-valuation of every monomial with min(w) >= F
+from below.  At t = 0 a cell holds a value above its row's basement value
+only after an ascent in its row, and that ascent costs leg + 1, at least
+the number of cells it raises; so a filling of q-degree e raises at most e
+cells, while min(w) >= F forces some lam to raise a known number of them.
+The atom side is the mirror case, with descents and the cells they lower.
+The builders, the cost and the engine read the rank n of lam as len(lam)
+(only the column program is told n: lam = 0 has no columns), so one batch
+may mix ranks.  The builders run the column program for every lam they
+are given; the sl identity reads the cost of both sides to decide which
+lam to build and at which caps (see ``identities._sl_budget_hits``).
 """
 
 from __future__ import annotations
@@ -214,10 +214,11 @@ def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     """The column program of ``_column_terms`` on packed q-series: {weight
     code: int}, each count series c_0 + c_1 q + ... packed as sum_e c_e
     2^(width e), the weight w as the code sum_v w_v 2^(bits v) (see
-    ``_exponents``), zero series dropped.  The caller picks width and
-    bits: every count must stay below 2^width (``_fillings_bound`` bounds
-    them), 2^(bits - 1) must exceed the number of cells, |lam|, and n floor
-    must not exceed it.
+    ``_exponents``), zero series dropped; only the weights whose entries
+    are all at least ``floor`` are kept.  The caller picks width and bits:
+    every count must stay below 2^width (``_fillings_bound`` bounds them),
+    and 2^(bits - 1) must exceed the number of cells, |lam|; n floor must
+    not exceed |lam|.
 
     A state maps each weight code of its partial fillings to one packed
     series.  A column adds its 0/1 weight to the code and multiplies the
@@ -227,6 +228,18 @@ def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     low width * (cap + 1) bits then drops the counts above q^cap, which no
     later column brings back.  A gain above the cap leaves nothing, and a
     column that gains nothing leaves every series as it is.
+
+    The floor is pruned the same way.  Every weight has |w| = |lam|, so a
+    floor with n floor > |lam| leaves no weight (``_window_cost`` is then
+    infinite, and the sl identity builds no table); otherwise the floor is
+    at most |lam| / n.  A column's entries are distinct, so each later
+    column adds a 0/1 vector to the weight: a partial weight p with some
+    p_v + (columns left) < floor has no completion with every entry at
+    least ``floor``, and is dropped.  After the last column the test is
+    exact, so the result is the full table restricted to the weights with
+    min(w) >= floor.  A column is tested only once floor exceeds the
+    columns left after it, so with floor <= 0 nothing is.  A state whose
+    partial fillings were all dropped is dropped too.
 
     The floor test reads all weight digits at once: with the top bit of
     every digit set, subtracting (floor - columns left) from each digit
@@ -283,11 +296,10 @@ def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     return out
 
 
-def _column_terms(columns, n, cap, rule, floor=0):
+def _column_terms(columns, n, cap, rule):
     """E_lam(x; q, 0) (rule ``"t0"``) or E_lam(x; q^{-1}, oo) (rule
     ``"atom"``) modulo q^{cap+1}, as {weight: QSeries}, from the columns
-    ``_columns(lam)`` of dg(lam); only the weights whose entries are all at
-    least ``floor`` are kept.
+    ``_columns(lam)`` of dg(lam).
 
     Both are sums over the non-attacking fillings of the fillings formula.
     At t = 0 a filling survives when it has coinv = 0 and gives q^maj, maj
@@ -305,27 +317,12 @@ def _column_terms(columns, n, cap, rule, floor=0):
 
     A column only adds to the q-exponent, so a partial filling above
     ``cap`` has no completion below it: dropping it leaves the result
-    exact modulo q^{cap+1}.
-
-    The floor is pruned the same way.  Every weight has |w| = |lam|, so a
-    floor with n floor > |lam| leaves no weight, and the program is not
-    run; otherwise the floor is at most |lam| / n.  A column's entries are
-    distinct, so each later column adds a 0/1 vector to the weight: a
-    partial weight p with some p_v + (columns left) < floor has no
-    completion with every entry at least ``floor``, and is dropped.  After
-    the last column the test is exact, so the result is the full table
-    restricted to the weights with min(w) >= floor.  A column is tested
-    only once floor exceeds the columns left after it, so with floor <= 0
-    nothing is.  A state whose partial fillings were all dropped is
-    dropped too."""
-    cells = sum(_cell_counts(columns))
-    if n * floor > cells:
-        return {}
-    bits = cells.bit_length() + 1
+    exact modulo q^{cap+1}."""
+    bits = sum(_cell_counts(columns)).bit_length() + 1
     packing = PackedQ(_fillings_bound(columns, n), cap)
     return {_exponents(code, n, bits): packing.unpack(series)
             for code, series in _packed_column_terms(
-                columns, n, cap, rule, floor, packing.width, bits).items()}
+                columns, n, cap, rule, 0, packing.width, bits).items()}
 
 
 def _window_cost(lam, floor, rule):
@@ -359,11 +356,7 @@ def _window_cost(lam, floor, rule):
 
 class T0Engine:
     """E_lam(x; q, 0) for batches of compositions, each in len(lam)
-    variables, by the column program; only the monomials x^w with min(w)
-    >= ``floor`` are kept (see ``_column_terms``)."""
-
-    def __init__(self, floor=0):
-        self.floor = floor
+    variables, by the column program (``_column_terms``)."""
 
     def plan(self, targets):
         """(patterns, columns): the distinct column patterns of the batch,
@@ -375,17 +368,15 @@ class T0Engine:
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
         _, columns = self.plan(targets)
-        return {lam: _column_terms(columns[lam], len(lam), cap, "t0",
-                                   self.floor)
+        return {lam: _column_terms(columns[lam], len(lam), cap, "t0")
                 for lam in targets}
 
 
-def atom_terms(lam, cap, floor=0):
+def atom_terms(lam, cap):
     """E_lam(x; q^{-1}, oo) modulo q^{cap+1} in len(lam) variables, by the
-    column program; only the monomials x^w with min(w) >= ``floor`` are
-    kept."""
+    column program."""
     lam = _as_tuple(lam)
-    return _column_terms(_columns(lam), len(lam), cap, "atom", floor)
+    return _column_terms(_columns(lam), len(lam), cap, "atom")
 
 
 # ---------------------------------------------------------------------------
@@ -834,16 +825,16 @@ def _compositions(lams):
     return lams
 
 
-def e_t0_table(lams, cap, floor=0):
+def e_t0_table(lams, cap):
     """{lam: {exps: QSeries}} of t = 0 specializations, each in len(lam)
-    variables; only the monomials x^w with min(w) >= ``floor``."""
-    return T0Engine(floor).batch(_compositions(lams), cap)
+    variables."""
+    return T0Engine().batch(_compositions(lams), cap)
 
 
-def e_atom_table(lams, cap, floor=0):
+def e_atom_table(lams, cap):
     """{lam: {exps: QSeries}} of (q^{-1}, oo) specializations, each in
-    len(lam) variables; only the monomials x^w with min(w) >= ``floor``."""
-    return {lam: atom_terms(lam, cap, floor) for lam in _compositions(lams)}
+    len(lam) variables."""
+    return {lam: atom_terms(lam, cap) for lam in _compositions(lams)}
 
 
 def packed_tables(lams, cap, rule, width, bits):

@@ -11,16 +11,16 @@ import qcauchy.identities as identities
 import qcauchy.macdonald as macdonald
 from qcauchy.affine import hw_algebra_char
 from qcauchy.identities import (_code_bits, _kostant_xsums, _macdonald_bound,
-                                _macdonald_side, _pack_table,
-                                _packed_macdonald_sum, _product_bound,
-                                _product_factors, _table_mass,
-                                _rhs_lambdas, _sl_budget_hits, _sl_lhs_window,
-                                _sl_rhs_adaptive, _window_hits, lhs_series,
+                                _macdonald_side, _packed_macdonald_sum,
+                                _product_bound, _product_factors,
+                                _rhs_lambdas, _sl_budget, _sl_budget_hits,
+                                _sl_lhs_window, _sl_rhs_adaptive, lhs_series,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
                                 verify_sl2_appendix)
-from qcauchy.macdonald import (_columns, _exponents, _window_cost,
-                               e_atom_table, e_t0_table, norm_a_q)
+from qcauchy.macdonald import (_columns, _exponents, _fillings_bound,
+                               _window_cost, e_atom_table, e_t0_table,
+                               norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series, render_scalar)
@@ -468,35 +468,66 @@ def test_window_hits_pair_up_in_window():
             _, box, _ = sl_certificate(n, pairs, K)
             for lam in min_zero_compositions_up_to(n, box):
                 floor = window_floor(lam, n, w)
-                xs = _window_hits(e_t0_table([lam], K, floor)[lam], "t0")
+                xs = _window_classes(e_t0_table, lam, K, floor)
                 if not xs:
                     continue        # no pair; the atom table is not needed
-                ys = _window_hits(e_atom_table([lam], K, floor)[lam],
-                                  "atom")
+                ys = _window_classes(e_atom_table, lam, K, floor)
                 assert set(xs) <= reps and set(ys) <= reps, (n, w, lam)
                 for a in xs:
                     for b in ys:
                         assert (a, b) in pair_set, (n, w, lam, a, b)
 
 
-def _summand(lam, K, hits):
-    """norm * E(x) * E(y) modulo q^{K+1} of lam's (x hits, y hits), {} for
-    None."""
+def _pair_classes(code, n, bits):
+    """The sl class pair (restrict_weight of both) of a class-pair code."""
+    exps = _exponents(code, 2 * n, bits)
+    return restrict_weight(exps[:n]) + restrict_weight(exps[n:])
+
+
+def _shared_hits(lam, K, w):
+    """(hits, packing, bits): _sl_budget_hits of lam at the slot width of
+    lam's own bound F(lam) and the code width of |lam|."""
+    norms = (norm_a_q(lam, K),)
+    packing = PackedQ(_macdonald_bound(
+        [(norms, _fillings_bound(_columns(lam), len(lam)))]), K)
+    bits = sum(lam).bit_length() + 1
+    return _sl_budget_hits(lam, K, w, packing, bits), packing, bits
+
+
+def _shared_summand(lam, K, w):
+    """norm * E(x) * E(y) modulo q^{K+1} of lam's window hits under the
+    shared q-budget, keyed on sl class pairs and unpacked; {} when lam is
+    skipped."""
+    hits, packing, bits = _shared_hits(lam, K, w)
     if hits is None:
         return {}
-    norms, (xs, ys) = (norm_a_q(lam, K),), hits
-    packing = PackedQ(_macdonald_bound(
-        [(norms, _table_mass(xs), _table_mass(ys))]), K)
-    sums, = _packed_macdonald_sum(
-        [(norms, _pack_table(xs, packing), _pack_table(ys, packing))], packing)
-    return {key: packing.unpack(v) for key, v in sums.items()}
+    sums, = _packed_macdonald_sum([((norm_a_q(lam, K),),) + hits], packing)
+    return {_pair_classes(code, len(lam), bits): packing.unpack(v)
+            for code, v in sums.items()}
+
+
+def _summand(lam, K, hits):
+    """norm * E(x) * E(y) modulo q^{K+1} of lam's QSeries (x hits, y hits),
+    keyed on sl class pairs, zero sums dropped."""
+    norm, (xs, ys) = norm_a_q(lam, K), hits
+    out = {a + b: norm * cx * cy for a, cx in xs.items()
+           for b, cy in ys.items()}
+    return {key: c for key, c in out.items() if not c.is_zero}
+
+
+def _window_classes(table, lam, K, floor):
+    """The oracle of the window hits: lam's table built in full at cap K,
+    restricted to the weights w with min(w) >= floor, keyed on sl
+    classes."""
+    return {restrict_weight(e): c for e, c in table([lam], K)[lam].items()
+            if min(e) >= floor}
 
 
 def _full_cap_hits(n, lam, K, w):
-    # the oracle of the shared budget: both tables built at cap K
+    # the oracle of the shared budget: both tables at cap K, on the window
     floor = window_floor(lam, n, w)
-    return (_window_hits(e_t0_table([lam], K, floor)[lam], "t0"),
-            _window_hits(e_atom_table([lam], K, floor)[lam], "atom"))
+    return (_window_classes(e_t0_table, lam, K, floor),
+            _window_classes(e_atom_table, lam, K, floor))
 
 
 # (n, W, K) of the exhaustive oracle: every point with n <= 2, and at
@@ -518,10 +549,9 @@ def test_shared_budget_keeps_every_summand():
         _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             full = _full_cap_hits(n, lam, K, w)
-            shared = _sl_budget_hits(lam, K, w)
-            assert _summand(lam, K, shared) == _summand(lam, K, full), \
+            assert _shared_summand(lam, K, w) == _summand(lam, K, full), \
                 (n, w, K, lam)
-            skipped += shared is None and all(full)
+            skipped += _shared_hits(lam, K, w)[0] is None and all(full)
     assert skipped > 0
 
 
@@ -532,13 +562,14 @@ def test_budget_skips_run_no_column_program(monkeypatch):
     # the t = 0 table's cap K - c_y bounds e_x, so the second condition
     # fails only on an empty t = 0 table; the first skips some lam
     runs = []
-    column_terms = macdonald._column_terms
+    program = macdonald._packed_column_terms
 
-    def recorded(columns, n, cap, rule, floor):
-        table = column_terms(columns, n, cap, rule, floor)
-        runs.append((rule, columns, table))
+    def recorded(columns, n, cap, rule, floor, width, bits):
+        table = program(columns, n, cap, rule, floor, width, bits)
+        runs.append((rule, columns, {
+            code: (v & -v).bit_length() // width for code, v in table.items()}))
         return table
-    monkeypatch.setattr(macdonald, "_column_terms", recorded)
+    monkeypatch.setattr(identities, "_packed_column_terms", recorded)
     skipped = 0
     for n, w, K in BUDGET_POINTS:
         _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
@@ -547,7 +578,7 @@ def test_budget_skips_run_no_column_program(monkeypatch):
             cost_x = _window_cost(lam, floor, "t0")
             cost_y = _window_cost(lam, floor, "atom")
             runs.clear()
-            _sl_budget_hits(lam, K, w)
+            _shared_hits(lam, K, w)
             assert all(columns == _columns(lam) for _, columns, _ in runs)
             rules = [rule for rule, _, _ in runs]
             case = (n, w, K, lam)
@@ -556,8 +587,7 @@ def test_budget_skips_run_no_column_program(monkeypatch):
                 skipped += 1
                 continue
             assert rules[0] == "t0", case
-            low = min((c.valuation() for c in runs[0][2].values()),
-                      default=math.inf)
+            low = min(runs[0][2].values(), default=math.inf)
             assert low == math.inf or low <= K - cost_y, case
             want = ["t0", "atom"] if low + cost_y <= K else ["t0"]
             assert rules == want, case
@@ -574,21 +604,22 @@ def test_budget_skips_lambda_without_t0_hit(monkeypatch):
     assert (_window_cost(lam, floor, "t0")
             + _window_cost(lam, floor, "atom")) <= K
 
-    def no_atom(*args):
-        raise AssertionError("atom table built without a t = 0 hit")
-    monkeypatch.setattr(identities, "e_t0_table",
-                        lambda lams, cap, floor: {lam: {} for lam in lams})
-    monkeypatch.setattr(identities, "e_atom_table", no_atom)
-    assert _sl_budget_hits(lam, K, w) is None
+    def t0_only(columns, n, cap, rule, floor, width, bits):
+        if rule == "atom":
+            raise AssertionError("atom table built without a t = 0 hit")
+        return {}
+    monkeypatch.setattr(identities, "_packed_column_terms", t0_only)
+    assert _shared_hits(lam, K, w)[0] is None
 
 
-def test_norms_only_for_summed_lambda(monkeypatch):
-    # the sl Macdonald side computes (and checks) both norms of the lam it
-    # sums, and no other: at (3, 2, 2), 91 of the 316 lam up to the box
+def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
+    # the sl Macdonald side computes (and checks) both norms of the lam
+    # that pass its cost test, before it builds any table, and no other: at
+    # (3, 2, 2), 92 of the 316 lam up to the box, of which it sums 91
     n, w, K = 3, 2, 2
     pairs = sl_window_pairs(n, w)
     _, box, _ = sl_certificate(n, pairs, K)
-    summed = sum(_sl_budget_hits(lam, K, w) is not None
+    passed = sum(_sl_budget(lam, K, w) is not None
                  for lam in min_zero_compositions_up_to(n, box))
     calls = {"norm_a_q": 0, "hw_algebra_char": 0}
     for name in calls:
@@ -596,9 +627,15 @@ def test_norms_only_for_summed_lambda(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(identities, name, counted)
-    _, _, count = _sl_rhs_adaptive(n, pairs, K, box)
-    assert (summed, count) == (91, 316)
-    assert calls == {"norm_a_q": summed, "hw_algebra_char": summed}
+    summed = []
+
+    def recorded(summands, packing):
+        summed.append(len(summands))
+        return _packed_macdonald_sum(summands, packing)
+    monkeypatch.setattr(identities, "_packed_macdonald_sum", recorded)
+    count = _sl_rhs_adaptive(n, pairs, K, box)[2]
+    assert (passed, summed, count) == (92, [91], 316)
+    assert calls == {"norm_a_q": passed, "hw_algebra_char": passed}
 
 
 @st.composite
@@ -616,7 +653,7 @@ def _budget_cases(draw):
 @given(_budget_cases())
 def test_shared_budget_keeps_every_summand_property(case):
     n, lam, w, K = case
-    assert _summand(lam, K, _sl_budget_hits(lam, K, w)) == \
+    assert _shared_summand(lam, K, w) == \
         _summand(lam, K, _full_cap_hits(n, lam, K, w)), case
 
 
@@ -629,7 +666,11 @@ def test_sl_window_matches_full_box_projection(n, w, K):
     kmax, D, fibers = sl_certificate(n, pairs, K)
     box = lhs_series("gl_slform", n, TruncationPolicy(D, D, K))
     want = project_to_sl(box, pairs, kmax, K)
-    assert _sl_lhs_window(fibers) == want.terms
+    packing = PackedQ(max(abs(c) for fiber in fibers.values()
+                          for c in fiber.coeffs), K)
+    bits = D.bit_length() + 1
+    assert {_pair_classes(code, n, bits): packing.unpack(v) for code, v in
+            _sl_lhs_window(fibers, packing, bits).items()} == want.terms
 
 
 class _CharPlusQ:
@@ -698,6 +739,40 @@ def test_sl_verdict_matches_oracles(n, w, K, monkeypatch):
         case = (n, w, K, sorted(fault))
         assert got.outcome == ("fail" if fault else "pass"), case
         assert got.witness == _witness(diff), case
+
+
+def test_sl_width_bounds_every_compared_coefficient(monkeypatch):
+    # the bound of the one PackedQ that verify sl compares on covers every
+    # coefficient it compares: those of the certificate's fibers and of both
+    # Macdonald sums, here on QSeries objects.  A passing run's sums equal
+    # the fibers, so the injected faults, which enlarge the sums, check the
+    # Macdonald side's own bound.
+    bounds = []
+
+    class Recorded(PackedQ):
+        def __init__(self, bound, cap):
+            bounds.append(bound)
+            super().__init__(bound, cap)
+    norms = []      # both norms under each fault
+    for fault in SL_FAULTS:
+        char = fault.get("hw_algebra_char", hw_algebra_char)
+        norms += [fault.get("norm_a_q", norm_a_q),
+                  lambda lam, cap, char=char: char(lam, "D").qseries(cap)]
+    for n, w, K in BUDGET_POINTS:
+        pairs = sl_window_pairs(n, w)
+        _, D, fibers = sl_certificate(n, pairs, K)
+        sums = _sl_macdonald_by_qseries(n, w, K, D, norms)
+        for i, fault in enumerate(SL_FAULTS):
+            top = max((abs(c) for terms in [fibers] + sums[2 * i:2 * i + 2]
+                       for series in terms.values() for c in series.coeffs),
+                      default=0)
+            bounds.clear()
+            with monkeypatch.context() as patch:
+                for name, fn in {**fault, "PackedQ": Recorded}.items():
+                    patch.setattr(identities, name, fn)
+                verify_identity("sl_projected", n, TruncationPolicy(w, w, K))
+            # the certificate's own PackedQ comes first, the shared one last
+            assert bounds[-1] >= top, (n, w, K, sorted(fault))
 
 
 def _matrices(cells, budget):

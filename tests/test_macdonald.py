@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcauchy.affine import hw_algebra_char, hw_algebra_char_gl
-from qcauchy.exact import (ExactError, InvariantError, QPoly, QSeries,
-                           QTPoly, QTRational, geometric_series, invert_q,
-                           limit_t, qseries_from_qtrational,
+from qcauchy.exact import (ExactError, InvariantError, PackedQ, QPoly,
+                           QSeries, QTPoly, QTRational, geometric_series,
+                           invert_q, limit_t, qseries_from_qtrational,
                            reduce_over_binomials)
 import qcauchy.macdonald as macdonald
 from qcauchy.macdonald import (_column_terms, _columns,
-                               _cyclically_increasing, _fillings_bound,
+                               _cyclically_increasing, _exponents,
+                               _fillings_bound, _packed_column_terms,
                                _window_cost, e_atom_table, e_t0_table,
                                exact_cap, macdonald_E, macdonald_E_fillings,
                                norm_a_q, norm_a_qt, restrict_poly_terms,
@@ -207,26 +208,45 @@ def window_floor(lam, n, window):
     return -((window - sum(lam)) // n)
 
 
+def _pruned_table(lam, cap, rule, floor):
+    """The table of lam pruned to ``floor`` by the packed column program,
+    unpacked, at the slot width of F(lam) and the code width of |lam|; {}
+    when n floor > |lam| leaves no weight, where the window cost is
+    infinite and the sl side builds no table."""
+    n, columns = len(lam), _columns(lam)
+    if n * floor > sum(lam):
+        return {}
+    bits = sum(lam).bit_length() + 1
+    packing = PackedQ(_fillings_bound(columns, n), cap)
+    return {_exponents(code, n, bits): packing.unpack(series)
+            for code, series in _packed_column_terms(
+                columns, n, cap, rule, floor, packing.width, bits).items()}
+
+
+FLOOR_TABLES = ((e_t0_table, "t0"), (e_atom_table, "atom"))
+
+
 def test_window_tables_match_restricted_tables():
     # the oracle of the floor pruning: the table built with the floor of a
     # window is the full table restricted to the window classes, for both
     # rules; a floor <= 0 keeps the full table, and a floor with n floor >
-    # |lam| keeps no weight
+    # |lam| has an infinite window cost
     for n, size in ((1, 6), (2, 6), (3, 6), (4, 5)):
         lams = sorted(compositions_up_to(n, size))
         for cap in (0, 2, 4):
-            for table, _ in TABLES:
+            for table, rule in FLOOR_TABLES:
                 full = table(lams, cap)
                 for lam in lams:
                     for floor in (-1, 0):
-                        assert table([lam], cap, floor)[lam] == full[lam]
-                    assert table([lam], cap, sum(lam) // n + 1)[lam] == {}
+                        assert _pruned_table(lam, cap, rule, floor) == \
+                            full[lam]
+                    assert _window_cost(lam, sum(lam) // n + 1,
+                                        rule) == math.inf
                     for window in range(4):
-                        pruned = table([lam], cap,
-                                       window_floor(lam, n, window))[lam]
+                        pruned = _pruned_table(lam, cap, rule,
+                                               window_floor(lam, n, window))
                         want = _in_window(full[lam], n, window)
-                        assert pruned == want, \
-                            (lam, cap, window, table.__name__)
+                        assert pruned == want, (lam, cap, window, rule)
 
 
 @settings(max_examples=30, deadline=None)
@@ -236,9 +256,10 @@ def test_window_tables_match_restricted_tables():
 def test_window_tables_property(case, window, cap):
     n, lam = case
     floor = window_floor(lam, n, window)
-    for table, _ in TABLES:
+    for table, rule in FLOOR_TABLES:
         want = _in_window(table([lam], cap)[lam], n, window)
-        assert table([lam], cap, floor)[lam] == want, (lam, window, cap)
+        assert _pruned_table(lam, cap, rule, floor) == want, \
+            (lam, window, cap)
 
 
 def test_window_cost_bounds_window_valuations():
@@ -249,7 +270,7 @@ def test_window_cost_bounds_window_valuations():
     for n, size in ((2, 10), (3, 8), (4, 6)):
         lams = sorted(compositions_up_to(n, size))
         for cap in range(4):
-            for table, rule in ((e_t0_table, "t0"), (e_atom_table, "atom")):
+            for table, rule in FLOOR_TABLES:
                 full = table(lams, cap)
                 for window in range(4):
                     for lam in lams:
@@ -336,7 +357,8 @@ def _transitions_by_tuples(pattern, prev, rule):
 
 def _column_terms_by_key(columns, n, cap, rule, floor=0):
     """The column program on one integer key per (weight, q-exponent), which
-    the packed program of ``_column_terms`` replaced, kept as its oracle.
+    the packed program ``_packed_column_terms`` replaced, kept as its
+    oracle.
 
     A key holds the weight as its n low digits in base 2^bits, where
     2^(bits - 1) exceeds the number of cells, and the q-exponent e as the
@@ -401,13 +423,12 @@ ORACLE_CASES = [(lam, cap, rule, floor) for lam in ORACLE_LAMS
 
 
 def test_packed_program_matches_per_key_program():
-    # the packed column program, unpacked by _column_terms, against the
-    # per-(weight, q-exponent) program over the whole oracle range
+    # the packed column program, unpacked, against the per-(weight,
+    # q-exponent) program over the whole oracle range
     assert len(ORACLE_CASES) == 23100
     for lam, cap, rule, floor in ORACLE_CASES:
-        columns = _columns(lam)
-        assert _column_terms(columns, len(lam), cap, rule, floor) == \
-            _column_terms_by_key(columns, len(lam), cap, rule, floor), \
+        assert _pruned_table(lam, cap, rule, floor) == _column_terms_by_key(
+            _columns(lam), len(lam), cap, rule, floor), \
             (lam, cap, rule, floor)
 
 
@@ -415,10 +436,9 @@ def test_fillings_bound_holds_every_table():
     # F(lam) bounds the L1 mass of every table over the oracle range, which
     # makes the slot width fixed from the columns sound
     for lam, cap, rule, floor in ORACLE_CASES:
-        columns = _columns(lam)
-        mass = sum(sum(c.coeffs) for c in _column_terms(
-            columns, len(lam), cap, rule, floor).values())
-        assert mass <= _fillings_bound(columns, len(lam)), \
+        mass = sum(sum(c.coeffs) for c in _pruned_table(
+            lam, cap, rule, floor).values())
+        assert mass <= _fillings_bound(_columns(lam), len(lam)), \
             (lam, cap, rule, floor)
 
 

@@ -29,7 +29,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # and whose Macdonald sum opens identities.pair_product spans; then a ch T
 # request, whose one summand goes through the same wrapped kernel; then a
 # small gl-t0 verification.  Both verifications compare their sides in an
-# identities.compare span.
+# identities.compare span.  Last come a t = 0 and an atom table request,
+# query-mix's route to the wrapped table builders.
 TRACED_VERIFY = """
 import contextlib, io, json, sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
@@ -59,13 +60,22 @@ argv = ["verify", "--identity", "gl-t0", "--n", "2", "--max-deg", "2",
 with contextlib.redirect_stdout(io.StringIO()):
     t0_status = tracer.run_op(3, cli.run, argv)
 last = tracer.snapshot()["spans"]
+before = dict(tracer.snapshot()["counts"])
+table_status = []
+for op, spec in ((4, "t0"), (5, "qinv-tinf")):
+    argv = ["macdonald", "--n", "3", "--lambda", "0,1,2", "--spec", spec]
+    with contextlib.redirect_stdout(io.StringIO()):
+        table_status.append(tracer.run_op(op, cli.run, argv))
+table_counts = {name: v - before.get(name, 0)
+                for name, v in tracer.snapshot()["counts"].items()}
 
 def count(name, op):
     return sum(1 for rec in last if rec[spans.OP] == op
                and rec[spans.NAME] == name)
 print(json.dumps([status, snap["folded"]["exact.qtpoly_gcd"][0],
                   "exact.qtpoly_gcd.nontrivial" in snap["counts"],
-                  sl_status, sl_counts, char_status, t0_status]
+                  sl_status, sl_counts, char_status, t0_status,
+                  table_status, table_counts]
                  + [count("identities.pair_product", op) for op in (1, 2)]
                  + [count("identities.compare", op) for op in (1, 3)]))
 """
@@ -78,8 +88,8 @@ def test_tracer_installs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     (status, gcd_calls, hooked, sl_status, sl_counts, char_status, t0_status,
-     sl_pair_spans, char_pair_spans, sl_compares, t0_compares) = json.loads(
-        proc.stdout.splitlines()[-1])
+     table_status, table_counts, sl_pair_spans, char_pair_spans, sl_compares,
+     t0_compares) = json.loads(proc.stdout.splitlines()[-1])
     assert status == 0
     assert gcd_calls > 0
     assert hooked
@@ -87,9 +97,13 @@ def test_tracer_installs():
     assert sl_status == 0
     assert sl_counts["identities.certificate.box"] == 8
     assert sl_counts["identities.macdonald_side.summands"] == 17
-    # the window-pruned tables still go through the wrapped table builders
-    assert sl_counts["macdonald.T0Engine.batch.targets"] > 0
-    assert sl_counts["macdonald.atom_terms.fillings"] > 0
+    # the sl tables come packed from the column program, past the wrapped
+    # table builders; the table requests still reach both
+    assert sl_counts.get("macdonald.T0Engine.batch.targets", 0) == 0
+    assert sl_counts.get("macdonald.atom_terms.fillings", 0) == 0
+    assert table_status == [0, 0]
+    assert table_counts["macdonald.T0Engine.batch.targets"] > 0
+    assert table_counts["macdonald.atom_terms.fillings"] > 0
     # the packed sl Macdonald sum goes through the wrapped summand kernel
     assert sl_pair_spans > 0
     # and so does ch T, from characters, through the identities namespace
