@@ -9,7 +9,8 @@ Characters are carried as truncated series in the sl Laurent variables
 * kind 'T'   -- the product ch(A_D) * ch(D) * ch(Uo), one Macdonald
                 summand with the A_D series as its norm, summed on
                 ``PackedQ`` integers by ``identities._packed_macdonald_sum``
-                from tables packed by the column program.
+                from its t = 0 table packed by the column program and its
+                atom table, which it packs itself.
 
 The function-space character of the Iwahori subgroup is the product
 
@@ -90,12 +91,9 @@ def char_module(kind, lam, policy, lattice="sl"):
         # every key of the sum is then an in-policy x-key joined to an
         # in-policy y-key, and the kernel drops the zero sums
         # the slot width is fixed first, from lam's columns; the t = 0
-        # table then comes packed at it from the column program.  The atom
-        # table comes from e_atom_table and is packed here: the benchmark's
-        # self-tests (perfbench/tests) check that their small request set
-        # reaches the tracer's atom_terms wrapper, and ch T is the only
-        # request there that reads an atom table now that the sl side
-        # builds its tables packed
+        # table then comes packed at it from the column program, the atom
+        # table from e_atom_table: perfbench/tests expects its small request
+        # set, where this is the one atom table, to reach atom_terms
         norms = (algebra_series("D"),)
         fills = _fillings_bound(_columns(lam), n)
         packing = PackedQ(_macdonald_bound([(norms, fills)]), cap)

@@ -1053,11 +1053,6 @@ class QSeries:
     def is_zero(self):
         return not self.coeffs
 
-    def valuation(self):
-        if self.is_zero:
-            raise ExactError("valuation of zero series")
-        return next(i for i, c in enumerate(self.coeffs) if c)
-
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]

@@ -28,38 +28,38 @@ box: E_lam(x) E_lam(y) has x- and y-degree |lam|, so these are all the
 summands that can reach a certified fiber.
 ``_sl_budget_hits`` makes every decision about one lam: it turns the
 window degree W into the weight floor F = ceil((|lam| - W) / n) of the
-window classes, skips lam when its two tables cannot meet below q^{K+1},
-and builds the tables (``e_t0_table`` and ``e_atom_table`` with that
-floor), each only to the cap at which its terms can still meet a term of
-the other.  Every summand has nonnegative coefficients, which is checked
-on every norm and every table coefficient that enters a sum; the norms
-are computed only for the lam that are summed.  ``_window_hits`` keys each
-table monomial e on its sl class ``restrict_weight(e)``, so the packed
-sums of ``_sl_rhs_adaptive`` come out keyed on sl class pairs, as
-``_sl_lhs_window`` keys the fiber sums; both drop zero sums.
+window classes, skips lam when its two tables cannot meet below q^{K+1}
+(the cost test, ``_sl_budget``), and takes the tables from the column
+program with that floor, each only to the cap at which its terms can still
+meet a term of the other.  Every summand has nonnegative coefficients,
+which is checked on every norm and every table coefficient that enters a
+sum; the norms are computed only for the lam that pass the cost test.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
-build both sides on packed integers (``PackedQ``, Kronecker substitution),
-and so does the sl Macdonald side: a truncated q-series with integer
-coefficients is one int with B bits per coefficient, a product of series
-one integer product.  Packed arithmetic is a ring homomorphism onto the
-integers modulo 2^{B (cap + 1)} that kills q^{cap + 1}, so intermediate
-values need no bound; B = bound.bit_length() + 2 for a bound on every
-coefficient unpacked or compared, from L1 masses (sum of |coefficient|):
-``_product_bound`` on the product side, ``_macdonald_bound`` on a Macdonald
-side and on ch T (``characters``), the one summand A_D * E_lam(x) *
-E_lam(y), which ``_packed_macdonald_sum`` sums too.  The sl side reads the
-masses of its tables.  The gl sides and ch T read a bound off lam's
-columns, F(lam) (``macdonald._fillings_bound``), so they fix B before any
-table is built, and take their tables packed at B straight from the
-column program.  A gl monomial x^a y^b is one integer code, the 2n
-exponents as digits (``_code_bits``), on both sides: the product side
-drops a degree digit with one shift, and the Macdonald side adds an
-x-code to a shifted y-code.  ``verify_identity`` compares masked ints on
-these codes, and decodes a code to its exponents, and unpacks a value,
-only for the witness.  Every summand norm * E_lam(x) * E_lam(y) of a
-Macdonald sum is accumulated by the one kernel ``_pair_product_series``,
-which sees only packed ints and gl_qt's exact (q, t) scalars.
+and sl_projected build both sides on packed integers (``PackedQ``,
+Kronecker substitution): a truncated q-series with integer coefficients
+is one int with B bits per coefficient, a product of series one integer
+product.  Packed arithmetic is a ring homomorphism onto the integers
+modulo 2^{B (cap + 1)} that kills q^{cap + 1}, so intermediate values need
+no bound; B = bound.bit_length() + 2 for a bound on every coefficient
+unpacked or compared, from L1 masses (sum of |coefficient|):
+``_product_bound`` on the gl product side, the largest fiber coefficient
+on the sl product side, and ``_macdonald_bound`` on a Macdonald side and
+on ch T (``characters``), the one summand A_D * E_lam(x) * E_lam(y), which
+``_packed_macdonald_sum`` sums too.  ``_macdonald_bound`` reads F(lam)
+(``macdonald._fillings_bound``) off lam's columns, so every side fixes B
+before any table is built, and takes its tables packed at B straight from
+the column program (ch T packs its atom table itself).  A gl monomial
+x^a y^b is one integer code, the 2n exponents as digits (``_code_bits``),
+on both sides: the product side drops a degree digit with one shift, and
+the Macdonald side adds an x-code to a shifted y-code; an sl class pair is
+the code of its two min-zero representatives (``_window_hits`` keys a
+table weight w on the code of w - min(w) 1).  ``verify_identity``
+compares masked ints on these codes, and decodes a code, and unpacks a
+value, only for the witness.
+Every summand norm * E_lam(x) * E_lam(y) of a Macdonald sum is accumulated
+by the one kernel ``_pair_product_series``, which sees only packed ints
+and gl_qt's exact (q, t) scalars.
 """
 
 from __future__ import annotations
@@ -121,9 +121,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _mk_report(variant, n, policy_dict, diff, lam_count, t_start):
+def _mk_report(variant, n, policy_dict, diff, lam_count, t_start,
+               packing=None):
     witness = {"monomial": list(diff[0]), **{
-        side: "0" if c is None else render_scalar(c)
+        side: "0" if c is None else render_scalar(
+            c if packing is None else packing.unpack(c))
         for side, c in zip(("lhs", "rhs"), diff[1:])}} if diff else None
     return VerificationReport(variant, n, policy_dict,
                               "fail" if witness else "pass", witness,
@@ -564,35 +566,25 @@ def project_to_sl(f, pairs, kmax, K):
 
 
 def _sl_lhs_window(fibers, packing, bits):
-    """Projected gl_slform product side: {class-pair code: masked int} from
-    the fiber sums {class pair: QSeries} of ``sl_certificate``, packed by
-    ``packing``, zero sums dropped.  The pair (a, b) of min-zero
-    representatives is keyed as ``_sl_rhs_adaptive`` keys its sums: the
-    2n entries of a and b as digits of ``bits`` bits, the lowest first.
-    Distinct pairs have distinct codes, so no two share a key."""
-    out = {}
-    for (a, b), c in fibers.items():
-        value = packing.pack(c.coeffs) & packing.mask
-        if value:
-            out[sum(e << bits * i for i, e in enumerate(a + b))] = value
-    return out
+    """Projected gl_slform product side: {class-pair code: masked int} of
+    the fiber sums {class pair: QSeries} of ``sl_certificate``, zero sums
+    dropped.  The pair (a, b) of min-zero representatives is coded as the
+    keys of ``_sl_rhs_adaptive``: the 2n entries as digits of ``bits``
+    bits, the lowest first, so no two pairs share a key."""
+    out = {sum(e << bits * i for i, e in enumerate(a + b)):
+           packing.pack(c.coeffs) & packing.mask
+           for (a, b), c in fibers.items()}
+    return {key: v for key, v in out.items() if v}
 
 
 def _window_hits(lam, cap, rule, floor, packing, bits, shift=0):
     """{class code << shift: packed series} of lam's table of ``rule`` at
     ``cap``, pruned to ``floor`` by the column program at the slot width of
-    ``packing`` and the code width ``bits``, every coefficient checked
-    nonnegative.
-
-    A weight w is keyed on the code of its sl class, the min-zero w - min(w)
-    1: its weight code minus min(w) times the code of (1, ..., 1).  The
-    weights of one E_lam all have degree |lam|, on which that class is
-    injective, so no two hits share a key.  A table built with the floor of
-    the window W holds exactly the weights whose class has degree <= W, all
-    of them window classes, so no hit is filtered out.  Every count is
-    below 2^(width - 2) (``_macdonald_bound`` bounds F(lam)), so the top bit
-    of every slot is clear, and a negative coefficient sets the top bit of
-    the lowest negative slot: one ``& packing.bias`` checks a series."""
+    ``packing`` and the code width ``bits``.  A weight w is keyed on the
+    code of its sl class w - min(w) 1, injective on the weights of degree
+    |lam|; with the window's floor every hit is a window class.  A count is
+    below 2^(width - 2), so a negative coefficient sets the top bit of the
+    lowest negative slot: one ``& packing.bias`` checks a series."""
     n = len(lam)
     ones = sum(1 << bits * v for v in range(n))
     hits = {}
@@ -606,9 +598,8 @@ def _window_hits(lam, cap, rule, floor, packing, bits, shift=0):
 
 
 def _sl_budget(lam, K, W):
-    """The cost test of lam on the window of degree W under the q-budget K:
-    (F, c_y), or None when c_x + c_y > K skips lam (see
-    ``_sl_budget_hits``)."""
+    """The cost test of ``_sl_budget_hits``: (F, c_y), or None when
+    c_x + c_y > K skips lam."""
     floor = -((W - sum(lam)) // len(lam))
     cost_y = _window_cost(lam, floor, "atom")
     if _window_cost(lam, floor, "t0") + cost_y > K:
@@ -620,11 +611,8 @@ def _sl_budget_hits(lam, K, W, packing, bits):
     """(x hits, y hits) of lam's tables E_lam(x; q, 0) and E_lam(y; q^{-1},
     oo) on the window of degree W, built under one q-budget K for both, or
     None when lam adds nothing to the sums modulo q^{K+1}.  Every decision
-    about lam is made here, from its cost test (``_sl_budget``); the rank n
-    is len(lam).  The tables come packed from the column program at the
-    slot width of ``packing`` and the code width ``bits``, keyed on class
-    codes (``_window_hits``), the y hits' shifted past n digits, so that an
-    x key plus a y key is the code of the class pair.
+    about lam is made here; the rank n is len(lam).  The hits are keyed on
+    class codes (``_window_hits``), the y hits' shifted past n digits.
 
     The window classes are the min-zero w - min(w)*1 of degree <= W, and
     every weight of either table has |w| = |lam|, so w is in a window class
@@ -664,24 +652,20 @@ def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b;
     ``_sl_budget_hits`` builds those of one lam, or skips lam.  Both norms
     of every lam that passes the cost test (``_sl_budget``) are computed
-    and checked nonnegative right after it, and so is every table
-    coefficient read.  The name is kept although nothing adapts any more:
-    the benchmark's tracer (``perfbench/spans.py``) looks the function up
-    by it.
+    and checked nonnegative right after it.  The name is kept although
+    nothing adapts any more: the benchmark's tracer (``perfbench/spans.py``)
+    looks the function up by it.
 
     The ``PackedQ`` is fixed before any table is built, at the larger of
-    ``bound`` and ``_macdonald_bound`` over the norms and F(lam) of every
-    lam that passes the cost test; codes have ``bits`` bits, 2^(bits - 1)
-    > box >= |lam|.  Each summed lam is one summand of
-    ``_packed_macdonald_sum``: both norms and its window hits, keyed on
-    class codes, so a key of the sums is the code of a class pair, as in
-    ``_sl_lhs_window``.  Nothing is filtered a second time: ``pairs``
-    (``sl_window_pairs(n, W)``) holds every min-zero class of degree <= W
-    on both sides, so every hit is a window class, and every pair of one
-    lam's hits is in ``pairs``: a monomial e of E_lam has |e| = |lam|, so
-    its class e - min(e) 1 has degree |lam| - n min(e), congruent to |lam|
-    mod n on both sides, and ``sl_window_pairs`` holds every pair of window
-    classes whose degrees agree mod n.
+    ``bound`` and ``_macdonald_bound`` over those lam; codes have ``bits``
+    bits, 2^(bits - 1) > box.  A key of the sums is the code of a class
+    pair, as in ``_sl_lhs_window``.  Nothing is filtered a second time:
+    ``pairs`` (``sl_window_pairs(n, W)``) holds every min-zero class of
+    degree <= W on both sides, so every hit is a window class, and every
+    pair of one lam's hits is in ``pairs``: a monomial e of E_lam has
+    |e| = |lam|, so its class e - min(e) 1 has degree |lam| - n min(e),
+    congruent to |lam| mod n on both sides, and ``sl_window_pairs`` holds
+    every pair of window classes whose degrees agree mod n.
 
     Returns (sums with the arm/leg norm, sums with the
     highest-weight-algebra norm, lambda_count, packing, bits), each sum
@@ -716,15 +700,14 @@ def verify_identity(variant, n, policy):
     by ``first_difference``; an absent witness value reads 0.
 
     sl_projected compares ``_sl_lhs_window`` with the arm/leg-norm sums of
-    ``_sl_rhs_adaptive``, then those with its other sums, all on one
-    ``PackedQ``, fixed by ``_sl_rhs_adaptive`` before any table is built at
-    the larger of the fibers' largest |coefficient| and its own bound.  The
-    q-series gl variants pack both sides with one ``PackedQ``, fixed by
+    ``_sl_rhs_adaptive``, then those with its other sums, on the one
+    ``PackedQ`` that ``_sl_rhs_adaptive`` fixes at the larger of the
+    fibers' largest |coefficient| and its own bound.  The q-series gl
+    variants pack both sides with one ``PackedQ``, fixed by
     ``_macdonald_side`` before any table is built at the larger of
-    ``_product_bound`` and its own bound.  Both compare the masked ints on
-    the integer codes of their monomials (sl class pairs, or gl exponents);
-    ``first_difference`` decodes a code only where the sides differ, and
-    only the witness's two values are unpacked."""
+    ``_product_bound`` and its own bound.  Both compare masked ints on
+    integer codes; ``first_difference`` decodes a code only where the
+    sides differ, and only the witness's two values are unpacked."""
     t_start = time.monotonic()
     policy_dict = {"max_x_degree": policy.max_x_degree,
                    "max_y_degree": policy.max_y_degree,
@@ -748,32 +731,30 @@ def verify_identity(variant, n, policy):
         varset = VariableSet.sl(n)
         diff = (first_difference(varset, p_lhs, p_gl, decode)
                 or first_difference(varset, p_gl, p_sl, decode))
-    elif variant == "sl2_appendix":
+        return _mk_report(variant, n, policy_dict, diff, count, t_start,
+                          packing)
+
+    if variant == "sl2_appendix":
         return verify_sl2_appendix(
             (-policy.max_x_degree, policy.max_x_degree),
             policy.max_q_degree)
-    elif variant == "gl_qt":
-        varset = VariableSet.gl(n)
+
+    varset = VariableSet.gl(n)
+    if variant == "gl_qt":
         lhs = lhs_series(variant, n, policy)
         rhs = rhs_series(variant, n, policy)
         lhs._compat(rhs)
         diff = first_difference(varset, lhs.terms, rhs.terms)
         return _mk_report(variant, n, policy_dict, diff,
                           len(_rhs_lambdas(variant, n, policy)), t_start)
-    else:
-        varset = VariableSet.gl(n)
-        factors = _product_factors(variant, n, policy)
-        packing, rhs, count = _macdonald_side(
-            variant, n, policy, _product_bound(varset, policy, factors))
-        lhs = _packed_product(varset, policy, factors, packing)
-        bits = _code_bits(policy)
-        diff = first_difference(
-            varset, lhs, rhs,
-            lambda code: _exponents(code, varset.size, bits))
-    if diff:
-        diff = diff[:1] + tuple(None if v is None else packing.unpack(v)
-                                for v in diff[1:])
-    return _mk_report(variant, n, policy_dict, diff, count, t_start)
+    factors = _product_factors(variant, n, policy)
+    packing, rhs, count = _macdonald_side(
+        variant, n, policy, _product_bound(varset, policy, factors))
+    lhs = _packed_product(varset, policy, factors, packing)
+    bits = _code_bits(policy)
+    diff = first_difference(
+        varset, lhs, rhs, lambda code: _exponents(code, varset.size, bits))
+    return _mk_report(variant, n, policy_dict, diff, count, t_start, packing)
 
 
 def _nonzero_series(terms, K):

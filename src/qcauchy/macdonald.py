@@ -27,9 +27,8 @@ with a rule for each:
   (``T0Engine``) and ``e_atom_table`` (``atom_terms``) unpack its counts
   into QSeries once, at the end (``_column_terms``), for the characters,
   the rank-one suite and the command line; ``packed_tables`` hands them on
-  packed to the gl identities and ch T, and the sl identity calls the
-  program itself, each at a slot width the caller fixed from
-  ``_fillings_bound``.
+  packed to the gl identities and ch T, and the sl identity runs the
+  program itself, each at a slot width fixed from ``_fillings_bound``.
 
 ``macdonald_E_fillings`` sums the same formula filling by filling and
 reduces through the general gcd; it is the test oracle of every table
@@ -212,13 +211,12 @@ def _exponents(code, n, bits):
 
 def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     """The column program of ``_column_terms`` on packed q-series: {weight
-    code: int}, each count series c_0 + c_1 q + ... packed as sum_e c_e
-    2^(width e), the weight w as the code sum_v w_v 2^(bits v) (see
-    ``_exponents``), zero series dropped; only the weights whose entries
-    are all at least ``floor`` are kept.  The caller picks width and bits:
-    every count must stay below 2^width (``_fillings_bound`` bounds them),
-    and 2^(bits - 1) must exceed the number of cells, |lam|; n floor must
-    not exceed |lam|.
+    code: int} over the weights w with min(w) >= ``floor``, each count
+    series c_0 + c_1 q + ... packed as sum_e c_e 2^(width e), w as the code
+    sum_v w_v 2^(bits v) (see ``_exponents``), zero series dropped.  The
+    caller picks width and bits: every count must stay below 2^width
+    (``_fillings_bound`` bounds them), 2^(bits - 1) must exceed the number
+    of cells, |lam|, and n floor must not exceed |lam|.
 
     A state maps each weight code of its partial fillings to one packed
     series.  A column adds its 0/1 weight to the code and multiplies the

@@ -11,9 +11,9 @@ lattices for n <= 3, |lam| <= 4, and the rank-one appendix, in both output
 formats.  The faults are a norm + 1 or + q; one wrong table entry, the
 columns of lam = (0, 1, 2) with one cell's leg + 1 too large, which both
 tables of lam are built from; and a window cost of the sl side one too
-large where it is finite, for the t = 0 or the atom rule.  Tier-1 runs the rows marked tier1 (a few
-seconds); the whole corpus (about 40 s) runs from the command line,
-against the ``src`` beside this ``tests`` folder:
+large where it is finite, for the t = 0 or the atom rule.  Tier-1 runs the
+rows marked tier1 (a few seconds); the whole corpus (about 40 s) runs from
+the command line, against the ``src`` beside this ``tests`` folder:
 
     python tests/test_golden.py                 # check every row
     python tests/test_golden.py --record        # rewrite every digest

@@ -566,8 +566,10 @@ def test_budget_skips_run_no_column_program(monkeypatch):
 
     def recorded(columns, n, cap, rule, floor, width, bits):
         table = program(columns, n, cap, rule, floor, width, bits)
+        # each series' valuation: the slot of its lowest set bit
         runs.append((rule, columns, {
-            code: (v & -v).bit_length() // width for code, v in table.items()}))
+            code: ((v & -v).bit_length() - 1) // width
+            for code, v in table.items()}))
         return table
     monkeypatch.setattr(identities, "_packed_column_terms", recorded)
     skipped = 0
