@@ -494,11 +494,11 @@ def _shared_hits(lam, K, w):
     return _sl_budget_hits(lam, K, w, packing, bits), packing, bits
 
 
-def _shared_summand(lam, K, w):
+def _shared_summand(lam, K, shared):
     """norm * E(x) * E(y) modulo q^{K+1} of lam's window hits under the
-    shared q-budget, keyed on sl class pairs and unpacked; {} when lam is
-    skipped."""
-    hits, packing, bits = _shared_hits(lam, K, w)
+    shared q-budget (``_shared_hits``), keyed on sl class pairs and
+    unpacked; {} when lam is skipped."""
+    hits, packing, bits = shared
     if hits is None:
         return {}
     sums, = _packed_macdonald_sum([((norm_a_q(lam, K),),) + hits], packing)
@@ -549,9 +549,10 @@ def test_shared_budget_keeps_every_summand():
         _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             full = _full_cap_hits(n, lam, K, w)
-            assert _shared_summand(lam, K, w) == _summand(lam, K, full), \
-                (n, w, K, lam)
-            skipped += _shared_hits(lam, K, w)[0] is None and all(full)
+            shared = _shared_hits(lam, K, w)
+            assert _shared_summand(lam, K, shared) == \
+                _summand(lam, K, full), (n, w, K, lam)
+            skipped += shared[0] is None and all(full)
     assert skipped > 0
 
 
@@ -655,7 +656,7 @@ def _budget_cases(draw):
 @given(_budget_cases())
 def test_shared_budget_keeps_every_summand_property(case):
     n, lam, w, K = case
-    assert _shared_summand(lam, K, w) == \
+    assert _shared_summand(lam, K, _shared_hits(lam, K, w)) == \
         _summand(lam, K, _full_cap_hits(n, lam, K, w)), case
 
 
