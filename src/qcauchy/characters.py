@@ -26,8 +26,8 @@ from __future__ import annotations
 import time
 
 from .exact import ExactError, PackedQ
-from .macdonald import (_columns, _exponents, _fillings_bound, e_atom_table,
-                        e_t0_table, packed_tables, restrict_poly_terms)
+from .macdonald import (_exponents, _fillings_bound, e_atom_table, e_t0_table,
+                        packed_tables, restrict_poly_terms)
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
 from .identities import (VerificationReport, _macdonald_bound,
@@ -95,7 +95,7 @@ def char_module(kind, lam, policy, lattice="sl"):
         # table from e_atom_table: perfbench/tests expects its small request
         # set, where this is the one atom table, to reach atom_terms
         norms = (algebra_series("D"),)
-        fills = _fillings_bound(_columns(lam), n)
+        fills = _fillings_bound(lam)
         packing = PackedQ(_macdonald_bound([(norms, fills)]), cap)
         bits = sum(lam).bit_length() + 1
         t0 = {_exponents(code, n, bits): v for code, v in packed_tables(

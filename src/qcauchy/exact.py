@@ -140,14 +140,6 @@ class QPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def valuation(self):
-        if self.is_zero:
-            raise ExactError("valuation of zero polynomial")
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        raise AssertionError
-
     def __getitem__(self, i):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]

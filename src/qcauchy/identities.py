@@ -71,10 +71,10 @@ from bisect import bisect_left
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
                     qq_pochhammer_poly)
-from .macdonald import (_columns, _exponents, _fillings_bound,
-                        _packed_column_terms, _window_cost, e_atom_table,
-                        e_t0_table, generic_engine, norm_a_q, norm_a_qt,
-                        packed_tables, sl2_closed_forms, restrict_poly_terms)
+from .macdonald import (_exponents, _fillings_bound, _packed_column_terms,
+                        _window_cost, e_atom_table, e_t0_table,
+                        generic_engine, norm_a_q, norm_a_qt, packed_tables,
+                        sl2_closed_forms, restrict_poly_terms)
 from .affine import hw_algebra_char
 from .series import (TruncatedSeries, TruncationPolicy, VariableSet,
                      first_difference, mul_truncated, render_scalar)
@@ -358,7 +358,7 @@ def _macdonald_side(variant, n, policy, bound=0):
     # atoms E(x; oo, oo): the tables at cap 0, where every norm is 1
     tcap = 0 if variant == "classical_q0" else policy.max_q_degree
     norms = [(norm_a_q(lam, tcap),) for lam in lambdas]
-    fills = [_fillings_bound(_columns(lam), n) for lam in lambdas]
+    fills = [_fillings_bound(lam) for lam in lambdas]
     packing = PackedQ(max(bound, _macdonald_bound(zip(norms, fills))),
                       policy.max_q_degree)
     bits = _code_bits(policy)
@@ -588,7 +588,7 @@ def _window_hits(lam, cap, rule, floor, packing, bits, shift=0):
     n = len(lam)
     ones = sum(1 << bits * v for v in range(n))
     hits = {}
-    for code, v in _packed_column_terms(_columns(lam), n, cap, rule, floor,
+    for code, v in _packed_column_terms(lam, cap, rule, floor,
                                         packing.width, bits).items():
         if v & packing.bias:
             raise InvariantError(
@@ -682,7 +682,7 @@ def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
             raise InvariantError("negative norm coefficient; positivity broken")
         kept.append((lam, norms))
     packing = PackedQ(max(bound, _macdonald_bound(
-        (norms, _fillings_bound(_columns(lam), n)) for lam, norms in kept)),
+        (norms, _fillings_bound(lam)) for lam, norms in kept)),
         K)
     bits = box.bit_length() + 1
     summands = [(norms,) + hits for lam, norms in kept

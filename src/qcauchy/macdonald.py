@@ -14,7 +14,9 @@ kernel expansion at small truncation (exercised by the test suite).
 The attack rules, the coinv triples and the maj descents of column j only
 involve columns j and j - 1, so one dynamic program over the columns
 (``_transitions`` fills one column after another) computes each table,
-with a rule for each:
+with a rule for each.  The rules share one test of the triples, a bit
+mask of each cell's partners: t0 and atom filter on it, and qt counts
+coinv as its bit count.
 
 * ``"qt"``, generic (q, t): ``macdonald_E``, memoized in
   ``GenericMacdonaldEngine``.  ``_generic_column_terms`` carries each
@@ -44,9 +46,9 @@ only after an ascent in its row, and that ascent costs leg + 1, at least
 the number of cells it raises; so a filling of q-degree e raises at most e
 cells, while min(w) >= F forces some lam to raise a known number of them.
 The atom side is the mirror case, with descents and the cells they lower.
-The builders, the cost and the engine read the rank n of lam as len(lam)
-(only the column program is told n: lam = 0 has no columns), so one batch
-may mix ranks.  The builders run the column program for every lam they
+Every entry takes lam and reads its columns, its cell counts and its
+rank n = len(lam) off it (lam = 0 has no columns), so one batch may mix
+ranks.  The builders run the column program for every lam they
 are given; the sl identity reads the cost of both sides to decide which
 lam to build and at which caps (see ``identities._sl_budget_hits``).
 """
@@ -105,22 +107,24 @@ def _transitions(pattern, prev, rule):
     triple (v, partner, left) and gains when v > left; rule ``"atom"``
     needs every such triple cyclically increasing and gains when v < left;
     rule ``"qt"`` allows every filling, gains when v > left (maj) and
-    counts the cyclically increasing triples (coinv, ``_coinv``).  A cell
-    equal to its left neighbour has no such triple: its partners differ
-    from it.  The triple compares the ints 4 v + 1, 4 partner + 2 and 4 left + 3, which
+    counts the cyclically increasing triples (coinv).  A cell equal to its
+    left neighbour has no such triple: its partners differ from it.  The
+    triple compares the ints 4 v + 1, 4 partner + 2 and 4 left + 3, which
     order as the pairs (value, slot) of ``filling_statistics`` do: ties go
     by slot.
     The partners, and the entries a cell may not take, are kept as bit
-    sets, so that one mask tests every partner of a candidate v."""
+    sets, so that one mask tests every partner of a candidate v, and its
+    bit count is the cell's coinv."""
     n = len(pattern)
     rows = [i for i in range(n) if pattern[i] >= 1]
     col = [0] * n
     gains = []
     out = []
 
-    def rec(idx):
+    def rec(idx, coinv):
         if idx == len(rows):
-            out.append((tuple(col), tuple(gains)))
+            out.append((tuple(col), tuple(gains), coinv) if rule == "qt"
+                       else (tuple(col), tuple(gains)))
             return
         i = rows[idx]
         left = prev[i]
@@ -140,6 +144,7 @@ def _transitions(pattern, prev, rule):
             if banned >> v & 1:
                 continue
             gain = False
+            count = 0
             if v != left:
                 # the bits b with (4 v + 1, b, c) cyclically increasing: those
                 # strictly between when 4 v + 1 < c, else those outside
@@ -156,50 +161,32 @@ def _transitions(pattern, prev, rule):
                     gain = v < left
                 else:
                     gain = v > left
+                    count = (partners & cyclic).bit_count()
             col[i] = v
             if gain:
                 gains.append(i)
-            rec(idx + 1)
+            rec(idx + 1, coinv + count)
             if gain:
                 gains.pop()
         col[i] = 0
 
-    rec(0)
-    if rule == "qt":
-        return tuple((col, gains, _coinv(pattern, prev, col))
-                     for col, gains in out)
+    rec(0, 0)
     return tuple(out)
 
 
-def _coinv(pattern, prev, col):
-    """The number of cyclically increasing triples (v, partner, left) of
-    the cells of ``col`` that differ from their left neighbour, the
-    partners and the triples as in ``_transitions``."""
-    count = 0
-    for i, v in enumerate(col):
-        if v and v != prev[i]:
-            partners = ([col[k] for k in range(i)
-                         if 1 <= pattern[k] <= pattern[i]]
-                        + [prev[k] for k in range(i + 1, len(col))
-                           if 0 <= pattern[k] < pattern[i]])
-            count += sum(_cyclically_increasing((v, 1), (p, 2), (prev[i], 3))
-                         for p in partners)
-    return count
-
-
-def _cell_counts(columns):
-    """The number of cells of each column: its entries d_i >= 1, the others
-    being 0 or -1."""
-    return [len(d) - d.count(0) - d.count(-1) for _, d in columns]
-
-
-def _fillings_bound(columns, n):
-    """F = prod over the columns of n! / (n - r)!, r the column's number
-    of cells: the number of fillings with distinct entries 1..n in every
-    column.  Both tables count some of these fillings, each once, so F
-    bounds the L1 mass of every table of these columns, at every cap and
-    floor."""
-    return math.prod(math.perm(n, r) for r in _cell_counts(columns))
+def _fillings_bound(lam):
+    """F = prod over the columns j of n! / (n - r)!, n = len(lam) and r =
+    #{i : lam_i >= j} the column's number of cells: the number of fillings
+    with distinct entries 1..n in every column.  Both tables count some of
+    these fillings, each once, so F bounds the L1 mass of every table of
+    lam, at every cap and floor.  With lam sorted, s_0 <= ... <= s_{n-1},
+    the columns j >= 1 with s_{k-1} < j <= s_k have n - k cells each."""
+    n, low, out = len(lam), 0, 1
+    for k, e in enumerate(sorted(lam)):
+        if e > low:
+            out *= math.perm(n, n - k) ** (e - low)
+            low = e
+    return out
 
 
 def _exponents(code, n, bits):
@@ -209,14 +196,14 @@ def _exponents(code, n, bits):
     return tuple([code >> shift & digit for shift in range(0, bits * n, bits)])
 
 
-def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
+def _packed_column_terms(lam, cap, rule, floor, width, bits):
     """The column program of ``_column_terms`` on packed q-series: {weight
     code: int} over the weights w with min(w) >= ``floor``, each count
     series c_0 + c_1 q + ... packed as sum_e c_e 2^(width e), w as the code
     sum_v w_v 2^(bits v) (see ``_exponents``), zero series dropped.  The
     caller picks width and bits: every count must stay below 2^width
     (``_fillings_bound`` bounds them), 2^(bits - 1) must exceed the number
-    of cells, |lam|, and n floor must not exceed |lam|.
+    of cells, |lam|, and n floor must not exceed |lam|, n = len(lam).
 
     A state maps each weight code of its partial fillings to one packed
     series.  A column adds its 0/1 weight to the code and multiplies the
@@ -244,6 +231,7 @@ def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     borrows from no other digit (the digits are below 2^(bits - 1), and so
     is the floor), and it clears a digit's top bit just where that digit
     is below it."""
+    n, columns = len(lam), _columns(lam)
     ones = sum(1 << (bits * v) for v in range(n))
     top = ones << (bits - 1)
     mask = (1 << width * (cap + 1)) - 1
@@ -294,10 +282,10 @@ def _packed_column_terms(columns, n, cap, rule, floor, width, bits):
     return out
 
 
-def _column_terms(columns, n, cap, rule):
+def _column_terms(lam, cap, rule):
     """E_lam(x; q, 0) (rule ``"t0"``) or E_lam(x; q^{-1}, oo) (rule
-    ``"atom"``) modulo q^{cap+1}, as {weight: QSeries}, from the columns
-    ``_columns(lam)`` of dg(lam).
+    ``"atom"``) modulo q^{cap+1} in len(lam) variables, as {weight:
+    QSeries}, from the columns ``_columns(lam)`` of dg(lam).
 
     Both are sums over the non-attacking fillings of the fillings formula.
     At t = 0 a filling survives when it has coinv = 0 and gives q^maj, maj
@@ -316,11 +304,11 @@ def _column_terms(columns, n, cap, rule):
     A column only adds to the q-exponent, so a partial filling above
     ``cap`` has no completion below it: dropping it leaves the result
     exact modulo q^{cap+1}."""
-    bits = sum(_cell_counts(columns)).bit_length() + 1
-    packing = PackedQ(_fillings_bound(columns, n), cap)
-    return {_exponents(code, n, bits): packing.unpack(series)
+    bits = sum(lam).bit_length() + 1
+    packing = PackedQ(_fillings_bound(lam), cap)
+    return {_exponents(code, len(lam), bits): packing.unpack(series)
             for code, series in _packed_column_terms(
-                columns, n, cap, rule, 0, packing.width, bits).items()}
+                lam, cap, rule, 0, packing.width, bits).items()}
 
 
 def _window_cost(lam, floor, rule):
@@ -366,15 +354,14 @@ class T0Engine:
     def batch(self, targets, cap):
         targets = [_as_tuple(t) for t in targets]
         _, columns = self.plan(targets)
-        return {lam: _column_terms(columns[lam], len(lam), cap, "t0")
-                for lam in targets}
+        return {lam: _column_terms(lam, cap, "t0") for lam in columns}
 
 
 def atom_terms(lam, cap):
     """E_lam(x; q^{-1}, oo) modulo q^{cap+1} in len(lam) variables, by the
     column program."""
     lam = _as_tuple(lam)
-    return _column_terms(_columns(lam), len(lam), cap, "atom")
+    return _column_terms(lam, cap, "atom")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +395,7 @@ def _generic_column_terms(lam):
     (``PackedQ.unpack``)."""
     n, columns = len(lam), _columns(lam)
     cells = sum(lam)
-    width = ((_fillings_bound(columns, n) << cells).bit_length() + 8) // 8 * 8
+    width = ((_fillings_bound(lam) << cells).bit_length() + 8) // 8 * 8
     stride = 1 + sum(arm_leg(lam, cell)[0] + 1 for cell in diagram(lam))
     bits = cells.bit_length() + 1
     binomials = []
@@ -724,7 +711,7 @@ def norm_a_qt(lam):
     (1 - q^{leg+1} t^{arm+1}) / (1 - q^{leg+1} t^{arm}), by
     ``binomial_ratio``: the cyclotomic factors of the two products cancel
     by count, and what is left multiplies out."""
-    lam = _as_tuple(lam)
+    lam, = _compositions([lam])
     cells = [arm_leg(lam, cell) for cell in diagram(lam)]
     return binomial_ratio([(leg + 1, arm + 1) for arm, leg in cells],
                           [(leg + 1, arm) for arm, leg in cells])
@@ -737,7 +724,7 @@ def norm_a_q(lam, cap):
     every lam_k <= lam_i with k < i and every lam_k + 1 <= lam_i with
     k > i.  So the arm-0 cells of row i are the j > J_i, J_i the largest of
     0 and those values, and their legs + 1 run over 1, ..., lam_i - J_i."""
-    lam = _as_tuple(lam)
+    lam, = _compositions([lam])
     degrees = []
     for i, li in enumerate(lam):
         top = max([0] + [e for e in lam[:i] if e <= li]
@@ -840,8 +827,7 @@ def packed_tables(lams, cap, rule, width, bits):
     oo) (rule ``"atom"``) table of each composition at ``cap``, every
     weight kept, as it leaves the column program (``_packed_column_terms``,
     which says what width and bits must satisfy)."""
-    return {lam: _packed_column_terms(_columns(lam), len(lam), cap, rule, 0,
-                                      width, bits)
+    return {lam: _packed_column_terms(lam, cap, rule, 0, width, bits)
             for lam in _compositions(lams)}
 
 

@@ -64,7 +64,7 @@ class TestCharModule:
                     assert c.is_nonnegative(), (lam, kind)
 
     def test_negative_entry_rejected(self):
-        # E_lam needs a composition: the recursion from (-1, 0) never ends
+        # E_lam needs a composition: a negative entry has no diagram
         for kind in ("D", "Uo", "T"):
             with pytest.raises(ExactError):
                 char_module(kind, (-1, 0), POL)

@@ -215,8 +215,8 @@ class TestInvariantErrors:
         program = macdonald._packed_column_terms
         corrupted = []
 
-        def wrapped(columns, n, cap, rule, floor, width, bits):
-            out = program(columns, n, cap, rule, floor, width, bits)
+        def wrapped(lam, cap, rule, floor, width, bits):
+            out = program(lam, cap, rule, floor, width, bits)
             for code, series in out.items():
                 if not corrupted and series and not series & (1 << width) - 1:
                     out[code] = series - 1

@@ -18,9 +18,8 @@ from qcauchy.identities import (_code_bits, _kostant_xsums, _macdonald_bound,
                                 project_to_sl, rhs_series, sl_certificate,
                                 sl_window_pairs, verify_identity,
                                 verify_sl2_appendix)
-from qcauchy.macdonald import (_columns, _exponents, _fillings_bound,
-                               _window_cost, e_atom_table, e_t0_table,
-                               norm_a_q)
+from qcauchy.macdonald import (_exponents, _fillings_bound, _window_cost,
+                               e_atom_table, e_t0_table, norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
                             first_difference, inverse_truncated, mul_truncated,
                             pochhammer_series, render_scalar)
@@ -489,7 +488,7 @@ def _shared_hits(lam, K, w):
     lam's own bound F(lam) and the code width of |lam|."""
     norms = (norm_a_q(lam, K),)
     packing = PackedQ(_macdonald_bound(
-        [(norms, _fillings_bound(_columns(lam), len(lam)))]), K)
+        [(norms, _fillings_bound(lam))]), K)
     bits = sum(lam).bit_length() + 1
     return _sl_budget_hits(lam, K, w, packing, bits), packing, bits
 
@@ -561,14 +560,15 @@ def test_budget_skips_run_no_column_program(monkeypatch):
     # K, and the atom program iff, in addition, e_x + c_y <= K, e_x the
     # least q-exponent of the t = 0 table's hits (infinite without a hit);
     # the t = 0 table's cap K - c_y bounds e_x, so the second condition
-    # fails only on an empty t = 0 table; the first skips some lam
+    # fails only on an empty t = 0 table; the first skips some lam; every
+    # program run is of the lam under test
     runs = []
     program = macdonald._packed_column_terms
 
-    def recorded(columns, n, cap, rule, floor, width, bits):
-        table = program(columns, n, cap, rule, floor, width, bits)
+    def recorded(built, cap, rule, floor, width, bits):
+        table = program(built, cap, rule, floor, width, bits)
         # each series' valuation: the slot of its lowest set bit
-        runs.append((rule, columns, {
+        runs.append((rule, built, {
             code: ((v & -v).bit_length() - 1) // width
             for code, v in table.items()}))
         return table
@@ -582,7 +582,7 @@ def test_budget_skips_run_no_column_program(monkeypatch):
             cost_y = _window_cost(lam, floor, "atom")
             runs.clear()
             _shared_hits(lam, K, w)
-            assert all(columns == _columns(lam) for _, columns, _ in runs)
+            assert all(ran == lam for _, ran, _ in runs), (n, w, K, lam)
             rules = [rule for rule, _, _ in runs]
             case = (n, w, K, lam)
             if cost_x + cost_y > K:
@@ -607,7 +607,7 @@ def test_budget_skips_lambda_without_t0_hit(monkeypatch):
     assert (_window_cost(lam, floor, "t0")
             + _window_cost(lam, floor, "atom")) <= K
 
-    def t0_only(columns, n, cap, rule, floor, width, bits):
+    def t0_only(lam, cap, rule, floor, width, bits):
         if rule == "atom":
             raise AssertionError("atom table built without a t = 0 hit")
         return {}

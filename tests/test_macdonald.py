@@ -52,7 +52,7 @@ class TestConstruction:
                 assert macdonald_E(lam).total_degree_check()
 
     def test_negative_entry_rejected(self):
-        # the recursion from (-1, 0) never reaches the zero composition
+        # a negative entry has no diagram to fill
         with pytest.raises(ExactError):
             macdonald_E((-1, 0))
 
@@ -213,14 +213,14 @@ def _pruned_table(lam, cap, rule, floor):
     unpacked, at the slot width of F(lam) and the code width of |lam|; {}
     when n floor > |lam| leaves no weight, where the window cost is
     infinite and the sl side builds no table."""
-    n, columns = len(lam), _columns(lam)
+    n = len(lam)
     if n * floor > sum(lam):
         return {}
     bits = sum(lam).bit_length() + 1
-    packing = PackedQ(_fillings_bound(columns, n), cap)
+    packing = PackedQ(_fillings_bound(lam), cap)
     return {_exponents(code, n, bits): packing.unpack(series)
             for code, series in _packed_column_terms(
-                columns, n, cap, rule, floor, packing.width, bits).items()}
+                lam, cap, rule, floor, packing.width, bits).items()}
 
 
 FLOOR_TABLES = ((e_t0_table, "t0"), (e_atom_table, "atom"))
@@ -315,16 +315,19 @@ def test_tables_read_rank_from_each_lambda():
 @functools.lru_cache(maxsize=None)
 def _transitions_by_tuples(pattern, prev, rule):
     """The enumeration ``_transitions`` replaced, kept as its oracle: every
-    triple compared as the (value, slot) pairs of ``filling_statistics``."""
+    triple compared as the (value, slot) pairs of ``filling_statistics``,
+    and for rule ``"qt"`` coinv counted as the triples over the list of a
+    cell's partners."""
     n = len(pattern)
     rows = [i for i in range(n) if pattern[i] >= 1]
     col = [0] * n
     gains = []
     out = []
 
-    def rec(idx):
+    def rec(idx, coinv):
         if idx == len(rows):
-            out.append((tuple(col), tuple(gains)))
+            out.append((tuple(col), tuple(gains), coinv) if rule == "qt"
+                       else (tuple(col), tuple(gains)))
             return
         i = rows[idx]
         left = prev[i]
@@ -337,6 +340,7 @@ def _transitions_by_tuples(pattern, prev, rule):
             if v in banned:
                 continue
             gain = False
+            count = 0
             if v != left:
                 cyclic = [_cyclically_increasing((v, 1), (p, 2), (left, 3))
                           for p in partners]
@@ -344,23 +348,26 @@ def _transitions_by_tuples(pattern, prev, rule):
                     if any(cyclic):
                         continue
                     gain = v > left
-                else:
+                elif rule == "atom":
                     if not all(cyclic):
                         continue
                     gain = v < left
+                else:
+                    gain = v > left
+                    count = sum(cyclic)
             col[i] = v
             if gain:
                 gains.append(i)
-            rec(idx + 1)
+            rec(idx + 1, coinv + count)
             if gain:
                 gains.pop()
         col[i] = 0
 
-    rec(0)
+    rec(0, 0)
     return tuple(out)
 
 
-def _column_terms_by_key(columns, n, cap, rule, floor=0):
+def _column_terms_by_key(lam, cap, rule, floor=0):
     """The column program on one integer key per (weight, q-exponent), which
     the packed program ``_packed_column_terms`` replaced, kept as its
     oracle.
@@ -373,7 +380,8 @@ def _column_terms_by_key(columns, n, cap, rule, floor=0):
     no room for a gain skips that column.  The floor test is the packed
     program's, on the weight digits (the borrow-free subtraction leaves e
     alone)."""
-    cells = sum(1 for _, d in columns for x in d if x >= 1)
+    n, columns = len(lam), _columns(lam)
+    cells = sum(lam)
     if n * floor > cells:
         return {}
     bits = cells.bit_length() + 1
@@ -433,25 +441,31 @@ def test_packed_program_matches_per_key_program():
     assert len(ORACLE_CASES) == 23100
     for lam, cap, rule, floor in ORACLE_CASES:
         assert _pruned_table(lam, cap, rule, floor) == _column_terms_by_key(
-            _columns(lam), len(lam), cap, rule, floor), \
+            lam, cap, rule, floor), \
             (lam, cap, rule, floor)
 
 
 def test_fillings_bound_holds_every_table():
     # F(lam) bounds the L1 mass of every table over the oracle range, which
-    # makes the slot width fixed from the columns sound
+    # makes the slot width fixed from the columns sound; read off lam's
+    # sorted entries, it is the product over the cells d >= 1 of each column
+    for lam in ORACLE_LAMS:
+        assert _fillings_bound(lam) == math.prod(
+            math.perm(len(lam), sum(x >= 1 for x in d))
+            for _, d in _columns(lam)), lam
     for lam, cap, rule, floor in ORACLE_CASES:
         mass = sum(sum(c.coeffs) for c in _pruned_table(
             lam, cap, rule, floor).values())
-        assert mass <= _fillings_bound(_columns(lam), len(lam)), \
+        assert mass <= _fillings_bound(lam), \
             (lam, cap, rule, floor)
 
 
 def test_transitions_match_tuple_enumeration(monkeypatch):
-    # every (pattern, prev, rule) the column program reaches at n <= 4,
-    # |lam| <= 6 and at n = 5, |lam| <= 4, at the exact cap and floor 0,
-    # where no transition is skipped: the integer triples give the tuple
-    # enumeration's output
+    # every (pattern, prev, rule) the column programs reach at n <= 4,
+    # |lam| <= 6 and at n = 5, |lam| <= 4: the t = 0 and atom tables at the
+    # exact cap and floor 0, where no transition is skipped, and the generic
+    # program (rule "qt"), whose coinv is a bit count of the partner mask;
+    # the integer triples give the tuple enumeration's output
     reached = set()
     transitions = macdonald._transitions
 
@@ -459,11 +473,15 @@ def test_transitions_match_tuple_enumeration(monkeypatch):
         reached.add(args)
         return transitions(*args)
     monkeypatch.setattr(macdonald, "_transitions", recorded)
-    for n in range(1, 6):
-        for lam in compositions_up_to(n, 6 if n <= 4 else 4):
-            for rule in ("t0", "atom"):
-                _column_terms(_columns(lam), n, exact_cap(lam), rule)
+    lams = [lam for n in range(1, 6)
+            for lam in compositions_up_to(n, 6 if n <= 4 else 4)]
+    assert len(lams) == 455
+    for lam in lams:
+        for rule in ("t0", "atom"):
+            _column_terms(lam, exact_cap(lam), rule)
+        macdonald._generic_column_terms(lam)
     assert len(reached) > 1000
+    assert sum(rule == "qt" for _, _, rule in reached) == 1229
     for args in reached:
         assert transitions(*args) == _transitions_by_tuples(*args), args
 
@@ -481,6 +499,20 @@ class TestNorms:
             (ONE - QTPoly.term(1, 2, 1)) * (ONE - Q))
         assert b == expected
         assert norm_a_qt((0,) * 3) == QTRational.one()
+
+    def test_negative_entry_rejected(self):
+        # both norms refuse a negative entry in any position, as macdonald_E
+        # and the tables do; norm_a_q once read (-1, 0) as 1
+        lams = [(-1, 0), (2, -1)] + [
+            tuple(-1 if k == i else 2 for k in range(n))
+            for n in (1, 2, 3) for i in range(n)]
+        for lam in lams:
+            for build in (lambda: norm_a_q(lam, 5), lambda: norm_a_qt(lam),
+                          lambda: macdonald_E(lam),
+                          lambda: e_t0_table([lam], 5),
+                          lambda: e_atom_table([lam], 5)):
+                with pytest.raises(ExactError, match="needs a composition"):
+                    build()
 
     def test_norms_match_trial_division(self):
         # norm_a_qt cancels cyclotomic factors by count; the path it

@@ -4,7 +4,8 @@ here and not in every traced benchmark operation; the benchmark's own
 self-tests must pass; every benchmark request must print its recorded
 bytes; the demos must run; the exact (q, t) query commands must not
 reach the general gcd; no module, test or demo keeps an import it does
-not use; and every top-level name of a module is read somewhere."""
+not use; and every top-level name and method of a module is read
+somewhere."""
 
 import ast
 import functools
@@ -177,12 +178,18 @@ def test_no_unused_imports(path):
 
 def _module_names(tree):
     """{name: (first line, last line)} of a module's top-level functions,
-    classes and assigned constants."""
+    classes and assigned constants, and of its classes' methods other than
+    the dunder ones, each named Class.method."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             names[node.name] = (node.lineno, node.end_lineno)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    names[f"{node.name}.{item.name}"] = (item.lineno,
+                                                         item.end_lineno)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -232,15 +239,17 @@ def _reads():
 
 @pytest.mark.parametrize("module", SOURCES)
 def test_no_unreferenced_names(module):
-    # every top-level function, class and constant of a module is read
-    # somewhere outside its own definition: in the program, its tests, the
-    # demos or the benchmark
+    # every top-level function, class and constant of a module, and every
+    # method other than a dunder one (read as an attribute of any name), is
+    # read somewhere outside its own definition: in the program, its tests,
+    # the demos or the benchmark
     path = os.path.join(ROOT, "src", "qcauchy", module)
     with open(path) as fh:
         names = _module_names(ast.parse(fh.read(), path))
     unread = [name for name, (first, last) in sorted(names.items())
               if not any(where != path or not first <= line <= last
-                         for where, line in _reads().get(name, ()))]
+                         for where, line in _reads().get(
+                             name.rsplit(".", 1)[-1], ()))]
     assert unread == []
 
 
