@@ -19,11 +19,11 @@ class pair, the solutions of the support system of the kernel once: it
 bounds the fiber index k, which fixes the certified gl box, and it sums the
 solutions' weights, which are the projected product side.  The system sees
 a beta matrix only through its margins (row and column sums), so the walk
-runs over margin classes, weighed by the gl product kernel
-``_packed_product`` on the monomials x_i y_j, and counts a class's
-solutions for every shift S at once.  That kernel is given only monomials
-of equal x- and y-degree, so it keys a term on one degree and its
-exponents.  The Macdonald side then sums every min-zero lam up to that
+runs over margin classes, grouped by rows - cols, weighed by the gl
+product kernel ``_packed_product`` on the monomials x_i y_j, and counts
+every solution for every shift S in the budget.  That kernel is given only
+monomials of equal x- and y-degree, so it keys a term on one degree and
+its exponents.  The Macdonald side then sums every min-zero lam up to that
 box: E_lam(x) E_lam(y) has x- and y-degree |lam|, so these are all the
 summands that can reach a certified fiber.
 ``_sl_budget_hits`` makes every decision about one lam: it turns the
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import json
 import time
-from bisect import bisect_left
+from itertools import accumulate
 
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
@@ -451,14 +451,17 @@ def sl_certificate(n, pairs, K):
     suffices.
 
     Eliminating nu leaves the Kostant system sum m_{ij} (e_i - e_j) = c,
-    c = a - b + (|b| - |a|)/n * 1 - rows + cols, and k = t + S with t the
-    largest entry of m's x-side sums + rows - a.  Both see beta only
-    through its margins (rows, cols), so the walk runs, per pair, over the
-    margin classes: it forms c and looks up its Kostant solutions once
-    (``_kostant_xsums``, which fills m row by row), sorts their t, and
-    then counts for each S within the q-budget the solutions with k >= 0
-    and k >= (|b| - |a|)/n, that is t >= max(0, (|b| - |a|)/n) - S, by
-    bisection; the largest k is the last t + S.
+    c = a - b + (|b| - |a|)/n * 1 - d, d = rows - cols, and k = t + S with
+    t the largest entry of m's x-side sums mx + rows - a.  c sees beta only
+    through d, so per pair the walk forms c once per group of margin
+    classes with one d; ``_kostant_xsums`` solves each distinct c once, and
+    the dict keeps N(c), the number of solutions, and M, the entrywise
+    maximum of their x-side sums.  Every solution counts for every S in the
+    budget: nu = a + t 1 - mx - rows >= 0 makes the y side b + l 1 = nu +
+    my + cols + S 1 >= 0 (mx - my = c), and a and b are min-zero, so k >= 0
+    and l >= 0.  So a group's largest k is the largest entry of M - a + R,
+    R the entrywise maximum over its classes of rows + S_s, S_s the largest
+    S in the budget at entry sum s.
 
     It also sums the solutions' coefficients in the gl_slform product,
     which are exactly the fiber sums project_to_sl would take over the full
@@ -472,9 +475,18 @@ def sl_certificate(n, pairs, K):
     one ``_packed_product`` call on the n^2 monomials x_i y_j: a class of
     entry sum s has q-valuation s and leading coefficient 1, so the policy
     (K, K) drops exactly the classes that vanish modulo q^{K+1}.  S weighs
-    (-1)^S q^{S(S+1)/2} / (q; q)_S, the (a; q)_oo coefficient times q^S.
-    The class weights are summed per S as integer coefficient lists, each
-    multiplied by its S weight once per pair.
+    p_S = (-1)^S q^{S(S+1)/2} / (q; q)_S, the (a; q)_oo coefficient times
+    q^S.  So a group weighs H_d = sum_class w (p_0 + ... + p_{S_s}), and
+    a pair's fiber is sum_d N(c) H_d, one packed multiply-add per group.
+
+    c is an integer code, digits of B bits biased by 2^(B-1): the pair's
+    biased code minus the plain code of d.  |c_i| <= 2 W + K < 2^(B-1), W
+    the largest class degree, so no digit borrows.  The fibers' bound is
+    N_max * sum_S L1(p_S) * sum_class L1(w), N_max the largest N(c) met; as
+    a product's coefficients are at most the product of its factors' L1
+    masses, it bounds every H_d and every partial fiber sum.  So the walk
+    keeps each pair's (N(c), d), and the fibers are summed after it.
+
     Returns (kmax, D, fibers) with kmax keyed on the x-side, D the degree
     of the certified box in both blocks (the balance relation makes the x-
     and y-side needs coincide), and fibers[pair] that sum, for every pair
@@ -484,48 +496,68 @@ def sl_certificate(n, pairs, K):
     varset, policy = VariableSet.gl(n), TruncationPolicy(K, K, K)
     factors = [(tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
                for i in range(n) for j in range(n)]
-    packing = PackedQ(_product_bound(varset, policy, factors), K)
+    weights = PackedQ(_product_bound(varset, policy, factors), K)
     bits = _code_bits(policy)
-    margins = []
-    for code, w in _packed_product(varset, policy, factors, packing).items():
+    # S_s of a class of entry sum s
+    last_s = [max(S for S in range(len(poch_w)) if s + S * (S + 1) // 2 <= K)
+              for s in range(K + 1)]
+    W = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
+    B = (2 * W + K).bit_length() + 1
+    half, digit = 1 << (B - 1), (1 << B) - 1
+    groups = {}     # d code -> (R, {S_s: summed class weight coefficients})
+    mass = 0
+    for code, w in _packed_product(varset, policy, factors, weights).items():
         exps = _exponents(code, 2 * n, bits)
-        margins.append((exps[:n], exps[n:], sum(exps[:n]),
-                        packing.unpack(w).coeffs))
-    kostant = {}    # c -> the x-side sums of its Kostant solutions
+        rows, s = exps[:n], sum(exps[:n])
+        reach, by_s = groups.setdefault(
+            sum(rows[i] - exps[n + i] << B * i for i in range(n)),
+            ([0] * n, {}))
+        reach[:] = map(max, reach, (r + last_s[s] for r in rows))
+        coeffs = weights.unpack(w).coeffs
+        mass += l1_mass(coeffs)
+        acc = by_s.setdefault(last_s[s], [0] * (K + 1))
+        for i, x in enumerate(coeffs):
+            acc[i] += x
+    kostant = {}    # c code -> (N(c), M), or () when c has no solution
     kmax = {pair: -1 for pair in pairs}
-    fibers = {}
+    found = []      # (pair, [(N(c), d code) of each group with a solution])
     for pair in pairs:
         a, b = pair
+        if min(a) or min(b):
+            raise ExactError(f"class pair {pair} is not min-zero")
         off, rem = divmod(sum(b) - sum(a), n)
         if rem:
             continue
-        low = max(0, off)
+        base = sum(a[i] - b[i] + off + half << B * i for i in range(n))
         best = -1
-        # integer coefficients of q^0 .. q^K, per S
-        accs = [[0] * (K + 1) for _ in poch_w]
-        for rows, cols, size, w in margins:
-            c = tuple(a[i] + off - b[i] - rows[i] + cols[i]
-                      for i in range(n))
-            sums = kostant.get(c)
-            if sums is None:
-                sums = kostant[c] = _kostant_xsums(c)
-            if not sums:
-                continue
-            shift = [rows[i] - a[i] for i in range(n)]
-            tops = sorted(max(map(int.__add__, mx, shift)) for mx in sums)
-            for S, acc in enumerate(accs):
-                if size + S * (S + 1) // 2 > K:
-                    break
-                count = len(tops) - bisect_left(tops, low - S)
-                if count:
-                    best = max(best, tops[-1] + S)
-                    for i, x in enumerate(w):
-                        acc[i] += count * x
+        hits = []
+        for dcode, (reach, _) in groups.items():
+            key = base - dcode
+            entry = kostant.get(key)
+            if entry is None:
+                sols = _kostant_xsums(tuple(
+                    (key >> B * i & digit) - half for i in range(n)))
+                entry = kostant[key] = (
+                    (len(sols), tuple(map(max, zip(*sols)))) if sols else ())
+            if entry:
+                count, xmax = entry
+                hits.append((count, dcode))
+                best = max(best, max(map(int.__sub__,
+                                         map(int.__add__, xmax, reach), a)))
         kmax[pair] = best
-        for pw, acc in zip(poch_w, accs):
-            if any(acc):    # iff a solution: class weights are >= 0, nonzero
-                term = pw * QSeries(K, acc)
-                fibers[pair] = fibers[pair] + term if pair in fibers else term
+        if hits:
+            found.append((pair, hits))
+    most = max((count for _, hits in found for count, _ in hits), default=0)
+    packing = PackedQ(most * sum(l1_mass(pw.coeffs) for pw in poch_w) * mass,
+                      K)
+    # p_0 + ... + p_S, packed
+    upto = list(accumulate(packing.pack(pw.coeffs) for pw in poch_w))
+    group_w = {dcode: sum(packing.pack(acc) * upto[S]
+                          for S, acc in by_s.items()) & packing.mask
+               for dcode, (_, by_s) in groups.items()}
+    fibers = {pair: packing.unpack(sum(count * group_w[dcode]
+                                       for count, dcode in hits))
+              for pair, hits in found}
     D = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
             default=0)
     return kmax, D, fibers

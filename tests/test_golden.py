@@ -10,10 +10,13 @@ each, every ``macdonald`` spec, ``norm`` flag set and ``char`` kind on both
 lattices for n <= 3, |lam| <= 4, and the rank-one appendix, in both output
 formats.  The faults are a norm + 1 or + q; one wrong table entry, the
 columns of lam = (0, 1, 2) with one cell's leg + 1 too large, which both
-tables of lam are built from; and a window cost of the sl side one too
-large where it is finite, for the t = 0 or the atom rule.  Tier-1 runs the
-rows marked tier1 (a few seconds); the whole corpus (about 40 s) runs from
-the command line, against the ``src`` beside this ``tests`` folder:
+tables of lam are built from; a window cost of the sl side one too large
+where it is finite, for the t = 0 or the atom rule; the Kostant solutions
+of the sl certificate without the largest x-side sum; and q^2 added to one
+coefficient of the q-binomial factors below the diagonal, which the
+certificate reads as its class weights.  Tier-1 runs the rows marked tier1
+(a few seconds); the whole corpus (about 40 s) runs from the command line,
+against the ``src`` beside this ``tests`` folder:
 
     python tests/test_golden.py                 # check every row
     python tests/test_golden.py --record        # rewrite every digest
@@ -81,6 +84,28 @@ def _leg_plus_one(columns):
     return corrupted
 
 
+def _drop_largest_xsums(kostant_xsums):
+    # the Kostant solutions of each c without the largest x-side sum tuple,
+    # whatever order the walk finds them in: the certificate may lose the
+    # solution that sets a fiber's bound, and loses its weight from a fiber
+    def dropped(c):
+        return sorted(kostant_xsums(c))[:-1]
+    return dropped
+
+
+def _middle_q_binomial_plus_q2(q_binomial_coeffs):
+    # q^2 added at k = 1 of the 1 / (q a; q)_oo coefficients, the list that
+    # the product sides read below the diagonal and the certificate reads
+    # as its class weights
+    def raised(top, cap):
+        first, middle, last = q_binomial_coeffs(top, cap)
+        if len(middle) > 1:
+            middle = middle[:]
+            middle[1] = middle[1] + QSeries.one(cap).shift(2)
+        return first, middle, last
+    return raised
+
+
 def _cost_plus_one(rule):
     # the window cost of one rule one too large where it is finite: the sl
     # side may skip a lam whose summand counts, and with rule "atom" it
@@ -101,6 +126,8 @@ FAULTS = {
     "leg(0,1,2)+1": ("_columns", _leg_plus_one),
     "window_cost(t0)+1": ("_window_cost", _cost_plus_one("t0")),
     "window_cost(atom)+1": ("_window_cost", _cost_plus_one("atom")),
+    "kostant_xsums-max": ("_kostant_xsums", _drop_largest_xsums),
+    "q_binomial+q2": ("_q_binomial_coeffs", _middle_q_binomial_plus_q2),
 }
 
 
@@ -135,7 +162,7 @@ def run_report(argv, fault):
 SL_POINTS = [(1, 2, 4), (1, 3, 3), (1, 5, 4), (2, 2, 3), (2, 3, 2),
              (2, 3, 5), (2, 4, 4), (2, 5, 8), (2, 6, 3), (3, 1, 3), (3, 2, 1),
              (3, 2, 2), (3, 2, 4), (3, 3, 3), (3, 3, 4), (3, 3, 6), (3, 4, 4),
-             (4, 1, 2), (4, 2, 1), (4, 2, 3), (4, 3, 2), (5, 1, 2)]
+             (3, 5, 5), (4, 1, 2), (4, 2, 1), (4, 2, 3), (4, 3, 2), (5, 1, 2)]
 SL_TIER1 = {(1, 2, 4), (2, 2, 3), (2, 3, 5), (3, 2, 2), (3, 2, 4), (4, 1, 2)}
 GL_POINTS = [(1, 4, 4), (2, 5, 6), (3, 3, 4), (3, 6, 8), (4, 4, 6),
              (3, 8, 10)]
@@ -159,6 +186,7 @@ def corpus_runs():
             # budget cuts
             faults += ["window_cost(t0)+1",
                        "window_cost(atom)+1"] * (tier1 and n >= 2)
+            faults += ["kostant_xsums-max", "q_binomial+q2"] * tier1
             rows.extend((argv + tail, fault, tier1) for fault in faults)
         for identity in ("gl-t0", "gl-slform", "iwahori-char",
                          "classical-q0"):
@@ -169,6 +197,9 @@ def corpus_runs():
                 faults = [None, "norm_a_q+1"]
                 faults += ["leg(0,1,2)+1"] * (tier1 and n == 3
                                              and identity != "classical-q0")
+                # at n = 1 there is no factor below the diagonal
+                faults += ["q_binomial+q2"] * (tier1 and n >= 2
+                                               and identity != "classical-q0")
                 rows.extend((argv + tail, fault, tier1) for fault in faults)
         for n, D in QT_POINTS:
             argv = f"verify --identity gl-qt --n {n} --max-deg {D}"

@@ -419,13 +419,16 @@ class TestProjection:
 
     def test_non_min_zero_pair_rejected(self):
         # (1, 1) and (0, 0) key on one sl class: summing the two pairs
-        # would let the later fiber sum replace the earlier one
+        # would let the later fiber sum replace the earlier one; and the
+        # certificate counts every solution only on min-zero pairs
         f = lhs_series("gl_slform", 2, TruncationPolicy(6, 6, 3))
         for pairs in ([((1, 1), (0, 0)), ((0, 0), (0, 0))],
                       [((0, 0), (0, 1)), ((0, 0), (2, 1))]):
             kmax = {p: 2 for p in pairs}
             with pytest.raises(ExactError):
                 project_to_sl(f, pairs, kmax, 3)
+            with pytest.raises(ExactError):
+                sl_certificate(2, pairs, 3)
 
     def test_sl_identity_small(self):
         pol = TruncationPolicy(2, 2, 3)
@@ -885,16 +888,57 @@ def _per_matrix_certificate(n, pairs, K):
     return kmax, Dx, fibers
 
 
-@pytest.mark.parametrize("n, w, K", list(itertools.product(
+MARGIN_POINTS = list(itertools.product(
     (1, 2, 3), (1, 2, 3), range(5))) + list(itertools.product(
     (1, 2), (1, 2, 3), (5, 6))) + list(itertools.product(
-    (4,), (1, 2), range(3))) + [(5, 1, 0), (5, 1, 1)])
+    (4,), (1, 2), range(3))) + [(5, 1, 0), (5, 1, 1)]
+
+
+@pytest.mark.parametrize("n, w, K", MARGIN_POINTS)
 def test_margin_certificate_matches_per_matrix_walk(n, w, K):
-    # grouping the beta matrices by margins, and counting each class's
-    # solutions per S by bisection, changes no bound and no sum; at K = 6
-    # the S of the support system reaches 3
+    # grouping the beta matrices by margins and the margins by rows - cols,
+    # and counting every solution for every S in the budget, changes no
+    # bound and no sum; at K = 6 the S of the support system reaches 3
     pairs = sl_window_pairs(n, w)
     assert sl_certificate(n, pairs, K) == _per_matrix_certificate(n, pairs, K)
+
+
+@pytest.mark.parametrize("n, w, K", MARGIN_POINTS + [(3, 3, 6)])
+def test_certificate_width_bounds_every_partial_sum(n, w, K, monkeypatch):
+    # the class weights are nonnegative, so every coefficient the certificate
+    # sums on its fibers' PackedQ, of a group's weight or of a partial fiber
+    # sum, is at most in absolute value the matching coefficient of the
+    # fiber with every S weight taken positive; that fiber, summed at a
+    # width far beyond any coefficient, stays below 2^(B - 2).  At a small K
+    # a fiber is mostly a count of Kostant solutions, so a bound without the
+    # most solutions of any c fails here at n >= 3
+    bounds = []
+
+    class Recorded(PackedQ):
+        def __init__(self, bound, cap):
+            bounds.append(bound)
+            super().__init__(bound, cap)
+
+    class Wide(PackedQ):
+        def __init__(self, bound, cap):
+            super().__init__(bound << 256, cap)
+
+    def unsigned(top, cap):
+        first, middle, last = q_binomial_coeffs(top, cap)
+        return first, middle, [QSeries(cap, map(abs, c.coeffs)) for c in last]
+
+    q_binomial_coeffs = identities._q_binomial_coeffs
+    pairs = sl_window_pairs(n, w)
+    monkeypatch.setattr(identities, "PackedQ", Recorded)
+    sl_certificate(n, pairs, K)
+    monkeypatch.setattr(identities, "PackedQ", Wide)
+    monkeypatch.setattr(identities, "_q_binomial_coeffs", unsigned)
+    _, _, fibers = sl_certificate(n, pairs, K)
+    # the fibers' PackedQ is the certificate's last
+    width = PackedQ(bounds[-1], K).width
+    assert fibers
+    assert all(0 <= c < 1 << width - 2
+               for fiber in fibers.values() for c in fiber.coeffs), (n, w, K)
 
 
 @pytest.mark.parametrize("n, w, K, summands, box", [
