@@ -65,6 +65,7 @@ and gl_qt's exact (q, t) scalars.
 from __future__ import annotations
 
 import json
+import math
 import time
 from itertools import accumulate
 
@@ -136,13 +137,15 @@ def _mk_report(variant, n, policy_dict, diff, lam_count, t_start,
 # left-hand sides
 # ---------------------------------------------------------------------------
 
-def _product_bound(varset, policy, factors):
-    """A bound on every coefficient of ``_packed_product``'s output: the
-    largest of [z^d] prod_f sum_k L1(cs_f[k]) z^{k g_f}, d <= G, where G is
-    the smaller policy degree and g_f >= 1 the degree of mono_f, equal in
-    both blocks.  A monomial of degree d has the coefficient sum_{(k_f)}
-    prod_f cs_f[k_f] over sum_f k_f g_f = d; by the triangle inequality and
-    L1(a b) <= L1(a) L1(b) its L1 mass is at most [z^d]."""
+def _graded_masses(varset, policy, factors):
+    """[z^d] prod_f sum_k L1(cs_f[k]) z^{k g_f} for d <= G, where G is the
+    smaller policy degree and g_f >= 1 the degree of mono_f, equal in both
+    blocks: a bound on the summed L1 masses of ``_packed_product``'s
+    coefficients at degree d.  A monomial of degree d has the coefficient
+    sum_{(k_f)} prod_f cs_f[k_f] over the (k_f) with sum_f k_f g_f = d that
+    give it, and distinct monomials take disjoint sets of (k_f); by the
+    triangle inequality and L1(a b) <= L1(a) L1(b) their L1 masses add up
+    to at most [z^d]."""
     top = min(policy.max_x_degree, policy.max_y_degree)
     graded = [1] + [0] * top
     for mono, cs in factors:
@@ -151,7 +154,13 @@ def _product_bound(varset, policy, factors):
         graded = [sum(masses[k] * graded[d - k * g]
                       for k in range(min(d // g + 1, len(masses))))
                   for d in range(top + 1)]
-    return max(graded)
+    return graded
+
+
+def _product_bound(varset, policy, factors):
+    """A bound on every coefficient of ``_packed_product``'s output: the
+    largest of ``_graded_masses``."""
+    return max(_graded_masses(varset, policy, factors))
 
 
 def _code_bits(policy):
@@ -479,11 +488,18 @@ def sl_certificate(n, pairs, K):
     q^S.  So a group weighs H_d = sum_class w (p_0 + ... + p_{S_s}), and
     a pair's fiber is sum_d N(c) H_d, one packed multiply-add per group.
 
+    The class weights are summed per (d, S_s) on the product's packed
+    ints, and each sum is unpacked once.  Their coefficients are
+    nonnegative, so every coefficient of such a sum is at most the summed
+    L1 mass of all classes, ``mass``, and that is at most sum_{d <= K} of
+    ``_graded_masses``: the product's ``PackedQ`` is fixed at that total,
+    so no slot of a sum carries.
+
     c is an integer code, digits of B bits biased by 2^(B-1): the pair's
     biased code minus the plain code of d.  |c_i| <= 2 W + K < 2^(B-1), W
     the largest class degree, so no digit borrows.  The fibers' bound is
-    N_max * sum_S L1(p_S) * sum_class L1(w), N_max the largest N(c) met; as
-    a product's coefficients are at most the product of its factors' L1
+    N_max * sum_S L1(p_S) * mass, N_max the largest N(c) met; as a
+    product's coefficients are at most the product of its factors' L1
     masses, it bounds every H_d and every partial fiber sum.  So the walk
     keeps each pair's (N(c), d), and the fibers are summed after it.
 
@@ -496,7 +512,7 @@ def sl_certificate(n, pairs, K):
     varset, policy = VariableSet.gl(n), TruncationPolicy(K, K, K)
     factors = [(tuple(int(k in (i, n + j)) for k in range(2 * n)), cells)
                for i in range(n) for j in range(n)]
-    weights = PackedQ(_product_bound(varset, policy, factors), K)
+    weights = PackedQ(sum(_graded_masses(varset, policy, factors)), K)
     bits = _code_bits(policy)
     # S_s of a class of entry sum s
     last_s = [max(S for S in range(len(poch_w)) if s + S * (S + 1) // 2 <= K)
@@ -504,8 +520,7 @@ def sl_certificate(n, pairs, K):
     W = max((max(sum(a), sum(b)) for a, b in pairs), default=0)
     B = (2 * W + K).bit_length() + 1
     half, digit = 1 << (B - 1), (1 << B) - 1
-    groups = {}     # d code -> (R, {S_s: summed class weight coefficients})
-    mass = 0
+    groups = {}     # d code -> (R, {S_s: summed class weights})
     for code, w in _packed_product(varset, policy, factors, weights).items():
         exps = _exponents(code, 2 * n, bits)
         rows, s = exps[:n], sum(exps[:n])
@@ -513,11 +528,12 @@ def sl_certificate(n, pairs, K):
             sum(rows[i] - exps[n + i] << B * i for i in range(n)),
             ([0] * n, {}))
         reach[:] = map(max, reach, (r + last_s[s] for r in rows))
-        coeffs = weights.unpack(w).coeffs
-        mass += l1_mass(coeffs)
-        acc = by_s.setdefault(last_s[s], [0] * (K + 1))
-        for i, x in enumerate(coeffs):
-            acc[i] += x
+        by_s[last_s[s]] = by_s.get(last_s[s], 0) + w
+    mass = 0
+    for _, by_s in groups.values():
+        for S, w in by_s.items():
+            by_s[S] = coeffs = weights.unpack(w).coeffs
+            mass += sum(coeffs)
     kostant = {}    # c code -> (N(c), M), or () when c has no solution
     kmax = {pair: -1 for pair in pairs}
     found = []      # (pair, [(N(c), d code) of each group with a solution])
@@ -676,17 +692,67 @@ def _sl_budget_hits(lam, K, W, packing, bits):
     return (xhits, yhits) if yhits else None
 
 
+def _sl_lambdas(n, K, W, box):
+    """The min-zero lam of n entries with |lam| <= box that pass the cost
+    test (``_sl_budget``) at budget K and window degree W, sorted: a walk
+    over the entries of each size s that prunes on the cost.
+
+    At size s the floor F = ceil((s - W) / n) is fixed, and n F > s leaves
+    no weight (the cost is infinite), so that size is skipped.  Otherwise,
+    with P_m the sum of lam's first m entries, the costs of
+    ``_window_cost`` are c_y = max(0, max_m (m F - P_m)) (atom) and c_x =
+    max(0, max_m (m F - s + P_{n-m})) (t = 0), m = 1, ..., n: a suffix
+    sum is s minus a prefix sum.  The walk sets lam's entries one at a
+    time and carries the maxima over the prefix sums it knows.  Each is a
+    lower bound of its final value, so a branch whose partial c_x + c_y
+    exceeds K holds no lam that passes, and is cut.  The last entry is s
+    minus the others, and every leaf is a min-zero lam that goes through
+    ``_sl_budget`` itself, the exact test."""
+    kept = []
+    lam = [0] * n
+
+    def walk(j, prefix, cx, cy, zero):
+        # lam[:j] is set, with sum prefix; cx and cy hold the terms of
+        # P_0, ..., P_j
+        if j == n - 1:
+            lam[j] = s - prefix
+            if zero or not lam[j]:
+                t = tuple(lam)
+                if _sl_budget(t, K, W) is not None:
+                    kept.append(t)
+            return
+        # P_{j+1} = p brings c_y's term (j + 1) F - p, which needs p >= (j +
+        # 1) F - K + cx, and c_x's term (n - j - 1) F - s + p, which grows
+        # with p; the two terms add up to n F - s <= 0, so the new sum is
+        # within K once each term is within K less the other old maximum
+        for p in range(max(prefix, (j + 1) * floor - K + cx), s + 1):
+            x = max(cx, (n - j - 1) * floor - s + p)
+            if x + cy > K:
+                break
+            lam[j] = p - prefix
+            walk(j + 1, p, x, max(cy, (j + 1) * floor - p),
+                 zero or p == prefix)
+
+    for s in range(box + 1):
+        floor = -((W - s) // n)
+        if n * floor <= s:
+            walk(0, 0, 0, 0, False)
+    kept.sort()
+    return kept
+
+
 def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     """The sl Macdonald side on the window: every min-zero lam with
     |lam| <= box summed once, with both norms, on packed ints.
 
     lam reaches the window class pair (a, b) through the monomials of
     E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b;
-    ``_sl_budget_hits`` builds those of one lam, or skips lam.  Both norms
-    of every lam that passes the cost test (``_sl_budget``) are computed
-    and checked nonnegative right after it.  The name is kept although
-    nothing adapts any more: the benchmark's tracer (``perfbench/spans.py``)
-    looks the function up by it.
+    ``_sl_budget_hits`` builds those of one lam, or skips lam.  Only the
+    lam that pass the cost test (``_sl_budget``) are visited, by the
+    pruned walk of ``_sl_lambdas``; both of their norms are computed and
+    checked nonnegative first.  The name is kept although nothing adapts
+    any more: the benchmark's tracer (``perfbench/spans.py``) looks the
+    function up by it.
 
     The ``PackedQ`` is fixed before any table is built, at the larger of
     ``bound`` and ``_macdonald_bound`` over those lam; codes have ``bits``
@@ -702,13 +768,12 @@ def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     Returns (sums with the arm/leg norm, sums with the
     highest-weight-algebra norm, lambda_count, packing, bits), each sum
     {class-pair code: nonzero masked int}, lambda_count counting every lam
-    up to the box, summed or skipped."""
+    up to the box, summed or skipped: C(box + n, n) - C(box, n), the
+    compositions of n entries with sum <= box less those with no zero
+    entry, which lose 1 from each entry to sum <= box - n."""
     W = max((sum(a) for a, _ in pairs), default=0)
     kept = []       # (lam, (norm_a, norm_h)) of each lam the cost test keeps
-    lambdas = sorted(min_zero_compositions_up_to(n, box))
-    for lam in lambdas:
-        if _sl_budget(lam, K, W) is None:
-            continue
+    for lam in _sl_lambdas(n, K, W, box):
         norms = norm_a_q(lam, K), hw_algebra_char(lam, "D").qseries(K)
         if not all(norm.is_nonnegative() for norm in norms):
             raise InvariantError("negative norm coefficient; positivity broken")
@@ -720,7 +785,8 @@ def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     summands = [(norms,) + hits for lam, norms in kept
                 if (hits := _sl_budget_hits(lam, K, W, packing, bits))]
     by_a, by_h = _packed_macdonald_sum(summands, packing) or ({}, {})
-    return by_a, by_h, len(lambdas), packing, bits
+    return (by_a, by_h, math.comb(box + n, n) - math.comb(box, n), packing,
+            bits)
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,58 @@ def _columns(lam):
     d_i >= 1 (and d_i is then that cell's leg + 1), and a cell or basement
     entry in column j - 1 when d_i >= 0.  The pattern is the order type of
     d, densely ranked with -1 and 0 kept as they are; the filling rules
-    only compare these values.  Cached: a Macdonald side reads the t = 0
+    only compare these values.  From column j - 1 to column j every d_i >=
+    2 falls by one and keeps its rank among the positive values, so the
+    pattern changes only where some d_i reaches 0 or -1, that is at the
+    columns j with j - 1 or j - 2 a part of lam; it is ranked there (and at
+    j = 1) and kept in between.  Cached: a Macdonald side reads the t = 0
     table and the atom table of each lam, in turn (sl) or in two passes
     (gl)."""
+    parts = set(lam)
     out = []
     for j in range(1, max(lam, default=0) + 1):
-        d = tuple(max(e - j + 1, -1) for e in lam)
-        rank = {v: r for r, v in enumerate(sorted(set(d) | {-1, 0}), -1)}
-        out.append((tuple(rank[v] for v in d), d))
+        d = tuple([e - j + 1 if e >= j - 1 else -1 for e in lam])
+        if j == 1 or j - 1 in parts or j - 2 in parts:
+            rank = {v: r for r, v in enumerate(sorted(set(d) | {-1, 0}), -1)}
+            pattern = tuple([rank[v] for v in d])
+        out.append((pattern, d))
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _gain_table(d):
+    """The gains of one column of ``_columns``, by gaining-row mask: entry
+    m is the sum of d_i, the leg + 1 of row i's cell, over the rows i of m
+    (bit i for row i).  Cached on d, so that a column program looks each
+    gain up rather than summing it per run."""
+    table = [0]
+    for x in d:
+        table += [g + x for g in table]
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_increments(n, bits):
+    """The weight codes of one column, by value mask: entry m is the code
+    (see ``_exponents``) of the 0/1 weight with a 1 at each value v with
+    bit v - 1 of m set.  A column's entries are distinct, so its weight is
+    the one of its value set."""
+    table = [0]
+    for v in range(n):
+        step = 1 << bits * v
+        table += [x + step for x in table]
+    return table
 
 
 @functools.lru_cache(maxsize=None)
 def _transitions(pattern, prev, rule):
     """The ways to fill one column of the given pattern after the column
     ``prev`` (entries by row, 0 where the row has no cell), under ``rule``:
-    a tuple of (column, rows that gain leg + 1), and for rule ``"qt"`` of
-    (column, rows that gain leg + 1, coinv).
+    a tuple of (column, gaining rows, values), and for rule ``"qt"`` of
+    (column, gaining rows, values, coinv).  The gaining rows, those that
+    gain leg + 1, are a bit mask (bit i for row i), to index
+    ``_gain_table``, and the values a bit mask of the column's entries
+    (bit v - 1 for v), to index ``_weight_increments``.
 
     A cell (i, j) may not repeat an entry of its own column, nor the entry
     (k, j - 1) of a lower row k > i.  Its partners are the cells (k, j),
@@ -118,13 +153,12 @@ def _transitions(pattern, prev, rule):
     n = len(pattern)
     rows = [i for i in range(n) if pattern[i] >= 1]
     col = [0] * n
-    gains = []
     out = []
 
-    def rec(idx, coinv):
+    def rec(idx, gaining, values, coinv):
         if idx == len(rows):
-            out.append((tuple(col), tuple(gains), coinv) if rule == "qt"
-                       else (tuple(col), tuple(gains)))
+            out.append((tuple(col), gaining, values, coinv) if rule == "qt"
+                       else (tuple(col), gaining, values))
             return
         i = rows[idx]
         left = prev[i]
@@ -163,14 +197,11 @@ def _transitions(pattern, prev, rule):
                     gain = v > left
                     count = (partners & cyclic).bit_count()
             col[i] = v
-            if gain:
-                gains.append(i)
-            rec(idx + 1, coinv + count)
-            if gain:
-                gains.pop()
+            rec(idx + 1, gaining | gain << i, values | 1 << v - 1,
+                coinv + count)
         col[i] = 0
 
-    rec(0, 0)
+    rec(0, 0, 0, 0)
     return tuple(out)
 
 
@@ -208,7 +239,10 @@ def _packed_column_terms(lam, cap, rule, floor, width, bits):
     A state maps each weight code of its partial fillings to one packed
     series.  A column adds its 0/1 weight to the code and multiplies the
     series by q^gain, a shift by width * gain, gain the sum of the legs + 1
-    of its gaining rows.  Every count is nonnegative and below 2^width, so
+    of its gaining rows.  Both are looked up by the masks ``_transitions``
+    gives with each column: the weight in ``_weight_increments`` of (n,
+    bits), the gain in ``_gain_table`` of the column's d, so a run sums
+    neither.  Every count is nonnegative and below 2^width, so
     no slot carries into the next and the shift is exact; the mask of the
     low width * (cap + 1) bits then drops the counts above q^cap, which no
     later column brings back.  A gain above the cap leaves nothing, and a
@@ -232,29 +266,24 @@ def _packed_column_terms(lam, cap, rule, floor, width, bits):
     is the floor), and it clears a digit's top bit just where that digit
     is below it."""
     n, columns = len(lam), _columns(lam)
-    ones = sum(1 << (bits * v) for v in range(n))
+    incs = _weight_increments(n, bits)
+    ones = incs[-1]
     top = ones << (bits - 1)
     mask = (1 << width * (cap + 1)) - 1
-    packed = {}
     states = {tuple(range(1, n + 1)): {0: 1}}
     left = len(columns)
     for pattern, d in columns:
         left -= 1
         prune = floor > left
         need = (floor - left) * ones
+        gains = _gain_table(d)
         nxt = {}
-        gains = {}
         for prev, counts in states.items():
-            for col, rows in _transitions(pattern, prev, rule):
-                gain = gains.get(rows)
-                if gain is None:
-                    gain = gains[rows] = sum(d[i] for i in rows)
+            for col, rows, values in _transitions(pattern, prev, rule):
+                gain = gains[rows]
                 if gain > cap:
                     continue
-                inc = packed.get(col)
-                if inc is None:
-                    inc = packed[col] = sum(1 << (bits * (v - 1))
-                                            for v in col if v)
+                inc = incs[values]
                 acc = nxt.setdefault(col, {})
                 get = acc.get
                 if gain:
@@ -384,8 +413,10 @@ def _generic_column_terms(lam):
     The column program with rule ``"qt"`` keeps one Kronecker int per
     state and weight code: the coefficient of q^a t^b in slot a T + b of W
     bits, T - 1 the sum of arm + 1 over the cells, a bound on every
-    t-degree.  A transition shifts by its q^maj t^coinv and multiplies in
-    each binomial 1 - u of its column as s - (s << the slot of u).
+    t-degree.  A transition shifts by its q^maj t^coinv (maj from
+    ``_gain_table``), adds its weight (``_weight_increments``) and
+    multiplies in each binomial 1 - u of its column as s - (s << the slot
+    of u).
     q -> z^T, t -> z, z = 2^W, is a ring homomorphism, one-to-one on the
     monomials of t-degree below T, so the ints are exact, whatever their
     slots hold on the way.  A filling's numerator has L1 norm at most
@@ -400,20 +431,22 @@ def _generic_column_terms(lam):
     bits = cells.bit_length() + 1
     binomials = []
     states = {tuple(range(1, n + 1)): {0: 1}}
+    incs = _weight_increments(n, bits)
     for j, (pattern, d) in enumerate(columns, 1):
         moves = {prev: _transitions(pattern, prev, "qt") for prev in states}
         unequal = {i: (d[i], arm_leg(lam, (i + 1, j))[0] + 1)
                    for i in sorted({i for prev, ts in moves.items()
-                                    for col, _, _ in ts for i in range(n)
+                                    for col, _, _, _ in ts for i in range(n)
                                     if col[i] and col[i] != prev[i]})}
         binomials.extend(unequal.values())
+        gains = _gain_table(d)
         nxt = {}
         for prev, counts in states.items():
-            for col, gains, coinv in moves[prev]:
-                shift = width * (stride * sum(d[i] for i in gains) + coinv)
+            for col, rows, values, coinv in moves[prev]:
+                shift = width * (stride * gains[rows] + coinv)
                 steps = [width * (1 if col[i] != prev[i] else stride * a + b)
                          for i, (a, b) in unequal.items()]
-                inc = sum(1 << (bits * (v - 1)) for v in col if v)
+                inc = incs[values]
                 acc = nxt.setdefault(col, {})
                 get = acc.get
                 for code, s in counts.items():

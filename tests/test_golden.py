@@ -162,7 +162,8 @@ def run_report(argv, fault):
 SL_POINTS = [(1, 2, 4), (1, 3, 3), (1, 5, 4), (2, 2, 3), (2, 3, 2),
              (2, 3, 5), (2, 4, 4), (2, 5, 8), (2, 6, 3), (3, 1, 3), (3, 2, 1),
              (3, 2, 2), (3, 2, 4), (3, 3, 3), (3, 3, 4), (3, 3, 6), (3, 4, 4),
-             (3, 5, 5), (4, 1, 2), (4, 2, 1), (4, 2, 3), (4, 3, 2), (5, 1, 2)]
+             (3, 5, 5), (4, 1, 2), (4, 2, 1), (4, 2, 3), (4, 3, 2), (4, 3, 3),
+             (5, 1, 2), (5, 2, 2)]
 SL_TIER1 = {(1, 2, 4), (2, 2, 3), (2, 3, 5), (3, 2, 2), (3, 2, 4), (4, 1, 2)}
 GL_POINTS = [(1, 4, 4), (2, 5, 6), (3, 3, 4), (3, 6, 8), (4, 4, 6),
              (3, 8, 10)]

@@ -14,10 +14,10 @@ from qcauchy.identities import (_code_bits, _kostant_xsums, _macdonald_bound,
                                 _macdonald_side, _packed_macdonald_sum,
                                 _product_bound, _product_factors,
                                 _rhs_lambdas, _sl_budget, _sl_budget_hits,
-                                _sl_lhs_window, _sl_rhs_adaptive, lhs_series,
-                                project_to_sl, rhs_series, sl_certificate,
-                                sl_window_pairs, verify_identity,
-                                verify_sl2_appendix)
+                                _sl_lambdas, _sl_lhs_window, _sl_rhs_adaptive,
+                                lhs_series, project_to_sl, rhs_series,
+                                sl_certificate, sl_window_pairs,
+                                verify_identity, verify_sl2_appendix)
 from qcauchy.macdonald import (_exponents, _fillings_bound, _window_cost,
                                e_atom_table, e_t0_table, norm_a_q)
 from qcauchy.series import (TruncatedSeries, TruncationPolicy, VariableSet,
@@ -644,6 +644,46 @@ def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
     assert calls == {"norm_a_q": passed, "hw_algebra_char": passed}
 
 
+def _filtered_lambdas(n, K, w, box):
+    """The enumeration the walk replaced, kept as its oracle: every min-zero
+    lam up to the box, sorted, filtered by the cost test."""
+    return [lam for lam in sorted(min_zero_compositions_up_to(n, box))
+            if _sl_budget(lam, K, w) is not None]
+
+
+# (n, W, K) of the walk's oracle: every point with n <= 4, W <= 4, K <= 5,
+# and two points at n = 5, 6
+WALK_POINTS = [(n, w, K) for n in range(1, 5) for w in range(5)
+               for K in range(6)] + [(5, 2, 2), (6, 1, 2)]
+
+
+def test_walk_matches_sorted_filter(monkeypatch):
+    # up to each certified box, the walk yields the lam that pass the cost
+    # test, sorted, and runs the test on no other lam: a partial c_x + c_y
+    # at the last free entry is the final one, so it cuts every failing
+    # leaf.  The summand count is C(box + n, n) - C(box, n), the number of
+    # min-zero lam up to the box
+    tested = []
+
+    def counted(lam, K, w):
+        tested.append(lam)
+        return _sl_budget(lam, K, w)
+    monkeypatch.setattr(identities, "_sl_budget", counted)
+    for n, w, K in WALK_POINTS:
+        pairs = sl_window_pairs(n, w)
+        _, box, _ = sl_certificate(n, pairs, K)
+        tested.clear()
+        got = _sl_lambdas(n, K, w, box)
+        assert got == _filtered_lambdas(n, K, w, box), (n, w, K)
+        assert sorted(tested) == got, (n, w, K)
+        with monkeypatch.context() as patch:
+            # no lam, so that only the count is computed
+            patch.setattr(identities, "_sl_lambdas", lambda *args: [])
+            count = _sl_rhs_adaptive(n, pairs, K, box)[2]
+        assert count == sum(1 for _ in min_zero_compositions_up_to(n, box)), \
+            (n, w, K)
+
+
 @st.composite
 def _budget_cases(draw):
     n = draw(st.integers(1, 4))
@@ -927,18 +967,33 @@ def test_certificate_width_bounds_every_partial_sum(n, w, K, monkeypatch):
         first, middle, last = q_binomial_coeffs(top, cap)
         return first, middle, [QSeries(cap, map(abs, c.coeffs)) for c in last]
 
+    products = []
+
+    def recorded(varset, policy, factors, packing):
+        products.append((packing, packed_product(varset, policy, factors,
+                                                 packing)))
+        return products[-1][1]
+
     q_binomial_coeffs = identities._q_binomial_coeffs
+    packed_product = identities._packed_product
     pairs = sl_window_pairs(n, w)
     monkeypatch.setattr(identities, "PackedQ", Recorded)
     sl_certificate(n, pairs, K)
     monkeypatch.setattr(identities, "PackedQ", Wide)
     monkeypatch.setattr(identities, "_q_binomial_coeffs", unsigned)
+    monkeypatch.setattr(identities, "_packed_product", recorded)
     _, _, fibers = sl_certificate(n, pairs, K)
     # the fibers' PackedQ is the certificate's last
     width = PackedQ(bounds[-1], K).width
     assert fibers
     assert all(0 <= c < 1 << width - 2
                for fiber in fibers.values() for c in fiber.coeffs), (n, w, K)
+    # the class weights are summed per group on the product's PackedQ, the
+    # certificate's first: the summed mass of every class weight, which
+    # bounds every coefficient of a group's sum, stays below 2^(B - 2)
+    (packing, classes), = products
+    mass = sum(c for v in classes.values() for c in packing.unpack(v).coeffs)
+    assert 0 < mass < 1 << PackedQ(bounds[0], K).width - 2, (n, w, K)
 
 
 @pytest.mark.parametrize("n, w, K, summands, box", [

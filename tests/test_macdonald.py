@@ -12,7 +12,8 @@ from qcauchy.exact import (ExactError, InvariantError, PackedQ, QPoly,
 import qcauchy.macdonald as macdonald
 from qcauchy.macdonald import (_column_terms, _columns,
                                _cyclically_increasing, _exponents,
-                               _fillings_bound, _packed_column_terms,
+                               _fillings_bound, _gain_table,
+                               _packed_column_terms, _weight_increments,
                                _window_cost, e_atom_table, e_t0_table,
                                exact_cap, macdonald_E, macdonald_E_fillings,
                                norm_a_q, norm_a_qt, restrict_poly_terms,
@@ -460,12 +461,71 @@ def test_fillings_bound_holds_every_table():
             (lam, cap, rule, floor)
 
 
+def _columns_by_ranking(lam):
+    """The body ``_columns`` had before it ranked only the columns where the
+    pattern changes, kept as its oracle: every column ranked afresh."""
+    out = []
+    for j in range(1, max(lam, default=0) + 1):
+        d = tuple(max(e - j + 1, -1) for e in lam)
+        rank = {v: r for r, v in enumerate(sorted(set(d) | {-1, 0}), -1)}
+        out.append((tuple(rank[v] for v in d), d))
+    return tuple(out)
+
+
+# every composition with n <= 5 and |lam| <= 8
+COLUMN_LAMS = [lam for n in range(1, 6) for lam in compositions_up_to(n, 8)]
+
+
+def test_columns_match_ranking_every_column():
+    # ranking only the columns j with j - 1 or j - 2 a part of lam (and j =
+    # 1) gives every column's pattern; the function stays cached by name
+    assert len(COLUMN_LAMS) == 2001
+    for lam in COLUMN_LAMS:
+        assert _columns(lam) == _columns_by_ranking(lam), lam
+    assert _columns.cache_info().currsize > 0
+
+
+def test_gain_and_increment_tables_match_sums():
+    # the tables the column programs index by mask, against the sums they
+    # replaced: the legs + 1 of the gaining rows, over every row mask of
+    # every column of COLUMN_LAMS, and the 0/1 weight code of a value set
+    for lam in COLUMN_LAMS:
+        n = len(lam)
+        for _, d in _columns(lam):
+            gains = _gain_table(d)
+            assert len(gains) == 1 << n, lam
+            for rows in range(1 << n):
+                assert gains[rows] == sum(d[i] for i in range(n)
+                                          if rows >> i & 1), (lam, d, rows)
+    for n in range(1, 7):
+        for bits in range(1, 8):
+            incs = _weight_increments(n, bits)
+            assert len(incs) == 1 << n, (n, bits)
+            for values in range(1 << n):
+                col = [v for v in range(1, n + 1) if values >> v - 1 & 1]
+                assert incs[values] == sum(1 << (bits * (v - 1))
+                                           for v in col), (n, bits, values)
+
+
+def _as_tuples(moves):
+    """``_transitions``' moves as the tuple enumeration gives them: (col,
+    gaining rows[, coinv]), each value mask checked against its col."""
+    out = []
+    for col, rows, values, *coinv in moves:
+        assert values == sum(1 << v - 1 for v in col if v), col
+        out.append((col, tuple(i for i in range(len(col)) if rows >> i & 1),
+                    *coinv))
+    return tuple(out)
+
+
 def test_transitions_match_tuple_enumeration(monkeypatch):
     # every (pattern, prev, rule) the column programs reach at n <= 4,
     # |lam| <= 6 and at n = 5, |lam| <= 4: the t = 0 and atom tables at the
     # exact cap and floor 0, where no transition is skipped, and the generic
     # program (rule "qt"), whose coinv is a bit count of the partner mask;
-    # the integer triples give the tuple enumeration's output
+    # the integer triples give the tuple enumeration's output, once the
+    # gaining-row mask is read back as the tuple of its rows and the value
+    # mask is checked against the column's entries
     reached = set()
     transitions = macdonald._transitions
 
@@ -483,7 +543,8 @@ def test_transitions_match_tuple_enumeration(monkeypatch):
     assert len(reached) > 1000
     assert sum(rule == "qt" for _, _, rule in reached) == 1229
     for args in reached:
-        assert transitions(*args) == _transitions_by_tuples(*args), args
+        assert _as_tuples(transitions(*args)) == \
+            _transitions_by_tuples(*args), args
 
 
 class TestNorms:
