@@ -14,26 +14,14 @@ first differing monomial in canonical order is the failure witness:
 * ``iwahori_char`` -- the function-space character against the Macdonald sum,
 * ``sl2_appendix`` -- the rank-one closed forms.
 
-The sl projection sums fibers lam + k*1.  ``sl_certificate`` walks, per
-class pair, the solutions of the support system of the kernel once: it
-bounds the fiber index k, which fixes the certified gl box, and it sums the
-solutions' weights, which are the projected product side.  The system sees
-a beta matrix only through its margins (row and column sums), so the walk
-runs over margin classes, grouped by rows - cols, weighed by the gl
-product kernel ``_packed_product`` on the monomials x_i y_j, and counts
-every solution for every shift S in the budget.  That kernel is given only
-monomials of equal x- and y-degree, so it keys a term on one degree and
-its exponents.  The Macdonald side then sums every min-zero lam up to that
-box: E_lam(x) E_lam(y) has x- and y-degree |lam|, so these are all the
-summands that can reach a certified fiber.
-``_sl_budget_hits`` makes every decision about one lam: it turns the
-window degree W into the weight floor F = ceil((|lam| - W) / n) of the
-window classes, skips lam when its two tables cannot meet below q^{K+1}
-(the cost test, ``_sl_budget``), and takes the tables from the column
-program with that floor, each only to the cap at which its terms can still
-meet a term of the other.  Every summand has nonnegative coefficients,
-which is checked on every norm and every table coefficient that enters a
-sum; the norms are computed only for the lam that pass the cost test.
+The sl projection sums fibers lam + k*1.  ``sl_certificate`` walks the
+solutions of the kernel's support system once per class pair: they bound
+the fiber index k, which fixes the certified gl box, and their weights sum
+to the projected product side.  The Macdonald side sums every min-zero lam
+up to that box, as E_lam(x) E_lam(y) has x- and y-degree |lam|;
+``_sl_rhs_adaptive`` plans it in one pass, one entry per lam that passes
+the cost test, and the packing width, the tables and the sums all read
+those entries.
 
 The q-series gl variants (gl_t0, gl_slform, iwahori_char, classical_q0)
 and sl_projected build both sides on packed integers (``PackedQ``,
@@ -46,20 +34,18 @@ unpacked or compared, from L1 masses (sum of |coefficient|):
 ``_product_bound`` on the gl product side, the largest fiber coefficient
 on the sl product side, and ``_macdonald_bound`` on a Macdonald side and
 on ch T (``characters``), the one summand A_D * E_lam(x) * E_lam(y), which
-``_packed_macdonald_sum`` sums too.  ``_macdonald_bound`` reads F(lam)
-(``macdonald._fillings_bound``) off lam's columns, so every side fixes B
-before any table is built, and takes its tables packed at B straight from
-the column program (ch T packs its atom table itself).  A gl monomial
-x^a y^b is one integer code, the 2n exponents as digits (``_code_bits``),
-on both sides: the product side drops a degree digit with one shift, and
-the Macdonald side adds an x-code to a shifted y-code; an sl class pair is
-the code of its two min-zero representatives (``_window_hits`` keys a
-table weight w on the code of w - min(w) 1).  ``verify_identity``
-compares masked ints on these codes, and decodes a code, and unpacks a
-value, only for the witness.
-Every summand norm * E_lam(x) * E_lam(y) of a Macdonald sum is accumulated
-by the one kernel ``_pair_product_series``, which sees only packed ints
-and gl_qt's exact (q, t) scalars.
+``_packed_macdonald_sum`` sums too.  Every side fixes B before it builds a
+table, and takes its tables packed at B from the column program.  A gl
+monomial x^a y^b is one integer code, the 2n exponents as digits
+(``_code_bits``), on both sides: the product side drops a degree digit
+with one shift, and the Macdonald side adds an x-code to a shifted y-code;
+an sl class pair is the code of its two min-zero representatives
+(``_window_hits`` keys a table weight w on the code of w - min(w) 1).
+``verify_identity`` compares masked ints on these codes, and decodes a
+code, and unpacks a value, only for the witness.  Every summand norm *
+E_lam(x) * E_lam(y) of a Macdonald sum is accumulated by the one kernel
+``_pair_product_series``, which sees only packed ints and gl_qt's exact
+(q, t) scalars.
 """
 
 from __future__ import annotations
@@ -68,6 +54,7 @@ import json
 import math
 import time
 from itertools import accumulate
+from typing import NamedTuple
 
 from .exact import (ExactError, InvariantError, PackedQ, QSeries, QTPoly,
                     QTRational, inv_pochhammer_qq, invert_q, l1_mass,
@@ -447,6 +434,13 @@ def _kostant_xsums(c):
     return sols
 
 
+class SlCertificate(NamedTuple):
+    """What ``sl_certificate`` certifies for a window."""
+    kmax: dict      # class pair -> largest fiber index k, on the x-side
+    box: int        # D, the box degree in both blocks, as k fixes l
+    fibers: dict    # class pair with a solution -> its fiber sum (QSeries)
+
+
 def sl_certificate(n, pairs, K):
     """Per class pair, the largest fiber index k of any potential kernel
     contributor x^{a + k 1} y^{b + k 1} q^{<= K}, from the support system
@@ -501,12 +495,7 @@ def sl_certificate(n, pairs, K):
     N_max * sum_S L1(p_S) * mass, N_max the largest N(c) met; as a
     product's coefficients are at most the product of its factors' L1
     masses, it bounds every H_d and every partial fiber sum.  So the walk
-    keeps each pair's (N(c), d), and the fibers are summed after it.
-
-    Returns (kmax, D, fibers) with kmax keyed on the x-side, D the degree
-    of the certified box in both blocks (the balance relation makes the x-
-    and y-side needs coincide), and fibers[pair] that sum, for every pair
-    with a solution."""
+    keeps each pair's (N(c), d), and the fibers are summed after it."""
     _, cells, det = _q_binomial_coeffs(K, K)
     poch_w = [c.shift(S) for S, c in enumerate(det) if S * (S + 1) // 2 <= K]
     varset, policy = VariableSet.gl(n), TruncationPolicy(K, K, K)
@@ -576,7 +565,7 @@ def sl_certificate(n, pairs, K):
               for pair, hits in found}
     D = max((sum(a) + n * k for (a, b), k in kmax.items() if k >= 0),
             default=0)
-    return kmax, D, fibers
+    return SlCertificate(kmax, D, fibers)
 
 
 def project_to_sl(f, pairs, kmax, K):
@@ -645,44 +634,53 @@ def _window_hits(lam, cap, rule, floor, packing, bits, shift=0):
     return hits
 
 
+class _SlEntry(NamedTuple):
+    """The plan of one lam of the sl Macdonald side (``_sl_rhs_adaptive``)."""
+    lam: tuple
+    floor: int          # F, the weight floor of the window classes
+    cost_y: int         # c_y; K - c_y caps the t = 0 table
+    norms: tuple = ()   # (arm/leg norm, highest-weight-algebra norm)
+    fills: int = 0      # F(lam) of ``_fillings_bound``
+
+
 def _sl_budget(lam, K, W):
-    """The cost test of ``_sl_budget_hits``: (F, c_y), or None when
-    c_x + c_y > K skips lam."""
+    """The cost test of lam on the window of degree W under the q-budget K:
+    lam's entry (lam, F, c_y), or None when lam adds nothing to the sums
+    modulo q^{K+1}.
+
+    The window classes are the min-zero w - min(w)*1 of degree <= W, and
+    every weight of either table has |w| = |lam|, so w is in a window class
+    iff min(w) >= F = ceil((|lam| - W) / n), n = len(lam): both tables are
+    built with the floor F.  Every monomial with min(w) >= F of the t = 0
+    table has q-valuation at least c_x = ``_window_cost(lam, F, "t0")``,
+    and every one of the atom table at least c_y, its mirror.  A norm has
+    no negative q-power, so when c_x + c_y > K every product of an x- and
+    a y-term vanishes modulo q^{K+1}, and lam is skipped."""
     floor = -((W - sum(lam)) // len(lam))
     cost_y = _window_cost(lam, floor, "atom")
     if _window_cost(lam, floor, "t0") + cost_y > K:
         return None
-    return floor, cost_y
+    return _SlEntry(lam, floor, cost_y)
 
 
-def _sl_budget_hits(lam, K, W, packing, bits):
-    """(x hits, y hits) of lam's tables E_lam(x; q, 0) and E_lam(y; q^{-1},
-    oo) on the window of degree W, built under one q-budget K for both, or
-    None when lam adds nothing to the sums modulo q^{K+1}.  Every decision
-    about lam is made here; the rank n is len(lam).  The hits are keyed on
-    class codes (``_window_hits``), the y hits' shifted past n digits.
+def _sl_budget_hits(entry, K, packing, bits):
+    """(x hits, y hits) of the tables E_lam(x; q, 0) and E_lam(y; q^{-1},
+    oo) of lam's entry (lam, F, c_y), pruned to the floor F and built under
+    one q-budget K for both, or None when lam adds nothing to the sums
+    modulo q^{K+1}.  The hits are keyed on class codes (``_window_hits``),
+    the y hits' shifted past n = len(lam) digits.
 
-    The window classes are the min-zero w - min(w)*1 of degree <= W, and
-    every weight of either table has |w| = |lam|, so w is in a window class
-    iff min(w) >= F = ceil((|lam| - W) / n): both tables are built with
-    the floor F.  Every monomial with min(w) >= F of the t = 0 table has
-    q-valuation at least c_x = ``_window_cost(lam, F, "t0")``, and every
-    one of the atom table at least c_y, its mirror.  A norm has no negative
-    q-power, so an x-term of degree above K - c_y meets only y-terms of
-    degree >= c_y, and their product vanishes modulo q^{K+1}.  So lam is
-    skipped when c_x + c_y > K, and the t = 0 table is built at cap K - c_y.
-    With e_x the least q-exponent among its hits, read off the lowest set
-    bit of its packed series, the same argument with the roles swapped
-    builds the atom table at cap K - e_x; that cap is at least c_y, as e_x
-    <= K - c_y, so lam is skipped at this step only when the t = 0 table
-    has no hit.  Every summand norm * E(x) * E(y) is unchanged modulo
-    q^{K+1}; coefficients above the lowered caps are not computed, and
-    every computed one is checked nonnegative."""
-    budget = _sl_budget(lam, K, W)
-    if budget is None:
-        return None
-    floor, cost_y = budget
-    xhits = _window_hits(lam, K - cost_y, "t0", floor, packing, bits)
+    An x-term of degree above K - c_y meets only y-terms of degree >= c_y
+    (``_sl_budget``), and their product vanishes modulo q^{K+1}: the t = 0
+    table is built at cap K - c_y.  With e_x the least q-exponent among its
+    hits, read off the lowest set bit of its packed series, the same
+    argument with the roles swapped builds the atom table at cap K - e_x;
+    that cap is at least c_y, as e_x <= K - c_y, so lam is skipped at this
+    step only when the t = 0 table has no hit.  Every summand norm * E(x) *
+    E(y) is unchanged modulo q^{K+1}; coefficients above the lowered caps
+    are not computed, and every computed one is checked nonnegative."""
+    lam, floor = entry.lam, entry.floor
+    xhits = _window_hits(lam, K - entry.cost_y, "t0", floor, packing, bits)
     if not xhits:
         return None
     low = (min(v & -v for v in xhits.values()).bit_length() - 1
@@ -693,21 +691,21 @@ def _sl_budget_hits(lam, K, W, packing, bits):
 
 
 def _sl_lambdas(n, K, W, box):
-    """The min-zero lam of n entries with |lam| <= box that pass the cost
-    test (``_sl_budget``) at budget K and window degree W, sorted: a walk
-    over the entries of each size s that prunes on the cost.
+    """The plan entries (``_sl_budget``) of the min-zero lam of n parts with
+    |lam| <= box that pass the cost test at budget K and window degree W,
+    sorted: a walk over the parts of each size s that prunes on the cost.
 
     At size s the floor F = ceil((s - W) / n) is fixed, and n F > s leaves
     no weight (the cost is infinite), so that size is skipped.  Otherwise,
-    with P_m the sum of lam's first m entries, the costs of
+    with P_m the sum of lam's first m parts, the costs of
     ``_window_cost`` are c_y = max(0, max_m (m F - P_m)) (atom) and c_x =
     max(0, max_m (m F - s + P_{n-m})) (t = 0), m = 1, ..., n: a suffix
-    sum is s minus a prefix sum.  The walk sets lam's entries one at a
+    sum is s minus a prefix sum.  The walk sets lam's parts one at a
     time and carries the maxima over the prefix sums it knows.  Each is a
     lower bound of its final value, so a branch whose partial c_x + c_y
-    exceeds K holds no lam that passes, and is cut.  The last entry is s
+    exceeds K holds no lam that passes, and is cut.  The last part is s
     minus the others, and every leaf is a min-zero lam that goes through
-    ``_sl_budget`` itself, the exact test."""
+    ``_sl_budget`` itself, the exact test, once."""
     kept = []
     lam = [0] * n
 
@@ -717,9 +715,9 @@ def _sl_lambdas(n, K, W, box):
         if j == n - 1:
             lam[j] = s - prefix
             if zero or not lam[j]:
-                t = tuple(lam)
-                if _sl_budget(t, K, W) is not None:
-                    kept.append(t)
+                entry = _sl_budget(tuple(lam), K, W)
+                if entry:
+                    kept.append(entry)
             return
         # P_{j+1} = p brings c_y's term (j + 1) F - p, which needs p >= (j +
         # 1) F - K + cx, and c_x's term (n - j - 1) F - s + p, which grows
@@ -741,52 +739,54 @@ def _sl_lambdas(n, K, W, box):
     return kept
 
 
+class SlMacdonaldSide(NamedTuple):
+    """``_sl_rhs_adaptive``'s sums {class-pair code: nonzero masked int}."""
+    by_a: dict          # with the arm/leg norm
+    by_h: dict          # with the highest-weight-algebra norm
+    lambda_count: int
+    packing: PackedQ
+    bits: int
+
+
 def _sl_rhs_adaptive(n, pairs, K, box, bound=0):
     """The sl Macdonald side on the window: every min-zero lam with
     |lam| <= box summed once, with both norms, on packed ints.
 
     lam reaches the window class pair (a, b) through the monomials of
-    E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b;
-    ``_sl_budget_hits`` builds those of one lam, or skips lam.  Only the
-    lam that pass the cost test (``_sl_budget``) are visited, by the
-    pruned walk of ``_sl_lambdas``; both of their norms are computed and
-    checked nonnegative first.  The name is kept although nothing adapts
-    any more: the benchmark's tracer (``perfbench/spans.py``) looks the
-    function up by it.
+    E_lam(x; q, 0) and E_lam(y; q^{-1}, oo) whose classes are a and b.  The
+    side is planned in one pass: the walk ``_sl_lambdas`` runs the cost
+    test once per lam and keeps an entry (lam, F, c_y) of each lam that
+    passes; both norms, checked nonnegative, and F(lam) are filled in on
+    each entry; the ``PackedQ`` is fixed from the entries, at the larger of
+    ``bound`` and ``_macdonald_bound``; then ``_sl_budget_hits`` builds
+    each entry's tables.  The tracer of ``perfbench/spans.py`` looks the
+    function up by its name, which is kept although nothing adapts.
 
-    The ``PackedQ`` is fixed before any table is built, at the larger of
-    ``bound`` and ``_macdonald_bound`` over those lam; codes have ``bits``
-    bits, 2^(bits - 1) > box.  A key of the sums is the code of a class
-    pair, as in ``_sl_lhs_window``.  Nothing is filtered a second time:
-    ``pairs`` (``sl_window_pairs(n, W)``) holds every min-zero class of
-    degree <= W on both sides, so every hit is a window class, and every
-    pair of one lam's hits is in ``pairs``: a monomial e of E_lam has
-    |e| = |lam|, so its class e - min(e) 1 has degree |lam| - n min(e),
-    congruent to |lam| mod n on both sides, and ``sl_window_pairs`` holds
-    every pair of window classes whose degrees agree mod n.
-
-    Returns (sums with the arm/leg norm, sums with the
-    highest-weight-algebra norm, lambda_count, packing, bits), each sum
-    {class-pair code: nonzero masked int}, lambda_count counting every lam
-    up to the box, summed or skipped: C(box + n, n) - C(box, n), the
-    compositions of n entries with sum <= box less those with no zero
-    entry, which lose 1 from each entry to sum <= box - n."""
+    Codes have ``bits`` bits, 2^(bits - 1) > box.  A key of the sums is
+    the code of a class pair, as in ``_sl_lhs_window``.  Nothing is
+    filtered a second time: a monomial e of E_lam has |e| = |lam|, so its
+    class e - min(e) 1 has degree |lam| - n min(e), congruent to |lam| mod
+    n on both sides; with the floor every hit is a window class, and
+    ``pairs`` (``sl_window_pairs(n, W)``) holds every pair of window
+    classes whose degrees agree mod n."""
     W = max((sum(a) for a, _ in pairs), default=0)
-    kept = []       # (lam, (norm_a, norm_h)) of each lam the cost test keeps
-    for lam in _sl_lambdas(n, K, W, box):
+    plan = []
+    for entry in _sl_lambdas(n, K, W, box):
+        lam = entry.lam
         norms = norm_a_q(lam, K), hw_algebra_char(lam, "D").qseries(K)
         if not all(norm.is_nonnegative() for norm in norms):
             raise InvariantError("negative norm coefficient; positivity broken")
-        kept.append((lam, norms))
+        plan.append(entry._replace(norms=norms, fills=_fillings_bound(lam)))
     packing = PackedQ(max(bound, _macdonald_bound(
-        (norms, _fillings_bound(lam)) for lam, norms in kept)),
-        K)
+        (entry.norms, entry.fills) for entry in plan)), K)
     bits = box.bit_length() + 1
-    summands = [(norms,) + hits for lam, norms in kept
-                if (hits := _sl_budget_hits(lam, K, W, packing, bits))]
+    summands = [(entry.norms,) + hits for entry in plan
+                if (hits := _sl_budget_hits(entry, K, packing, bits))]
     by_a, by_h = _packed_macdonald_sum(summands, packing) or ({}, {})
-    return (by_a, by_h, math.comb(box + n, n) - math.comb(box, n), packing,
-            bits)
+    # every min-zero lam up to the box, summed or skipped: the compositions
+    # with sum <= box less those with no zero part (each part less 1)
+    count = math.comb(box + n, n) - math.comb(box, n)
+    return SlMacdonaldSide(by_a, by_h, count, packing, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -815,22 +815,22 @@ def verify_identity(variant, n, policy):
         w = min(policy.max_x_degree, policy.max_y_degree)
         K = policy.max_q_degree
         pairs = sl_window_pairs(n, w)
-        _, D, fibers = sl_certificate(n, pairs, K)
+        cert = sl_certificate(n, pairs, K)
         policy_dict["window_degree"] = w
-        policy_dict["certified_box"] = [D, D]
-        p_gl, p_sl, count, packing, bits = _sl_rhs_adaptive(
-            n, pairs, K, D, max((abs(c) for fiber in fibers.values()
-                                 for c in fiber.coeffs), default=0))
-        p_lhs = _sl_lhs_window(fibers, packing, bits)
+        policy_dict["certified_box"] = [cert.box, cert.box]
+        side = _sl_rhs_adaptive(n, pairs, K, cert.box, max(
+            (abs(c) for fiber in cert.fibers.values() for c in fiber.coeffs),
+            default=0))
+        p_lhs = _sl_lhs_window(cert.fibers, side.packing, side.bits)
 
         def decode(code):
-            exps = _exponents(code, 2 * n, bits)
+            exps = _exponents(code, 2 * n, side.bits)
             return restrict_weight(exps[:n]) + restrict_weight(exps[n:])
         varset = VariableSet.sl(n)
-        diff = (first_difference(varset, p_lhs, p_gl, decode)
-                or first_difference(varset, p_gl, p_sl, decode))
-        return _mk_report(variant, n, policy_dict, diff, count, t_start,
-                          packing)
+        diff = (first_difference(varset, p_lhs, side.by_a, decode)
+                or first_difference(varset, side.by_a, side.by_h, decode))
+        return _mk_report(variant, n, policy_dict, diff, side.lambda_count,
+                          t_start, side.packing)
 
     if variant == "sl2_appendix":
         return verify_sl2_appendix(

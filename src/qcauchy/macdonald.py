@@ -36,21 +36,20 @@ coinv as its bit count.
 reduces through the general gcd; it is the test oracle of every table
 (``specialize_E`` of it for the specializations).
 Given a ``floor`` F, the packed program keeps only the monomials x^w with
-min(w) >= F: it drops each partial filling that can no longer reach such
-a weight, and the pruned table is the full table restricted to those
-monomials.  The sl identity builds its tables with F = ceil((|lam| - W) /
-n), the monomials whose min-zero class w - min(w)*1 has degree <= W.
-``_window_cost`` bounds the q-valuation of every monomial with min(w) >= F
-from below.  At t = 0 a cell holds a value above its row's basement value
-only after an ascent in its row, and that ascent costs leg + 1, at least
-the number of cells it raises; so a filling of q-degree e raises at most e
-cells, while min(w) >= F forces some lam to raise a known number of them.
-The atom side is the mirror case, with descents and the cells they lower.
-Every entry takes lam and reads its columns, its cell counts and its
-rank n = len(lam) off it (lam = 0 has no columns), so one batch may mix
-ranks.  The builders run the column program for every lam they
-are given; the sl identity reads the cost of both sides to decide which
-lam to build and at which caps (see ``identities._sl_budget_hits``).
+min(w) >= F: it drops each partial filling that can no longer reach such a
+weight, and the pruned table is the full table restricted to those
+monomials.  ``_window_cost`` bounds the q-valuation of every monomial with
+min(w) >= F from below.  At t = 0 a cell holds a value above its row's
+basement value only after an ascent in its row, and that ascent costs
+leg + 1, at least the number of cells it raises; so a filling of q-degree
+e raises at most e cells, while min(w) >= F forces some lam to raise a
+known number of them.  The atom side is the mirror case, with descents
+and the cells they lower.  Every entry takes lam and reads its columns,
+its cell counts and its rank n = len(lam) off it (lam = 0 has no
+columns), so one batch may mix ranks.  The builders run the column
+program for every lam they are given; the sl cost test
+(``identities._sl_budget``) reads both costs, to skip a lam or cap its
+tables.
 """
 
 from __future__ import annotations
@@ -345,7 +344,7 @@ def _window_cost(lam, floor, rule):
     min(w) >= ``floor`` in the table of ``rule`` (in n = len(lam)
     variables), and ``math.inf`` when the table has no such weight.  A
     table at a cap below the cost is empty once pruned to the floor;
-    ``identities._sl_budget_hits`` reads the cost so as not to build it.
+    ``identities._sl_budget`` reads the cost so as not to build it.
 
     Rows and values are counted from 0 here, so row v's basement value is
     v.  At t = 0 the entries of a row do not increase along it until its

@@ -456,28 +456,31 @@ def test_packed_sum_of_no_summands():
 
 
 def test_window_hits_pair_up_in_window():
-    # the sl Macdonald side keys its sums on the sl class pairs of the hits
-    # with no filter of its own: every class of one lam's window hits is a
-    # window class, and every (x class, y class) pair of them is a window
-    # pair, for every lam up to the certified box
+    # the sl Macdonald side keys its sums on the class-pair codes x-key +
+    # y-key of each lam's window hits with no filter of its own: every such
+    # key is the code of a window pair, for every lam up to the certified
+    # box.  The hits are read from _sl_budget_hits, at the floor and caps
+    # the sums use; the floor prune has its own oracle in test_macdonald.py
+    # (test_packed_program_matches_per_key_program)
     K = 1
+    summed = 0
     for n in range(1, 5):
         for w in range(4):
             pairs = sl_window_pairs(n, w)
-            pair_set = {(restrict_weight(a), restrict_weight(b))
-                        for a, b in pairs}
-            reps = {a for a, _ in pair_set}
+            pair_set = set(pairs)
             _, box, _ = sl_certificate(n, pairs, K)
+            bits = box.bit_length() + 1
             for lam in min_zero_compositions_up_to(n, box):
-                floor = window_floor(lam, n, w)
-                xs = _window_classes(e_t0_table, lam, K, floor)
-                if not xs:
-                    continue        # no pair; the atom table is not needed
-                ys = _window_classes(e_atom_table, lam, K, floor)
-                assert set(xs) <= reps and set(ys) <= reps, (n, w, lam)
-                for a in xs:
-                    for b in ys:
-                        assert (a, b) in pair_set, (n, w, lam, a, b)
+                entry = _sl_budget(lam, K, w)
+                hits = entry and _sl_budget_hits(
+                    entry, K, PackedQ(_fillings_bound(lam), K), bits)
+                if not hits:
+                    continue        # lam adds no key to the sums
+                summed += 1
+                for cx, cy in itertools.product(*hits):
+                    exps = _exponents(cx + cy, 2 * n, bits)
+                    assert (exps[:n], exps[n:]) in pair_set, (n, w, lam)
+    assert summed > 0
 
 
 def _pair_classes(code, n, bits):
@@ -487,13 +490,16 @@ def _pair_classes(code, n, bits):
 
 
 def _shared_hits(lam, K, w):
-    """(hits, packing, bits): _sl_budget_hits of lam at the slot width of
-    lam's own bound F(lam) and the code width of |lam|."""
+    """(hits, packing, bits): _sl_budget_hits of lam's entry, made by the
+    cost test ``_sl_budget`` as on the sl side, at the slot width of lam's
+    own bound F(lam) and the code width of |lam|; hits is None when the
+    cost test skips lam."""
     norms = (norm_a_q(lam, K),)
     packing = PackedQ(_macdonald_bound(
         [(norms, _fillings_bound(lam))]), K)
     bits = sum(lam).bit_length() + 1
-    return _sl_budget_hits(lam, K, w, packing, bits), packing, bits
+    entry = _sl_budget(lam, K, w)
+    return entry and _sl_budget_hits(entry, K, packing, bits), packing, bits
 
 
 def _shared_summand(lam, K, shared):
@@ -619,15 +625,16 @@ def test_budget_skips_lambda_without_t0_hit(monkeypatch):
 
 
 def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
-    # the sl Macdonald side computes (and checks) both norms of the lam
-    # that pass its cost test, before it builds any table, and no other: at
-    # (3, 2, 2), 92 of the 316 lam up to the box, of which it sums 91
+    # the sl Macdonald side runs its cost test once on each lam it keeps
+    # and computes (and checks) both norms of those lam, before it builds
+    # any table, and of no other: at (3, 2, 2), 92 of the 316 lam up to the
+    # box, of which it sums 91
     n, w, K = 3, 2, 2
     pairs = sl_window_pairs(n, w)
     _, box, _ = sl_certificate(n, pairs, K)
     passed = sum(_sl_budget(lam, K, w) is not None
                  for lam in min_zero_compositions_up_to(n, box))
-    calls = {"norm_a_q": 0, "hw_algebra_char": 0}
+    calls = {"norm_a_q": 0, "hw_algebra_char": 0, "_sl_budget": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(identities, name)):
             calls[_name] += 1
@@ -639,16 +646,17 @@ def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
         summed.append(len(summands))
         return _packed_macdonald_sum(summands, packing)
     monkeypatch.setattr(identities, "_packed_macdonald_sum", recorded)
-    count = _sl_rhs_adaptive(n, pairs, K, box)[2]
+    count = _sl_rhs_adaptive(n, pairs, K, box).lambda_count
     assert (passed, summed, count) == (92, [91], 316)
-    assert calls == {"norm_a_q": passed, "hw_algebra_char": passed}
+    assert calls == dict.fromkeys(calls, passed)
 
 
-def _filtered_lambdas(n, K, w, box):
-    """The enumeration the walk replaced, kept as its oracle: every min-zero
-    lam up to the box, sorted, filtered by the cost test."""
-    return [lam for lam in sorted(min_zero_compositions_up_to(n, box))
-            if _sl_budget(lam, K, w) is not None]
+def _filtered_entries(n, K, w, box):
+    """The enumeration the walk replaced, kept as its oracle: the entries
+    the cost test makes of every min-zero lam up to the box, sorted, those
+    it skips dropped."""
+    return [entry for lam in sorted(min_zero_compositions_up_to(n, box))
+            if (entry := _sl_budget(lam, K, w))]
 
 
 # (n, W, K) of the walk's oracle: every point with n <= 4, W <= 4, K <= 5,
@@ -658,10 +666,11 @@ WALK_POINTS = [(n, w, K) for n in range(1, 5) for w in range(5)
 
 
 def test_walk_matches_sorted_filter(monkeypatch):
-    # up to each certified box, the walk yields the lam that pass the cost
-    # test, sorted, and runs the test on no other lam: a partial c_x + c_y
-    # at the last free entry is the final one, so it cuts every failing
-    # leaf.  The summand count is C(box + n, n) - C(box, n), the number of
+    # up to each certified box, the walk yields the entries of the lam that
+    # pass the cost test, sorted, each as the test makes it, and runs the
+    # test once on each of them and on no other lam: a partial c_x + c_y at
+    # the last free part is the final one, so it cuts every failing leaf.
+    # The summand count is C(box + n, n) - C(box, n), the number of
     # min-zero lam up to the box
     tested = []
 
@@ -674,12 +683,12 @@ def test_walk_matches_sorted_filter(monkeypatch):
         _, box, _ = sl_certificate(n, pairs, K)
         tested.clear()
         got = _sl_lambdas(n, K, w, box)
-        assert got == _filtered_lambdas(n, K, w, box), (n, w, K)
-        assert sorted(tested) == got, (n, w, K)
+        assert got == _filtered_entries(n, K, w, box), (n, w, K)
+        assert sorted(tested) == [entry.lam for entry in got], (n, w, K)
         with monkeypatch.context() as patch:
             # no lam, so that only the count is computed
             patch.setattr(identities, "_sl_lambdas", lambda *args: [])
-            count = _sl_rhs_adaptive(n, pairs, K, box)[2]
+            count = _sl_rhs_adaptive(n, pairs, K, box).lambda_count
         assert count == sum(1 for _ in min_zero_compositions_up_to(n, box)), \
             (n, w, K)
 
