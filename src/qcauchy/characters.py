@@ -10,7 +10,11 @@ Characters are carried as truncated series in the sl Laurent variables
                 summand with the A_D series as its norm, summed on
                 ``PackedQ`` integers by ``identities._packed_macdonald_sum``
                 from its t = 0 table packed by the column program and its
-                atom table, which it packs itself.
+                atom table, which it packs itself.  The program runs on
+                lam itself: the gl sides run it once per S_n orbit and
+                walk to each member (``macdonald.packed_tables``), which
+                for one lam would cost a representative's run and the
+                steps besides.
 
 The function-space character of the Iwahori subgroup is the product
 
@@ -26,8 +30,9 @@ from __future__ import annotations
 import time
 
 from .exact import ExactError, PackedQ
-from .macdonald import (_exponents, _fillings_bound, e_atom_table, e_t0_table,
-                        packed_tables, restrict_poly_terms)
+from .macdonald import (_compositions, _exponents, _fillings_bound,
+                        _packed_column_terms, e_atom_table, e_t0_table,
+                        restrict_poly_terms)
 from .affine import (HwAlgebraChar, char_l, hw_algebra_char,
                      hw_algebra_char_gl)
 from .identities import (VerificationReport, _macdonald_bound,
@@ -91,15 +96,19 @@ def char_module(kind, lam, policy, lattice="sl"):
         # every key of the sum is then an in-policy x-key joined to an
         # in-policy y-key, and the kernel drops the zero sums
         # the slot width is fixed first, from lam's columns; the t = 0
-        # table then comes packed at it from the column program, the atom
-        # table from e_atom_table: perfbench/tests expects its small request
-        # set, where this is the one atom table, to reach atom_terms
+        # table then comes packed at it from the column program, run on
+        # lam itself: packed_tables would run it on lam's orbit
+        # representative and walk to lam, which costs more for one lam.
+        # The atom table comes from e_atom_table: perfbench/tests expects
+        # its small request set, where this is the one atom table, to reach
+        # atom_terms
         norms = (algebra_series("D"),)
         fills = _fillings_bound(lam)
         packing = PackedQ(_macdonald_bound([(norms, fills)]), cap)
         bits = sum(lam).bit_length() + 1
-        t0 = {_exponents(code, n, bits): v for code, v in packed_tables(
-            [lam], cap, "t0", packing.width, bits)[lam].items()}
+        lam, = _compositions([lam])
+        t0 = {_exponents(code, n, bits): v for code, v in _packed_column_terms(
+            lam, cap, "t0", 0, packing.width, bits).items()}
         atom = {e: packing.pack(c.coeffs)
                 for e, c in e_atom_table([lam], cap)[lam].items()}
         if restrict:

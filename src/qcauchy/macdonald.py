@@ -29,8 +29,12 @@ coinv as its bit count.
   (``T0Engine``) and ``e_atom_table`` (``atom_terms``) unpack its counts
   into QSeries once, at the end (``_column_terms``), for the characters,
   the rank-one suite and the command line; ``packed_tables`` hands them on
-  packed to the gl identities and ch T, and the sl identity runs the
-  program itself, each at a slot width fixed from ``_fillings_bound``.
+  packed to the gl identities, and ch T and the sl identity run the
+  program themselves, each at a slot width fixed from ``_fillings_bound``.
+  ``packed_tables`` runs the program once per S_n orbit of its batch and
+  derives every other member by Demazure operators (``_demazure_step``;
+  Sanderson, J. Algebraic Combin. 11 (2000); Ion, Duke Math. J. 116
+  (2003)).
 
 ``macdonald_E_fillings`` sums the same formula filling by filling and
 reduces through the general gcd; it is the test oracle of every table
@@ -46,10 +50,10 @@ e raises at most e cells, while min(w) >= F forces some lam to raise a
 known number of them.  The atom side is the mirror case, with descents
 and the cells they lower.  Every entry takes lam and reads its columns,
 its cell counts and its rank n = len(lam) off it (lam = 0 has no
-columns), so one batch may mix ranks.  The builders run the column
-program for every lam they are given; the sl cost test
-(``identities._sl_budget``) reads both costs, to skip a lam or cap its
-tables.
+columns), so one batch may mix ranks.  ``packed_tables`` runs the column
+program once per orbit of the lam it is given, the unpacked builders once
+per lam; the sl cost test (``identities._sl_budget``) reads both costs,
+to skip a lam or cap its tables.
 """
 
 from __future__ import annotations
@@ -84,9 +88,8 @@ def _columns(lam):
     2 falls by one and keeps its rank among the positive values, so the
     pattern changes only where some d_i reaches 0 or -1, that is at the
     columns j with j - 1 or j - 2 a part of lam; it is ranked there (and at
-    j = 1) and kept in between.  Cached: a Macdonald side reads the t = 0
-    table and the atom table of each lam, in turn (sl) or in two passes
-    (gl)."""
+    j = 1) and kept in between.  Cached: the sl side reads the t = 0 table
+    and the atom table of each lam in turn."""
     parts = set(lam)
     out = []
     for j in range(1, max(lam, default=0) + 1):
@@ -854,13 +857,126 @@ def e_atom_table(lams, cap):
     return {lam: atom_terms(lam, cap) for lam in _compositions(lams)}
 
 
+def _atom_selector(lam, i):
+    """b of the atom step at rows i, i + 1 of lam, lam_i < lam_{i+1} (rows
+    from 0): the rows k > i + 1 with lam_i <= lam_k < lam_{i+1} and the
+    rows k < i with lam_i < lam_k <= lam_{i+1}.  It is d - 1 for the d of
+    the intertwiner at s_i lam (see ``_demazure_step``)."""
+    lo, hi = lam[i], lam[i + 1]
+    return (sum(lo <= e < hi for e in lam[i + 2:])
+            + sum(lo < e <= hi for e in lam[:i]))
+
+
+def _demazure_step(table, lam, i, rule, cap, width, bits):
+    r"""The packed table of s_i lam at ``cap`` from the table of lam (rows
+    i, i + 1 from 0), for rule ``"t0"`` when lam_i > lam_{i+1}, and for
+    rule ``"atom"`` when lam_i < lam_{i+1}.
+
+    Both relations come from the intertwiner of the recursion that the
+    column program replaced (``spectral_k``, ``recursion_parent`` and
+    ``_t_step`` in this module at commit 7c2e6a0): for mu_i > mu_{i+1},
+
+        E_{s_i mu} = (T_i + c) E_mu,   c = (1 - t) / (1 - q^delta t^d),
+        T_i f = t f - (t x_i - x_{i+1}) D_i f,
+        D_i f = (f - s_i f) / (x_i - x_{i+1}),
+
+    with delta = mu_i - mu_{i+1} and d = k_mu(i+1) - k_mu(i) = 1 + #{k <
+    i : mu_{i+1} < mu_k <= mu_i} + #{k > i + 1 : mu_{i+1} <= mu_k < mu_i}.
+
+    * t = 0, mu = lam: d >= 1, so c = 1, T_i = x_{i+1} D_i, and T_i + 1 is
+      the isobaric divided difference pi_i f = D_i(x_i f).  So
+      E_{s_i lam}(x; q, 0) = pi_i E_lam(x; q, 0).  pi_i sends x^w, (w_i,
+      w_{i+1}) = (e, f) with e >= f, to the x^v with (v_i, v_{i+1}) = (e -
+      k, f + k), k = 0, ..., e - f, and x^w with e < f to minus the x^v
+      with (e + k, f - k), k = 1, ..., f - e - 1.
+    * atom, mu = s_i lam, a = lam_{i+1} - lam_i = delta: d = b + 1 for the
+      b of ``_atom_selector``.  Now E_lam = (T_i + c) E_mu, and the
+      quadratic relation (T_i - t)(T_i + 1) = 0 inverts it: E_mu = (T_i +
+      1 - t - c) E_lam / ((t + c)(1 - c)).  Take q -> q^{-1}, so c = (1 -
+      t) / (1 - q^{-a} t^d), and t -> oo, where E_lam tends to its atom
+      table and c to 0 for d >= 2 and to q^a for d = 1.  The operator is
+      t (1 - x_i D_i) + x_{i+1} D_i + 1 - t - c = -t x_i D_i + O(1), and
+      the factor is t^{-1} (1 + O(1/t)) for d >= 2 and t^{-1} / (1 - q^a)
+      (1 + O(1/t)) for d = 1.  With pi'_i = s_i pi_i s_i, pi'_i - 1 =
+      -x_i D_i, so (pi'_i - 1) E_lam(x; q^{-1}, oo) is E_{s_i lam}(x;
+      q^{-1}, oo) for b > 0, and (1 - q^a) times it for b = 0.  pi'_i - 1
+      sends x^w with e <= f to the x^v with (v_i, v_{i+1}) = (e + k, f -
+      k), k = 1, ..., f - e, and x^w with e > f to minus those with (e - k,
+      f + k), k = 0, ..., e - f - 1.
+
+    Both operators are q-free, so on tables modulo q^{cap+1} they give the
+    tables modulo q^{cap+1}.  They move a weight code by multiples of
+    2^(bits (i+1)) - 2^(bits i), the code of e_{i+1} - e_i.  The packed
+    ints add as the polynomials do (q -> 2^width is a ring homomorphism),
+    so a partial sum may hold negative slots, but every table kept is some
+    E_mu modulo q^{cap+1}, whose slots are nonnegative and below 2^width:
+    the sum is that table's int exactly.  For b = 0 the sum is (1 - q^a)
+    E_{s_i lam} modulo q^{cap+1}; times sum_{a k <= cap} q^{a k} it is
+    E_{s_i lam} plus a multiple of q^{cap+1}, so its low cap + 1 slots,
+    taken by one mask, are E_{s_i lam} exactly."""
+    shift = bits * i
+    digit = (1 << bits) - 1
+    step = (1 << shift + bits) - (1 << shift)
+    out = {}
+    get = out.get
+    for code, series in table.items():
+        e, f = code >> shift & digit, code >> shift + bits & digit
+        if rule == "t0":
+            if e >= f:
+                for key in range(code, code + (e - f + 1) * step, step):
+                    out[key] = get(key, 0) + series
+            else:
+                for key in range(code - step, code - (f - e) * step, -step):
+                    out[key] = get(key, 0) - series
+        elif e <= f:
+            for key in range(code - step, code - (f - e + 1) * step, -step):
+                out[key] = get(key, 0) + series
+        else:
+            for key in range(code, code + (e - f) * step, step):
+                out[key] = get(key, 0) - series
+    if rule == "t0" or _atom_selector(lam, i):
+        return {key: series for key, series in out.items() if series}
+    geometric = sum(1 << width * k
+                    for k in range(0, cap + 1, lam[i + 1] - lam[i]))
+    mask = (1 << width * (cap + 1)) - 1
+    return {key: m for key, series in out.items()
+            if (m := series * geometric & mask)}
+
+
 def packed_tables(lams, cap, rule, width, bits):
     """{lam: {weight code: int}}: the t = 0 (rule ``"t0"``) or (q^{-1},
     oo) (rule ``"atom"``) table of each composition at ``cap``, every
-    weight kept, as it leaves the column program (``_packed_column_terms``,
-    which says what width and bits must satisfy)."""
-    return {lam: _packed_column_terms(lam, cap, rule, 0, width, bits)
-            for lam in _compositions(lams)}
+    weight kept, packed as the column program packs them
+    (``_packed_column_terms``, which says what width and bits must
+    satisfy).
+
+    The column program runs once per S_n orbit of the batch, on the orbit's
+    weakly decreasing member for rule t0 and its weakly increasing one for
+    rule atom; each other member comes from one already built by one
+    adjacent swap, ``_demazure_step``.  The member lam not yet built takes
+    the first i with lam_i < lam_{i+1} (t0) or lam_i > lam_{i+1} (atom),
+    and s_i lam, one inversion nearer the representative, as its parent.
+    F(lam) (``_fillings_bound``) reads only the sorted entries, so every
+    member's counts fit the width as the representative's do."""
+    lams = _compositions(lams)
+    sign = 1 if rule == "t0" else -1
+    built = {}
+    for lam in lams:
+        chain = []      # (member, i) from lam towards the representative
+        while lam not in built:
+            i = next((i for i in range(len(lam) - 1)
+                      if (lam[i + 1] - lam[i]) * sign > 0), None)
+            if i is None:
+                built[lam] = _packed_column_terms(lam, cap, rule, 0, width,
+                                                  bits)
+                break
+            chain.append((lam, i))
+            lam = lam[:i] + (lam[i + 1], lam[i]) + lam[i + 2:]
+        for child, i in reversed(chain):
+            built[child] = _demazure_step(built[lam], lam, i, rule, cap,
+                                          width, bits)
+            lam = child
+    return {lam: built[lam] for lam in lams}
 
 
 def restrict_poly_terms(terms):

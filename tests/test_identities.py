@@ -219,12 +219,28 @@ def test_graded_width_at_gl_t0_box():
     assert _macdonald_side("gl_t0", 3, pol, bound)[0].width == 31
 
 
-def test_gl_side_computes_each_lambdas_columns_once():
-    # a gl side builds every t = 0 table, then every atom table: the columns
-    # of each lam are computed once for both passes
-    macdonald._columns.cache_clear()
-    _, _, count = _macdonald_side("gl_t0", 3, TruncationPolicy(3, 3, 4))
-    assert macdonald._columns.cache_info().misses == count == 20
+@pytest.mark.parametrize("D, K, summands, runs", [(3, 4, 20, 14),
+                                                  (6, 8, 84, 46)])
+def test_gl_side_runs_the_program_once_per_orbit(D, K, summands, runs,
+                                                 monkeypatch):
+    # a gl side's batch is a union of S_n orbits, and packed_tables runs
+    # the column program once per orbit and rule, at floor 0 and the
+    # batch's cap: on the decreasing member for t0, the increasing one for
+    # atom (7 and 23 orbits of 20 and 84 lam)
+    calls = []
+    program = macdonald._packed_column_terms
+
+    def recorded(lam, cap, rule, floor, width, bits):
+        calls.append((rule, lam, cap, floor))
+        return program(lam, cap, rule, floor, width, bits)
+    monkeypatch.setattr(macdonald, "_packed_column_terms", recorded)
+    _, _, count = _macdonald_side("gl_t0", 3, TruncationPolicy(D, D, K))
+    orbits = {tuple(sorted(lam)) for lam in compositions_up_to(3, D)}
+    assert (count, len(calls)) == (summands, runs)
+    assert runs == 2 * len(orbits)
+    assert sorted(calls) == sorted(
+        [("t0", key[::-1], K, 0) for key in orbits]
+        + [("atom", key, K, 0) for key in orbits])
 
 
 def _norm_plus_one(lam, cap):
@@ -444,6 +460,14 @@ class TestProjection:
         assert kmax[((0, 0), (0, 0))] >= 1
 
 
+@functools.lru_cache(maxsize=None)
+def _certificate(n, w, K):
+    """sl_certificate of the window pairs of (n, W, K): a pure result, kept
+    for the whole run, that several tests below read at the same points.
+    A test that watches the certificate at work calls sl_certificate."""
+    return sl_certificate(n, sl_window_pairs(n, w), K)
+
+
 def window_floor(lam, n, window):
     """The weight floor of the window classes of degree <= window among the
     weights of |w| = |lam|: ceil((|lam| - window) / n)."""
@@ -466,9 +490,8 @@ def test_window_hits_pair_up_in_window():
     summed = 0
     for n in range(1, 5):
         for w in range(4):
-            pairs = sl_window_pairs(n, w)
-            pair_set = set(pairs)
-            _, box, _ = sl_certificate(n, pairs, K)
+            pair_set = set(sl_window_pairs(n, w))
+            _, box, _ = _certificate(n, w, K)
             bits = box.bit_length() + 1
             for lam in min_zero_compositions_up_to(n, box):
                 entry = _sl_budget(lam, K, w)
@@ -554,7 +577,7 @@ def test_shared_budget_keeps_every_summand():
     # q^{K+1}; the budget skips some lam whose tables both hit the window
     skipped = 0
     for n, w, K in BUDGET_POINTS:
-        _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
+        _, box, _ = _certificate(n, w, K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             full = _full_cap_hits(n, lam, K, w)
             shared = _shared_hits(lam, K, w)
@@ -584,7 +607,7 @@ def test_budget_skips_run_no_column_program(monkeypatch):
     monkeypatch.setattr(identities, "_packed_column_terms", recorded)
     skipped = 0
     for n, w, K in BUDGET_POINTS:
-        _, box, _ = sl_certificate(n, sl_window_pairs(n, w), K)
+        _, box, _ = _certificate(n, w, K)
         for lam in sorted(min_zero_compositions_up_to(n, box)):
             floor = window_floor(lam, n, w)
             cost_x = _window_cost(lam, floor, "t0")
@@ -631,7 +654,7 @@ def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
     # box, of which it sums 91
     n, w, K = 3, 2, 2
     pairs = sl_window_pairs(n, w)
-    _, box, _ = sl_certificate(n, pairs, K)
+    _, box, _ = _certificate(n, w, K)
     passed = sum(_sl_budget(lam, K, w) is not None
                  for lam in min_zero_compositions_up_to(n, box))
     calls = {"norm_a_q": 0, "hw_algebra_char": 0, "_sl_budget": 0}
@@ -654,9 +677,10 @@ def test_norms_only_for_lambda_passing_cost_test(monkeypatch):
 def _filtered_entries(n, K, w, box):
     """The enumeration the walk replaced, kept as its oracle: the entries
     the cost test makes of every min-zero lam up to the box, sorted, those
-    it skips dropped."""
-    return [entry for lam in sorted(min_zero_compositions_up_to(n, box))
-            if (entry := _sl_budget(lam, K, w))]
+    it skips dropped; and the number of lam it enumerated."""
+    lams = sorted(min_zero_compositions_up_to(n, box))
+    return [entry for lam in lams if (entry := _sl_budget(lam, K, w))], \
+        len(lams)
 
 
 # (n, W, K) of the walk's oracle: every point with n <= 4, W <= 4, K <= 5,
@@ -679,18 +703,18 @@ def test_walk_matches_sorted_filter(monkeypatch):
         return _sl_budget(lam, K, w)
     monkeypatch.setattr(identities, "_sl_budget", counted)
     for n, w, K in WALK_POINTS:
-        pairs = sl_window_pairs(n, w)
-        _, box, _ = sl_certificate(n, pairs, K)
+        _, box, _ = _certificate(n, w, K)
         tested.clear()
         got = _sl_lambdas(n, K, w, box)
-        assert got == _filtered_entries(n, K, w, box), (n, w, K)
+        want, enumerated = _filtered_entries(n, K, w, box)
+        assert got == want, (n, w, K)
         assert sorted(tested) == [entry.lam for entry in got], (n, w, K)
         with monkeypatch.context() as patch:
             # no lam, so that only the count is computed
             patch.setattr(identities, "_sl_lambdas", lambda *args: [])
-            count = _sl_rhs_adaptive(n, pairs, K, box).lambda_count
-        assert count == sum(1 for _ in min_zero_compositions_up_to(n, box)), \
-            (n, w, K)
+            count = _sl_rhs_adaptive(n, sl_window_pairs(n, w), K,
+                                     box).lambda_count
+        assert count == enumerated, (n, w, K)
 
 
 @st.composite
@@ -718,7 +742,7 @@ def test_sl_window_matches_full_box_projection(n, w, K):
     # the certificate's fiber sums against those of the gl_slform product
     # over the whole certified box
     pairs = sl_window_pairs(n, w)
-    kmax, D, fibers = sl_certificate(n, pairs, K)
+    kmax, D, fibers = _certificate(n, w, K)
     box = lhs_series("gl_slform", n, TruncationPolicy(D, D, K))
     want = project_to_sl(box, pairs, kmax, K)
     packing = PackedQ(max(abs(c) for fiber in fibers.values()
@@ -777,7 +801,7 @@ def test_sl_verdict_matches_oracles(n, w, K, monkeypatch):
     # equal those of the sorted walk over project_to_sl on the whole
     # certified gl_slform box and the QSeries Macdonald sums
     pairs = sl_window_pairs(n, w)
-    kmax, D, _ = sl_certificate(n, pairs, K)
+    kmax, D, _ = _certificate(n, w, K)
     lhs = project_to_sl(lhs_series("gl_slform", n, TruncationPolicy(D, D, K)),
                         pairs, kmax, K)
     for fault in SL_FAULTS:
@@ -814,8 +838,7 @@ def test_sl_width_bounds_every_compared_coefficient(monkeypatch):
         norms += [fault.get("norm_a_q", norm_a_q),
                   lambda lam, cap, char=char: char(lam, "D").qseries(cap)]
     for n, w, K in BUDGET_POINTS:
-        pairs = sl_window_pairs(n, w)
-        _, D, fibers = sl_certificate(n, pairs, K)
+        _, D, fibers = _certificate(n, w, K)
         sums = _sl_macdonald_by_qseries(n, w, K, D, norms)
         for i, fault in enumerate(SL_FAULTS):
             top = max((abs(c) for terms in [fibers] + sums[2 * i:2 * i + 2]

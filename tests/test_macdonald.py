@@ -16,8 +16,9 @@ from qcauchy.macdonald import (_column_terms, _columns,
                                _packed_column_terms, _weight_increments,
                                _window_cost, e_atom_table, e_t0_table,
                                exact_cap, macdonald_E, macdonald_E_fillings,
-                               norm_a_q, norm_a_qt, restrict_poly_terms,
-                               rs_polynomial, sl2_closed_forms, specialize_E)
+                               norm_a_q, norm_a_qt, packed_tables,
+                               restrict_poly_terms, rs_polynomial,
+                               sl2_closed_forms, specialize_E)
 from qcauchy.weights import arm_leg, compositions_up_to, diagram
 
 ONE = QTPoly.one()
@@ -459,6 +460,141 @@ def test_fillings_bound_holds_every_table():
             lam, cap, rule, floor).values())
         assert mass <= _fillings_bound(lam), \
             (lam, cap, rule, floor)
+
+
+def _walk_cases():
+    """(lams, cap, width, bits) batches of the orbit walk's oracle: every
+    composition with n <= 4, |lam| <= 6, at caps 0, 1 and 4 as one batch
+    per n and cap, and at exact_cap as one batch per orbit; and the
+    benchmark's gl-t0 point (3, 6, 8) at the slot width of its side."""
+    cases = []
+    for n in range(1, 5):
+        lams = sorted(compositions_up_to(n, 6))
+        bits = 4        # 2^(bits - 1) > |lam|
+        fills = max(map(_fillings_bound, lams))
+        cases += [(lams, cap, PackedQ(fills, cap).width, bits)
+                  for cap in (0, 1, 4)]
+        orbits = {}
+        for lam in lams:
+            orbits.setdefault(tuple(sorted(lam)), []).append(lam)
+        cases += [(members, exact_cap(key),
+                   PackedQ(_fillings_bound(key), exact_cap(key)).width, bits)
+                  for key, members in orbits.items()]
+    cases.append((sorted(compositions_up_to(3, 6)), 8, 31, 4))
+    return cases
+
+
+def test_orbit_walk_matches_per_lambda_program(monkeypatch):
+    # packed_tables runs the column program once per orbit and walks to the
+    # other members; every table equals the per-lam program's, under both
+    # rules.  A batch of one member also runs it once, on its orbit's
+    # representative.  The runs are counted on a wrapper
+    program = _packed_column_terms
+    runs = []
+
+    def counted(lam, cap, rule, floor, width, bits):
+        runs.append(lam)
+        return program(lam, cap, rule, floor, width, bits)
+    monkeypatch.setattr(macdonald, "_packed_column_terms", counted)
+    checked = 0
+    for lams, cap, width, bits in _walk_cases():
+        for rule in ("t0", "atom"):
+            runs.clear()
+            got = packed_tables(lams, cap, rule, width, bits)
+            assert len(runs) == len({tuple(sorted(lam)) for lam in lams})
+            for lam in lams:
+                assert got[lam] == program(lam, cap, rule, 0, width, bits), \
+                    (lam, cap, rule)
+                checked += 1
+    assert checked == 2 * (3 * 329 + 329 + 84)
+    runs.clear()
+    lam = (2, 0, 1, 3)
+    width = PackedQ(_fillings_bound(lam), 5).width
+    for rule in ("t0", "atom"):
+        assert packed_tables([lam], 5, rule, width, 4) == {
+            lam: program(lam, 5, rule, 0, width, 4)}
+    assert runs == [(3, 2, 1, 0), (0, 1, 2, 3)]
+
+
+def _divided_difference(table, i):
+    """D_i f = (f - s_i f) / (x_i - x_{i+1}) on {weight: QSeries}, from
+    (x^a y^b - x^b y^a) / (x - y) = x^b y^b (x^{a-b} - y^{a-b}) / (x - y)
+    for a > b, and its negative for a < b."""
+    out = {}
+    for w, c in table.items():
+        a, b = w[i], w[i + 1]
+        if a == b:
+            continue
+        hi, lo, sign = (a, b, c) if a > b else (b, a, -c)
+        for k in range(hi - lo):
+            v = w[:i] + (hi - 1 - k, lo + k) + w[i + 2:]
+            out[v] = out[v] + sign if v in out else sign
+    return out
+
+
+def _times_x(table, i):
+    return {w[:i] + (w[i] + 1,) + w[i + 1:]: c for w, c in table.items()}
+
+
+def _intertwiner_d(mu, i):
+    """d = k_mu(i+1) - k_mu(i) of the intertwiner step from mu to s_i mu,
+    mu_i > mu_{i+1}, with k_mu(i) = #{j < i : mu_j > mu_i} + #{j > i :
+    mu_j >= mu_i}, as the recursion computed it."""
+    def k(r):
+        return (sum(mu[j] > mu[r] for j in range(r))
+                + sum(mu[j] >= mu[r] for j in range(r + 1, len(mu))))
+    return k(i + 1) - k(i)
+
+
+def _nonzero(table):
+    return {w: c for w, c in table.items() if not c.is_zero}
+
+
+# the ranges of the relations: n = 2, ..., 6 with these |lam|
+T0_RELATION_SIZES = {2: 5, 3: 5, 4: 4, 5: 4, 6: 3}
+ATOM_RELATION_SIZES = {2: 6, 3: 5, 4: 4, 5: 4, 6: 3}
+
+
+def test_demazure_relations_hold_on_column_tables():
+    # the relations of _demazure_step on the unpacked tables of the column
+    # program at exact_cap, for every lam and adjacent pair with lam_i !=
+    # lam_{i+1}: E_{s_i lam}(x; q, 0) = pi_i E_lam(x; q, 0) for lam_i >
+    # lam_{i+1}, pi_i f = D_i(x_i f); and for lam_i < lam_{i+1} (pi'_i - 1)
+    # E_lam(x; q^{-1}, oo) = -x_i D_i E_lam equals E_{s_i lam} when d > 1
+    # and (1 - q^a) E_{s_i lam} when d = 1, d the intertwiner's at s_i lam,
+    # which is the production selector b plus 1
+    pairs = {"t0": 0, "atom": 0}
+    divided = 0
+    for rule, sizes in (("t0", T0_RELATION_SIZES),
+                        ("atom", ATOM_RELATION_SIZES)):
+        for n, top in sizes.items():
+            for lam in compositions_up_to(n, top):
+                cap = exact_cap(lam)
+                table = _column_terms(lam, cap, rule)
+                for i in range(n - 1):
+                    if (lam[i + 1] - lam[i]) * (1 if rule == "t0" else -1) >= 0:
+                        continue
+                    child = lam[:i] + (lam[i + 1], lam[i]) + lam[i + 2:]
+                    want = _column_terms(child, cap, rule)
+                    if rule == "t0":
+                        got = _nonzero(_divided_difference(
+                            _times_x(table, i), i))
+                    else:
+                        got = _nonzero({w: -c for w, c in _times_x(
+                            _divided_difference(table, i), i).items()})
+                        d = _intertwiner_d(child, i)
+                        assert d == macdonald._atom_selector(lam, i) + 1, \
+                            (lam, i)
+                        if d == 1:
+                            factor = QSeries(cap, (1,) + (0,) * (
+                                lam[i + 1] - lam[i] - 1) + (-1,))
+                            want = _nonzero({w: c * factor
+                                             for w, c in want.items()})
+                            divided += 1
+                    assert got == want, (rule, lam, i)
+                    pairs[rule] += 1
+    assert pairs == {"t0": 395, "atom": 398}
+    assert 0 < divided < 398
 
 
 def _columns_by_ranking(lam):
